@@ -28,8 +28,15 @@ from .czd import (
 )
 from .grid import Cube, dyadic_cubes, grid_function
 from .kernels import certify, kernel_registry, nonvanishing_hat_kernel
-from .operators import ScaleGrid, default_scales, g_function, area_integral, \
-    g_star, l2_norm
+from .operators import (
+    OperatorSpec,
+    ScaleGrid,
+    default_scales,
+    g_function,
+    l2_norm,
+    spectrum_cache_stats,
+    square_functions,
+)
 from .oscillation import blo_constant, blo_p_norm, bmo_norm
 from .report import (
     RunManifest,
@@ -45,9 +52,19 @@ from .weights import a1_constant, ap_constant, doubling_report, power_weight
 __all__ = ["main", "build_parser"]
 
 
+def _setting(cfg, section: str, key: str, kind=int):
+    """cfg[section][key] converted by kind; a malformed value is a refusal."""
+    value = cfg[section][key]
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{section}.{key}={value!r} is not a valid "
+                         f"{kind.__name__}") from None
+
+
 def _grid_params(cfg) -> tuple[int, float, int]:
-    g = cfg["grid"]
-    return int(g["n"]), float(g["L"]), int(g["N"])
+    return (_setting(cfg, "grid", "n"), _setting(cfg, "grid", "L", float),
+            _setting(cfg, "grid", "N"))
 
 
 def _scale_params(cfg) -> tuple[int, float | None, float | None]:
@@ -165,14 +182,34 @@ def cmd_weights(cfg, jobs, manifest) -> list[Table]:
 # operators
 
 
-def _operator_fields(kernel, f, scales, lam):
-    out = {}
-    out["g"] = g_function(kernel, f, scales).values
-    out["s"] = area_integral(kernel, f, scales).values
+def _operator_results(kernel, f, scales, lams):
+    """g, S and g*_lam for each lam in lams from one pass over the scales,
+    keyed "g", "s", "gstar_<lam>"."""
+    keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
+    specs = [OperatorSpec("g"), OperatorSpec("s")] + \
+        [OperatorSpec("gstar", lam=lam) for lam in lams]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out[f"gstar_{lam:g}"] = g_star(kernel, f, lam, scales).values
-    return out
+        return dict(zip(keys, square_functions(kernel, f, scales, specs)))
+
+
+def _operator_fields(kernel, f, scales, lam):
+    return {op: res.values
+            for op, res in _operator_results(kernel, f, scales, (lam,)).items()}
+
+
+def _entry_record(name, results, cache_before) -> dict:
+    """Manifest record of one entry: each operator's tail_bound, and the
+    spectrum cache's size with the hits and misses the entry added."""
+    cache = spectrum_cache_stats()
+    return {
+        "name": name,
+        "tail_bounds": {op: res.tail_bound for op, res in results.items()},
+        "spectrum_cache": {
+            "bytes": cache["bytes"],
+            "hits": cache["hits"] - cache_before["hits"],
+            "misses": cache["misses"] - cache_before["misses"]},
+    }
 
 
 def _operators_row(args):
@@ -182,14 +219,15 @@ def _operators_row(args):
     scales = _make_scales(f, *scale_params)
     lam = _lambda_star(kernel, n)
     denom = l2_norm(f, w)
-    rows = []
-    fields = _operator_fields(kernel, f, scales, lam)
-    hi = g_star(kernel, f, lam + 1.0, scales).values
-    for op, field in fields.items():
-        rows.append((entry.name, op, l2_norm(field, w) / denom))
+    cache_before = spectrum_cache_stats()
+    results = _operator_results(kernel, f, scales, (lam, lam + 1.0))
+    record = _entry_record(entry.name, results, cache_before)
+    hi = results.pop(f"gstar_{lam + 1.0:g}").values
+    rows = [(entry.name, op, l2_norm(res.values, w) / denom)
+            for op, res in results.items()]
     mono_ok = l2_norm(hi, w) <= \
-        l2_norm(fields[f"gstar_{lam:g}"], w) * (1 + 1e-12)
-    return rows, mono_ok
+        l2_norm(results[f"gstar_{lam:g}"].values, w) * (1 + 1e-12)
+    return rows, mono_ok, record
 
 
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
@@ -206,8 +244,9 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
                     [(e, n, L, N, seed, scale_params, kernel_name)
                      for e in corpus], jobs)
     rows = []
-    for (entry_rows, mono_ok), entry in zip(results, corpus):
+    for (entry_rows, mono_ok, record), entry in zip(results, corpus):
         rows.extend(entry_rows)
+        manifest.entries.append(record)
         finite = all(math.isfinite(r[2]) for r in entry_rows)
         manifest.record(f"l2-finite:{entry.name}", finite,
                         f"ratios={[round(r[2], 4) for r in entry_rows]}")
@@ -236,11 +275,13 @@ def _theorem_row(args):
     bmo = bmo_norm(f, w, family).value
     lam = _lambda_star(kernel, n)
     rows = []
-    for op, field in _operator_fields(kernel, f, scales, lam).items():
-        blo = blo_constant(field, w, family).value
+    cache_before = spectrum_cache_stats()
+    results = _operator_results(kernel, f, scales, (lam,))
+    for op, res in results.items():
+        blo = blo_constant(res.values, w, family).value
         ratio = blo / bmo if bmo > 0 else float("inf")
         rows.append((entry.name, op, blo, bmo, ratio))
-    return rows
+    return rows, _entry_record(entry.name, results, cache_before)
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
@@ -261,8 +302,9 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
                      for e in corpus], jobs)
     rows = []
     sup_by_op: dict[str, float] = {}
-    for entry_rows in results:
+    for entry_rows, record in results:
         rows.extend(entry_rows)
+        manifest.entries.append(record)
         for name, op, blo, bmo, ratio in entry_rows:
             sup_by_op[op] = max(sup_by_op.get(op, 0.0), ratio)
             manifest.record(f"finite:{name}:{op}",
@@ -325,7 +367,9 @@ def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     tol = cfg["tolerances"]
     sigma = float(tol["sigma"])
     max_gen = int(tol["max_gen"])
-    nodes = int(tol["lambda_nodes"])
+    nodes = _setting(cfg, "tolerances", "lambda_nodes")
+    if nodes < 1:
+        raise ValueError("tolerances.lambda_nodes must be at least 1")
     corpus = corpus_from_config(cfg)
     results = _pmap(_jn_rows,
                     [(e, n, L, N, seed, max_level, sigma, max_gen, nodes)
@@ -406,15 +450,17 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, f"output.dir={args.out}")
     out_dir = Path(cfg["output"]["dir"])
 
-    n, L, N = _grid_params(cfg)
-    manifest = RunManifest(args.command, cfg, seed=int(cfg["corpus"]["seed"]))
-    manifest.grid = {"n": n, "L": L, "N": N}
-    manifest.family = {"kind": "dyadic",
-                       "max_level": int(cfg["family"]["max_level"])}
+    manifest = RunManifest(args.command, cfg)
     timer = StageTimer()
     tables: list[Table] = []
     failure: str | None = None
     try:
+        # LPSQUARE_SEED lands in corpus.seed, so it is checked here too
+        manifest.seed = _setting(cfg, "corpus", "seed")
+        n, L, N = _grid_params(cfg)
+        manifest.grid = {"n": n, "L": L, "N": N}
+        manifest.family = {"kind": "dyadic",
+                           "max_level": _setting(cfg, "family", "max_level")}
         with timer.measure(args.command):
             tables = _COMMANDS[args.command](cfg, args.jobs, manifest)
     except ValueError as exc:

@@ -218,7 +218,7 @@ def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
 def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
                  max_gen: int = 5) -> DecompositionTree:
     """Stopping-time tree for f on Q with threshold sigma * A_w."""
-    if sigma <= 1:
+    if not sigma > 1:
         raise ValueError("sigma must exceed 1")
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")

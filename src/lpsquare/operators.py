@@ -8,9 +8,17 @@ and the full box weighted by (t/(t+|x-y|))^{lambda n} for the starred form.
 Sampled kernels are mean-corrected so the discrete mass of psi_t vanishes;
 this folds the quadrature residual of the vanishing condition and the
 periodic truncation into a DC shift, pushing the response to constants
-down to float rounding.  Spatial sums are circular convolutions, done in the
-frequency domain when the grid has at least 256 samples and by direct
-summation below that.
+down to float rounding.
+
+square_functions computes any set of operators in one pass over the
+scales: one forward FFT of f, then per scale one inverse FFT for psi_t * f
+and, when a spatial sum is requested, one forward FFT of |psi_t * f|^2
+whose product with each mask spectrum accumulates in the frequency domain;
+each spatially summed operator ends with a single inverse FFT.  Kernel and
+mask spectra depend only on the geometry and the scale, so they are kept
+in a process-wide cache bounded by SPECTRUM_CACHE_BYTES.  A spectrum whose
+imaginary part is rounding noise (every radial kernel and every mask, since
+they are even on the periodic grid) is stored real, at half the bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +41,11 @@ __all__ = [
     "default_scales",
     "SquareFunctionResult",
     "convolve",
+    "OperatorSpec",
+    "square_functions",
+    "SPECTRUM_CACHE_BYTES",
+    "spectrum_cache_stats",
+    "clear_spectrum_cache",
     "g_function",
     "area_integral",
     "g_star",
@@ -45,7 +58,12 @@ __all__ = [
     "load_result",
 ]
 
-_FFT_MIN_SAMPLES = 256
+# Largest number of bytes of kernel and mask spectra kept per process.
+SPECTRUM_CACHE_BYTES = 64 * 2**20
+
+# A spectrum is stored real when its imaginary part is below this fraction
+# of its largest real coefficient; even sequences measure about 3e-16.
+_EVEN_RTOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -135,25 +153,17 @@ def _displacements(n: int, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, dist
 
 
-def _periodic_conv(field: np.ndarray, kern: np.ndarray,
-                   force: str | None = None) -> np.ndarray:
+def _rfftn(a: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(a) if a.ndim == 1 else np.fft.rfft2(a)
+
+
+def _irfftn(spec: np.ndarray, n: int, N: int) -> np.ndarray:
+    return np.fft.irfft(spec, n=N) if n == 1 else np.fft.irfft2(spec, s=(N, N))
+
+
+def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Circular convolution out[i] = sum_m field[i-m] kern[m] (no h^n)."""
-    n = field.ndim
-    N = field.shape[0]
-    use_fft = N**n >= _FFT_MIN_SAMPLES if force is None else force == "fft"
-    if use_fft:
-        if n == 1:
-            return np.fft.irfft(np.fft.rfft(field) * np.fft.rfft(kern), n=N)
-        return np.fft.irfft2(np.fft.rfft2(field) * np.fft.rfft2(kern), s=(N, N))
-    idx = np.arange(N)
-    A = (idx[:, None] - idx[None, :]) % N
-    if n == 1:
-        return field[A] @ kern
-    out = np.empty((N, N))
-    for i1 in range(N):
-        for i2 in range(N):
-            out[i1, i2] = float((field[A[i1, :], :][:, A[i2, :]] * kern).sum())
-    return out
+    return _irfftn(_rfftn(field) * _rfftn(kern), field.ndim, field.shape[0])
 
 
 def _sample_evaluator(ev: Callable[[np.ndarray], np.ndarray],
@@ -163,11 +173,16 @@ def _sample_evaluator(ev: Callable[[np.ndarray], np.ndarray],
     return vals if n == 1 else vals.reshape(N, N)
 
 
+def _sampled_kernel(psi_t: Callable[[np.ndarray], np.ndarray],
+                    n: int, L: float, N: int) -> np.ndarray:
+    kern = _sample_evaluator(psi_t, n, L, N)
+    return kern - kern.mean()
+
+
 def convolve(psi_t: Callable[[np.ndarray], np.ndarray] | DilatedKernel,
              f: GridFunction) -> GridFunction:
     """Periodic quadrature of psi_t * f with mean-corrected samples."""
-    kern = _sample_evaluator(psi_t, f.n, f.L, f.N)
-    kern = kern - kern.mean()
+    kern = _sampled_kernel(psi_t, f.n, f.L, f.N)
     h = f.L / f.N
     out = _periodic_conv(f.values, kern) * h**f.n
     return f.with_values(out)
@@ -176,11 +191,6 @@ def convolve(psi_t: Callable[[np.ndarray], np.ndarray] | DilatedKernel,
 def _require_certified(kernel: Kernel) -> None:
     if kernel.report is None or not kernel.report.passed:
         raise ValueError(f"kernel {kernel.name!r} is not certified")
-
-
-def _conv_fields(kernel: Kernel, f: GridFunction, scales: ScaleGrid):
-    for t in scales.nodes:
-        yield t, convolve(dilate(kernel, float(t)), f).values
 
 
 def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
@@ -193,56 +203,114 @@ def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
     return (kernel.c1 * l1) ** 2 * scales.t_max ** (-2 * n) / (2 * n) * volume_factor
 
 
-def _mask_scales(scales: ScaleGrid, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return scales.nodes[keep], scales.weights[keep]
+# ---------------------------------------------------------------------------
+# spectrum cache
 
 
-def _assemble(kernel: Kernel, f: GridFunction, scales: ScaleGrid, mode: str,
-              lam: float | None = None, aperture: float = 1.0,
-              keep: np.ndarray | None = None) -> np.ndarray:
-    _require_certified(kernel)
-    n, L, N = f.n, f.L, f.N
-    h = L / N
-    nodes = scales.nodes
-    wts = scales.weights
-    if keep is None:
-        keep = np.ones(scales.M, dtype=bool)
-    _, dist = _displacements(n, L, N)
-    acc = np.zeros_like(f.values)
-    for j, (t, w) in enumerate(zip(nodes, wts)):
-        if not keep[j]:
-            continue
-        F = convolve(dilate(kernel, float(t)), f).values
-        sq = F * F
-        if mode == "g":
-            acc += w * sq
-            continue
-        if mode == "s":
-            spatial = (dist < aperture * t).astype(float)
-        elif mode == "gstar":
-            spatial = (t / (t + dist)) ** (lam * n)
+class _SpectrumCache:
+    """Spectra keyed by (geometry (n, L, N), what, t), at most
+    SPECTRUM_CACHE_BYTES in total.
+
+    A spectrum that does not fit first displaces the spectra of other
+    geometries; if it still does not fit it is returned unstored, so a scale
+    sweep larger than the cap keeps its stored prefix rather than evicting
+    it cyclically.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.store: dict[tuple, np.ndarray] = {}
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        spec = self.store.get(key)
+        if spec is not None:
+            self.hits += 1
+            return spec
+        self.misses += 1
+        spec = _real_if_even(build())
+        spec.setflags(write=False)
+        if self.nbytes + spec.nbytes > SPECTRUM_CACHE_BYTES:
+            for old in [k for k in self.store if k[0] != key[0]]:
+                self.nbytes -= self.store.pop(old).nbytes
+        if self.nbytes + spec.nbytes <= SPECTRUM_CACHE_BYTES:
+            self.store[key] = spec
+            self.nbytes += spec.nbytes
+        return spec
+
+
+_SPECTRA = _SpectrumCache()
+
+
+def spectrum_cache_stats() -> dict[str, int]:
+    """Bytes held, stored spectra, and lookups served or computed so far."""
+    return {"bytes": _SPECTRA.nbytes, "spectra": len(_SPECTRA.store),
+            "hits": _SPECTRA.hits, "misses": _SPECTRA.misses}
+
+
+def clear_spectrum_cache() -> None:
+    _SPECTRA.clear()
+
+
+def _real_if_even(spec: np.ndarray) -> np.ndarray:
+    """Drop an imaginary part at rounding level (the sequence was even)."""
+    scale = float(np.abs(spec.real).max(initial=0.0))
+    if float(np.abs(spec.imag).max(initial=0.0)) <= _EVEN_RTOL * scale:
+        return np.ascontiguousarray(spec.real)
+    return spec
+
+
+def _kernel_spectrum(kernel: Kernel, n: int, L: float, N: int,
+                     t: float) -> np.ndarray:
+    """Transform of the mean-corrected samples of psi_t, times h^n."""
+    return _SPECTRA.get(
+        ((n, L, N), ("kernel", kernel), t),
+        lambda: _rfftn(_sampled_kernel(dilate(kernel, t), n, L, N))
+        * (L / N) ** n)
+
+
+def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
+                   t: float) -> np.ndarray:
+    """Transform of the spatial weight at scale t, times (h/t)^n.
+
+    mask is ("s", aperture) for the cone |x-y| < aperture t or
+    ("gstar", lam) for (t/(t+|x-y|))^{lam n}.
+    """
+    def build() -> np.ndarray:
+        _, dist = _displacements(n, L, N)
+        kind, param = mask
+        if kind == "s":
+            weight = (dist < param * t).astype(float)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
-        cone = _periodic_conv(sq, spatial) * h**n
-        acc += (w / t**n) * cone
-    # convolution roundoff can leave tiny negatives
-    return np.sqrt(np.maximum(acc, 0.0))
+            weight = (t / (t + dist)) ** (param * n)
+        return _rfftn(weight) * (L / N / t) ** n
+
+    return _SPECTRA.get(((n, L, N), mask, t), build)
 
 
-def g_function(kernel: Kernel, f: GridFunction,
-               scales: ScaleGrid) -> SquareFunctionResult:
-    """Vertical square operator (sum_j |psi_{t_j}*f|^2 w_j)^{1/2}."""
-    vals = _assemble(kernel, f, scales, "g")
-    return SquareFunctionResult(f.with_values(vals), "g", kernel.name, scales,
-                                tail_bound=_tail_bound(kernel, f, scales, 1.0))
+# ---------------------------------------------------------------------------
+# the one-pass operator stack
 
 
-def area_integral(kernel: Kernel, f: GridFunction,
-                  scales: ScaleGrid) -> SquareFunctionResult:
-    """Conical square operator over |y - x| < t (periodic metric)."""
-    vals = _assemble(kernel, f, scales, "s")
-    return SquareFunctionResult(f.with_values(vals), "s", kernel.name, scales,
-                                tail_bound=_tail_bound(kernel, f, scales, 2.0**f.n))
+@dataclass(frozen=True)
+class OperatorSpec:
+    """One operator for square_functions; fields mirror SquareFunctionResult.
+
+    op is "g", "s" (cone |y-x| < t), "s_dilated" (cone |y-x| < 2^ell t) or
+    "gstar" (weight (t/(t+|x-y|))^{lam n}).  With part "low" or "high" a
+    "g" or "s" operator keeps only the scale nodes t < trunc_r or
+    t >= trunc_r.
+    """
+
+    op: str
+    lam: float | None = None
+    ell: int | None = None
+    trunc_r: float | None = None
+    part: str | None = None
 
 
 def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
@@ -250,33 +318,116 @@ def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
     return 3.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
 
 
+def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
+          scales: ScaleGrid) -> tuple[tuple[str, float] | None, np.ndarray, float]:
+    """(spatial mask or None, scale nodes kept, tail volume factor)."""
+    n = f.n
+    if spec.op == "g":
+        mask, vol = None, 1.0
+    elif spec.op == "s":
+        mask, vol = ("s", 1.0), 2.0**n
+    elif spec.op == "s_dilated":
+        if spec.ell is None or spec.ell < 1:
+            raise ValueError("ell must be a positive integer")
+        mask, vol = ("s", 2.0**spec.ell), 2.0 ** (n * (spec.ell + 1))
+    elif spec.op == "gstar":
+        lam = spec.lam
+        if lam is None or not lam > 0:
+            raise ValueError("lambda must be positive")
+        thr = lambda_warn_threshold(kernel, n)
+        if lam <= thr:
+            warnings.warn(
+                f"lambda={lam} at or below the guarantee threshold {thr}",
+                stacklevel=3)
+        mask, vol = ("gstar", float(lam)), (f.L / scales.t_max) ** n
+    else:
+        raise ValueError(f"unknown operator {spec.op!r}")
+    keep = np.ones(scales.M, dtype=bool)
+    if spec.part is not None:
+        if spec.part not in ("low", "high"):
+            raise ValueError("part must be 'low' or 'high'")
+        if spec.op not in ("g", "s"):
+            raise ValueError("op_kind must be 'g' or 's'")
+        r = spec.trunc_r
+        if r is None or not (scales.t_min < r <= scales.t_max):
+            raise ValueError("truncation radius must lie inside the scale range")
+        low = scales.nodes < r
+        if not low.any():
+            raise ValueError("no scale nodes below the truncation radius")
+        keep = low if spec.part == "low" else ~low
+    return mask, keep, vol
+
+
+def square_functions(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
+                     specs: Iterable[OperatorSpec],
+                     ) -> tuple[SquareFunctionResult, ...]:
+    """Every operator in specs from one pass over the scale grid.
+
+    Per scale t: psi_t * f is one inverse FFT of fft(f) times the cached
+    kernel spectrum; |psi_t * f|^2 feeds the vertical operators directly
+    and, through one forward FFT, the frequency-domain accumulator of each
+    spatially summed operator.  Results come back in the order of specs.
+    """
+    _require_certified(kernel)
+    specs = tuple(specs)
+    plans = [_plan(spec, kernel, f, scales) for spec in specs]
+    n, L, N = f.n, f.L, f.N
+    fhat = _rfftn(f.values)
+    acc = [np.zeros(f.values.shape) if mask is None
+           else np.zeros(fhat.shape, dtype=complex) for mask, _, _ in plans]
+    for j, (t, w) in enumerate(zip(scales.nodes.tolist(),
+                                   scales.weights.tolist())):
+        live = [k for k, (_, keep, _) in enumerate(plans) if keep[j]]
+        if not live:
+            continue
+        F = _irfftn(fhat * _kernel_spectrum(kernel, n, L, N, t), n, N)
+        sq = F * F
+        sq_hat = None
+        for k in live:
+            mask = plans[k][0]
+            if mask is None:
+                acc[k] += w * sq
+                continue
+            if sq_hat is None:
+                sq_hat = _rfftn(sq) * w
+            acc[k] += sq_hat * _mask_spectrum(mask, n, L, N, t)
+    results = []
+    for spec, (mask, _, vol), total in zip(specs, plans, acc):
+        if mask is not None:
+            total = _irfftn(total, n, N)
+        # convolution roundoff can leave tiny negatives
+        vals = np.sqrt(np.maximum(total, 0.0))
+        results.append(SquareFunctionResult(
+            f.with_values(vals), spec.op, kernel.name, scales, lam=spec.lam,
+            ell=spec.ell, trunc_r=spec.trunc_r, part=spec.part,
+            tail_bound=_tail_bound(kernel, f, scales, vol)))
+    return tuple(results)
+
+
+def g_function(kernel: Kernel, f: GridFunction,
+               scales: ScaleGrid) -> SquareFunctionResult:
+    """Vertical square operator (sum_j |psi_{t_j}*f|^2 w_j)^{1/2}."""
+    return square_functions(kernel, f, scales, [OperatorSpec("g")])[0]
+
+
+def area_integral(kernel: Kernel, f: GridFunction,
+                  scales: ScaleGrid) -> SquareFunctionResult:
+    """Conical square operator over |y - x| < t (periodic metric)."""
+    return square_functions(kernel, f, scales, [OperatorSpec("s")])[0]
+
+
 def g_star(kernel: Kernel, f: GridFunction, lam: float,
            scales: ScaleGrid) -> SquareFunctionResult:
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    thr = lambda_warn_threshold(kernel, f.n)
-    if lam <= thr:
-        warnings.warn(
-            f"lambda={lam} at or below the guarantee threshold {thr}",
-            stacklevel=2)
-    vals = _assemble(kernel, f, scales, "gstar", lam=lam)
-    vol = (f.L / scales.t_max) ** f.n
-    return SquareFunctionResult(f.with_values(vals), "gstar", kernel.name,
-                                scales, lam=lam,
-                                tail_bound=_tail_bound(kernel, f, scales, vol))
+    return square_functions(kernel, f, scales,
+                            [OperatorSpec("gstar", lam=lam)])[0]
 
 
 def dilated_area_integral(kernel: Kernel, f: GridFunction, ell: int,
                           scales: ScaleGrid) -> SquareFunctionResult:
     """Area integral with the cone opened to |y - x| < 2^ell t."""
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    vals = _assemble(kernel, f, scales, "s", aperture=2.0**ell)
-    vol = 2.0 ** (f.n * (ell + 1))
-    return SquareFunctionResult(f.with_values(vals), "s_dilated", kernel.name,
-                                scales, ell=ell,
-                                tail_bound=_tail_bound(kernel, f, scales, vol))
+    return square_functions(kernel, f, scales,
+                            [OperatorSpec("s_dilated", ell=ell)])[0]
 
 
 def annulus_level_cap(n: int, L: float, scales: ScaleGrid) -> int:
@@ -295,18 +446,10 @@ def split_at_scale(op_kind: str, kernel: Kernel, f: GridFunction, r: float,
     """
     if op_kind not in ("g", "s"):
         raise ValueError("op_kind must be 'g' or 's'")
-    if not (scales.t_min < r <= scales.t_max):
-        raise ValueError("truncation radius must lie inside the scale range")
-    low_keep = scales.nodes < r
-    high_keep = ~low_keep
-    if not low_keep.any():
-        raise ValueError("no scale nodes below the truncation radius")
-    lo = _assemble(kernel, f, scales, op_kind, keep=low_keep)
-    hi = _assemble(kernel, f, scales, op_kind, keep=high_keep)
-    mk = lambda v, part: SquareFunctionResult(
-        f.with_values(v), op_kind, kernel.name, scales, trunc_r=r, part=part,
-        tail_bound=_tail_bound(kernel, f, scales, 1.0 if op_kind == "g" else 2.0**f.n))
-    return mk(lo, "low"), mk(hi, "high")
+    lo, hi = square_functions(kernel, f, scales, [
+        OperatorSpec(op_kind, trunc_r=r, part="low"),
+        OperatorSpec(op_kind, trunc_r=r, part="high")])
+    return lo, hi
 
 
 def l2_norm(f: GridFunction, w: Weight | None = None) -> float:

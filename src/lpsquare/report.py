@@ -482,6 +482,7 @@ class RunManifest:
     kernels: list = field(default_factory=list)
     timings: list = field(default_factory=list)
     criteria: list = field(default_factory=list)
+    entries: list = field(default_factory=list)  # per corpus entry records
     seed: int = 0
 
     def record(self, name: str, passed: bool, detail: str = "") -> bool:
@@ -502,6 +503,7 @@ class RunManifest:
             "kernels": self.kernels,
             "timings": [{"stage": s, "seconds": t} for s, t in self.timings],
             "criteria": self.criteria,
+            "entries": self.entries,
             "seed": self.seed,
             "all_passed": self.all_passed,
         }

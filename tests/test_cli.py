@@ -148,3 +148,68 @@ def test_rerun_is_byte_identical(tmp_path):
     _, out2, _ = run(tmp_path / "b", *args)
     assert (out1 / "theorem_suite.csv").read_bytes() == \
         (out2 / "theorem_suite.csv").read_bytes()
+
+
+def assert_refused(tmp_path, capsys, argv, message):
+    code, out, manifest = run(tmp_path, *argv)
+    assert code == 2
+    assert manifest["all_passed"] is False
+    assert message in manifest["criteria"][-1]["detail"]
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_number_is_refused(tmp_path, capsys):
+    assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=abc"),
+                   "grid.N='abc' is not a valid int")
+
+
+def test_malformed_env_seed_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LPSQUARE_SEED", "x")
+    assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=64"),
+                   "corpus.seed='x' is not a valid int")
+
+
+def test_zero_lambda_nodes_is_refused(tmp_path, capsys):
+    assert_refused(tmp_path, capsys,
+                   ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
+                    "--set", "tolerances.lambda_nodes=0"),
+                   "lambda_nodes must be at least 1")
+
+
+def test_nan_sigma_is_refused(tmp_path, capsys):
+    assert_refused(tmp_path, capsys,
+                   ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
+                    "--set", "tolerances.sigma=nan"),
+                   "sigma must exceed 1")
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_manifest_records_tail_bounds_and_cache_per_entry(tmp_path, command):
+    code, _, manifest = run(tmp_path, command, *FAST, "--jobs", "2")
+    assert code == 0
+    entries = manifest["entries"]
+    assert len(entries) == 12
+    ops = {"g", "s", "gstar_8"} | ({"gstar_9"} if command == "operators"
+                                   else set())
+    for entry in entries:
+        assert set(entry["tail_bounds"]) == ops
+        assert all(np.isfinite(v) and v > 0
+                   for v in entry["tail_bounds"].values())
+        cache = entry["spectrum_cache"]
+        assert cache["bytes"] > 0
+        # M=12 scales, each looking up one kernel and one mask per cone
+        # or g*_lam operator
+        assert cache["hits"] + cache["misses"] == 12 * len(ops)
+    # every entry after a worker's first one finds its spectra cached
+    assert sum(e["spectrum_cache"]["hits"] for e in entries) > 0
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_operator_csvs_do_not_depend_on_jobs(tmp_path, command):
+    _, out1, _ = run(tmp_path / "serial", command, *FAST)
+    code, out2, _ = run(tmp_path / "parallel", command, *FAST, "--jobs", "2")
+    assert code == 0
+    csvs = sorted(out1.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert (out2 / path.name).read_bytes() == path.read_bytes()

@@ -1,13 +1,16 @@
 """Square operators: quadrature correctness, orderings, truncations."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lpsquare import operators
 from lpsquare.grid import GridFunction, from_callable
 from lpsquare.kernels import (
     Kernel,
+    certify,
     dilate,
     evaluate,
     gauss_derivative_kernel,
@@ -15,10 +18,12 @@ from lpsquare.kernels import (
     poisson_derivative_kernel,
 )
 from lpsquare.operators import (
+    OperatorSpec,
     ScaleGrid,
     _periodic_conv,
     annulus_level_cap,
     area_integral,
+    clear_spectrum_cache,
     convolve,
     default_scales,
     dilated_area_integral,
@@ -28,11 +33,73 @@ from lpsquare.operators import (
     lambda_warn_threshold,
     load_result,
     save_result,
+    spectrum_cache_stats,
     split_at_scale,
+    square_functions,
 )
 from lpsquare.weights import Weight, constant_weight
 
 POISSON1 = poisson_derivative_kernel(1)
+
+
+def direct_periodic_conv(field, kern):
+    """Reference circular convolution out[i] = sum_m field[i-m] kern[m],
+    summed directly in O(N^{2n})."""
+    N = field.shape[0]
+    idx = np.arange(N)
+    A = (idx[:, None] - idx[None, :]) % N
+    if field.ndim == 1:
+        return field[A] @ kern
+    out = np.empty((N, N))
+    for i1 in range(N):
+        for i2 in range(N):
+            out[i1, i2] = float((field[A[i1, :], :][:, A[i2, :]] * kern).sum())
+    return out
+
+
+def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0,
+                           keep=None):
+    """Scale-by-scale direct sums: psi_t * f, then the spatial sum, each by
+    direct_periodic_conv, accumulated in the sample domain."""
+    n, L, N = f.n, f.L, f.N
+    h = L / N
+    d = ((np.arange(N) + N // 2) % N - N // 2) * h
+    if n == 1:
+        pts, dist = d[:, None], np.abs(d)
+    else:
+        dx, dy = np.meshgrid(d, d, indexing="ij")
+        pts = np.stack([dx.ravel(), dy.ravel()], axis=1)
+        dist = np.sqrt(dx**2 + dy**2)
+    acc = np.zeros(f.values.shape)
+    for j, (t, w) in enumerate(zip(scales.nodes, scales.weights)):
+        if keep is not None and not keep[j]:
+            continue
+        kern = (evaluate(kernel, pts / t) / t**n).reshape(f.values.shape)
+        F = direct_periodic_conv(f.values, kern - kern.mean()) * h**n
+        sq = F * F
+        if op == "g":
+            acc += w * sq
+            continue
+        if op == "s":
+            spatial = (dist < aperture * t).astype(float)
+        else:
+            spatial = (t / (t + dist)) ** (lam * n)
+        acc += w / t**n * direct_periodic_conv(sq, spatial) * h**n
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+def odd_kernel():
+    """-x exp(-x^2/2): certified, but odd, so its spectrum is imaginary."""
+    k = Kernel("odd-gauss", 1,
+               lambda p: -p[:, 0] * np.exp(-p[:, 0] ** 2 / 2.0), 2.0, 1.0,
+               radial=False)
+    rep = certify(k)
+    return dataclasses.replace(k, c1=rep.c1, c2=rep.c2, report=rep)
+
+
+def random_function(n, N, seed=0):
+    shape = (N,) if n == 1 else (N, N)
+    return GridFunction(n, 1.0, N, np.random.default_rng(seed).normal(size=shape))
 
 
 def sine(N=256, k=3, L=1.0):
@@ -92,12 +159,12 @@ def test_convolve_delta_reproduces_kernel_samples():
 def test_fft_and_direct_convolution_agree():
     rng = np.random.default_rng(5)
     a, k = rng.normal(size=512), rng.normal(size=512)
-    d = _periodic_conv(a, k, force="direct")
-    ff = _periodic_conv(a, k, force="fft")
+    d = direct_periodic_conv(a, k)
+    ff = _periodic_conv(a, k)
     assert np.allclose(d, ff, rtol=0, atol=1e-10 * np.max(np.abs(d)))
     a2, k2 = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
-    d2 = _periodic_conv(a2, k2, force="direct")
-    f2 = _periodic_conv(a2, k2, force="fft")
+    d2 = direct_periodic_conv(a2, k2)
+    f2 = _periodic_conv(a2, k2)
     assert np.allclose(d2, f2, rtol=0, atol=1e-10)
 
 
@@ -340,3 +407,153 @@ def test_result_serialization_roundtrip(tmp_path):
     assert float(meta["lambda"]) == 8.0
     assert int(meta["M"]) == 8
     assert float(meta["tmin"]) == pytest.approx(2.0 / 64)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass stack and its spectrum cache
+
+
+@pytest.mark.filterwarnings("ignore:lambda")
+@pytest.mark.parametrize("n,N,M", [(1, 64, 10), (2, 8, 5), (2, 16, 6)])
+def test_one_pass_matches_direct_sum_oracle(n, N, M):
+    kernel = poisson_derivative_kernel(n) if n == 1 else gauss_derivative_kernel(2)
+    f = random_function(n, N, seed=N)
+    sg = ScaleGrid(1.0 / N, 0.5, M)
+    r = float(sg.nodes[M // 2])
+    low = sg.nodes < r
+    lam = 3.0
+    cases = [
+        (OperatorSpec("g"), dict(op="g")),
+        (OperatorSpec("s"), dict(op="s")),
+        (OperatorSpec("s_dilated", ell=1), dict(op="s", aperture=2.0)),
+        (OperatorSpec("s_dilated", ell=2), dict(op="s", aperture=4.0)),
+        (OperatorSpec("gstar", lam=lam), dict(op="gstar", lam=lam)),
+        (OperatorSpec("gstar", lam=lam + 1), dict(op="gstar", lam=lam + 1)),
+        (OperatorSpec("g", trunc_r=r, part="low"), dict(op="g", keep=low)),
+        (OperatorSpec("g", trunc_r=r, part="high"), dict(op="g", keep=~low)),
+        (OperatorSpec("s", trunc_r=r, part="low"), dict(op="s", keep=low)),
+        (OperatorSpec("s", trunc_r=r, part="high"), dict(op="s", keep=~low)),
+    ]
+    results = square_functions(kernel, f, sg, [spec for spec, _ in cases])
+    for (spec, kw), res in zip(cases, results):
+        ref = oracle_square_function(kernel, f, sg, **kw)
+        got = res.values.values
+        assert res.op == spec.op and res.part == spec.part
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * ref.max()), spec
+    # the wrappers are the same pass, one operator at a time
+    lo, hi = split_at_scale("s", kernel, f, r, sg)
+    assert np.array_equal(lo.values.values, results[8].values.values)
+    assert np.array_equal(hi.values.values, results[9].values.values)
+    assert np.array_equal(g_star(kernel, f, lam, sg).values.values,
+                          results[4].values.values)
+
+
+def test_one_pass_matches_oracle_for_non_radial_kernel():
+    kernel = odd_kernel()
+    f = random_function(1, 64, seed=2)
+    sg = ScaleGrid(2.0 / 64, 0.25, 8)
+    g, s = square_functions(kernel, f, sg, [OperatorSpec("g"), OperatorSpec("s")])
+    for res, op in ((g, "g"), (s, "s")):
+        ref = oracle_square_function(kernel, f, sg, op)
+        assert np.allclose(res.values.values, ref, rtol=1e-12,
+                           atol=1e-12 * ref.max())
+
+
+def test_one_pass_keeps_every_check():
+    f = random_function(1, 64)
+    sg = ScaleGrid(2.0 / 64, 0.25, 8)
+    with pytest.raises(ValueError, match="not certified"):
+        square_functions(nonvanishing_hat_kernel(), f, sg, [OperatorSpec("g")])
+    bad = [OperatorSpec("gstar"), OperatorSpec("gstar", lam=0.0),
+           OperatorSpec("gstar", lam=float("nan")),
+           OperatorSpec("s_dilated"), OperatorSpec("s_dilated", ell=0),
+           OperatorSpec("gstar", lam=8.0, trunc_r=0.05, part="low"),
+           OperatorSpec("g", trunc_r=sg.t_min, part="low"),
+           OperatorSpec("g", trunc_r=0.05, part="middle"),
+           OperatorSpec("sum")]
+    for spec in bad:
+        with pytest.raises(ValueError):
+            square_functions(POISSON1, f, sg, [OperatorSpec("g"), spec])
+    with pytest.warns(UserWarning, match="threshold"):
+        square_functions(POISSON1, f, sg, [OperatorSpec("gstar", lam=4.0)])
+
+
+@pytest.mark.filterwarnings("ignore:lambda")
+def test_cache_keys_keep_operators_kernels_and_geometries_apart():
+    gauss1 = gauss_derivative_kernel(1)
+    specs = [OperatorSpec("g"), OperatorSpec("s"),
+             OperatorSpec("s_dilated", ell=1), OperatorSpec("s_dilated", ell=2),
+             OperatorSpec("gstar", lam=8.0), OperatorSpec("gstar", lam=9.0)]
+    runs = [(kernel, GridFunction(1, L, N, np.random.default_rng(N).normal(size=N)))
+            for kernel in (POISSON1, gauss1)
+            for L, N in ((1.0, 64), (2.0, 64), (1.0, 128))]
+
+    # one scale grid for every geometry, so only the key can tell them apart
+    sg = ScaleGrid(1.0 / 32, 0.25, 8)
+
+    def compute(kernel, f):
+        return [r.values.values for r in square_functions(kernel, f, sg, specs)]
+
+    cold = []
+    for kernel, f in runs:
+        clear_spectrum_cache()
+        cold.append(compute(kernel, f))
+    clear_spectrum_cache()
+    for _ in range(2):
+        warm = [compute(kernel, f) for kernel, f in runs]
+        for a, b in zip(cold, warm):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    stats = spectrum_cache_stats()
+    # one kernel spectrum per (kernel, geometry, t) and one mask spectrum
+    # per (operator, geometry, t) on the first round, all hits on the second
+    geometries, kernels, masks, M = 3, 2, 5, 8
+    assert stats["misses"] == geometries * M * (kernels + masks)
+    assert stats["hits"] == 2 * len(runs) * M * (1 + masks) - stats["misses"]
+
+
+def test_cache_never_exceeds_its_cap(monkeypatch):
+    clear_spectrum_cache()
+    f = random_function(2, 16)
+    sg = ScaleGrid(2.0 / 16, 0.25, 8)
+    specs = [OperatorSpec("g"), OperatorSpec("s")]
+    full = [r.values.values for r in square_functions(
+        gauss_derivative_kernel(2), f, sg, specs)]
+    spectrum = 16 * 9 * 8  # one real rfft2 spectrum of a 16x16 grid
+    cap = 5 * spectrum + 100
+    monkeypatch.setattr(operators, "SPECTRUM_CACHE_BYTES", cap)
+    clear_spectrum_cache()
+    kernel = gauss_derivative_kernel(2)
+    for g in (f, GridFunction(2, 2.0, 16, f.values), f):
+        got = square_functions(kernel, g, ScaleGrid(2.0 * g.L / 16, g.L / 4, 8),
+                               specs)
+        assert spectrum_cache_stats()["bytes"] <= cap
+        assert spectrum_cache_stats()["spectra"] == 5
+        if g is f:
+            assert all(np.array_equal(r.values.values, x)
+                       for r, x in zip(got, full))
+    monkeypatch.undo()
+    g = random_function(1, 4096)
+    square_functions(POISSON1, g, default_scales(g), specs)
+    assert 0 < spectrum_cache_stats()["bytes"] <= operators.SPECTRUM_CACHE_BYTES
+
+
+@pytest.mark.filterwarnings("ignore:lambda")
+def test_spectra_stored_real_only_when_even():
+    clear_spectrum_cache()
+    f1, f2 = random_function(1, 64), random_function(2, 16)
+    specs = [OperatorSpec("s"), OperatorSpec("s_dilated", ell=1),
+             OperatorSpec("gstar", lam=5.0)]
+    square_functions(POISSON1, f1, ScaleGrid(2.0 / 64, 0.25, 6), specs)
+    square_functions(gauss_derivative_kernel(2), f2, ScaleGrid(2.0 / 16, 0.25, 6),
+                     specs)
+    stored = operators._SPECTRA.store
+    assert len(stored) == 2 * 6 * 4
+    assert all(spec.dtype == np.float64 for spec in stored.values())
+    odd = odd_kernel()
+    square_functions(odd, f1, ScaleGrid(2.0 / 64, 0.25, 6), [OperatorSpec("g")])
+    odd_spectra = [spec for (_, what, _), spec in stored.items()
+                   if what == ("kernel", odd)]
+    assert len(odd_spectra) == 6
+    for spec in odd_spectra:
+        assert spec.dtype == np.complex128
+        assert np.abs(spec.imag).max() > 1e-3 * np.abs(spec).max()
