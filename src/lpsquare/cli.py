@@ -198,6 +198,12 @@ def _operator_fields(kernel, f, scales, lam):
             for op, res in _operator_results(kernel, f, scales, (lam,)).items()}
 
 
+def _cube_record(cube: Cube) -> dict:
+    """A witness cube as the manifest records it."""
+    return {"center": list(cube.center), "side": cube.side,
+            "level": cube.level}
+
+
 def _entry_record(name, results, cache_before) -> dict:
     """Manifest record of one entry: each operator's tail_bound, and the
     spectrum cache's size with the hits and misses the entry added."""
@@ -272,16 +278,22 @@ def _theorem_row(args):
     f, w = entry.realize(n, L, N, seed)
     scales = _make_scales(f, *scale_params)
     family = dyadic_cubes(f, max_level)
-    bmo = bmo_norm(f, w, family).value
+    bmo_rep = bmo_norm(f, w, family)
+    bmo = bmo_rep.value
+    witnesses = {"bmo": _cube_record(bmo_rep.argmax)}
     lam = _lambda_star(kernel, n)
     rows = []
     cache_before = spectrum_cache_stats()
     results = _operator_results(kernel, f, scales, (lam,))
     for op, res in results.items():
-        blo = blo_constant(res.values, w, family).value
+        blo_rep = blo_constant(res.values, w, family)
+        witnesses[f"blo:{op}"] = _cube_record(blo_rep.argmax)
+        blo = blo_rep.value
         ratio = blo / bmo if bmo > 0 else float("inf")
         rows.append((entry.name, op, blo, bmo, ratio))
-    return rows, _entry_record(entry.name, results, cache_before)
+    record = _entry_record(entry.name, results, cache_before)
+    record["witnesses"] = witnesses
+    return rows, record
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
@@ -336,12 +348,16 @@ def _jn_rows(args):
     rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False)
     family = dyadic_cubes(f, max_level)
     a1 = a1_constant(w, family)
-    blo = blo_constant(f, w, family).value
+    blo_rep = blo_constant(f, w, family)
+    blo = blo_rep.value
+    witnesses = {"blo": _cube_record(blo_rep.argmax)}
     equiv = []
     for p in (1.5, 2.0, 3.0):
         nu = power_weight(w, -1.0 / (p - 1.0))
         k_bound = equivalence_constant(p, n, a1, ap_constant(nu, p, family))
-        blo_p = blo_p_norm(f, w, p, family).value
+        blo_p_rep = blo_p_norm(f, w, p, family)
+        witnesses[f"blo_p:{p:g}"] = _cube_record(blo_p_rep.argmax)
+        blo_p = blo_p_rep.value
         equiv.append((entry.name, p, blo_p, blo,
                       blo_p / blo if blo > 0 else float("inf"), k_bound))
     tail_blo = [(r.lam, r.measured, r.bound, r.margin) for r in rep_blo.rows]
@@ -357,6 +373,7 @@ def _jn_rows(args):
         "tail_blo": tail_blo,
         "tail_bmo": tail_bmo,
         "equiv": equiv,
+        "witnesses": witnesses,
     }
 
 
@@ -378,6 +395,8 @@ def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     summary = []
     equiv_rows = []
     for res in results:
+        manifest.entries.append({"name": res["name"],
+                                 "witnesses": res["witnesses"]})
         manifest.record(f"tree-invariants:{res['name']}", res["tree_ok"],
                         f"nodes={res['tree_nodes']}")
         manifest.record(f"tail-blo:{res['name']}", res["blo_ok"],
@@ -438,11 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    failure: str | None = None
     try:
         cfg = load_config(args.config, tuple(args.overrides))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a refused config still gets a manifest, written from the defaults
+        failure = str(exc)
+        cfg = load_config()
     env_seed = os.environ.get("LPSQUARE_SEED")
     if env_seed is not None:
         cfg["corpus"]["seed"] = env_seed
@@ -453,20 +474,21 @@ def main(argv=None) -> int:
     manifest = RunManifest(args.command, cfg)
     timer = StageTimer()
     tables: list[Table] = []
-    failure: str | None = None
     try:
-        # LPSQUARE_SEED lands in corpus.seed, so it is checked here too
-        manifest.seed = _setting(cfg, "corpus", "seed")
-        n, L, N = _grid_params(cfg)
-        manifest.grid = {"n": n, "L": L, "N": N}
-        manifest.family = {"kind": "dyadic",
-                           "max_level": _setting(cfg, "family", "max_level")}
-        with timer.measure(args.command):
-            tables = _COMMANDS[args.command](cfg, args.jobs, manifest)
+        if failure is None:
+            # LPSQUARE_SEED lands in corpus.seed, so it is checked here too
+            manifest.seed = _setting(cfg, "corpus", "seed")
+            n, L, N = _grid_params(cfg)
+            manifest.grid = {"n": n, "L": L, "N": N}
+            manifest.family = {"kind": "dyadic",
+                               "max_level": _setting(cfg, "family", "max_level")}
+            with timer.measure(args.command):
+                tables = _COMMANDS[args.command](cfg, args.jobs, manifest)
     except ValueError as exc:
         failure = str(exc)
-        manifest.record(f"{args.command}-preconditions", False, failure)
     finally:
+        if failure is not None:
+            manifest.record(f"{args.command}-preconditions", False, failure)
         manifest.timings = timer.stages
         with timer.measure("report"):
             emit_report(tables, out_dir)

@@ -37,8 +37,6 @@ from .grid import (
     Region,
     cube_region,
     dyadic_address,
-    level_blocks,
-    measure,
 )
 from .weights import Weight
 
@@ -119,25 +117,15 @@ class DecompositionTree:
         return tuple(s for gen in self.generations for s in gen)
 
 
-class _BlockTables:
-    """Per-level block sums/mins of a sampled function, restricted to Q."""
+class _RootBlocks:
+    """Block indices of the dyadic sub-cubes of a root cube Q."""
 
-    def __init__(self, values: np.ndarray, n: int, N: int, kq: int,
-                 addr: tuple[int, ...]):
+    def __init__(self, n: int, N: int, kq: int, addr: tuple[int, ...]):
         self.n = n
         self.N = N
         self.kq = kq
         self.addr = addr
         self.depth = int(math.log2(N))
-        self.sum: dict[int, np.ndarray] = {}
-        self.min: dict[int, np.ndarray] = {}
-        self.absdev: dict[int, np.ndarray] = {}
-        for k in range(kq, self.depth + 1):
-            blocks = level_blocks(values, n, k)
-            self.sum[k] = blocks.sum(axis=1)
-            self.min[k] = blocks.min(axis=1)
-            self.absdev[k] = np.abs(
-                blocks - blocks.mean(axis=1, keepdims=True)).sum(axis=1)
 
     def count(self, k: int) -> int:
         return (self.N >> k) ** self.n
@@ -180,7 +168,7 @@ class _BlockTables:
         return (rows[:, None] * self.N + cols[None, :]).ravel()
 
 
-def _root_tables(f: GridFunction, w: Weight, Q: Cube):
+def _root_blocks(f: GridFunction, Q: Cube) -> _RootBlocks:
     addr = dyadic_address(f, Q)
     if addr is None:
         raise ValueError("root cube must be a dyadic cube of the grid")
@@ -189,29 +177,28 @@ def _root_tables(f: GridFunction, w: Weight, Q: Cube):
         a = (flat,)
     else:
         a = divmod(flat, 1 << kq)
-    ft = _BlockTables(f.values, f.n, f.N, kq, a)
-    wt = _BlockTables(w.values, f.n, f.N, kq, a)
-    return kq, ft, wt
+    return _RootBlocks(f.n, f.N, kq, a)
 
 
 def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
     """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q."""
-    kq, ft, wt = _root_tables(f, w, Q)
+    rb = _root_blocks(f, Q)
+    fp, wp = f.pyramid, w.pyramid
     a1 = 0.0
     blo = 0.0
     bmo = 0.0
-    for k in range(kq, ft.depth + 1):
-        idx = ft.q_blocks(k)
-        cnt = ft.count(k)
-        wsum = wt.sum[k][idx]
-        wmin = wt.min[k][idx]
+    for k in range(rb.kq, rb.depth + 1):
+        idx = rb.q_blocks(k)
+        cnt = rb.count(k)
+        wsum = wp.sum(k)[idx]
+        wmin = wp.min(k)[idx]
         a1 = max(a1, float((wsum / cnt / wmin).max()))
-        fsum = ft.sum[k][idx]
-        fmin = ft.min[k][idx]
+        fsum = fp.sum(k)[idx]
+        fmin = fp.min(k)[idx]
         blo = max(blo, float(((fsum - cnt * fmin) / wsum).max()))
-        bmo = max(bmo, float((ft.absdev[k][idx] / wsum).max()))
-    kq_idx = ft.q_blocks(kq)
-    min_w = float(wt.min[kq][kq_idx].min())
+        bmo = max(bmo, float((fp.absdev(k)[idx] / wsum).max()))
+    kq_idx = rb.q_blocks(rb.kq)
+    min_w = float(wp.min(rb.kq)[kq_idx].min())
     return LocalConstants(a1, min_w, a1 * min_w, blo, bmo)
 
 
@@ -222,12 +209,13 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         raise ValueError("sigma must exceed 1")
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
-    kq, ft, wt = _root_tables(f, w, Q)
+    rb = _root_blocks(f, Q)
+    kq = rb.kq
     local = cube_local_constants(f, w, Q)
     a_w = local.a_w
     norm = local.blo
     n, N, L = f.n, f.N, f.L
-    depth = ft.depth
+    depth = rb.depth
     h = L / N
 
     generations: list[list[SelectedCube]] = [[] for _ in range(max_gen)]
@@ -237,22 +225,23 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         return tree
 
     T = a_w * sigma
-    scaled_sum = {k: ft.sum[k] / norm for k in ft.sum}
-    scaled_min = {k: ft.min[k] / norm for k in ft.min}
+    fp = f.pyramid
+    scaled_sum = {k: fp.sum(k) / norm for k in range(kq, depth + 1)}
+    scaled_min = {k: fp.min(k) / norm for k in range(kq, depth + 1)}
 
     next_id = 1
     # work items: (level, block, stopping-cube min, generation, parent id)
-    root_block = ft.addr[0] if n == 1 else ft.addr[0] * (1 << kq) + ft.addr[1]
+    root_block = rb.addr[0] if n == 1 else rb.addr[0] * (1 << kq) + rb.addr[1]
     queue = deque([(kq, root_block, float(scaled_min[kq][root_block]), 1, 0)])
     while queue:
         k, b, m_s, gen, pid = queue.popleft()
         if k == depth:
             continue
-        for child in ft.children(k, b):
-            cnt = ft.count(k + 1)
+        for child in rb.children(k, b):
+            cnt = rb.count(k + 1)
             mean = float(scaled_sum[k + 1][child]) / cnt - m_s
             if mean > T and cnt > 1:
-                cube = ft.block_cube(L, k + 1, child)
+                cube = rb.block_cube(L, k + 1, child)
                 cmin = float(scaled_min[k + 1][child])
                 sel = SelectedCube(cube, gen, next_id, pid, mean, cmin - m_s)
                 generations[gen - 1].append(sel)
@@ -264,20 +253,20 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
     for g in generations:
         g.sort(key=lambda s: s.id)
 
-    checks = _verify_tree(f, ft, Q, sigma, a_w, norm, max_gen, generations, h)
+    checks = _verify_tree(f, rb, Q, sigma, a_w, norm, max_gen, generations, h)
     return DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
                              norm, tuple(tuple(g) for g in generations),
                              tuple(checks))
 
 
-def _verify_tree(f, ft: _BlockTables, Q, sigma, a_w, norm, max_gen,
+def _verify_tree(f, rb: _RootBlocks, Q, sigma, a_w, norm, max_gen,
                  generations, h) -> list[InvariantRecord]:
-    n, N = ft.n, ft.N
-    depth = ft.depth
+    n, N = rb.n, rb.N
+    depth = rb.depth
     slack = 1.0 + 1e-12
     checks: list[InvariantRecord] = []
-    q_samples = ft.block_samples(ft.kq, ft.addr[0] if n == 1
-                                 else ft.addr[0] * (1 << ft.kq) + ft.addr[1])
+    q_samples = rb.block_samples(rb.kq, rb.addr[0] if n == 1
+                                 else rb.addr[0] * (1 << rb.kq) + rb.addr[1])
     m_q = q_samples.size * h**n
     scaled = f.values.ravel() / norm
     min_q = float(scaled[q_samples].min())
@@ -293,7 +282,7 @@ def _verify_tree(f, ft: _BlockTables, Q, sigma, a_w, norm, max_gen,
         worst_c_lo = 0.0
         for s in gen:
             k, b = dyadic_address(f, s.cube)
-            samp = ft.block_samples(k, b)
+            samp = rb.block_samples(k, b)
             sset = set(samp.tolist())
             if covered & sset:
                 overlap_ok = False

@@ -9,8 +9,9 @@ nonempty sample set has positive measure.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -27,7 +28,6 @@ __all__ = [
     "region_from_indices",
     "cube_region",
     "ball_region",
-    "random_balls",
     "measure",
     "mean_value",
     "ess_inf",
@@ -36,6 +36,8 @@ __all__ = [
     "dilate_cube",
     "dyadic_address",
     "level_blocks",
+    "BlockPyramid",
+    "family_values",
     "periodic_displacement",
     "save_grid_function",
     "load_grid_function",
@@ -96,6 +98,11 @@ class GridFunction:
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.n, self.L, self.N, values, self.periodic)
 
+    @functools.cached_property
+    def pyramid(self) -> "BlockPyramid":
+        """Dyadic block tables of these samples, built once per function."""
+        return BlockPyramid(self.values, self.n)
+
 
 def grid_function(n: int, L: float, N: int, values: np.ndarray) -> GridFunction:
     return GridFunction(n, L, N, values)
@@ -145,7 +152,11 @@ class Region:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = np.array(self.indices, dtype=np.int64).ravel()
+        # cube and ball regions arrive sorted; only other input needs
+        # sorting and deduplication
+        if not np.all(idx[1:] > idx[:-1]):
+            idx = np.unique(idx)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.N**self.n):
             raise ValueError("region indices out of range")
         idx.setflags(write=False)
@@ -223,20 +234,6 @@ def ball_region(grid, center: Sequence[float], radius: float) -> Region:
     return Region(grid.n, grid.L, grid.N, idx)
 
 
-def random_balls(grid, count: int, rng: np.random.Generator,
-                 r_min: float | None = None, r_max: float | None = None) -> list[tuple[tuple[float, ...], float]]:
-    """Deterministically sampled (center, radius) pairs for family extension."""
-    h = grid.L / grid.N
-    r_lo = 2 * h if r_min is None else r_min
-    r_hi = grid.L / 4 if r_max is None else r_max
-    balls = []
-    for _ in range(count):
-        c = tuple(float(v) for v in rng.uniform(0.0, grid.L, size=grid.n))
-        r = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
-        balls.append((c, r))
-    return balls
-
-
 def measure(region: Region) -> float:
     """Lebesgue measure: sample count times the cell volume h^n."""
     h = region.L / region.N
@@ -295,24 +292,34 @@ def dilate_cube(q: Cube, t: float) -> Cube:
 
 def dyadic_address(grid, cube: Cube) -> tuple[int, int] | None:
     """(level, row-major block index) for a dyadic cube, else None."""
-    if cube.level is None:
-        return None
-    k = cube.level
-    if (1 << k) > grid.N:
-        return None
-    s = grid.L / (1 << k)
-    if abs(cube.side - s) > 1e-12 * grid.L:
-        return None
-    bs = []
-    for c in cube.center:
-        b = c / s - 0.5
-        bi = int(round(b))
-        if abs(b - bi) > 1e-9:
-            return None
-        bs.append(bi % (1 << k))
-    if grid.n == 1:
-        return k, bs[0]
-    return k, bs[0] * (1 << k) + bs[1]
+    levels, blocks = _dyadic_addresses(grid, [cube])
+    return None if levels[0] < 0 else (int(levels[0]), int(blocks[0]))
+
+
+def _dyadic_addresses(grid, cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """dyadic_address of each cube of a nonempty family, as arrays.
+
+    A cube is dyadic when it carries a level k with 2^k <= N, its side is
+    L/2^k and its center sits on a level-k block center; the others get
+    level -1.
+    """
+    centers = np.array([q.center for q in cubes], dtype=float)
+    if centers.shape != (len(cubes), grid.n):
+        raise ValueError("cube dimension does not match grid")
+    levels = np.array([-1 if q.level is None else q.level for q in cubes],
+                      dtype=np.int64)
+    sides = np.array([q.side for q in cubes])
+    depth = grid.N.bit_length() - 1
+    ok = (levels >= 0) & (levels <= depth)
+    B = np.left_shift(1, np.where(ok, levels, 0))
+    s = grid.L / B
+    ok &= np.abs(sides - s) <= 1e-12 * grid.L
+    b = centers / s[:, None] - 0.5
+    bi = np.rint(b)
+    ok &= np.all(np.abs(b - bi) <= 1e-9, axis=1)
+    bi = np.where(ok[:, None], bi, 0).astype(np.int64) % B[:, None]
+    flat = bi[:, 0] if grid.n == 1 else bi[:, 0] * B + bi[:, 1]
+    return np.where(ok, levels, -1), flat
 
 
 def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
@@ -329,6 +336,93 @@ def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
     B = 1 << level
     bs = N // B
     return values.reshape(B, bs, B, bs).swapaxes(1, 2).reshape(B * B, bs * bs)
+
+
+class BlockPyramid:
+    """Per-level dyadic block tables of one sampled function.
+
+    A level-k table holds one entry per level-k dyadic block, in the order
+    of level_blocks, so entry b belongs to the cube at dyadic_address
+    (k, b).  Each table is reduced from level_blocks the first time one of
+    its levels is read and kept, so a scan pays only for the levels it
+    reads.  Tables are read-only.
+    """
+
+    def __init__(self, values: np.ndarray, n: int):
+        self.values = values
+        self.n = n
+        self.N = values.shape[0]
+        self.depth = self.N.bit_length() - 1
+        self._tables: dict[tuple, np.ndarray] = {}
+
+    def count(self, k: int) -> int:
+        """Samples in one level-k block."""
+        return (self.N >> k) ** self.n
+
+    def blocks(self, k: int) -> np.ndarray:
+        return level_blocks(self.values, self.n, k)
+
+    def table(self, key, k, build: Callable[[int], np.ndarray]) -> np.ndarray:
+        """The table named key at level k, built as build(k) on first read."""
+        out = self._tables.get((key, k))
+        if out is None:
+            out = build(k)
+            out.setflags(write=False)
+            self._tables[(key, k)] = out
+        return out
+
+    def sum(self, k: int) -> np.ndarray:
+        return self.table("sum", k, lambda k: self.blocks(k).sum(axis=1))
+
+    def min(self, k: int) -> np.ndarray:
+        return self.table("min", k, lambda k: self.blocks(k).min(axis=1))
+
+    def max(self, k: int) -> np.ndarray:
+        return self.table("max", k, lambda k: self.blocks(k).max(axis=1))
+
+    def absdev(self, k: int) -> np.ndarray:
+        """Σ_Q |v - v_Q| per block, v_Q the block mean."""
+        def build(k):
+            blocks = self.blocks(k)
+            return np.abs(blocks - blocks.mean(axis=1, keepdims=True)).sum(axis=1)
+        return self.table("absdev", k, build)
+
+    def power(self, s: float) -> np.ndarray:
+        """All samples raised to the power s, in the shape of values."""
+        return self.table("power", s, lambda s: self.values ** s)
+
+    def power_sums(self, s: float, k: int) -> np.ndarray:
+        """Σ_Q v^s per level-k block."""
+        return self.table(("power_sums", s), k, lambda k: level_blocks(
+            self.power(s), self.n, k).sum(axis=1))
+
+
+def family_values(grid, cubes: Sequence[Cube],
+                  level_values: Callable[[int], Sequence[np.ndarray] | None],
+                  cube_values: Callable[[Cube], Sequence[float]]) -> np.ndarray:
+    """Per-cube quantities of a cube family, shape (quantities, len(cubes)).
+
+    Each dyadic cube reads entry b of every table in level_values(k), where
+    (k, b) is its dyadic_address (mapped for the whole family in one
+    vectorized pass); level_values is called once per level
+    the family holds.  Other cubes, and the cubes of a level for which
+    level_values returns None, get cube_values(cube).  Columns follow the
+    order of cubes, so np.argmax finds the first maximal cube.
+    """
+    levels, blocks = _dyadic_addresses(grid, cubes)
+    out = None
+    for k in np.unique(levels).tolist():
+        sel = np.flatnonzero(levels == k)
+        tables = level_values(k) if k >= 0 else None
+        if tables is None:
+            vals = np.array([cube_values(cubes[i]) for i in sel],
+                            dtype=float).T
+        else:
+            vals = np.array([t[blocks[sel]] for t in tables])
+        if out is None:
+            out = np.empty((vals.shape[0], len(cubes)))
+        out[:, sel] = vals
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,17 @@ def _sampled_kernel(psi_t: Callable[[np.ndarray], np.ndarray],
 def convolve(psi_t: Callable[[np.ndarray], np.ndarray] | DilatedKernel,
              f: GridFunction) -> GridFunction:
     """Periodic quadrature of psi_t * f with mean-corrected samples."""
+    _require_dimension(getattr(psi_t, "n", f.n), f)
     kern = _sampled_kernel(psi_t, f.n, f.L, f.N)
     h = f.L / f.N
     out = _periodic_conv(f.values, kern) * h**f.n
     return f.with_values(out)
+
+
+def _require_dimension(n: int, f: GridFunction) -> None:
+    if n != f.n:
+        raise ValueError(f"kernel dimension {n} does not match the "
+                         f"{f.n}-dimensional function")
 
 
 def _require_certified(kernel: Kernel) -> None:
@@ -369,6 +376,7 @@ def square_functions(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
     spatially summed operator.  Results come back in the order of specs.
     """
     _require_certified(kernel)
+    _require_dimension(kernel.n, f)
     specs = tuple(specs)
     plans = [_plan(spec, kernel, f, scales) for spec in specs]
     n, L, N = f.n, f.L, f.N

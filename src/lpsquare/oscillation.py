@@ -1,9 +1,12 @@
 """Weighted mean-oscillation functionals over a declared cube family.
 
 Five functionals share one scan pattern: a per-cube quantity maximized over
-the family, with the attaining cube recorded so every reported supremum is
-witnessed.  The per-cube quantities (ω a weight, Q a cube, f_Q the plain
-mean, h^n the cell volume):
+the family, with the first attaining cube recorded so every reported
+supremum is witnessed.  Dyadic cubes read their quantity from per-level
+reductions of the function's block pyramid; other cubes are gathered one
+at a time by single_cube_value, the per-cube reference.  The per-cube
+quantities (ω a weight, Q a cube, f_Q the plain mean, h^n the cell
+volume):
 
   bmo    (1/ω(Q)) Σ_Q |f - f_Q| h^n
   blo    (1/ω(Q)) Σ_Q (f - min_Q f) h^n
@@ -22,7 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Cube, GridFunction, cube_region, dilate_cube, measure
+from .grid import (
+    Cube,
+    GridFunction,
+    cube_region,
+    dilate_cube,
+    family_values,
+    level_blocks,
+    measure,
+)
 from .weights import Weight, a1_constant
 
 __all__ = [
@@ -80,17 +91,43 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
     raise ValueError(f"unknown functional kind {kind!r}")
 
 
+def _deviation(kind: str, blocks: np.ndarray) -> np.ndarray:
+    """f - f_Q (bmo kinds, in absolute value) or f - min_Q f per block row."""
+    if kind.startswith("bmo"):
+        return np.abs(blocks - blocks.mean(axis=1, keepdims=True))
+    return blocks - blocks.min(axis=1, keepdims=True)
+
+
+def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
+                  p: float | None) -> np.ndarray:
+    """single_cube_value of every level-k dyadic cube, in block order."""
+    fp, wp = f.pyramid, w.pyramid
+    hn = (f.L / f.N) ** f.n
+    wq = wp.sum(k) * hn
+    if kind == "linf_w":
+        return np.maximum(fp.max(k), -fp.min(k)) / wp.min(k)
+    if kind == "bmo":
+        return fp.absdev(k) * hn / wq
+    if kind == "blo":
+        dev = fp.table("blo", k, lambda k: _deviation(
+            kind, fp.blocks(k)).sum(axis=1))
+        return dev * hn / wq
+    dev = fp.table((kind, p, wp), k, lambda k: (
+        _deviation(kind, fp.blocks(k)) ** p
+        * level_blocks(wp.power(1.0 - p), f.n, k)).sum(axis=1))
+    return (dev * hn / wq) ** (1.0 / p)
+
+
 def _scan(kind: str, f: GridFunction, w: Weight, cubes: Sequence[Cube],
           p: float | None, family_id: str) -> OscillationReport:
     if not cubes:
         raise ValueError("cube family must be nonempty")
-    best = -1.0
-    arg = cubes[0]
-    for q in cubes:
-        v = single_cube_value(kind, f, w, q, p)
-        if v > best:
-            best, arg = v, q
-    return OscillationReport(kind, p, best, arg, family_id, len(cubes))
+    vals = family_values(f, cubes,
+                         lambda k: (_level_values(kind, f, w, k, p),),
+                         lambda q: (single_cube_value(kind, f, w, q, p),))[0]
+    i = int(np.argmax(vals))
+    return OscillationReport(kind, p, float(vals[i]), cubes[i], family_id,
+                             len(cubes))
 
 
 def bmo_norm(f: GridFunction, w: Weight, cubes: Sequence[Cube],

@@ -8,22 +8,21 @@ reports the maximum.  Enlarging the family can only increase the value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .grid import (
+    BlockPyramid,
     Cube,
     GridFunction,
     Region,
     cube_region,
     dilate_cube,
-    dyadic_address,
-    level_blocks,
+    family_values,
     load_grid_function,
-    measure,
 )
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Weight:
-    """Strictly positive grid function with per-dyadic-level sum/min caches.
+    """Strictly positive grid function.
 
     Values at or below eps_min are floored there with a warning; the measure
     dω = ω dx must stay nondegenerate on every sample.
@@ -63,19 +62,6 @@ class Weight:
             vals = np.maximum(vals, self.eps_min)
             object.__setattr__(self, "base",
                                self.base.with_values(vals))
-        sums = {}
-        mins = {}
-        g = self.base
-        depth = int(np.log2(g.N))
-        # Level-k arrays hold one entry per level-k dyadic block, row-major.
-        for k in range(depth + 1):
-            blocks = level_blocks(g.values, g.n, k)
-            sums[k] = blocks.sum(axis=1)
-            mins[k] = blocks.min(axis=1)
-            sums[k].setflags(write=False)
-            mins[k].setflags(write=False)
-        object.__setattr__(self, "_sums", sums)
-        object.__setattr__(self, "_mins", mins)
 
     @property
     def n(self) -> int:
@@ -94,14 +80,8 @@ class Weight:
         return self.base.values
 
     @property
-    def max_level(self) -> int:
-        return int(np.log2(self.base.N))
-
-    def level_sums(self, k: int) -> np.ndarray:
-        return self._sums[k]
-
-    def level_mins(self, k: int) -> np.ndarray:
-        return self._mins[k]
+    def pyramid(self) -> BlockPyramid:
+        return self.base.pyramid
 
 
 def constant_weight(n: int, L: float, N: int, c: float = 1.0) -> Weight:
@@ -116,30 +96,33 @@ def weighted_measure(w: Weight, region: Region) -> float:
     return float(g.values.ravel()[region.indices].sum()) * h**g.n
 
 
-def _cube_stats(w: Weight, q: Cube) -> tuple[float, float, int]:
-    """(mean, min, sample count) of the weight over the cube."""
-    g = w.base
-    addr = dyadic_address(g, q)
-    if addr is not None:
-        k, b = addr
-        cnt = (g.N >> k) ** g.n
-        return float(w.level_sums(k)[b]) / cnt, float(w.level_mins(k)[b]), cnt
+def _cube_samples(g: GridFunction, q: Cube) -> np.ndarray:
+    """Flat sample indices of a cube, refusing a cube with no samples."""
     reg = cube_region(g, q)
     if reg.size == 0:
         raise ValueError(f"cube {q} contains no samples")
-    vals = g.values.ravel()[reg.indices]
-    return float(vals.mean()), float(vals.min()), reg.size
+    return reg.indices
+
+
+def _a1_of(vals: np.ndarray) -> float:
+    return float(vals.mean()) / float(vals.min())
+
+
+def _a1_level(pyr: BlockPyramid, k: int) -> np.ndarray:
+    """(average of ω over Q) / (min of ω over Q) per level-k dyadic cube."""
+    return pyr.sum(k) / pyr.count(k) / pyr.min(k)
 
 
 def a1_constant(w: Weight, cubes: Sequence[Cube]) -> float:
     """max over the family of (average of ω over Q) / (min of ω over Q)."""
     if not cubes:
         raise ValueError("cube family must be nonempty")
-    best = 0.0
-    for q in cubes:
-        mean, mn, _ = _cube_stats(w, q)
-        best = max(best, mean / mn)
-    return best
+    g = w.base
+    pyr = w.pyramid
+    vals = family_values(
+        g, cubes, lambda k: (_a1_level(pyr, k),),
+        lambda q: (_a1_of(g.values.ravel()[_cube_samples(g, q)]),))[0]
+    return float(vals.max())
 
 
 def ap_constant(w: Weight, p: float, cubes: Sequence[Cube]) -> float:
@@ -149,23 +132,20 @@ def ap_constant(w: Weight, p: float, cubes: Sequence[Cube]) -> float:
     if not cubes:
         raise ValueError("cube family must be nonempty")
     g = w.base
-    dual = g.values ** (1.0 - p / (p - 1.0))
-    best = 0.0
-    for q in cubes:
-        addr = dyadic_address(g, q)
-        if addr is not None:
-            k, b = addr
-            cnt = (g.N >> k) ** g.n
-            m1 = float(w.level_sums(k)[b]) / cnt
-            m2 = float(level_blocks(dual, g.n, k)[b].sum()) / cnt
-        else:
-            reg = cube_region(g, q)
-            if reg.size == 0:
-                raise ValueError(f"cube {q} contains no samples")
-            m1 = float(g.values.ravel()[reg.indices].mean())
-            m2 = float(dual.ravel()[reg.indices].mean())
-        best = max(best, m1 * m2 ** (p - 1.0))
-    return best
+    pyr = w.pyramid
+    s = 1.0 - p / (p - 1.0)
+
+    def level_values(k):
+        cnt = pyr.count(k)
+        return ((pyr.sum(k) / cnt) * (pyr.power_sums(s, k) / cnt) ** (p - 1.0),)
+
+    def cube_values(q):
+        idx = _cube_samples(g, q)
+        m1 = float(g.values.ravel()[idx].mean())
+        m2 = float(pyr.power(s).ravel()[idx].mean())
+        return (m1 * m2 ** (p - 1.0),)
+
+    return float(family_values(g, cubes, level_values, cube_values)[0].max())
 
 
 def power_weight(w: Weight, s: float) -> Weight:
@@ -197,24 +177,56 @@ class DoublingReport:
 _SLACK = 1e-12
 
 
+def _doubled(table: np.ndarray, k: int, n: int, op: np.ufunc) -> np.ndarray:
+    """op over each doubled cube 2Q of level k, from a level-(k+1) table.
+
+    Q = level-k block b spans level-(k+1) blocks 2b, 2b+1 on each axis, so
+    2Q (same center, twice the side) spans the periodic window 2b-1 .. 2b+2
+    of four blocks, which is exactly the sample set cube_region returns.
+    """
+    B = 2 << k
+    window = (2 * np.arange(B // 2)[:, None] + np.arange(-1, 3)) % B
+    out = table.reshape((B,) * n)
+    for axis in range(n):
+        out = op.reduce(np.take(out, window, axis=axis), axis=axis + 1)
+    return out.ravel()
+
+
 def doubling_report(w: Weight, cubes: Sequence[Cube]) -> DoublingReport:
     """Ratios ω(2Q)/ω(Q), each bounded by 2^n times the family A₁ constant.
 
     The A₁ constant is taken over the given cubes together with their
     doubles, which is exactly the family the bound's derivation scans.
     """
+    if not cubes:
+        raise ValueError("cube family must be nonempty")
     g = w.base
-    family = list(cubes) + [dilate_cube(q, 2.0) for q in cubes]
-    a1 = a1_constant(w, family)
+    pyr = w.pyramid
+    hn = (g.L / g.N) ** g.n
+
+    def level_values(k):
+        # (ratio ω(2Q)/ω(Q), A₁ quotient of Q, A₁ quotient of 2Q)
+        s1, a1_q = pyr.sum(k), _a1_level(pyr, k)
+        if k == 0:  # 2Q covers the box once
+            return (s1 * hn) / (s1 * hn), a1_q, a1_q
+        if k == pyr.depth:  # 2Q holds two samples per axis
+            return None
+        s2 = _doubled(pyr.sum(k + 1), k, g.n, np.add)
+        m2 = _doubled(pyr.min(k + 1), k, g.n, np.minimum)
+        return (s2 * hn) / (s1 * hn), a1_q, s2 / (2**g.n * pyr.count(k)) / m2
+
+    def cube_values(q):
+        v1 = g.values.ravel()[_cube_samples(g, q)]
+        v2 = g.values.ravel()[_cube_samples(g, dilate_cube(q, 2.0))]
+        ratio = (float(v2.sum()) * hn) / (float(v1.sum()) * hn)
+        return ratio, _a1_of(v1), _a1_of(v2)
+
+    ratios, a1_q, a1_2q = family_values(g, cubes, level_values, cube_values)
+    a1 = float(max(a1_q.max(), a1_2q.max()))
     bound = 2**g.n * a1
-    rows = []
-    for q in cubes:
-        wq = weighted_measure(w, cube_region(g, q))
-        w2q = weighted_measure(w, cube_region(g, dilate_cube(q, 2.0)))
-        ratio = w2q / wq
-        rows.append(DoublingRecord(q, ratio, bound,
-                                   ratio <= bound * (1 + _SLACK)))
-    return DoublingReport(a1, "a1", tuple(rows))
+    rows = tuple(DoublingRecord(q, ratio, bound, ratio <= bound * (1 + _SLACK))
+                 for q, ratio in zip(cubes, ratios.tolist()))
+    return DoublingReport(a1, "a1", rows)
 
 
 def tdilate_report(w: Weight, cubes: Sequence[Cube],

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from lpsquare import cli
 from lpsquare.cli import build_parser, main
+from lpsquare.grid import dyadic_cubes
+from lpsquare.oscillation import single_cube_value
+from lpsquare.report import default_corpus
 
 FAST = ("--set", "grid.N=256", "--set", "scales.M=12",
         "--set", "family.max_level=4")
@@ -108,10 +112,24 @@ def test_jn_report(tmp_path):
 
 
 def test_unknown_override_is_rejected(tmp_path, capsys):
-    code = main(["weights", "--set", "grid.mesh=4",
-                 "--out", str(tmp_path / "out")])
+    code, out, manifest = run(tmp_path, "weights", "--set", "grid.mesh=4")
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
+    assert manifest["all_passed"] is False
+    assert manifest["criteria"] == [{
+        "name": "weights-preconditions", "passed": False,
+        "detail": "unknown config key grid.mesh"}]
+
+
+def test_unknown_config_section_is_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[grid]\nN = 128\n[mesh]\nsize = 4\n")
+    code, out, manifest = run(tmp_path, "jn", "--config", str(cfgfile))
+    assert code == 2
+    assert "unknown config section [mesh]" in capsys.readouterr().err
+    assert manifest["all_passed"] is False
+    assert manifest["criteria"][0]["name"] == "jn-preconditions"
+    assert "[mesh]" in manifest["criteria"][0]["detail"]
 
 
 def test_config_file_and_env_seed(tmp_path, monkeypatch):
@@ -213,3 +231,37 @@ def test_operator_csvs_do_not_depend_on_jobs(tmp_path, command):
     assert csvs
     for path in csvs:
         assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+def oracle_witness(kind, f, w, cubes, p=None):
+    """First maximal cube of the per-cube scan, as the manifest records it."""
+    vals = [single_cube_value(kind, f, w, q, p) for q in cubes]
+    q = cubes[vals.index(max(vals))]
+    return {"center": list(q.center), "side": q.side, "level": q.level}
+
+
+def test_manifest_records_witness_cubes(tmp_path):
+    code, _, suite = run(tmp_path / "suite", "theorem-suite", *FAST,
+                         "--jobs", "2")
+    assert code == 0
+    code, _, jn = run(tmp_path / "jn", "jn", *FAST)
+    assert code == 0
+    kernel = cli._certified_kernel("poisson-derivative", 1)
+    lam = cli._lambda_star(kernel, 1)
+    corpus = list(default_corpus())
+    assert [e["name"] for e in suite["entries"]] == [e.name for e in corpus]
+    assert [e["name"] for e in jn["entries"]] == [e.name for e in corpus]
+    for entry, suite_rec, jn_rec in zip(corpus, suite["entries"],
+                                        jn["entries"]):
+        f, w = entry.realize(1, 1.0, 256, 1234)
+        family = dyadic_cubes(f, 4)
+        expect = {"bmo": oracle_witness("bmo", f, w, family)}
+        results = cli._operator_results(
+            kernel, f, cli._make_scales(f, 12, None, None), (lam,))
+        for op, res in results.items():
+            expect[f"blo:{op}"] = oracle_witness("blo", res.values, w, family)
+        assert suite_rec["witnesses"] == expect
+        expect = {"blo": oracle_witness("blo", f, w, family)}
+        for p in (1.5, 2.0, 3.0):
+            expect[f"blo_p:{p:g}"] = oracle_witness("blo_p", f, w, family, p)
+        assert jn_rec["witnesses"] == expect

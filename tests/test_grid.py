@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpsquare.grid import (
     Cube,
     GridFunction,
+    Region,
     axis_coords,
     ball_region,
     cube_region,
@@ -139,6 +140,33 @@ def test_dyadic_address_roundtrip():
         for i, q in enumerate(cubes):
             assert dyadic_address(f, q) == (k, i)
     assert dyadic_address(f, Cube((0.3, 0.3), 0.2)) is None
+    # a level tag alone does not make a cube dyadic
+    assert dyadic_address(f, Cube((0.25, 0.25), 0.25, level=1)) is None
+    assert dyadic_address(f, Cube((0.3, 0.25), 0.5, level=1)) is None
+    assert dyadic_address(f, Cube((0.5, 0.5), 1 / 16, level=4)) is None
+    # centers are taken modulo the box; the finest level is one sample
+    assert dyadic_address(f, Cube((-0.25, 1.25), 0.5, level=1)) == (1, 2)
+    assert dyadic_address(f, Cube((0.0625, 0.9375), 0.125, level=3)) == (3, 7)
+    with pytest.raises(ValueError, match="dimension"):
+        dyadic_address(f, Cube((0.25,), 0.5, level=1))
+
+
+def test_region_sorts_and_dedupes_unsorted_input():
+    given_idx = np.array([5, 1, 5, 3, 1])
+    r = Region(1, 1.0, 8, given_idx)
+    assert r.indices.tolist() == [1, 3, 5]
+    assert given_idx.tolist() == [5, 1, 5, 3, 1]
+    assert Region(1, 1.0, 8, [2, 2]).indices.tolist() == [2]
+    assert Region(2, 1.0, 4, np.array([[3, 0], [9, 3]])).indices.tolist() == [0, 3, 9]
+    assert Region(1, 1.0, 8, []).size == 0
+    sorted_idx = np.arange(2, 6)
+    r = Region(1, 1.0, 8, sorted_idx)
+    assert r.indices.tolist() == [2, 3, 4, 5]
+    sorted_idx[0] = 7  # the region keeps its own copy
+    assert r.indices[0] == 2
+    for bad in ([1, 8], [8, 1], [-1, 2], [2, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            Region(1, 1.0, 8, bad)
 
 
 def test_ball_region_1d_is_interval():

@@ -478,6 +478,18 @@ def test_one_pass_keeps_every_check():
         square_functions(POISSON1, f, sg, [OperatorSpec("gstar", lam=4.0)])
 
 
+def test_kernel_of_another_dimension_is_refused():
+    f = random_function(1, 64)
+    gauss2 = gauss_derivative_kernel(2)
+    sg = ScaleGrid(2.0 / 64, 0.25, 8)
+    with pytest.raises(ValueError, match="dimension"):
+        square_functions(gauss2, f, sg, [OperatorSpec("g")])
+    with pytest.raises(ValueError, match="dimension"):
+        g_function(gauss2, f, sg)
+    with pytest.raises(ValueError, match="dimension"):
+        convolve(dilate(gauss2, 0.1), f)
+
+
 @pytest.mark.filterwarnings("ignore:lambda")
 def test_cache_keys_keep_operators_kernels_and_geometries_apart():
     gauss1 = gauss_derivative_kernel(1)
