@@ -14,9 +14,11 @@ import functools
 import math
 import os
 import sys
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,10 +42,9 @@ from .operators import (
 from .oscillation import blo_constant, blo_p_norm, bmo_norm
 from .report import (
     RunManifest,
+    RunConfig,
     StageTimer,
     Table,
-    apply_overrides,
-    corpus_from_config,
     emit_report,
     load_config,
 )
@@ -52,36 +53,17 @@ from .weights import a1_constant, ap_constant, doubling_report, power_weight
 __all__ = ["main", "build_parser"]
 
 
-def _setting(cfg, section: str, key: str, kind=int):
-    """cfg[section][key] converted by kind; a malformed value is a refusal."""
-    value = cfg[section][key]
-    try:
-        return kind(value)
-    except ValueError:
-        raise ValueError(f"{section}.{key}={value!r} is not a valid "
-                         f"{kind.__name__}") from None
+def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
+    """The configured scale window; an unset endpoint keeps its default."""
+    default = default_scales(f, M=cfg.M)
+    return ScaleGrid(default.t_min if cfg.t_min is None else cfg.t_min,
+                     default.t_max if cfg.t_max is None else cfg.t_max, cfg.M)
 
 
-def _grid_params(cfg) -> tuple[int, float, int]:
-    return (_setting(cfg, "grid", "n"), _setting(cfg, "grid", "L", float),
-            _setting(cfg, "grid", "N"))
-
-
-def _scale_params(cfg) -> tuple[int, float | None, float | None]:
-    s = cfg["scales"]
-    t_min = float(s["t_min"]) if s["t_min"] else None
-    t_max = float(s["t_max"]) if s["t_max"] else None
-    return int(s["M"]), t_min, t_max
-
-
-def _make_scales(f, M, t_min, t_max) -> ScaleGrid:
-    if t_min is not None and t_max is not None:
-        return ScaleGrid(t_min, t_max, M)
-    return default_scales(f, M=M)
-
-
-def _family(cfg, grid):
-    return dyadic_cubes(grid, int(cfg["family"]["max_level"]))
+@functools.lru_cache(maxsize=8)
+def _family(n: int, L: float, N: int, max_level: int) -> tuple[Cube, ...]:
+    """The dyadic cubes of one grid geometry, built once per process."""
+    return tuple(dyadic_cubes(SimpleNamespace(n=n, L=L, N=N), max_level))
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,11 +79,13 @@ def _lambda_star(kernel, n: int) -> float:
     return 4.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
 
 
-def _pmap(fn, items, jobs: int):
+def _pmap(fn, cfg: RunConfig, jobs: int):
+    """fn(entry, cfg) for every corpus entry, in corpus order."""
+    entries = cfg.corpus.entries
     if jobs <= 1:
-        return [fn(item) for item in items]
+        return [fn(entry, cfg) for entry in entries]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, entries, [cfg] * len(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +93,9 @@ def _pmap(fn, items, jobs: int):
 
 
 def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
-    n, _, _ = _grid_params(cfg)
-    tol = float(cfg["tolerances"]["vanish"])
+    n, tol = cfg.n, cfg.vanish
+    if not tol > 0:
+        raise ValueError("tolerances.vanish must be positive")
     names = ["poisson-derivative", "gauss-derivative"]
     if n == 1:
         names.append("hermite2")
@@ -142,30 +127,23 @@ def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
 # weights
 
 
-def _weights_row(args):
-    entry, n, L, N, seed, max_level = args
-    _, w = entry.realize(n, L, N, seed)
-    grid = w.base
-    family = dyadic_cubes(grid, max_level)
+def _weights_row(entry, cfg):
+    n, L, N = cfg.n, cfg.L, cfg.N
+    _, w = entry.realize(n, L, N, cfg.seed)
+    family = _family(n, L, N, cfg.max_level)
     a1 = a1_constant(w, family)
     a2 = ap_constant(w, 2.0, family)
     doubling = doubling_report(w, family)
     margin = min((r.bound / r.ratio for r in doubling.rows if r.ratio > 0),
                  default=float("inf"))
-    _, w2 = entry.realize(n, L, 2 * N, seed)
-    family2 = dyadic_cubes(w2.base, max_level)
-    a1_fine = a1_constant(w2, family2)
+    _, w2 = entry.realize(n, L, 2 * N, cfg.seed)
+    a1_fine = a1_constant(w2, _family(n, L, 2 * N, cfg.max_level))
     stability = abs(a1_fine - a1) / a1
     return (entry.name, a1, a2, doubling.all_ok, margin, stability)
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    n, L, N = _grid_params(cfg)
-    seed = int(cfg["corpus"]["seed"])
-    max_level = int(cfg["family"]["max_level"])
-    corpus = corpus_from_config(cfg)
-    rows = _pmap(_weights_row,
-                 [(e, n, L, N, seed, max_level) for e in corpus], jobs)
+    rows = _pmap(_weights_row, cfg, jobs)
     for name, a1, a2, dbl_ok, margin, stability in rows:
         manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
                         f"margin={margin:.6f}")
@@ -218,12 +196,11 @@ def _entry_record(name, results, cache_before) -> dict:
     }
 
 
-def _operators_row(args):
-    entry, n, L, N, seed, scale_params, kernel_name = args
-    kernel = _certified_kernel(kernel_name, n)
-    f, w = entry.realize(n, L, N, seed)
-    scales = _make_scales(f, *scale_params)
-    lam = _lambda_star(kernel, n)
+def _operators_row(entry, cfg):
+    kernel = _certified_kernel(cfg.kernel, cfg.n)
+    f, w = entry.realize(cfg.n, cfg.L, cfg.N, cfg.seed)
+    scales = _make_scales(f, cfg)
+    lam = _lambda_star(kernel, cfg.n)
     denom = l2_norm(f, w)
     cache_before = spectrum_cache_stats()
     results = _operator_results(kernel, f, scales, (lam, lam + 1.0))
@@ -237,20 +214,14 @@ def _operators_row(args):
 
 
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
-    n, L, N = _grid_params(cfg)
-    seed = int(cfg["corpus"]["seed"])
-    scale_params = _scale_params(cfg)
-    kernel_name = cfg["tolerances"]["kernel"]
-    kernel = _certified_kernel(kernel_name, n)
+    n, L, N = cfg.n, cfg.L, cfg.N
+    kernel = _certified_kernel(cfg.kernel, n)
     manifest.kernels.append({
-        "name": kernel_name, "n": n, "certified": True,
+        "name": cfg.kernel, "n": n, "certified": True,
         "residual": kernel.report.p1_residual})
-    corpus = corpus_from_config(cfg)
-    results = _pmap(_operators_row,
-                    [(e, n, L, N, seed, scale_params, kernel_name)
-                     for e in corpus], jobs)
+    results = _pmap(_operators_row, cfg, jobs)
     rows = []
-    for (entry_rows, mono_ok, record), entry in zip(results, corpus):
+    for (entry_rows, mono_ok, record), entry in zip(results, cfg.corpus):
         rows.extend(entry_rows)
         manifest.entries.append(record)
         finite = all(math.isfinite(r[2]) for r in entry_rows)
@@ -272,12 +243,12 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
 # theorem-suite
 
 
-def _theorem_row(args):
-    entry, n, L, N, seed, scale_params, max_level, kernel_name = args
-    kernel = _certified_kernel(kernel_name, n)
-    f, w = entry.realize(n, L, N, seed)
-    scales = _make_scales(f, *scale_params)
-    family = dyadic_cubes(f, max_level)
+def _theorem_row(entry, cfg):
+    n = cfg.n
+    kernel = _certified_kernel(cfg.kernel, n)
+    f, w = entry.realize(n, cfg.L, cfg.N, cfg.seed)
+    scales = _make_scales(f, cfg)
+    family = _family(n, cfg.L, cfg.N, cfg.max_level)
     bmo_rep = bmo_norm(f, w, family)
     bmo = bmo_rep.value
     witnesses = {"bmo": _cube_record(bmo_rep.argmax)}
@@ -297,21 +268,13 @@ def _theorem_row(args):
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
-    n, L, N = _grid_params(cfg)
-    seed = int(cfg["corpus"]["seed"])
-    scale_params = _scale_params(cfg)
-    max_level = int(cfg["family"]["max_level"])
-    kernel_name = cfg["tolerances"]["kernel"]
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
-    kernel = _certified_kernel(kernel_name, n)
+    kernel = _certified_kernel(cfg.kernel, cfg.n)
     manifest.kernels.append({
-        "name": kernel_name, "n": n, "certified": True,
+        "name": cfg.kernel, "n": cfg.n, "certified": True,
         "residual": kernel.report.p1_residual,
-        "lambda_star": _lambda_star(kernel, n)})
-    corpus = corpus_from_config(cfg)
-    results = _pmap(_theorem_row,
-                    [(e, n, L, N, seed, scale_params, max_level, kernel_name)
-                     for e in corpus], jobs)
+        "lambda_star": _lambda_star(kernel, cfg.n)})
+    results = _pmap(_theorem_row, cfg, jobs)
     rows = []
     sup_by_op: dict[str, float] = {}
     for entry_rows, record in results:
@@ -334,11 +297,11 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
 # jn
 
 
-def _jn_rows(args):
-    entry, n, L, N, seed, max_level, sigma, max_gen, nodes = args
-    f, w = entry.realize(n, L, N, seed)
+def _jn_rows(entry, cfg):
+    n, L, nodes = cfg.n, cfg.L, cfg.lambda_nodes
+    f, w = entry.realize(n, L, cfg.N, cfg.seed)
     box = Cube((L / 2.0,) * n, L, level=0)
-    tree = cz_decompose(f, w, box, sigma=sigma, max_gen=max_gen)
+    tree = cz_decompose(f, w, box, sigma=cfg.sigma, max_gen=cfg.max_gen)
     fv = f.values.ravel()
     span_blo = float(fv.max() - fv.min())
     span_bmo = float(np.abs(fv - fv.mean()).max())
@@ -346,7 +309,7 @@ def _jn_rows(args):
     lam_bmo = np.linspace(span_bmo / nodes, span_bmo * 1.05, nodes)
     rep_blo = jn_blo_verify(f, w, box, lam_blo, strict=False)
     rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False)
-    family = dyadic_cubes(f, max_level)
+    family = _family(n, L, cfg.N, cfg.max_level)
     a1 = a1_constant(w, family)
     blo_rep = blo_constant(f, w, family)
     blo = blo_rep.value
@@ -378,19 +341,7 @@ def _jn_rows(args):
 
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
-    n, L, N = _grid_params(cfg)
-    seed = int(cfg["corpus"]["seed"])
-    max_level = int(cfg["family"]["max_level"])
-    tol = cfg["tolerances"]
-    sigma = float(tol["sigma"])
-    max_gen = int(tol["max_gen"])
-    nodes = _setting(cfg, "tolerances", "lambda_nodes")
-    if nodes < 1:
-        raise ValueError("tolerances.lambda_nodes must be at least 1")
-    corpus = corpus_from_config(cfg)
-    results = _pmap(_jn_rows,
-                    [(e, n, L, N, seed, max_level, sigma, max_gen, nodes)
-                     for e in corpus], jobs)
+    results = _pmap(_jn_rows, cfg, jobs)
     tables = []
     summary = []
     equiv_rows = []
@@ -457,35 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # LPSQUARE_SEED and --out are settings too, applied after --set
+    env_seed = os.environ.get("LPSQUARE_SEED")
+    seed = () if env_seed is None else (f"corpus.seed={env_seed}",)
+    out = () if args.out is None else (f"output.dir={args.out}",)
     failure: str | None = None
+    error: str | None = None
     try:
-        cfg = load_config(args.config, tuple(args.overrides))
+        cfg = load_config(args.config, (*args.overrides, *seed, *out))
     except ValueError as exc:
         # a refused config still gets a manifest, written from the defaults
         failure = str(exc)
-        cfg = load_config()
-    env_seed = os.environ.get("LPSQUARE_SEED")
-    if env_seed is not None:
-        cfg["corpus"]["seed"] = env_seed
-    if args.out is not None:
-        cfg = apply_overrides(cfg, f"output.dir={args.out}")
-    out_dir = Path(cfg["output"]["dir"])
+        cfg = load_config(overrides=out)
+    out_dir = Path(cfg.dir)
 
-    manifest = RunManifest(args.command, cfg)
+    manifest = RunManifest(args.command, cfg.text)
     timer = StageTimer()
     tables: list[Table] = []
     try:
         if failure is None:
-            # LPSQUARE_SEED lands in corpus.seed, so it is checked here too
-            manifest.seed = _setting(cfg, "corpus", "seed")
-            n, L, N = _grid_params(cfg)
-            manifest.grid = {"n": n, "L": L, "N": N}
-            manifest.family = {"kind": "dyadic",
-                               "max_level": _setting(cfg, "family", "max_level")}
+            manifest.seed = cfg.seed
+            manifest.grid = {"n": cfg.n, "L": cfg.L, "N": cfg.N}
+            manifest.family = {"kind": "dyadic", "max_level": cfg.max_level}
             with timer.measure(args.command):
                 tables = _COMMANDS[args.command](cfg, args.jobs, manifest)
     except ValueError as exc:
         failure = str(exc)
+    except Exception as exc:
+        # a crash must not read as a pass or as a failed criterion
+        error = traceback.format_exc()
+        manifest.record(f"{args.command}-error", False,
+                        f"{type(exc).__name__}: {exc}")
     finally:
         if failure is not None:
             manifest.record(f"{args.command}-preconditions", False, failure)
@@ -497,6 +450,9 @@ def main(argv=None) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}" +
               (f" ({c['detail']})" if c["detail"] else ""))
+    if error is not None:
+        print(error, file=sys.stderr, end="")
+        return 3
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 2

@@ -194,22 +194,15 @@ def cube_region(grid, cube: Cube) -> Region:
     if len(cube.center) != grid.n:
         raise ValueError("cube dimension does not match grid")
     if cube.level is not None:
-        # Exact block arithmetic for dyadic cubes.
-        k = cube.level
-        block = grid.N >> k
-        if block << k == grid.N:
-            starts = []
-            s = grid.L / (1 << k)
-            for c in cube.center:
-                b = int(round(c / s - 0.5)) % (1 << k)
-                starts.append(b * block)
-            if grid.n == 1:
-                idx = np.arange(starts[0], starts[0] + block)
-            else:
-                rows = np.arange(starts[0], starts[0] + block)
-                cols = np.arange(starts[1], starts[1] + block)
-                idx = (rows[:, None] * grid.N + cols[None, :]).ravel()
-            return Region(grid.n, grid.L, grid.N, idx)
+        # Exact block arithmetic for dyadic cubes; a level tag whose side or
+        # center is off the dyadic grid takes the mask path below.
+        levels, blocks = _dyadic_addresses(grid, [cube])
+        if levels[0] >= 0:
+            block = grid.N >> int(levels[0])
+            starts = np.unravel_index(blocks[0], (grid.N // block,) * grid.n)
+            axes = [np.arange(s * block, (s + 1) * block) for s in starts]
+            idx = np.ravel_multi_index(np.ix_(*axes), (grid.N,) * grid.n)
+            return Region(grid.n, grid.L, grid.N, idx.ravel())
     masks = [_axis_membership(grid, c, cube.side) for c in cube.center]
     if grid.n == 1:
         idx = np.nonzero(masks[0])[0]

@@ -33,12 +33,10 @@ __all__ = [
     "Corpus",
     "default_corpus",
     "build_corpus",
-    "corpus_from_config",
     "realize_function",
     "realize_weight",
-    "DEFAULT_CONFIG",
     "load_config",
-    "apply_overrides",
+    "RunConfig",
     "Table",
     "table_csv",
     "emit_report",
@@ -277,92 +275,136 @@ def _parse_entry(name: str, text: str) -> CorpusEntry:
                        WeightSpec(m.group("wf"), wp, wseed))
 
 
-def corpus_from_config(cfg: dict[str, dict[str, str]]) -> Corpus:
-    section = cfg.get("corpus", {})
-    entries = [(k, v) for k, v in section.items() if k != "seed"]
-    if not entries:
-        return default_corpus()
-    return Corpus(tuple(_parse_entry(k, v) for k, v in entries))
+def _corpus_of(section: dict[str, str]) -> Corpus:
+    """The entries of a [corpus] section; its seed key is not an entry."""
+    return Corpus(tuple(_parse_entry(k, v) for k, v in section.items()
+                        if k != "seed"))
+
+
+def _read_ini(path: str | Path, what: str) -> dict[str, dict[str, str]]:
+    """section -> key -> text of an INI file; a missing or unparsable file
+    is a ValueError."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    try:
+        if not parser.read(str(path)):
+            raise ValueError(f"{what} {path} not found")
+        return {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
 
 
 def build_corpus(spec_file: str | Path) -> Corpus:
     """Corpus from exactly the [corpus] entries of a spec file.
 
     An empty file (or one without a [corpus] section) gives an empty corpus;
-    the built-in 12-pair corpus is only substituted at the command layer.
+    the built-in 12-pair corpus is only substituted by load_config.
     """
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    if not parser.read(str(spec_file)):
-        raise ValueError(f"corpus spec file {spec_file} not found")
-    if not parser.has_section("corpus"):
-        return Corpus(())
-    entries = [(k, v) for k, v in parser.items("corpus") if k != "seed"]
-    return Corpus(tuple(_parse_entry(k, v) for k, v in entries))
+    ini = _read_ini(spec_file, "corpus spec file")
+    return _corpus_of(ini.get("corpus", {}))
 
 
 # ---------------------------------------------------------------------------
 # config
 
 
-DEFAULT_CONFIG: dict[str, dict[str, str]] = {
-    "grid": {"n": "1", "L": "1.0", "N": "2048"},
-    "scales": {"M": "64", "t_min": "", "t_max": ""},
-    "family": {"max_level": "6"},
-    "corpus": {"seed": "1234"},
+# section -> key -> (type, default text).  Each value lands in the RunConfig
+# field named after its key; a key whose default is empty may stay empty,
+# which makes its field None.
+_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
+    "grid": {"n": (int, "1"), "L": (float, "1.0"), "N": (int, "2048")},
+    "scales": {"M": (int, "64"), "t_min": (float, ""), "t_max": (float, "")},
+    "family": {"max_level": (int, "6")},
+    "corpus": {"seed": (int, "1234")},
     "tolerances": {
-        "vanish": "1e-6",
-        "rel": "1e-12",
-        "stability": "0.10",
-        "kernel": "poisson-derivative",
-        "sigma": "2.718281828459045",
-        "max_gen": "5",
-        "lambda_nodes": "32",
+        "vanish": (float, "1e-6"),
+        "kernel": (str, "poisson-derivative"),
+        "sigma": (float, "2.718281828459045"),
+        "max_gen": (int, "5"),
+        "lambda_nodes": (int, "32"),
     },
-    "output": {"dir": "out"},
+    "output": {"dir": (str, "out")},
 }
+
+# Lower bounds that no code using the value checks; every other range check
+# stays where the value is used (GridFunction, ScaleGrid, dyadic_cubes,
+# cz_decompose).
+_AT_LEAST = {"N": 1, "lambda_nodes": 1}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings, each converted and checked once by load_config.
+
+    text keeps every setting as section -> key -> text, the form the
+    manifest records; corpus is the [corpus] entries, or the built-in
+    corpus when the section declares none.
+    """
+
+    n: int
+    L: float
+    N: int
+    M: int
+    t_min: float | None
+    t_max: float | None
+    max_level: int
+    seed: int
+    vanish: float
+    kernel: str
+    sigma: float
+    max_gen: int
+    lambda_nodes: int
+    dir: str
+    corpus: Corpus
+    text: dict[str, dict[str, str]]
+
+
+def _convert(section: str, key: str, text: str):
+    kind, default = _SCHEMA[section][key]
+    if text == "" and default == "":
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{section}.{key}={text!r} is not a valid "
+                         f"{kind.__name__}") from None
+    # NaN is left to the range checks where the value is used, each of
+    # which refuses it
+    if kind is float and math.isinf(value):
+        raise ValueError(f"{section}.{key}={text!r} is not finite")
+    if key in _AT_LEAST and value < _AT_LEAST[key]:
+        raise ValueError(f"{section}.{key} must be at least {_AT_LEAST[key]}")
+    return value
 
 
 def load_config(path: str | Path | None = None,
-                overrides: tuple[str, ...] = ()) -> dict[str, dict[str, str]]:
-    """Defaults, then the config file, then key=value overrides."""
-    cfg = {s: dict(kv) for s, kv in DEFAULT_CONFIG.items()}
+                overrides: tuple[str, ...] = ()) -> RunConfig:
+    """Defaults, then the INI file at path, then section.key=value
+    overrides; a refused setting is a ValueError naming its key."""
+    text = {s: {k: d for k, (_, d) in keys.items()}
+            for s, keys in _SCHEMA.items()}
+    settings = []
     if path is not None:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        read = parser.read(str(path))
-        if not read:
-            raise ValueError(f"config file {path} not found")
-        for section in parser.sections():
-            if section not in cfg:
-                raise ValueError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                _check_key(section, key)
-                cfg[section][key] = value
+        ini = _read_ini(path, "config file")
+        settings += [(s, k, v) for s, kv in ini.items() for k, v in kv.items()]
     for item in overrides:
-        cfg = apply_overrides(cfg, item)
-    return cfg
-
-
-def _check_key(section: str, key: str) -> None:
-    if section == "corpus":
-        return  # entry names are free-form
-    if key not in DEFAULT_CONFIG[section]:
-        raise ValueError(f"unknown config key {section}.{key}")
-
-
-def apply_overrides(cfg: dict[str, dict[str, str]],
-                    item: str) -> dict[str, dict[str, str]]:
-    if "=" not in item or "." not in item.split("=", 1)[0]:
-        raise ValueError(f"override {item!r} must be section.key=value")
-    dotted, value = item.split("=", 1)
-    section, key = dotted.split(".", 1)
-    if section not in cfg:
-        raise ValueError(f"unknown config section [{section}]")
-    _check_key(section, key)
-    out = {s: dict(kv) for s, kv in cfg.items()}
-    out[section][key] = value
-    return out
+        dotted, eq, value = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
+            raise ValueError(f"override {item!r} must be section.key=value")
+        settings.append((section, key, value))
+    for section, key, value in settings:
+        if section not in text:
+            raise ValueError(f"unknown config section [{section}]")
+        # corpus entry names are free-form
+        if section != "corpus" and key not in text[section]:
+            raise ValueError(f"unknown config key {section}.{key}")
+        text[section][key] = value
+    values = {key: _convert(section, key, text[section][key])
+              for section, keys in _SCHEMA.items() for key in keys}
+    return RunConfig(**values,
+                     corpus=_corpus_of(text["corpus"]) or default_corpus(),
+                     text=text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 
 from lpsquare import cli
 from lpsquare.cli import build_parser, main
-from lpsquare.grid import dyadic_cubes
+from lpsquare.grid import dyadic_cubes, grid_function
 from lpsquare.oscillation import single_cube_value
-from lpsquare.report import default_corpus
+from lpsquare.report import default_corpus, load_config
 
 FAST = ("--set", "grid.N=256", "--set", "scales.M=12",
         "--set", "family.max_level=4")
@@ -201,6 +201,62 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
                    "sigma must exceed 1")
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("weights", "grid.N=0", "grid.N must be at least 1"),
+    ("weights", "grid.L=inf", "grid.L='inf' is not finite"),
+    ("jn", "tolerances.sigma=inf", "tolerances.sigma='inf' is not finite"),
+    ("weights", "scales.M=abc", "scales.M='abc' is not a valid int"),
+    ("jn", "tolerances.vanish=abc",
+     "tolerances.vanish='abc' is not a valid float"),
+    ("kernel-check", "tolerances.vanish=nan",
+     "tolerances.vanish must be positive"),
+])
+def test_malformed_setting_is_refused_by_every_command(
+        tmp_path, capsys, command, setting, message):
+    assert_refused(tmp_path, capsys, (command, "--set", setting), message)
+
+
+def test_crash_exits_3_with_an_error_criterion(tmp_path, capsys, monkeypatch):
+    def crash(cfg, jobs, manifest):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "weights", crash)
+    code, _, manifest = run(tmp_path, "weights", *FAST)
+    assert code == 3
+    assert manifest["all_passed"] is False
+    assert manifest["criteria"] == [{
+        "name": "weights-error", "passed": False,
+        "detail": "RuntimeError: boom"}]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_lone_scale_endpoint_keeps_the_other_default(tmp_path):
+    f, _ = default_corpus().entries[0].realize(1, 1.0, 256)
+    default = cli._make_scales(f, load_config(overrides=FAST[1::2]))
+    for key, value in (("t_min", 0.01), ("t_max", 0.125)):
+        cfg = load_config(overrides=(*FAST[1::2], f"scales.{key}={value}"))
+        scales = cli._make_scales(f, cfg)
+        assert getattr(scales, key) == value
+        other = "t_max" if key == "t_min" else "t_min"
+        assert getattr(scales, other) == getattr(default, other)
+    _, out1, _ = run(tmp_path / "default", "operators", *FAST)
+    code, out2, _ = run(tmp_path / "t_max", "operators", *FAST,
+                        "--set", "scales.t_max=0.125")
+    assert code == 0
+    assert (out1 / "operators.csv").read_bytes() != \
+        (out2 / "operators.csv").read_bytes()
+
+
+def test_family_is_built_once_per_geometry():
+    family = cli._family(1, 1.0, 64, 3)
+    assert family is cli._family(1, 1.0, 64, 3)
+    assert family == tuple(dyadic_cubes(grid_function(1, 1.0, 64,
+                                                      np.zeros(64)), 3))
+    with pytest.raises(ValueError, match="too deep for N=4"):
+        cli._family(1, 1.0, 4, 3)
+
+
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])
 def test_manifest_records_tail_bounds_and_cache_per_entry(tmp_path, command):
     code, _, manifest = run(tmp_path, command, *FAST, "--jobs", "2")
@@ -256,8 +312,8 @@ def test_manifest_records_witness_cubes(tmp_path):
         f, w = entry.realize(1, 1.0, 256, 1234)
         family = dyadic_cubes(f, 4)
         expect = {"bmo": oracle_witness("bmo", f, w, family)}
-        results = cli._operator_results(
-            kernel, f, cli._make_scales(f, 12, None, None), (lam,))
+        scales = cli._make_scales(f, load_config(overrides=("scales.M=12",)))
+        results = cli._operator_results(kernel, f, scales, (lam,))
         for op, res in results.items():
             expect[f"blo:{op}"] = oracle_witness("blo", res.values, w, family)
         assert suite_rec["witnesses"] == expect

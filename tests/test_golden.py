@@ -1,0 +1,98 @@
+"""Golden SHA-256 digests of every CSV the five subcommands write at the
+default config.
+
+Any change to a CSV byte at the default grid (1D N=2048, M=64,
+max_level=6, the built-in corpus with seed 1234) fails here, at --jobs 1
+and at --jobs 2 alike.  A change that alters the bytes on purpose states
+the drift and updates the digests in the same change.
+"""
+
+import hashlib
+
+import pytest
+
+from lpsquare.cli import main
+
+DIGESTS = {
+    "kernel-check": {
+        "kernel_check.csv":
+            "fc1a3a0cc0e189445144b809dee578c4b60624ca8a498797f869f63007f86a6f",
+    },
+    "weights": {
+        "weights.csv":
+            "b2d63f38c3460b218560af2226d7416b4872eb46d81e97978ab6e93f0bf62bd1",
+    },
+    "operators": {
+        "operators.csv":
+            "6307a389d4d47baeeda1ec230461a5df416013ea80d573b1d24ac9054e725e03",
+    },
+    "theorem-suite": {
+        "theorem_suite.csv":
+            "551d205efab48459e694c9044e9d37cf5e765c56441b49a71721f57985c64b8e",
+    },
+    "jn": {
+        "equivalence.csv":
+            "13a49b13ba44e0e5e6e12332f0200c41ded0ea8f97e199707d1af4765a257e1c",
+        "jn_summary.csv":
+            "d5f48d8ac75bde32722476eac102cd65ec90ddef97b1eba9dfa4b2165ff36e4e",
+        "jn_tail_blo_logspike-const.csv":
+            "270a5e55fa1e9ceb3712dca2241e139aa4724082494a5c28aed3197de78946f0",
+        "jn_tail_blo_logspike-piecewise.csv":
+            "bace26b0b8468c7b3ad7418fa13360fd012136b658035323424cec17d68ac289",
+        "jn_tail_blo_logspike-powreg.csv":
+            "f12c2647d21e248a4f35565b85c34b5cffe58d752eaacba8a704df9adc0f51d0",
+        "jn_tail_blo_martingale-const.csv":
+            "fb093a65890454e01acef2f9361b3f7214f83a74d8498d8d2c85c734fc258740",
+        "jn_tail_blo_martingale-piecewise.csv":
+            "c8944d1619a58de14ade1f19c03011d4d0f3a3cc3652b33051212e56da997c93",
+        "jn_tail_blo_martingale-powreg.csv":
+            "90a990f8cf237ab42deb22ecbbdcc575abda64d2c5a2839b8915ab0d69521d4e",
+        "jn_tail_blo_sawtooth-const.csv":
+            "29bb4e65ac13f7b79016a5aeed7e930cc5419b0b6842bd08ef9528ef22a8f1e0",
+        "jn_tail_blo_sawtooth-piecewise.csv":
+            "65c222c099c4c58456add58b427822a114a366489dc602f4d903376359915365",
+        "jn_tail_blo_sine-const.csv":
+            "130b3755a6ec3c2994e2bfad0a85d7c40f3fb089601ce24a996a80c728725872",
+        "jn_tail_blo_sine-powreg.csv":
+            "bc555e2178690e6adb081bc25483d1bae19c0384247a08e7843d42c4fb44f00e",
+        "jn_tail_blo_step-const.csv":
+            "a7bbe6ad67feb6af11aac0c16e2ba30ee7194e074020c24157616fea6e624237",
+        "jn_tail_blo_step-powreg.csv":
+            "037d769401fde936e4a1147d6d8bd83fdf01fd80cf796b32bcfd63137d38fa7b",
+        "jn_tail_bmo_logspike-const.csv":
+            "946954a6379d45816537a76c46d8fd0365601f48e5b3e813d8cad9bbe6be0cc8",
+        "jn_tail_bmo_logspike-piecewise.csv":
+            "f856f54414b8c902f910d2b46c044bccc571002e0a128977308a1e498a76f1d5",
+        "jn_tail_bmo_logspike-powreg.csv":
+            "9616a1492c37700e03a09aaf1618c4fa16ea5bcdeb7d5afe7868e69297bdeef0",
+        "jn_tail_bmo_martingale-const.csv":
+            "af058bb969579bc65dc7dad79737a151c92461a0796d6abf34bf8dbd6858284f",
+        "jn_tail_bmo_martingale-piecewise.csv":
+            "360312cd7a13afbe68322464c27147266b7d73df74aec9c69c6d8f966d280698",
+        "jn_tail_bmo_martingale-powreg.csv":
+            "cac07b9a64a7287bb92e504e36a58ebff8f0a16e571095b92faaf941c0b1b3e5",
+        "jn_tail_bmo_sawtooth-const.csv":
+            "af784c2c851519bdab1244bcb88af76f895bfd4c62bb11e2bd479a98cdf09863",
+        "jn_tail_bmo_sawtooth-piecewise.csv":
+            "09403a006094513771dd6adb0cc5840166a82595e77b69a54a858c8fce3242ab",
+        "jn_tail_bmo_sine-const.csv":
+            "ddfea3d260ee6bf99dcda21c9fe9f7225aea423e5ffea4d5748f33c222c9955f",
+        "jn_tail_bmo_sine-powreg.csv":
+            "d5c9a53602c5c6712fd4dbbf48f1eb7293d3acb60082818c3afb094b82a8c71d",
+        "jn_tail_bmo_step-const.csv":
+            "b4ec93d22d424e8e03354d5e6bf1fd588cdcb981cb2e1af780ce1331cd06ca2b",
+        "jn_tail_bmo_step-powreg.csv":
+            "5175b305f7b3d662492e9216f56e4c0e3b046678c966ebe964bc4752e7f62ce3",
+    },
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_default_config_csvs_are_byte_identical(tmp_path, monkeypatch,
+                                                command, jobs):
+    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+    assert main([command, "--jobs", jobs, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    assert digests == DIGESTS[command]

@@ -83,6 +83,16 @@ def test_dyadic_fast_path_matches_mask_path():
         assert np.array_equal(masked.indices, fast.indices)
 
 
+def test_off_grid_level_tag_takes_mask_path():
+    # tagged level 1, but centered 4h/3 right of a level-1 block center
+    f = make_grid(N=64)
+    q = Cube((0.25 + 4 * f.h / 3,), 0.5, level=1)
+    assert dyadic_address(f, q) is None
+    idx = cube_region(f, q).indices
+    assert list(idx) == list(range(2, 34))
+    assert np.array_equal(idx, cube_region(f, Cube(q.center, q.side)).indices)
+
+
 def test_dilate_cube_doubles_sample_count():
     f = make_grid(N=32)
     q = [c for c in dyadic_cubes(f, 3) if c.level == 3][5]

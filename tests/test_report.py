@@ -2,21 +2,23 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsquare.report import (
     Corpus,
     CorpusEntry,
     FunctionSpec,
+    RunConfig,
     RunManifest,
     StageTimer,
     Table,
     WeightSpec,
-    apply_overrides,
     build_corpus,
-    corpus_from_config,
     default_corpus,
     emit_report,
     load_config,
@@ -149,10 +151,8 @@ def test_build_corpus_errors(tmp_path):
         build_corpus(malformed)
 
 
-def test_corpus_from_config_defaults_when_no_entries():
-    cfg = load_config()
-    corpus = corpus_from_config(cfg)
-    assert len(corpus) == 12
+def test_config_corpus_defaults_when_no_entries():
+    assert load_config().corpus == default_corpus()
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +161,17 @@ def test_corpus_from_config_defaults_when_no_entries():
 
 def test_load_config_defaults_and_file(tmp_path):
     cfg = load_config()
-    assert cfg["grid"]["N"] == "2048"
+    assert cfg.N == 2048
+    assert cfg.text["grid"]["N"] == "2048"
     path = tmp_path / "run.ini"
     path.write_text("[grid]\nN = 128\n[output]\ndir = results\n")
     cfg = load_config(path)
-    assert cfg["grid"]["N"] == "128"
-    assert cfg["grid"]["n"] == "1"
-    assert cfg["output"]["dir"] == "results"
+    assert cfg.N == 128
+    assert cfg.n == 1
+    assert cfg.dir == "results"
+    assert cfg.text["grid"]["N"] == "128"
+    shipped = Path(__file__).parents[1] / "configs" / "default.ini"
+    assert load_config(shipped) == load_config()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -181,19 +185,43 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path2)
     with pytest.raises(ValueError, match="not found"):
         load_config(tmp_path / "missing.ini")
+    headless = tmp_path / "headless.ini"
+    headless.write_text("N = 64\n")
+    with pytest.raises(ValueError, match="no section headers"):
+        load_config(headless)
 
 
 def test_overrides():
     cfg = load_config(overrides=("grid.N=4096", "tolerances.sigma=2.0"))
-    assert cfg["grid"]["N"] == "4096"
-    assert cfg["tolerances"]["sigma"] == "2.0"
+    assert cfg.N == 4096
+    assert cfg.sigma == 2.0
+    assert cfg.text["tolerances"]["sigma"] == "2.0"
     with pytest.raises(ValueError, match="section.key=value"):
-        apply_overrides(cfg, "N=4096")
+        load_config(overrides=("N=4096",))
     with pytest.raises(ValueError, match="unknown config key"):
-        apply_overrides(cfg, "grid.mesh=5")
-    cfg2 = apply_overrides(cfg, "corpus.extra=sine(k=1) | constant()")
-    assert "extra" in cfg2["corpus"]
-    assert "extra" not in cfg["corpus"]
+        load_config(overrides=("grid.mesh=5",))
+    cfg2 = load_config(overrides=("corpus.extra=sine(k=1) | constant()",))
+    assert [e.name for e in cfg2.corpus] == ["extra"]
+    assert cfg2.text["corpus"]["extra"] == "sine(k=1) | constant()"
+    assert "extra" not in load_config().text["corpus"]
+
+
+KEYS = [f"{s}.{k}" for s, keys in load_config().text.items() for k in keys]
+AWKWARD = ["", "0", "-1", "1.5", "inf", "-inf", "nan", "1e999", "abc", " 7 ",
+           "sine(k=2) | constant()", "sine(k=x) | constant()"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.builds("{}={}".format, st.sampled_from(KEYS + ["corpus.pair"]),
+              st.one_of(st.sampled_from(AWKWARD), st.text()))))
+def test_any_override_gives_a_config_or_a_value_error(item):
+    try:
+        cfg = load_config(overrides=(item,))
+    except ValueError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +270,7 @@ def test_emit_report_unwritable_destination(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    m = RunManifest("theorem-suite", load_config(), seed=1234)
+    m = RunManifest("theorem-suite", load_config().text, seed=1234)
     m.grid = {"n": 1, "L": 1.0, "N": 2048}
     m.kernels.append({"name": "poisson-derivative", "certified": True})
     timer = StageTimer()
