@@ -329,6 +329,8 @@ def _jn_rows(entry, cfg):
         "name": entry.name,
         "tree_ok": tree.all_ok,
         "tree_nodes": len(tree.nodes),
+        "tree": {"nodes_per_gen": [len(g) for g in tree.generations],
+                 "blocks_visited": tree.blocks_visited},
         "blo_ok": rep_blo.all_ok,
         "bmo_ok": rep_bmo.all_ok,
         "blo_margin": rep_blo.worst_margin,
@@ -347,7 +349,8 @@ def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     equiv_rows = []
     for res in results:
         manifest.entries.append({"name": res["name"],
-                                 "witnesses": res["witnesses"]})
+                                 "witnesses": res["witnesses"],
+                                 "tree": res["tree"]})
         manifest.record(f"tree-invariants:{res['name']}", res["tree_ok"],
                         f"nodes={res['tree_nodes']}")
         manifest.record(f"tail-blo:{res['name']}", res["blo_ok"],

@@ -24,7 +24,6 @@ argument into the 2^n factor of (E).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -107,6 +106,7 @@ class DecompositionTree:
     blo_norm: float
     generations: tuple[tuple[SelectedCube, ...], ...]
     checks: tuple[InvariantRecord, ...]
+    blocks_visited: int  # frontier blocks whose children the descent tested
 
     @property
     def all_ok(self) -> bool:
@@ -117,196 +117,179 @@ class DecompositionTree:
         return tuple(s for gen in self.generations for s in gen)
 
 
-class _RootBlocks:
-    """Block indices of the dyadic sub-cubes of a root cube Q."""
-
-    def __init__(self, n: int, N: int, kq: int, addr: tuple[int, ...]):
-        self.n = n
-        self.N = N
-        self.kq = kq
-        self.addr = addr
-        self.depth = int(math.log2(N))
-
-    def count(self, k: int) -> int:
-        return (self.N >> k) ** self.n
-
-    def q_blocks(self, k: int) -> np.ndarray:
-        """Flat block indices at level k lying inside Q, row-major."""
-        r = k - self.kq
-        if self.n == 1:
-            b0 = self.addr[0]
-            return np.arange(b0 << r, (b0 + 1) << r)
-        bi, bj = self.addr
-        rows = np.arange(bi << r, (bi + 1) << r)
-        cols = np.arange(bj << r, (bj + 1) << r)
-        return (rows[:, None] * (1 << k) + cols[None, :]).ravel()
-
-    def children(self, k: int, b: int) -> list[int]:
-        if self.n == 1:
-            return [2 * b, 2 * b + 1]
-        i, j = divmod(b, 1 << k)
-        out = []
-        for di in (0, 1):
-            for dj in (0, 1):
-                out.append((2 * i + di) * (1 << (k + 1)) + (2 * j + dj))
-        return out
-
-    def block_cube(self, L: float, k: int, b: int) -> Cube:
-        s = L / (1 << k)
-        if self.n == 1:
-            return Cube(((b + 0.5) * s,), s, level=k)
-        i, j = divmod(b, 1 << k)
-        return Cube(((i + 0.5) * s, (j + 0.5) * s), s, level=k)
-
-    def block_samples(self, k: int, b: int) -> np.ndarray:
-        blk = self.N >> k
-        if self.n == 1:
-            return np.arange(b * blk, (b + 1) * blk)
-        i, j = divmod(b, 1 << k)
-        rows = np.arange(i * blk, (i + 1) * blk)
-        cols = np.arange(j * blk, (j + 1) * blk)
-        return (rows[:, None] * self.N + cols[None, :]).ravel()
-
-
-def _root_blocks(f: GridFunction, Q: Cube) -> _RootBlocks:
+def _root_address(f: GridFunction, Q: Cube) -> tuple[int, int]:
     addr = dyadic_address(f, Q)
     if addr is None:
         raise ValueError("root cube must be a dyadic cube of the grid")
-    kq, flat = addr
-    if f.n == 1:
-        a = (flat,)
-    else:
-        a = divmod(flat, 1 << kq)
-    return _RootBlocks(f.n, f.N, kq, a)
+    return addr
+
+
+def _block_coords(n: int, k: int, b: int) -> tuple[int, ...]:
+    """Per-axis indices of the level-k block with row-major index b."""
+    return (b,) if n == 1 else divmod(b, 1 << k)
+
+
+def _block_cells(n: int, N: int, k: int, b: int) -> tuple[slice, ...]:
+    """The samples of the level-k block b, as one slice per axis."""
+    size = N >> k
+    return tuple(slice(i * size, (i + 1) * size)
+                 for i in _block_coords(n, k, b))
+
+
+def _children(n: int, k: int, blocks: np.ndarray) -> np.ndarray:
+    """Level-(k+1) children of level-k blocks, parent by parent, each
+    parent's children in row-major order."""
+    if n == 1:
+        return (2 * blocks[:, None] + np.arange(2)).ravel()
+    row = 1 << (k + 1)
+    i, j = np.divmod(blocks, 1 << k)
+    return ((2 * i * row + 2 * j)[:, None]
+            + np.array([0, 1, row, row + 1])).ravel()
 
 
 def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
     """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q."""
-    rb = _root_blocks(f, Q)
+    kq, b0 = _root_address(f, Q)
     fp, wp = f.pyramid, w.pyramid
     a1 = 0.0
     blo = 0.0
     bmo = 0.0
-    for k in range(rb.kq, rb.depth + 1):
-        idx = rb.q_blocks(k)
-        cnt = rb.count(k)
-        wsum = wp.sum(k)[idx]
-        wmin = wp.min(k)[idx]
+    for k in range(kq, fp.depth + 1):
+        # Q's level-k blocks are a window of the level-k table laid out
+        # on its 2^k-per-axis grid
+        cells = _block_cells(f.n, 1 << k, kq, b0)
+
+        def inside(table):
+            return table.reshape((1 << k,) * f.n)[cells]
+
+        cnt = fp.count(k)
+        wsum = inside(wp.sum(k))
+        wmin = inside(wp.min(k))
         a1 = max(a1, float((wsum / cnt / wmin).max()))
-        fsum = fp.sum(k)[idx]
-        fmin = fp.min(k)[idx]
+        fsum = inside(fp.sum(k))
+        fmin = inside(fp.min(k))
         blo = max(blo, float(((fsum - cnt * fmin) / wsum).max()))
-        bmo = max(bmo, float((fp.absdev(k)[idx] / wsum).max()))
-    kq_idx = rb.q_blocks(rb.kq)
-    min_w = float(wp.min(rb.kq)[kq_idx].min())
+        bmo = max(bmo, float((inside(fp.absdev(k)) / wsum).max()))
+    min_w = float(wp.min(kq)[b0])
     return LocalConstants(a1, min_w, a1 * min_w, blo, bmo)
 
 
 def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
                  max_gen: int = 5) -> DecompositionTree:
-    """Stopping-time tree for f on Q with threshold sigma * A_w."""
+    """Stopping-time tree for f on Q with threshold sigma * A_w.
+
+    The descent runs one dyadic level at a time.  Its frontier holds the
+    level-k blocks still being subdivided, each with the minimum of its
+    stopping cube, its generation and its parent id; all their children
+    are tested in one expression.  Node ids follow the breadth-first order
+    (level, then parent, then child), and a selected cube of generation
+    max_gen is not subdivided.
+    """
     if not sigma > 1:
         raise ValueError("sigma must exceed 1")
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
-    rb = _root_blocks(f, Q)
-    kq = rb.kq
+    kq, b0 = _root_address(f, Q)
     local = cube_local_constants(f, w, Q)
     a_w = local.a_w
     norm = local.blo
-    n, N, L = f.n, f.N, f.L
-    depth = rb.depth
-    h = L / N
+    n, L = f.n, f.L
+    fp = f.pyramid
 
     generations: list[list[SelectedCube]] = [[] for _ in range(max_gen)]
     if norm == 0.0:
-        tree = DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
-                                 0.0, tuple(tuple(g) for g in generations), ())
-        return tree
+        return DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
+                                 0.0, tuple(tuple(g) for g in generations),
+                                 (), 0)
 
     T = a_w * sigma
-    fp = f.pyramid
-    scaled_sum = {k: fp.sum(k) / norm for k in range(kq, depth + 1)}
-    scaled_min = {k: fp.min(k) / norm for k in range(kq, depth + 1)}
-
+    blocks = np.array([b0])
+    m_s = fp.min(kq)[blocks] / norm
+    gen = np.array([1])
+    pid = np.array([0])
     next_id = 1
-    # work items: (level, block, stopping-cube min, generation, parent id)
-    root_block = rb.addr[0] if n == 1 else rb.addr[0] * (1 << kq) + rb.addr[1]
-    queue = deque([(kq, root_block, float(scaled_min[kq][root_block]), 1, 0)])
-    while queue:
-        k, b, m_s, gen, pid = queue.popleft()
-        if k == depth:
-            continue
-        for child in rb.children(k, b):
-            cnt = rb.count(k + 1)
-            mean = float(scaled_sum[k + 1][child]) / cnt - m_s
-            if mean > T and cnt > 1:
-                cube = rb.block_cube(L, k + 1, child)
-                cmin = float(scaled_min[k + 1][child])
-                sel = SelectedCube(cube, gen, next_id, pid, mean, cmin - m_s)
-                generations[gen - 1].append(sel)
-                if gen < max_gen:
-                    queue.append((k + 1, child, cmin, gen + 1, next_id))
-                next_id += 1
-            elif cnt > 1:
-                queue.append((k + 1, child, m_s, gen, pid))
-    for g in generations:
-        g.sort(key=lambda s: s.id)
+    visited = 0
+    # single-sample children (level depth) are never selected
+    for k in range(kq, fp.depth - 1):
+        if blocks.size == 0:
+            break
+        visited += blocks.size
+        blocks = _children(n, k, blocks)
+        m_s, gen, pid = (np.repeat(a, 2**n) for a in (m_s, gen, pid))
+        mean = fp.sum(k + 1)[blocks] / norm / fp.count(k + 1) - m_s
+        cmin = fp.min(k + 1)[blocks] / norm
+        sel = mean > T
+        ids = next_id + np.cumsum(sel) - 1
+        s = L / (1 << (k + 1))
+        for c in np.flatnonzero(sel).tolist():
+            cube = Cube(tuple((i + 0.5) * s for i in
+                              _block_coords(n, k + 1, int(blocks[c]))),
+                        s, level=k + 1)
+            generations[gen[c] - 1].append(SelectedCube(
+                cube, int(gen[c]), int(ids[c]), int(pid[c]), float(mean[c]),
+                float(cmin[c] - m_s[c])))
+        next_id += int(np.count_nonzero(sel))
+        m_s = np.where(sel, cmin, m_s)
+        pid = np.where(sel, ids, pid)
+        gen = gen + sel
+        keep = gen <= max_gen
+        blocks, m_s, gen, pid = blocks[keep], m_s[keep], gen[keep], pid[keep]
 
-    checks = _verify_tree(f, rb, Q, sigma, a_w, norm, max_gen, generations, h)
+    checks = _verify_tree(f, (kq, b0), sigma, a_w, norm, generations)
     return DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
                              norm, tuple(tuple(g) for g in generations),
-                             tuple(checks))
+                             tuple(checks), visited)
 
 
-def _verify_tree(f, rb: _RootBlocks, Q, sigma, a_w, norm, max_gen,
-                 generations, h) -> list[InvariantRecord]:
-    n, N = rb.n, rb.N
-    depth = rb.depth
+def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord]:
+    """Invariants (A)-(E) of each generation, from sample masks.
+
+    owner holds, for each sample, the id of the previous generation's cube
+    that covers it (0 on Q for generation 1, -1 elsewhere); covered counts
+    the current generation's cubes over each sample.
+    """
+    n, N = f.n, f.N
+    h = f.L / N
     slack = 1.0 + 1e-12
     checks: list[InvariantRecord] = []
-    q_samples = rb.block_samples(rb.kq, rb.addr[0] if n == 1
-                                 else rb.addr[0] * (1 << rb.kq) + rb.addr[1])
-    m_q = q_samples.size * h**n
-    scaled = f.values.ravel() / norm
-    min_q = float(scaled[q_samples].min())
-    parent_samples: dict[int, set] = {0: set(q_samples.tolist())}
+    q = _block_cells(n, N, *root)
+    scaled = f.values / norm
+    m_q = scaled[q].size * h**n
+    min_q = float(scaled[q].min())
+    owner = np.full(f.values.shape, -1)
+    owner[q] = 0
     bound_bc = 2**n * sigma * a_w
     for gen_idx, gen in enumerate(generations, start=1):
-        covered: set[int] = set()
-        overlap_ok = True
+        covered = np.zeros(f.values.shape, dtype=np.int64)
+        next_owner = np.full(f.values.shape, -1)
         inside_ok = True
         total = 0.0
         worst_b = 0.0
         worst_c_hi = 0.0
         worst_c_lo = 0.0
         for s in gen:
-            k, b = dyadic_address(f, s.cube)
-            samp = rb.block_samples(k, b)
-            sset = set(samp.tolist())
-            if covered & sset:
-                overlap_ok = False
-            covered |= sset
-            if not sset <= parent_samples[s.parent]:
-                inside_ok = False
-            parent_samples[s.id] = sset
-            total += samp.size * h**n
+            cells = _block_cells(n, N, *dyadic_address(f, s.cube))
+            covered[cells] += 1
+            inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
+            next_owner[cells] = s.id
+            total += covered[cells].size * h**n
             worst_b = max(worst_b, s.osc_mean)
             worst_c_hi = max(worst_c_hi, s.min_inc)
             worst_c_lo = min(worst_c_lo, s.min_inc)
+        owner = next_owner
+        a_ok = inside_ok and not (covered > 1).any()
         b_lo_ok = all(s.osc_mean > sigma * a_w for s in gen)
-        checks.append(InvariantRecord("A", gen_idx, 0.0 if (overlap_ok and inside_ok) else 1.0,
-                                      0.0, overlap_ok and inside_ok))
+        checks.append(InvariantRecord("A", gen_idx, 0.0 if a_ok else 1.0,
+                                      0.0, a_ok))
         checks.append(InvariantRecord("B", gen_idx, worst_b, bound_bc,
                                       b_lo_ok and worst_b <= bound_bc * slack))
         checks.append(InvariantRecord("C", gen_idx, worst_c_hi, bound_bc,
                                       worst_c_lo >= -1e-12 and worst_c_hi <= bound_bc * slack))
         checks.append(InvariantRecord("D", gen_idx, total, m_q / sigma**gen_idx,
                                       total <= m_q / sigma**gen_idx * slack))
-        off = np.setdiff1d(q_samples, np.fromiter(covered, dtype=np.int64, count=len(covered)),
-                           assume_unique=False)
+        off = scaled[q][covered[q] == 0]
         e_bound = gen_idx * sigma * 2**n * a_w
-        e_val = float((scaled[off] - min_q).max()) if off.size else 0.0
+        e_val = float((off - min_q).max()) if off.size else 0.0
         checks.append(InvariantRecord("E", gen_idx, e_val, e_bound,
                                       e_val <= e_bound * slack))
     return checks

@@ -264,6 +264,10 @@ def _parse_params(text: str) -> tuple[tuple[tuple[str, float], ...], int]:
 
 
 def _parse_entry(name: str, text: str) -> CorpusEntry:
+    # the name becomes part of output file names
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ValueError(f"corpus entry name {name!r} is not a plain "
+                         "file name")
     m = _ENTRY_RE.match(text)
     if not m:
         raise ValueError(

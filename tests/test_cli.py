@@ -7,7 +7,8 @@ import pytest
 
 from lpsquare import cli
 from lpsquare.cli import build_parser, main
-from lpsquare.grid import dyadic_cubes, grid_function
+from lpsquare.czd import cz_decompose
+from lpsquare.grid import Cube, dyadic_cubes, grid_function
 from lpsquare.oscillation import single_cube_value
 from lpsquare.report import default_corpus, load_config
 
@@ -216,6 +217,16 @@ def test_malformed_setting_is_refused_by_every_command(
     assert_refused(tmp_path, capsys, (command, "--set", setting), message)
 
 
+@pytest.mark.parametrize("name", ["a/b", "..", ".", "", "a\0b"])
+def test_entry_name_that_is_not_a_file_name_is_refused(tmp_path, capsys,
+                                                       name):
+    # the name is part of the jn_tail_* file names
+    assert_refused(tmp_path, capsys,
+                   ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
+                    "--set", f"corpus.{name}=sine(k=2) | constant()"),
+                   f"corpus entry name {name!r} is not a plain file name")
+
+
 def test_crash_exits_3_with_an_error_criterion(tmp_path, capsys, monkeypatch):
     def crash(cfg, jobs, manifest):
         raise RuntimeError("boom")
@@ -321,3 +332,23 @@ def test_manifest_records_witness_cubes(tmp_path):
         for p in (1.5, 2.0, 3.0):
             expect[f"blo_p:{p:g}"] = oracle_witness("blo_p", f, w, family, p)
         assert jn_rec["witnesses"] == expect
+
+
+def test_manifest_records_tree_shape_per_entry(tmp_path):
+    code, _, manifest = run(tmp_path, "jn", *FAST, "--jobs", "2")
+    assert code == 0
+    corpus = list(default_corpus())
+    records = [e["tree"] for e in manifest["entries"]]
+    assert len(records) == len(corpus)
+    cfg = load_config()
+    for entry, rec in zip(corpus, records):
+        f, w = entry.realize(1, 1.0, 256, 1234)
+        tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0),
+                            sigma=cfg.sigma, max_gen=cfg.max_gen)
+        assert rec == {
+            "nodes_per_gen": [len(g) for g in tree.generations],
+            "blocks_visited": tree.blocks_visited}
+    # some entries select cubes; a tree without a cut at max_gen subdivides
+    # every block of levels 0 .. log2(N) - 2
+    assert sum(sum(r["nodes_per_gen"]) for r in records) > 0
+    assert max(r["blocks_visited"] for r in records) == 2 ** 7 - 1

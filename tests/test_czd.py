@@ -4,11 +4,14 @@ The oracle characterizes each generation directly: a selected cube is a
 multi-sample dyadic descendant of its stopping cube whose rescaled mean
 oscillation exceeds the threshold while every strictly intermediate
 ancestor stays at or below it.  The engine's streaming descent must
-reproduce the oracle's trees node for node.
+reproduce the oracle's trees node for node.  A second reference, a
+first-in first-out queue of single blocks, pins node ids, parents and
+generation order exactly, in 1D and 2D.
 """
 
 import math
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpsquare.czd import (
+    SelectedCube,
+    _verify_tree,
     cube_local_constants,
     cz_decompose,
     distribution_function,
@@ -203,6 +208,31 @@ def test_local_constants_subcube_vs_oracle():
     assert math.isclose(local.blo, blo, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
+    rng = np.random.default_rng(6)
+    f = gf(rng.standard_normal((N,) * n))
+    w = Weight(gf(np.exp(0.5 * rng.standard_normal((N,) * n))))
+    depth = int(math.log2(N))
+    family = dyadic_cubes(f, depth)
+    for q in family:
+        if q.level == 0 or q.level > 2:
+            continue
+        half = q.side / 2
+        inside = [c for c in family if c.level >= q.level and all(
+            abs(a - b) < half for a, b in zip(c.center, q.center))]
+        assert len(inside) == sum(2 ** (n * (k - q.level))
+                                  for k in range(q.level, depth + 1))
+        local = cube_local_constants(f, w, q)
+        assert local.a1 == pytest.approx(a1_constant(w, inside), rel=1e-12)
+        assert local.blo == pytest.approx(blo_constant(f, w, inside).value,
+                                          rel=1e-12)
+        assert local.bmo == pytest.approx(bmo_norm(f, w, inside).value,
+                                          rel=1e-12)
+        assert local.min_w == \
+            w.values.ravel()[cube_region(f, q).indices].min()
+
+
 def test_root_must_be_dyadic():
     f = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
@@ -374,6 +404,268 @@ def test_two_dimensional_tree_invariants():
                         max_gen=3)
     assert len(tree.nodes) >= 1
     assert tree.all_ok
+
+
+# ---------------------------------------------------------------------------
+# node-for-node agreement with a block-by-block queue
+
+
+def bfs_tree(f, w, Q, sigma, max_gen):
+    """The stopping-time descent as a first-in first-out queue of single
+    blocks, children tested one at a time.
+
+    Returns the generations and the number of queued blocks whose children
+    hold more than one sample, which cz_decompose reports as
+    blocks_visited.
+    """
+    kq, root = dyadic_address(f, Q)
+    local = cube_local_constants(f, w, Q)
+    norm = local.blo
+    generations = [[] for _ in range(max_gen)]
+    if norm == 0.0:
+        return generations, 0
+    n, N, L = f.n, f.N, f.L
+    depth = int(math.log2(N))
+    T = local.a_w * sigma
+    fp = f.pyramid
+    scaled_sum = {k: fp.sum(k) / norm for k in range(kq, depth + 1)}
+    scaled_min = {k: fp.min(k) / norm for k in range(kq, depth + 1)}
+
+    def children(k, b):
+        if n == 1:
+            return [2 * b, 2 * b + 1]
+        i, j = divmod(b, 1 << k)
+        return [(2 * i + di) * (1 << (k + 1)) + (2 * j + dj)
+                for di in (0, 1) for dj in (0, 1)]
+
+    def block_cube(k, b):
+        s = L / (1 << k)
+        idx = (b,) if n == 1 else divmod(b, 1 << k)
+        return Cube(tuple((i + 0.5) * s for i in idx), s, level=k)
+
+    next_id = 1
+    visited = 0
+    # work items: (level, block, stopping-cube min, generation, parent id)
+    queue = deque([(kq, root, float(scaled_min[kq][root]), 1, 0)])
+    while queue:
+        k, b, m_s, gen, pid = queue.popleft()
+        if k == depth:
+            continue
+        cnt = (N >> (k + 1)) ** n
+        visited += cnt > 1
+        for child in children(k, b):
+            mean = float(scaled_sum[k + 1][child]) / cnt - m_s
+            if mean > T and cnt > 1:
+                cmin = float(scaled_min[k + 1][child])
+                generations[gen - 1].append(SelectedCube(
+                    block_cube(k + 1, child), gen, next_id, pid, mean,
+                    cmin - m_s))
+                if gen < max_gen:
+                    queue.append((k + 1, child, cmin, gen + 1, next_id))
+                next_id += 1
+            elif cnt > 1:
+                queue.append((k + 1, child, m_s, gen, pid))
+    return generations, visited
+
+
+def assert_tree_is_bfs(f, w, Q, sigma, max_gen):
+    """cz_decompose equals the queue reference exactly, nothing sorted."""
+    tree = cz_decompose(f, w, Q, sigma=sigma, max_gen=max_gen)
+    generations, visited = bfs_tree(f, w, Q, sigma, max_gen)
+    assert tree.generations == tuple(tuple(g) for g in generations)
+    assert tree.blocks_visited == visited
+    return tree
+
+
+def _nested_2d(N, seed):
+    """Noise plus three nested staircases of squares, so that 2D trees
+    have several nodes per generation and several generations."""
+    rng = np.random.default_rng(seed)
+    vals = 0.3 * rng.standard_normal((N, N))
+    for r, c in ((0, 0), (N // 2, N // 4), (N // 4, 3 * N // 4)):
+        b, amp = N // 2, 1.0
+        while b >= 2:
+            vals[r:r + b, c:c + b] += amp
+            amp *= 2.0
+            b //= 4
+    return gf(vals), Weight(gf(np.exp(0.3 * rng.standard_normal((N, N)))))
+
+
+@pytest.mark.parametrize("N,kind,alpha,sigma", [
+    (128, "logspike", 0.0, 1.5),
+    (256, "staircase", -0.3, 1.3),
+    (256, "walk_spike", 0.2, 1.4),
+])
+def test_tree_ids_match_queue_reference_1d(N, kind, alpha, sigma):
+    f = gf(_profile(N, kind, seed=N))
+    w = weight_from(regularized_power(N, alpha, x0=0.7))
+    trees = [assert_tree_is_bfs(f, w, q, sigma, 5)
+             for q in (Cube((0.5,), 1.0, level=0), Cube((0.25,), 0.5, level=1),
+                       Cube((0.75,), 0.5, level=1))]
+    assert all(t.all_ok for t in trees)
+    assert len(trees[0].nodes) > 1 and len(trees[1].nodes) > 1
+
+
+@pytest.mark.parametrize("sigma", [1.2, 1.5])
+def test_tree_ids_match_queue_reference_2d(sigma):
+    f, w = _nested_2d(16, 5)
+    # the box, then the level-1 sub-cubes at row 0, column 1 (row-major
+    # block 1) and at row 1, column 0 (block 2)
+    for q in (Cube((0.5, 0.5), 1.0, level=0), Cube((0.25, 0.75), 0.5, level=1),
+              Cube((0.75, 0.25), 0.5, level=1)):
+        tree = assert_tree_is_bfs(f, w, q, sigma, 4)
+        assert tree.all_ok
+        assert [len(g) > 0 for g in tree.generations] == \
+            [True, True, False, False]
+    assert dyadic_address(f, Cube((0.75, 0.25), 0.5, level=1)) == (1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tree_is_truncated_at_max_gen(n):
+    if n == 1:
+        f = gf(_profile(256, "staircase"))
+        w = constant_weight(1, 1.0, 256)
+        Q = Cube((0.5,), 1.0, level=0)
+        sigma = 1.3
+    else:
+        f, w = _nested_2d(16, 5)
+        Q = Cube((0.5, 0.5), 1.0, level=0)
+        sigma = 1.2
+    deep = assert_tree_is_bfs(f, w, Q, sigma, 5)
+    cut = assert_tree_is_bfs(f, w, Q, sigma, 1)
+    assert deep.all_ok and cut.all_ok
+    assert len(cut.generations) == 1
+    assert len(cut.generations[0]) > 0
+    # the cut removes every deeper generation and renumbers nothing of the
+    # first: a generation-1 cube's descendants take no ids
+    assert sum(len(g) for g in deep.generations[1:]) > 0
+    assert [(s.cube, s.parent) for s in cut.nodes] == \
+        [(s.cube, s.parent) for s in deep.generations[0]]
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_roots_at_the_last_two_levels_have_no_descent(n, N):
+    rng = np.random.default_rng(N)
+    f = gf(rng.standard_normal((N,) * n))
+    w = Weight(gf(rng.uniform(0.5, 2.0, (N,) * n)))
+    depth = int(math.log2(N))
+    for kq in (depth, depth - 1):
+        s = 1.0 / (1 << kq)
+        Q = Cube((1.5 * s,) * n, s, level=kq)
+        assert dyadic_address(f, Q)[0] == kq
+        tree = assert_tree_is_bfs(f, w, Q, 1.01, 5)
+        assert tree.all_ok
+        assert tree.nodes == ()
+        assert tree.blocks_visited == 0
+        # a two-sample root has a positive norm, so its checks still run
+        assert (len(tree.checks) > 0) == (kq == depth - 1)
+
+
+def _nested_steps(rng, n, N, kq, root):
+    """Noise plus three random staircases inside the root block: each
+    step may add a rising plateau on one random child of the last block."""
+    vals = 0.2 * rng.standard_normal((N,) * n)
+    depth = int(math.log2(N))
+    for _ in range(3):
+        idx = np.array(root)
+        amp = 1.0
+        for k in range(kq + 1, depth + 1):
+            idx = 2 * idx + rng.integers(0, 2, n)
+            if rng.random() < 0.7:
+                size = N >> k
+                vals[tuple(slice(i * size, (i + 1) * size) for i in idx)] += amp
+                amp *= rng.uniform(1.5, 4.0)
+    return vals
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.integers(1, 7),
+       st.floats(1.01, 3.0), st.integers(1, 4), st.integers(0, 2))
+def test_tree_matches_queue_reference_property(seed, n, depth, sigma,
+                                               max_gen, kq):
+    if n == 2:
+        depth = min(depth, 4)
+    N = 1 << depth
+    kq = min(kq, depth)
+    rng = np.random.default_rng(seed)
+    root = rng.integers(0, 1 << kq, n)
+    f = gf(_nested_steps(rng, n, N, kq, root))
+    w = Weight(gf(rng.uniform(0.8, 1.25, (N,) * n)))
+    s = 1.0 / (1 << kq)
+    assert_tree_is_bfs(f, w, Cube(tuple((root + 0.5) * s), s, level=kq),
+                       sigma, max_gen)
+
+
+# ---------------------------------------------------------------------------
+# the invariant checks fail on broken generations
+
+
+def _node(f, k, b, gen, id, parent):
+    """A selected level-k cube at row-major block b, with B and C scores
+    that pass at sigma 2 and A_w 1."""
+    s = f.L / (1 << k)
+    idx = (b,) if f.n == 1 else divmod(b, 1 << k)
+    cube = Cube(tuple((i + 0.5) * s for i in idx), s, level=k)
+    return SelectedCube(cube, gen, id, parent, 3.0, 0.0)
+
+
+def _records(f, generations, root=(0, 0)):
+    checks = _verify_tree(f, root, 2.0, 1.0, 1.0, generations)
+    return {(c.name, c.gen): c for c in checks}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overlapping_cubes_fail_check_a(n):
+    f = gf(np.zeros((16,) * n))
+    # level-2 block 1 (2D: block 5, row 1 column 1) lies inside level-1
+    # block 0; level-2 block 2 (2D: block 10) does not
+    inner, outer = (1, 2) if n == 1 else (5, 10)
+    bad = [[_node(f, 1, 0, 1, 1, 0), _node(f, 2, inner, 1, 2, 0)]]
+    good = [[_node(f, 1, 0, 1, 1, 0), _node(f, 2, outer, 1, 2, 0)]]
+    assert not _records(f, bad)[("A", 1)].ok
+    assert _records(f, bad)[("A", 1)].value == 1.0
+    assert _records(f, good)[("A", 1)].ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_child_outside_its_parent_fails_check_a(n):
+    f = gf(np.zeros((16,) * n))
+    inner, outer = (1, 2) if n == 1 else (5, 2)
+    parent = _node(f, 1, 0, 1, 1, 0)
+    for child, ok in ((_node(f, 2, inner, 2, 2, 1), True),
+                      (_node(f, 2, outer, 2, 2, 1), False),
+                      # inside the parent's cube but naming the root
+                      (_node(f, 2, inner, 2, 2, 0), False)):
+        recs = _records(f, [[parent], [child]])
+        assert recs[("A", 1)].ok
+        assert recs[("A", 2)].ok is ok
+
+
+def test_cube_outside_a_subcube_root_fails_check_a():
+    f = gf(np.zeros(16))
+    # root: level-1 block 1 (samples 8..15)
+    assert _records(f, [[_node(f, 2, 3, 1, 1, 0)]], root=(1, 1))[("A", 1)].ok
+    assert not _records(f, [[_node(f, 2, 0, 1, 1, 0)]],
+                        root=(1, 1))[("A", 1)].ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_uncovered_high_sample_is_recorded_by_check_e(n):
+    vals = np.zeros((16,) * n)
+    vals[(12,) * n] = 9.0
+    vals[(1,) * n] = -1.0
+    f = gf(vals)
+    far, near = (0, 1) if n == 1 else (0, 3)
+    recs = _records(f, [[_node(f, 1, far, 1, 1, 0)], []])
+    # min_Q f is -1, covered by the generation-1 cube; the spike is not,
+    # and it exceeds the bound sigma 2^n A_w of generation 1
+    assert recs[("E", 1)].value == 10.0
+    assert not recs[("E", 1)].ok
+    assert recs[("E", 2)].value == 10.0
+    recs = _records(f, [[_node(f, 1, near, 1, 1, 0)], []])
+    # off the cube covering the spike, f - min_Q f is 0 - (-1)
+    assert recs[("E", 1)].value == 1.0
+    assert recs[("E", 1)].ok
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,15 @@ def test_config_corpus_defaults_when_no_entries():
     assert load_config().corpus == default_corpus()
 
 
+def test_config_accepts_every_default_entry_name():
+    names = [e.name for e in default_corpus()] + ["v1.2 b", "..a", "-"]
+    cfg = load_config(overrides=tuple(
+        f"corpus.{name}=sine(k=2) | constant()" for name in names))
+    assert [e.name for e in cfg.corpus] == names
+    with pytest.raises(ValueError, match="'x/y' is not a plain file name"):
+        load_config(overrides=("corpus.x/y=sine(k=2) | constant()",))
+
+
 # ---------------------------------------------------------------------------
 # config
 
