@@ -330,10 +330,17 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
     "output": {"dir": (str, "out")},
 }
 
-# Lower bounds that no code using the value checks; every other range check
-# stays where the value is used (GridFunction, ScaleGrid, dyadic_cubes,
-# cz_decompose).
-_AT_LEAST = {"N": 1, "lambda_nodes": 1}
+# Ranges checked here, so that every subcommand refuses a value out of range
+# whether or not it reads the key: key -> (test, rule).  Each test is a
+# comparison that NaN fails; _convert refuses NaN for every other float key.
+# The code using a value keeps its own checks (GridFunction, ScaleGrid,
+# dyadic_cubes, cz_decompose, certify).
+_RANGE = {
+    "N": (lambda v: v >= 1, "must be at least 1"),
+    "lambda_nodes": (lambda v: v >= 1, "must be at least 1"),
+    "vanish": (lambda v: v > 0, "must be positive"),
+    "sigma": (lambda v: v > 1, "must exceed 1"),
+}
 
 
 @dataclass(frozen=True)
@@ -372,12 +379,12 @@ def _convert(section: str, key: str, text: str):
     except ValueError:
         raise ValueError(f"{section}.{key}={text!r} is not a valid "
                          f"{kind.__name__}") from None
-    # NaN is left to the range checks where the value is used, each of
-    # which refuses it
     if kind is float and math.isinf(value):
         raise ValueError(f"{section}.{key}={text!r} is not finite")
-    if key in _AT_LEAST and value < _AT_LEAST[key]:
-        raise ValueError(f"{section}.{key} must be at least {_AT_LEAST[key]}")
+    if key in _RANGE and not _RANGE[key][0](value):
+        raise ValueError(f"{section}.{key} {_RANGE[key][1]}")
+    if kind is float and math.isnan(value):
+        raise ValueError(f"{section}.{key}={text!r} is not a number")
     return value
 
 

@@ -1,16 +1,20 @@
 """End-to-end command-line tests on small grids."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsquare import cli
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
 from lpsquare.grid import Cube, dyadic_cubes, grid_function
 from lpsquare.oscillation import single_cube_value
-from lpsquare.report import default_corpus, load_config
+from lpsquare.report import _SCHEMA, default_corpus, load_config
 
 FAST = ("--set", "grid.N=256", "--set", "scales.M=12",
         "--set", "family.max_level=4")
@@ -215,6 +219,84 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
 def test_malformed_setting_is_refused_by_every_command(
         tmp_path, capsys, command, setting, message):
     assert_refused(tmp_path, capsys, (command, "--set", setting), message)
+
+
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+              for key, (kind, _) in keys.items() if kind is float]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_is_refused_for_every_float_key(tmp_path, capsys, command, key):
+    # refused while reading the settings, whether or not command reads key
+    code, out, manifest = run(tmp_path, command, "--set", "grid.N=64",
+                              "--set", "family.max_level=2",
+                              "--set", "scales.M=4", "--set", f"{key}=nan")
+    assert code == 2
+    assert manifest["all_passed"] is False
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert criterion["detail"].startswith(key)
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_kernel_check_certifies_against_the_configured_vanish(tmp_path):
+    _, out, manifest = run(tmp_path / "default", "kernel-check")
+    assert {k["tol_vanish"] for k in manifest["kernels"]} == {1e-6}
+    default_rows = (out / "kernel_check.csv").read_text().split("\n")
+    # a looser threshold is recorded and judges every row
+    code, out, manifest = run(tmp_path / "loose", "kernel-check",
+                              "--set", "tolerances.vanish=1e-3")
+    assert code == 0
+    assert {k["tol_vanish"] for k in manifest["kernels"]} == {1e-3}
+    assert all(k["certified"] for k in manifest["kernels"])
+    assert (out / "kernel_check.csv").read_text().split("\n") == default_rows
+    # so loose that the negative control passes: the run fails on it
+    code, out, manifest = run(tmp_path / "lax", "kernel-check",
+                              "--set", "tolerances.vanish=1.0")
+    assert code == 1
+    failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
+    assert failed == ["negative-control-rejected"]
+    control = (out / "kernel_check.csv").read_text().strip().split("\n")[-1]
+    assert control.startswith("nonvanishing-hat,1,")
+    assert control.endswith(",True,fail")
+    # tighter than the Poisson kernel's 2.5e-11: its row fails, CSV included
+    code, out, manifest = run(tmp_path / "tight", "kernel-check",
+                              "--set", "tolerances.vanish=1e-12")
+    assert code == 1
+    failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
+    assert failed == ["certified:poisson-derivative"]
+    rows = (out / "kernel_check.csv").read_text().strip().split("\n")
+    assert rows[1].startswith("poisson-derivative,1,")
+    assert rows[1].endswith(",False,pass")
+
+
+# every subcommand on a tiny grid; the random settings come after it, and
+# their values are short, so no random setting asks for a large grid
+TINY = ("--set=grid.N=16", "--set=family.max_level=2", "--set=scales.M=4")
+# every key, a corpus entry, an unknown key, an unknown section and no dot
+SETTING_KEYS = [f"{s}.{k}" for s, keys in load_config().text.items()
+                for k in keys] + ["corpus.pair", "grid.mesh", "mesh.N", "grid"]
+VALUES = ["", "0", "-1", "1", "2", "3", "1.5", "0.01", "0.125", "1e-3",
+          "inf", "-inf", "nan", "1e999", "abc", " 7 ", "gauss-derivative",
+          "hermite2", "sine(k=2) | constant()", "sine(k=x) | constant()"]
+SETTING = st.builds("{}={}".format, st.sampled_from(SETTING_KEYS),
+                    st.one_of(st.sampled_from(VALUES), st.text(max_size=2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)),
+       items=st.lists(SETTING, max_size=2))
+def test_any_settings_give_a_verdict_and_a_manifest(command, items):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        # --set=TEXT, so that text starting with "-" is a setting's value
+        code = main([command, *TINY, *(f"--set={item}" for item in items),
+                     "--out", str(out)])
+        assert code in (0, 1, 2)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["all_passed"] is (code == 0)
 
 
 @pytest.mark.parametrize("name", ["a/b", "..", ".", "", "a\0b"])

@@ -16,7 +16,7 @@ from lpsquare.cli import main
 DIGESTS = {
     "kernel-check": {
         "kernel_check.csv":
-            "fc1a3a0cc0e189445144b809dee578c4b60624ca8a498797f869f63007f86a6f",
+            "533f6712fc34008b4d0076c19366a585a862b25a4f6314e7cf1131b6009304a0",
     },
     "weights": {
         "weights.csv":

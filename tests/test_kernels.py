@@ -1,10 +1,15 @@
 """Kernel construction, certification, and dilation algebra."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpsquare
 from lpsquare.kernels import (
     CertReport,
     DilatedKernel,
@@ -18,6 +23,7 @@ from lpsquare.kernels import (
     nonvanishing_hat_kernel,
     poisson_derivative_kernel,
 )
+from lpsquare.kernels import _tail
 
 
 def test_poisson_derivative_value_at_origin():
@@ -154,3 +160,70 @@ def test_gauss_derivative_closed_form_spot_values():
         pt = np.zeros((1, n))
         expect = -((4 * math.pi) ** (-n / 2)) * n / 2
         assert float(evaluate(k, pt)[0]) == pytest.approx(expect, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the vanishing residual's Gauss-Legendre rule
+
+B = 64.0
+
+
+def test_tail_rule_matches_closed_forms():
+    # ∫_B^∞ ψ = B / (π(1+B²)) for the 1D Poisson derivative: d/dt of the
+    # tail mass (π/2 - arctan(B/t))/π at t = 1
+    k1 = poisson_derivative_kernel(1)
+    exact = B / (math.pi * (1.0 + B * B))
+    assert _tail(lambda s: evaluate(k1, s), B) == pytest.approx(exact,
+                                                                rel=1e-12)
+    assert _tail(lambda s: evaluate(k1, -s), B) == pytest.approx(exact,
+                                                                 rel=1e-12)
+    # ∫_B^∞ r ψ(r) dr = B² (1+B²)^(-3/2) / (2π) for the 2D one
+    k2 = poisson_derivative_kernel(2)
+    exact = B * B * (1.0 + B * B) ** -1.5 / (2.0 * math.pi)
+    got = _tail(lambda r: k2.radial_profile(r) * r, B)
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
+# kernel_check.csv's residual cells as the adaptive-quadrature tails gave
+# them; the fixed rule must stay within 1e-14 of each
+@pytest.mark.parametrize("make, n, residual", [
+    (poisson_derivative_kernel, 1, 2.4667799053412764e-11),
+    (gauss_derivative_kernel, 1, 7.63023160826846e-18),
+    (lambda n: hermite2_kernel(), 1, 1.3095189338137254e-17),
+    (lambda n: nonvanishing_hat_kernel(), 1, 0.8862269254527579),
+    (poisson_derivative_kernel, 2, 9.864128095930662e-16),
+    (gauss_derivative_kernel, 2, 2.179917811255395e-17),
+])
+def test_residual_stays_at_its_pinned_value(make, n, residual):
+    rep = certify(make(n))
+    assert abs(rep.p1_residual - residual) <= 1e-14
+    assert rep.passed is (residual < 1e-6)
+
+
+def test_certify_judges_against_tol_vanish():
+    k = poisson_derivative_kernel(1)
+    assert k.report.tol_vanish == 1e-6
+    loose = certify(k, tol_vanish=1e-3)
+    assert loose.passed and loose.tol_vanish == 1e-3
+    assert (loose.p1_residual, loose.c1, loose.c2) == \
+        (k.report.p1_residual, k.c1, k.c2)
+    tight = certify(k, tol_vanish=1e-12)
+    assert not tight.passed and tight.tol_vanish == 1e-12
+    assert certify(nonvanishing_hat_kernel(), tol_vanish=1.0).passed
+    for bad in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError):
+            certify(k, tol_vanish=bad)
+
+
+def test_kernel_check_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so no other test's imports count
+    code = (
+        "import sys\n"
+        "from lpsquare.cli import main\n"
+        f"assert main(['kernel-check', '--set', 'grid.N=16', "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(lpsquare.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
