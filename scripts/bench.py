@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record one benchmark run per workload in a BENCH_<label>.json file.
 
-    python scripts/bench.py LABEL [--seed N] [--seconds S] [--checkout DIR]
+    python scripts/bench.py LABEL [--seed N] [--checkout DIR]
 
 Runs `perfbench/run.py --trace 0` of the checkout (default: this
 repository) once for each workload that its BENCHMARK.json declares, one
-after another, and writes BENCH_<LABEL>.json next to this repository's
+after another, each for the `run_seconds` that file sets, and writes BENCH_<LABEL>.json next to this repository's
 BENCHMARK.json. The record holds each workload's result line (the last
 stdout line of run.py: correct, attempted, failed and the end-to-end
 metrics), the checkout's commit and whether its tracked files differ from
@@ -35,7 +35,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="repository checkout whose benchmark runs")
     args = ap.parse_args(argv)
@@ -47,7 +46,7 @@ def main(argv=None) -> int:
         "dirty": bool(git(checkout, "status", "--porcelain",
                           "--untracked-files=no")),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "platform": platform.platform(),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
         done = subprocess.run(
             [sys.executable, str(checkout / "perfbench" / "run.py"),
              "--workload", workload, "--seed", str(args.seed),
-             "--seconds", str(args.seconds), "--trace", "0"],
+             "--seconds", str(spec["run_seconds"]), "--trace", "0"],
             capture_output=True, text=True)
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:

@@ -10,6 +10,7 @@ deterministic output ordering.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -99,7 +100,11 @@ def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
         names.append("hermite2")
     rows = []
     for name in names:
-        rep = certify(kernel_registry(name, n), tol_vanish=tol)
+        # The constructor already certified the kernel; judge that report
+        # against the configured threshold instead of certifying again.
+        rep = kernel_registry(name, n).report
+        rep = dataclasses.replace(rep, tol_vanish=tol,
+                                  passed=rep.p1_residual <= tol)
         manifest.record(f"certified:{name}", rep.passed,
                         f"residual={rep.p1_residual:.3e}")
         manifest.kernels.append({

@@ -249,6 +249,8 @@ def test_sigma_and_depth_validation():
     with pytest.raises(ValueError):
         cz_decompose(f, w, box, sigma=0.7)
     with pytest.raises(ValueError):
+        cz_decompose(f, w, box, sigma=float("nan"))
+    with pytest.raises(ValueError):
         cz_decompose(f, w, box, sigma=2.0, max_gen=0)
 
 
