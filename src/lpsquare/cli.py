@@ -1,10 +1,12 @@
 """Command-line entry point wiring all modules into runnable experiments.
 
 Subcommands: kernel-check, weights, operators, theorem-suite, jn.  Every
-invocation writes a manifest (even on failure) plus one CSV per result
-table; exit status is 0 exactly when every assertion of the invoked suite
-passed.  Corpus entries are processed in parallel under --jobs with
-deterministic output ordering.
+invocation writes a manifest (even on failure or on a command-line error)
+plus one CSV per result table; exit status is 0 exactly when every
+assertion of the invoked suite passed.  Corpus entries are processed in
+parallel under --jobs with deterministic output ordering: operators and
+theorem-suite hand each worker one contiguous chunk of entries, computed
+as one batch, while weights and jn hand out single entries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .operators import (
     default_scales,
     g_function,
     l2_norm,
-    spectrum_cache_stats,
+    pass_size,
     square_functions,
 )
 from .oscillation import blo_constant, blo_p_norm, bmo_norm
@@ -68,11 +70,16 @@ def _family(n: int, L: float, N: int, max_level: int) -> tuple[Cube, ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _certified_kernel(name: str, n: int):
-    """Registry lookup that only ever hands back certified kernels."""
+def _certified_kernel(name: str, n: int, vanish: float):
+    """Registry lookup that only hands back kernels whose vanishing
+    residual is within the configured tolerance."""
     kernel = kernel_registry(name, n)
-    if kernel.report is None or not kernel.report.passed:
-        raise ValueError(f"kernel {name!r} is not certified for use")
+    rep = kernel.report
+    if rep is None or not rep.passed or not rep.p1_residual <= vanish:
+        residual = "none" if rep is None else f"{rep.p1_residual:.3e}"
+        raise ValueError(f"kernel {name!r} is not certified for use at "
+                         f"tolerances.vanish={vanish:g} "
+                         f"(residual {residual})")
     return kernel
 
 
@@ -80,13 +87,28 @@ def _lambda_star(kernel, n: int) -> float:
     return 4.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
 
 
-def _pmap(fn, cfg: RunConfig, jobs: int):
-    """fn(entry, cfg) for every corpus entry, in corpus order."""
-    entries = cfg.corpus.entries
+def _pmap(fn, items, cfg: RunConfig, jobs: int) -> list:
+    """fn(item, cfg) for every work item, in order, on up to jobs workers."""
     if jobs <= 1:
-        return [fn(entry, cfg) for entry in entries]
+        return [fn(item, cfg) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, entries, [cfg] * len(entries)))
+        return list(pool.map(fn, items, [cfg] * len(items)))
+
+
+def _chunks(items, jobs: int) -> list:
+    """items cut into at most jobs contiguous runs, longest first, whose
+    lengths differ by at most one."""
+    k = max(1, min(jobs, len(items)))
+    q, r = divmod(len(items), k)
+    cuts = [i * q + min(i, r) for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _pmap_chunks(fn, cfg: RunConfig, jobs: int) -> list:
+    """fn(chunk, cfg) on one contiguous chunk of the corpus per worker; the
+    per-entry results come back concatenated, in corpus order."""
+    chunks = _chunks(cfg.corpus.entries, jobs)
+    return [res for part in _pmap(fn, chunks, cfg, jobs) for res in part]
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +168,11 @@ def _weights_row(entry, cfg):
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    rows = _pmap(_weights_row, cfg, jobs)
+    rows = _pmap(_weights_row, cfg.corpus.entries, cfg, jobs)
     for name, a1, a2, dbl_ok, margin, stability in rows:
         manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
                         f"margin={margin:.6f}")
-        manifest.record(f"stability:{name}", stability <= 0.05,
+        manifest.record(f"stability:{name}", stability <= cfg.stability,
                         f"rel-change={stability:.4f}")
         manifest.record(f"a1-sane:{name}", a1 >= 1.0 and a2 <= a1,
                         f"a1={a1:.6f} a2={a2:.6f}")
@@ -163,20 +185,21 @@ def cmd_weights(cfg, jobs, manifest) -> list[Table]:
 # operators
 
 
-def _operator_results(kernel, f, scales, lams):
+def _operator_results(kernel, fs, scales, lams):
     """g, S and g*_lam for each lam in lams from one pass over the scales,
-    keyed "g", "s", "gstar_<lam>"."""
+    per function of the batch fs, keyed "g", "s", "gstar_<lam>"."""
     keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
     specs = [OperatorSpec("g"), OperatorSpec("s")] + \
         [OperatorSpec("gstar", lam=lam) for lam in lams]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return dict(zip(keys, square_functions(kernel, f, scales, specs)))
+        return [dict(zip(keys, results))
+                for results in square_functions(kernel, fs, scales, specs)]
 
 
 def _operator_fields(kernel, f, scales, lam):
-    return {op: res.values
-            for op, res in _operator_results(kernel, f, scales, (lam,)).items()}
+    [results] = _operator_results(kernel, [f], scales, (lam,))
+    return {op: res.values for op, res in results.items()}
 
 
 def _cube_record(cube: Cube) -> dict:
@@ -185,44 +208,58 @@ def _cube_record(cube: Cube) -> dict:
             "level": cube.level}
 
 
-def _entry_record(name, results, cache_before) -> dict:
+def _entry_record(name, results) -> dict:
     """Manifest record of one entry: each operator's tail_bound, and the
-    spectrum cache's size with the hits and misses the entry added."""
-    cache = spectrum_cache_stats()
+    spectra built by the batch pass that computed the entry, shared by the
+    batch_size entries of that pass."""
+    first = next(iter(results.values()))
     return {
         "name": name,
         "tail_bounds": {op: res.tail_bound for op, res in results.items()},
-        "spectrum_cache": {
-            "bytes": cache["bytes"],
-            "hits": cache["hits"] - cache_before["hits"],
-            "misses": cache["misses"] - cache_before["misses"]},
+        "spectra_built": first.spectra_built,
+        "batch_size": first.batch_size,
     }
 
 
-def _operators_row(entry, cfg):
-    kernel = _certified_kernel(cfg.kernel, cfg.n)
-    f, w = entry.realize(cfg.n, cfg.L, cfg.N, cfg.seed)
-    scales = _make_scales(f, cfg)
+def _batched_results(kernel, entries, cfg, lams):
+    """(entry, f, w, operator results) for each entry of a chunk, realized
+    and computed one pass-sized batch at a time, so that only one batch's
+    samples and fields are held."""
+    size = pass_size(cfg.n, cfg.N, 2 + len(lams))
+    for lo in range(0, len(entries), size):
+        batch = entries[lo:lo + size]
+        pairs = [e.realize(cfg.n, cfg.L, cfg.N, cfg.seed) for e in batch]
+        fs = [f for f, _ in pairs]
+        results = _operator_results(kernel, fs, _make_scales(fs[0], cfg), lams)
+        for entry, (f, w), res in zip(batch, pairs, results):
+            yield entry, f, w, res
+        del pairs, fs, results
+
+
+def _operators_rows(entries, cfg):
+    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     lam = _lambda_star(kernel, cfg.n)
-    denom = l2_norm(f, w)
-    cache_before = spectrum_cache_stats()
-    results = _operator_results(kernel, f, scales, (lam, lam + 1.0))
-    record = _entry_record(entry.name, results, cache_before)
-    hi = results.pop(f"gstar_{lam + 1.0:g}").values
-    rows = [(entry.name, op, l2_norm(res.values, w) / denom)
-            for op, res in results.items()]
-    mono_ok = l2_norm(hi, w) <= \
-        l2_norm(results[f"gstar_{lam:g}"].values, w) * (1 + 1e-12)
-    return rows, mono_ok, record
+    out = []
+    for entry, f, w, results in _batched_results(kernel, entries, cfg,
+                                                 (lam, lam + 1.0)):
+        denom = l2_norm(f, w)
+        record = _entry_record(entry.name, results)
+        hi = results.pop(f"gstar_{lam + 1.0:g}").values
+        rows = [(entry.name, op, l2_norm(res.values, w) / denom)
+                for op, res in results.items()]
+        mono_ok = l2_norm(hi, w) <= \
+            l2_norm(results[f"gstar_{lam:g}"].values, w) * (1 + 1e-12)
+        out.append((rows, mono_ok, record))
+    return out
 
 
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     n, L, N = cfg.n, cfg.L, cfg.N
-    kernel = _certified_kernel(cfg.kernel, n)
+    kernel = _certified_kernel(cfg.kernel, n, cfg.vanish)
     manifest.kernels.append({
         "name": cfg.kernel, "n": n, "certified": True,
         "residual": kernel.report.p1_residual})
-    results = _pmap(_operators_row, cfg, jobs)
+    results = _pmap_chunks(_operators_rows, cfg, jobs)
     rows = []
     for (entry_rows, mono_ok, record), entry in zip(results, cfg.corpus):
         rows.extend(entry_rows)
@@ -246,38 +283,37 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
 # theorem-suite
 
 
-def _theorem_row(entry, cfg):
-    n = cfg.n
-    kernel = _certified_kernel(cfg.kernel, n)
-    f, w = entry.realize(n, cfg.L, cfg.N, cfg.seed)
-    scales = _make_scales(f, cfg)
-    family = _family(n, cfg.L, cfg.N, cfg.max_level)
-    bmo_rep = bmo_norm(f, w, family)
-    bmo = bmo_rep.value
-    witnesses = {"bmo": _cube_record(bmo_rep.argmax)}
-    lam = _lambda_star(kernel, n)
-    rows = []
-    cache_before = spectrum_cache_stats()
-    results = _operator_results(kernel, f, scales, (lam,))
-    for op, res in results.items():
-        blo_rep = blo_constant(res.values, w, family)
-        witnesses[f"blo:{op}"] = _cube_record(blo_rep.argmax)
-        blo = blo_rep.value
-        ratio = blo / bmo if bmo > 0 else float("inf")
-        rows.append((entry.name, op, blo, bmo, ratio))
-    record = _entry_record(entry.name, results, cache_before)
-    record["witnesses"] = witnesses
-    return rows, record
+def _theorem_rows(entries, cfg):
+    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
+    family = _family(cfg.n, cfg.L, cfg.N, cfg.max_level)
+    lam = _lambda_star(kernel, cfg.n)
+    out = []
+    for entry, f, w, results in _batched_results(kernel, entries, cfg,
+                                                 (lam,)):
+        bmo_rep = bmo_norm(f, w, family)
+        bmo = bmo_rep.value
+        witnesses = {"bmo": _cube_record(bmo_rep.argmax)}
+        rows = []
+        for op, res in results.items():
+            blo_rep = blo_constant(res.values, w, family)
+            witnesses[f"blo:{op}"] = _cube_record(blo_rep.argmax)
+            blo = blo_rep.value
+            ratio = blo / bmo if bmo > 0 else float("inf")
+            rows.append((entry.name, op, blo, bmo, ratio))
+        record = _entry_record(entry.name, results)
+        record["witnesses"] = witnesses
+        out.append((rows, record))
+    return out
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
-    kernel = _certified_kernel(cfg.kernel, cfg.n)
+    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     manifest.kernels.append({
         "name": cfg.kernel, "n": cfg.n, "certified": True,
         "residual": kernel.report.p1_residual,
         "lambda_star": _lambda_star(kernel, cfg.n)})
-    results = _pmap(_theorem_row, cfg, jobs)
+    results = _pmap_chunks(_theorem_rows, cfg, jobs)
     rows = []
     sup_by_op: dict[str, float] = {}
     for entry_rows, record in results:
@@ -346,7 +382,7 @@ def _jn_rows(entry, cfg):
 
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
-    results = _pmap(_jn_rows, cfg, jobs)
+    results = _pmap(_jn_rows, cfg.corpus.entries, cfg, jobs)
     tables = []
     summary = []
     equiv_rows = []
@@ -395,8 +431,38 @@ _COMMANDS = {
 }
 
 
+class _UsageError(SystemExit):
+    """A command line that argparse refuses; exits 2 unless main catches
+    it to write the run's manifest first."""
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints the usage line and raises _UsageError on a command-line
+    error; --help still prints and exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
+def _command_and_out(argv: list[str]) -> tuple[str, str | None]:
+    """Subcommand (or "lpsquare") and --out value of a refused command line."""
+    command = next((a for a in argv if a in _COMMANDS), "lpsquare")
+    out = None
+    for i, arg in enumerate(argv):
+        if arg == "--out" and i + 1 < len(argv):
+            out = argv[i + 1]
+        elif arg.startswith("--out="):
+            out = arg[len("--out="):]
+    return command, out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpsquare",
         description="square-operator and oscillation-norm experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,22 +479,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # LPSQUARE_SEED and --out are settings too, applied after --set
-    env_seed = os.environ.get("LPSQUARE_SEED")
-    seed = () if env_seed is None else (f"corpus.seed={env_seed}",)
-    out = () if args.out is None else (f"output.dir={args.out}",)
+    argv = sys.argv[1:] if argv is None else list(argv)
     failure: str | None = None
     error: str | None = None
     try:
-        cfg = load_config(args.config, (*args.overrides, *seed, *out))
-    except ValueError as exc:
-        # a refused config still gets a manifest, written from the defaults
-        failure = str(exc)
+        args = build_parser().parse_args(argv)
+        command, out_arg = args.command, args.out
+    except _UsageError as exc:
+        failure = exc.message
+        command, out_arg = _command_and_out(argv)
+    # LPSQUARE_SEED and --out are settings too, applied after --set
+    env_seed = os.environ.get("LPSQUARE_SEED")
+    seed = () if env_seed is None else (f"corpus.seed={env_seed}",)
+    out = () if out_arg is None else (f"output.dir={out_arg}",)
+    if failure is None:
+        try:
+            cfg = load_config(args.config, (*args.overrides, *seed, *out))
+        except ValueError as exc:
+            failure = str(exc)
+    if failure is not None:
+        # a refused run still gets a manifest, written from the defaults
         cfg = load_config(overrides=out)
     out_dir = Path(cfg.dir)
 
-    manifest = RunManifest(args.command, cfg.text)
+    manifest = RunManifest(command, cfg.text)
     timer = StageTimer()
     tables: list[Table] = []
     try:
@@ -436,18 +510,18 @@ def main(argv=None) -> int:
             manifest.seed = cfg.seed
             manifest.grid = {"n": cfg.n, "L": cfg.L, "N": cfg.N}
             manifest.family = {"kind": "dyadic", "max_level": cfg.max_level}
-            with timer.measure(args.command):
-                tables = _COMMANDS[args.command](cfg, args.jobs, manifest)
+            with timer.measure(command):
+                tables = _COMMANDS[command](cfg, args.jobs, manifest)
     except ValueError as exc:
         failure = str(exc)
     except Exception as exc:
         # a crash must not read as a pass or as a failed criterion
         error = traceback.format_exc()
-        manifest.record(f"{args.command}-error", False,
+        manifest.record(f"{command}-error", False,
                         f"{type(exc).__name__}: {exc}")
     finally:
         if failure is not None:
-            manifest.record(f"{args.command}-preconditions", False, failure)
+            manifest.record(f"{command}-preconditions", False, failure)
         manifest.timings = timer.stages
         with timer.measure("report"):
             emit_report(tables, out_dir)

@@ -10,15 +10,18 @@ this folds the quadrature residual of the vanishing condition and the
 periodic truncation into a DC shift, pushing the response to constants
 down to float rounding.
 
-square_functions computes any set of operators in one pass over the
-scales: one forward FFT of f, then per scale one inverse FFT for psi_t * f
-and, when a spatial sum is requested, one forward FFT of |psi_t * f|^2
-whose product with each mask spectrum accumulates in the frequency domain;
-each spatially summed operator ends with a single inverse FFT.  Kernel and
-mask spectra depend only on the geometry and the scale, so they are kept
-in a process-wide cache bounded by SPECTRUM_CACHE_BYTES.  A spectrum whose
-imaginary part is rounding noise (every radial kernel and every mask, since
-they are even on the periodic grid) is stored real, at half the bytes.
+square_functions computes any set of operators for a batch of functions
+that share one geometry, in one pass over the scales: one forward FFT of
+each f, then per scale one inverse FFT for psi_t * f and, when a spatial
+sum is requested, one forward FFT of |psi_t * f|^2 whose product with each
+mask spectrum accumulates in the frequency domain; each spatially summed
+operator ends with a single inverse FFT.  Kernel and mask spectra depend
+only on the geometry and the scale, so each is built once per scale, applied
+to every member of the batch and dropped; the results count them as
+spectra_built.  A batch whose working set would pass STACK_BYTES runs as
+several passes.  A spectrum whose imaginary part is rounding noise (every
+radial kernel and every mask, since they are even on the periodic grid) is
+kept real, at half the bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +46,8 @@ __all__ = [
     "convolve",
     "OperatorSpec",
     "square_functions",
-    "SPECTRUM_CACHE_BYTES",
-    "spectrum_cache_stats",
-    "clear_spectrum_cache",
+    "STACK_BYTES",
+    "pass_size",
     "g_function",
     "area_integral",
     "g_star",
@@ -58,8 +60,9 @@ __all__ = [
     "load_result",
 ]
 
-# Largest number of bytes of kernel and mask spectra kept per process.
-SPECTRUM_CACHE_BYTES = 64 * 2**20
+# Largest working set, in bytes, of one pass of the operator stack; a
+# larger batch is split into passes that each stay under it.
+STACK_BYTES = 128 * 2**20
 
 # A spectrum is stored real when its imaginary part is below this fraction
 # of its largest real coefficient; even sequences measure about 3e-16.
@@ -113,6 +116,8 @@ class SquareFunctionResult:
     tail_bound estimates the discarded t > t_max integral via the decay
     pattern |psi_t * f| <= C1 ||f||_1 t^{-n}, whose square integrates to
     (C1 ||f||_1)^2 t_max^{-2n} / (2n), times the spatial-sum volume factor.
+    spectra_built counts the kernel and mask spectra that the pass computing
+    this result built; the batch_size functions of that pass shared them.
     """
 
     values: GridFunction
@@ -124,6 +129,8 @@ class SquareFunctionResult:
     trunc_r: float | None = None
     part: str | None = None
     tail_bound: float = float("nan")
+    spectra_built: int = 0
+    batch_size: int = 1
 
 
 # displacement grids are shared across calls on the same geometry
@@ -153,8 +160,9 @@ def _displacements(n: int, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, dist
 
 
-def _rfftn(a: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(a) if a.ndim == 1 else np.fft.rfft2(a)
+def _rfftn(a: np.ndarray, n: int) -> np.ndarray:
+    """Transform over the last n axes, so a stack transforms member-wise."""
+    return np.fft.rfft(a) if n == 1 else np.fft.rfft2(a)
 
 
 def _irfftn(spec: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -163,7 +171,8 @@ def _irfftn(spec: np.ndarray, n: int, N: int) -> np.ndarray:
 
 def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Circular convolution out[i] = sum_m field[i-m] kern[m] (no h^n)."""
-    return _irfftn(_rfftn(field) * _rfftn(kern), field.ndim, field.shape[0])
+    n = field.ndim
+    return _irfftn(_rfftn(field, n) * _rfftn(kern, n), n, field.shape[0])
 
 
 def _sample_evaluator(ev: Callable[[np.ndarray], np.ndarray],
@@ -211,56 +220,7 @@ def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
 
 
 # ---------------------------------------------------------------------------
-# spectrum cache
-
-
-class _SpectrumCache:
-    """Spectra keyed by (geometry (n, L, N), what, t), at most
-    SPECTRUM_CACHE_BYTES in total.
-
-    A spectrum that does not fit first displaces the spectra of other
-    geometries; if it still does not fit it is returned unstored, so a scale
-    sweep larger than the cap keeps its stored prefix rather than evicting
-    it cyclically.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.store: dict[tuple, np.ndarray] = {}
-        self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        spec = self.store.get(key)
-        if spec is not None:
-            self.hits += 1
-            return spec
-        self.misses += 1
-        spec = _real_if_even(build())
-        spec.setflags(write=False)
-        if self.nbytes + spec.nbytes > SPECTRUM_CACHE_BYTES:
-            for old in [k for k in self.store if k[0] != key[0]]:
-                self.nbytes -= self.store.pop(old).nbytes
-        if self.nbytes + spec.nbytes <= SPECTRUM_CACHE_BYTES:
-            self.store[key] = spec
-            self.nbytes += spec.nbytes
-        return spec
-
-
-_SPECTRA = _SpectrumCache()
-
-
-def spectrum_cache_stats() -> dict[str, int]:
-    """Bytes held, stored spectra, and lookups served or computed so far."""
-    return {"bytes": _SPECTRA.nbytes, "spectra": len(_SPECTRA.store),
-            "hits": _SPECTRA.hits, "misses": _SPECTRA.misses}
-
-
-def clear_spectrum_cache() -> None:
-    _SPECTRA.clear()
+# kernel and mask spectra
 
 
 def _real_if_even(spec: np.ndarray) -> np.ndarray:
@@ -274,10 +234,8 @@ def _real_if_even(spec: np.ndarray) -> np.ndarray:
 def _kernel_spectrum(kernel: Kernel, n: int, L: float, N: int,
                      t: float) -> np.ndarray:
     """Transform of the mean-corrected samples of psi_t, times h^n."""
-    return _SPECTRA.get(
-        ((n, L, N), ("kernel", kernel), t),
-        lambda: _rfftn(_sampled_kernel(dilate(kernel, t), n, L, N))
-        * (L / N) ** n)
+    kern = _sampled_kernel(dilate(kernel, t), n, L, N)
+    return _real_if_even(_rfftn(kern, n) * (L / N) ** n)
 
 
 def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
@@ -287,16 +245,13 @@ def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
     mask is ("s", aperture) for the cone |x-y| < aperture t or
     ("gstar", lam) for (t/(t+|x-y|))^{lam n}.
     """
-    def build() -> np.ndarray:
-        _, dist = _displacements(n, L, N)
-        kind, param = mask
-        if kind == "s":
-            weight = (dist < param * t).astype(float)
-        else:
-            weight = (t / (t + dist)) ** (param * n)
-        return _rfftn(weight) * (L / N / t) ** n
-
-    return _SPECTRA.get(((n, L, N), mask, t), build)
+    _, dist = _displacements(n, L, N)
+    kind, param = mask
+    if kind == "s":
+        weight = (dist < param * t).astype(float)
+    else:
+        weight = (t / (t + dist)) ** (param * n)
+    return _real_if_even(_rfftn(weight, n) * (L / N / t) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,77 +320,119 @@ def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
     return mask, keep, vol
 
 
-def square_functions(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
-                     specs: Iterable[OperatorSpec],
-                     ) -> tuple[SquareFunctionResult, ...]:
-    """Every operator in specs from one pass over the scale grid.
+def square_functions(kernel: Kernel, fs: Sequence[GridFunction],
+                     scales: ScaleGrid, specs: Iterable[OperatorSpec],
+                     ) -> list[tuple[SquareFunctionResult, ...]]:
+    """Every operator in specs for every function of the batch fs.
 
-    Per scale t: psi_t * f is one inverse FFT of fft(f) times the cached
-    kernel spectrum; |psi_t * f|^2 feeds the vertical operators directly
-    and, through one forward FFT, the frequency-domain accumulator of each
-    spatially summed operator.  Results come back in the order of specs.
+    The functions share one geometry.  Per scale t the kernel spectrum and
+    each mask spectrum are built once and applied to every member: psi_t * f
+    is one inverse FFT of fft(f) times the kernel spectrum; |psi_t * f|^2
+    feeds the vertical operators directly and, through one forward FFT, the
+    frequency-domain accumulator of each spatially summed operator.  The
+    batch runs in passes whose working set stays under STACK_BYTES.  Returns
+    each member's results in the order of specs.
     """
     _require_certified(kernel)
-    _require_dimension(kernel.n, f)
-    specs = tuple(specs)
-    plans = [_plan(spec, kernel, f, scales) for spec in specs]
-    n, L, N = f.n, f.L, f.N
-    fhat = _rfftn(f.values)
-    acc = [np.zeros(f.values.shape) if mask is None
+    fs, specs = list(fs), tuple(specs)
+    for f in fs:
+        _require_dimension(kernel.n, f)
+        if (f.n, f.L, f.N) != (fs[0].n, fs[0].L, fs[0].N):
+            raise ValueError("the functions of a batch must share one grid")
+    if not fs:
+        return []
+    plans = [_plan(spec, kernel, fs[0], scales) for spec in specs]
+    size = pass_size(fs[0].n, fs[0].N, len(specs))
+    results = []
+    for lo in range(0, len(fs), size):
+        results += _stack_pass(kernel, fs[lo:lo + size], scales, specs, plans)
+    return results
+
+
+def pass_size(n: int, N: int, n_ops: int) -> int:
+    """Functions per pass of n_ops operators on N^n samples: as many as keep
+    the working set under STACK_BYTES, and at least one."""
+    # per member: its samples and transform, one accumulator per operator,
+    # and the per-scale field, its square, that square's transform and the
+    # products feeding them, each about 8 N^n bytes
+    return max(1, STACK_BYTES // (8 * N**n * (n_ops + 6)))
+
+
+def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
+                specs: tuple[OperatorSpec, ...], plans: list,
+                ) -> list[tuple[SquareFunctionResult, ...]]:
+    """One pass over the scales for a batch held in memory at once."""
+    n, L, N = fs[0].n, fs[0].L, fs[0].N
+    # 1D transforms run stacked over the batch; in 2D one rfft2 per member
+    # beats a stacked one
+    step = len(fs) if n == 1 else 1
+    fhat = _rfftn(np.stack([f.values for f in fs]), n)
+    acc = [np.zeros((len(fs),) + fs[0].values.shape) if mask is None
            else np.zeros(fhat.shape, dtype=complex) for mask, _, _ in plans]
+    built = 0
     for j, (t, w) in enumerate(zip(scales.nodes.tolist(),
                                    scales.weights.tolist())):
         live = [k for k, (_, keep, _) in enumerate(plans) if keep[j]]
         if not live:
             continue
-        F = _irfftn(fhat * _kernel_spectrum(kernel, n, L, N, t), n, N)
-        sq = F * F
-        sq_hat = None
-        for k in live:
-            mask = plans[k][0]
-            if mask is None:
-                acc[k] += w * sq
-                continue
-            if sq_hat is None:
-                sq_hat = _rfftn(sq) * w
-            acc[k] += sq_hat * _mask_spectrum(mask, n, L, N, t)
-    results = []
-    for spec, (mask, _, vol), total in zip(specs, plans, acc):
-        if mask is not None:
-            total = _irfftn(total, n, N)
+        kspec = _kernel_spectrum(kernel, n, L, N, t)
+        masks = dict.fromkeys(plans[k][0] for k in live
+                              if plans[k][0] is not None)
+        mspec = {mask: _mask_spectrum(mask, n, L, N, t) for mask in masks}
+        built += 1 + len(mspec)
+        for lo in range(0, len(fs), step):
+            part = slice(lo, lo + step)
+            F = _irfftn(fhat[part] * kspec, n, N)
+            sq = F * F
+            sq_hat = None
+            for k in live:
+                mask = plans[k][0]
+                if mask is None:
+                    acc[k][part] += w * sq
+                    continue
+                if sq_hat is None:
+                    sq_hat = _rfftn(sq, n) * w
+                acc[k][part] += sq_hat * mspec[mask]
+    del fhat
+    results = [[] for _ in fs]
+    for k, (spec, (mask, _, vol)) in enumerate(zip(specs, plans)):
+        vals = acc[k] if mask is None else _irfftn(acc[k], n, N)
+        acc[k] = None
         # convolution roundoff can leave tiny negatives
-        vals = np.sqrt(np.maximum(total, 0.0))
-        results.append(SquareFunctionResult(
-            f.with_values(vals), spec.op, kernel.name, scales, lam=spec.lam,
-            ell=spec.ell, trunc_r=spec.trunc_r, part=spec.part,
-            tail_bound=_tail_bound(kernel, f, scales, vol)))
-    return tuple(results)
+        np.sqrt(np.maximum(vals, 0.0, out=vals), out=vals)
+        for f, out, v in zip(fs, results, vals):
+            out.append(SquareFunctionResult(
+                f.with_values(v), spec.op, kernel.name, scales, lam=spec.lam,
+                ell=spec.ell, trunc_r=spec.trunc_r, part=spec.part,
+                tail_bound=_tail_bound(kernel, f, scales, vol),
+                spectra_built=built, batch_size=len(fs)))
+    return [tuple(out) for out in results]
 
 
 def g_function(kernel: Kernel, f: GridFunction,
                scales: ScaleGrid) -> SquareFunctionResult:
     """Vertical square operator (sum_j |psi_{t_j}*f|^2 w_j)^{1/2}."""
-    return square_functions(kernel, f, scales, [OperatorSpec("g")])[0]
+    return square_functions(kernel, [f], scales, [OperatorSpec("g")])[0][0]
 
 
 def area_integral(kernel: Kernel, f: GridFunction,
                   scales: ScaleGrid) -> SquareFunctionResult:
     """Conical square operator over |y - x| < t (periodic metric)."""
-    return square_functions(kernel, f, scales, [OperatorSpec("s")])[0]
+    return square_functions(kernel, [f], scales, [OperatorSpec("s")])[0][0]
 
 
 def g_star(kernel: Kernel, f: GridFunction, lam: float,
            scales: ScaleGrid) -> SquareFunctionResult:
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
-    return square_functions(kernel, f, scales,
-                            [OperatorSpec("gstar", lam=lam)])[0]
+    return square_functions(kernel, [f], scales,
+                            [OperatorSpec("gstar", lam=lam)])[0][0]
 
 
 def dilated_area_integral(kernel: Kernel, f: GridFunction, ell: int,
                           scales: ScaleGrid) -> SquareFunctionResult:
     """Area integral with the cone opened to |y - x| < 2^ell t."""
-    return square_functions(kernel, f, scales,
-                            [OperatorSpec("s_dilated", ell=ell)])[0]
+    return square_functions(kernel, [f], scales,
+                            [OperatorSpec("s_dilated", ell=ell)])[0][0]
 
 
 def annulus_level_cap(n: int, L: float, scales: ScaleGrid) -> int:
@@ -454,7 +451,7 @@ def split_at_scale(op_kind: str, kernel: Kernel, f: GridFunction, r: float,
     """
     if op_kind not in ("g", "s"):
         raise ValueError("op_kind must be 'g' or 's'")
-    lo, hi = square_functions(kernel, f, scales, [
+    [(lo, hi)] = square_functions(kernel, [f], scales, [
         OperatorSpec(op_kind, trunc_r=r, part="low"),
         OperatorSpec(op_kind, trunc_r=r, part="high")])
     return lo, hi

@@ -362,13 +362,11 @@ def test_manifest_records_tail_bounds_and_cache_per_entry(tmp_path, command):
         assert set(entry["tail_bounds"]) == ops
         assert all(np.isfinite(v) and v > 0
                    for v in entry["tail_bounds"].values())
-        cache = entry["spectrum_cache"]
-        assert cache["bytes"] > 0
-        # M=12 scales, each looking up one kernel and one mask per cone
-        # or g*_lam operator
-        assert cache["hits"] + cache["misses"] == 12 * len(ops)
-    # every entry after a worker's first one finds its spectra cached
-    assert sum(e["spectrum_cache"]["hits"] for e in entries) > 0
+        # M=12 scales, each building one kernel spectrum and one mask
+        # spectrum per cone or g*_lam operator, once for the whole batch
+        assert entry["spectra_built"] == 12 * len(ops)
+    # each of the two workers ran its 6 entries as one batch
+    assert [e["batch_size"] for e in entries] == [6] * 12
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])
@@ -380,6 +378,95 @@ def test_operator_csvs_do_not_depend_on_jobs(tmp_path, command):
     assert csvs
     for path in csvs:
         assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+def test_uneven_chunks_write_the_same_csvs_as_one_batch(tmp_path):
+    # five entries on two workers: chunks of 3 and 2
+    corpus = ("--set", "corpus.a=step() | constant()",
+              "--set", "corpus.b=sine(k=2) | power-regularized(alpha=0.25)",
+              "--set", "corpus.c=log-spike(x0=0.3) | piecewise(seed=3)",
+              "--set", "corpus.d=random-martingale(seed=5) | constant()",
+              "--set", "corpus.e=sawtooth(k=4) | piecewise(seed=2)")
+    for command in ("operators", "theorem-suite"):
+        _, out1, serial = run(tmp_path / command / "1", command, *FAST,
+                              *corpus)
+        code, out2, parallel = run(tmp_path / command / "2", command, *FAST,
+                                   *corpus, "--jobs", "2")
+        assert code == 0
+        assert [e["batch_size"] for e in serial["entries"]] == [5] * 5
+        assert [e["batch_size"] for e in parallel["entries"]] == \
+            [3, 3, 3, 2, 2]
+        assert [e["name"] for e in parallel["entries"]] == list("abcde")
+        csvs = sorted(out1.glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
+                                                            command):
+    # the 1D Poisson kernel's residual is 2.5e-11
+    tiny = ("--set", "grid.N=64", "--set", "scales.M=4",
+            "--set", "family.max_level=2")
+    code, out, manifest = run(tmp_path / "tight", command, *tiny,
+                              "--set", "tolerances.vanish=1e-12")
+    assert code == 2
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert not criterion["passed"]
+    assert "tolerances.vanish=1e-12" in criterion["detail"]
+    assert not list(out.glob("*.csv"))
+    code, _, _ = run(tmp_path / "loose", command, *tiny,
+                     "--set", "tolerances.vanish=1e-10")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, command, message", [
+    (["weights", "--jobs", "x"], "weights", "invalid int value: 'x'"),
+    (["jn", "--bogus"], "jn", "unrecognized arguments: --bogus"),
+    (["frobnicate"], "lpsquare", "invalid choice: 'frobnicate'"),
+])
+def test_command_line_error_writes_a_manifest(tmp_path, capsys, argv,
+                                              command, message):
+    out = tmp_path / "out"
+    assert main([*argv, f"--out={out}"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["all_passed"] is False
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert message in criterion["detail"]
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lpsquare") and message in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
+
+
+def test_stability_limit_is_a_setting(tmp_path, capsys):
+    args = ("weights", "--set", "grid.N=128", "--set", "family.max_level=3")
+    code, out1, manifest = run(tmp_path / "default", *args)
+    assert code == 0
+    stable = [c for c in manifest["criteria"]
+              if c["name"].startswith("stability:")]
+    assert len(stable) == 12 and all(c["passed"] for c in stable)
+    code, out2, manifest = run(tmp_path / "zero", *args,
+                               "--set", "tolerances.stability=0")
+    assert code == 1
+    failed = {c["name"] for c in manifest["criteria"] if not c["passed"]}
+    assert failed and all(name.startswith("stability:") for name in failed)
+    # the limit only judges the rows; the CSV does not move
+    assert (out2 / "weights.csv").read_bytes() == \
+        (out1 / "weights.csv").read_bytes()
+    assert_refused(tmp_path / "negative", capsys,
+                   (*args, "--set", "tolerances.stability=-0.01"),
+                   "tolerances.stability must not be negative")
 
 
 def oracle_witness(kind, f, w, cubes, p=None):
@@ -395,7 +482,7 @@ def test_manifest_records_witness_cubes(tmp_path):
     assert code == 0
     code, _, jn = run(tmp_path / "jn", "jn", *FAST)
     assert code == 0
-    kernel = cli._certified_kernel("poisson-derivative", 1)
+    kernel = cli._certified_kernel("poisson-derivative", 1, 1e-6)
     lam = cli._lambda_star(kernel, 1)
     corpus = list(default_corpus())
     assert [e["name"] for e in suite["entries"]] == [e.name for e in corpus]
@@ -406,7 +493,7 @@ def test_manifest_records_witness_cubes(tmp_path):
         family = dyadic_cubes(f, 4)
         expect = {"bmo": oracle_witness("bmo", f, w, family)}
         scales = cli._make_scales(f, load_config(overrides=("scales.M=12",)))
-        results = cli._operator_results(kernel, f, scales, (lam,))
+        [results] = cli._operator_results(kernel, [f], scales, (lam,))
         for op, res in results.items():
             expect[f"blo:{op}"] = oracle_witness("blo", res.values, w, family)
         assert suite_rec["witnesses"] == expect

@@ -23,7 +23,6 @@ from lpsquare.operators import (
     _periodic_conv,
     annulus_level_cap,
     area_integral,
-    clear_spectrum_cache,
     convolve,
     default_scales,
     dilated_area_integral,
@@ -33,7 +32,6 @@ from lpsquare.operators import (
     lambda_warn_threshold,
     load_result,
     save_result,
-    spectrum_cache_stats,
     split_at_scale,
     square_functions,
 )
@@ -410,7 +408,7 @@ def test_result_serialization_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass stack and its spectrum cache
+# the one-pass batched stack
 
 
 @pytest.mark.filterwarnings("ignore:lambda")
@@ -434,7 +432,7 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
         (OperatorSpec("s", trunc_r=r, part="low"), dict(op="s", keep=low)),
         (OperatorSpec("s", trunc_r=r, part="high"), dict(op="s", keep=~low)),
     ]
-    results = square_functions(kernel, f, sg, [spec for spec, _ in cases])
+    [results] = square_functions(kernel, [f], sg, [spec for spec, _ in cases])
     for (spec, kw), res in zip(cases, results):
         ref = oracle_square_function(kernel, f, sg, **kw)
         got = res.values.values
@@ -452,7 +450,8 @@ def test_one_pass_matches_oracle_for_non_radial_kernel():
     kernel = odd_kernel()
     f = random_function(1, 64, seed=2)
     sg = ScaleGrid(2.0 / 64, 0.25, 8)
-    g, s = square_functions(kernel, f, sg, [OperatorSpec("g"), OperatorSpec("s")])
+    [(g, s)] = square_functions(kernel, [f], sg,
+                                [OperatorSpec("g"), OperatorSpec("s")])
     for res, op in ((g, "g"), (s, "s")):
         ref = oracle_square_function(kernel, f, sg, op)
         assert np.allclose(res.values.values, ref, rtol=1e-12,
@@ -463,7 +462,7 @@ def test_one_pass_keeps_every_check():
     f = random_function(1, 64)
     sg = ScaleGrid(2.0 / 64, 0.25, 8)
     with pytest.raises(ValueError, match="not certified"):
-        square_functions(nonvanishing_hat_kernel(), f, sg, [OperatorSpec("g")])
+        square_functions(nonvanishing_hat_kernel(), [f], sg, [OperatorSpec("g")])
     bad = [OperatorSpec("gstar"), OperatorSpec("gstar", lam=0.0),
            OperatorSpec("gstar", lam=float("nan")),
            OperatorSpec("s_dilated"), OperatorSpec("s_dilated", ell=0),
@@ -473,9 +472,9 @@ def test_one_pass_keeps_every_check():
            OperatorSpec("sum")]
     for spec in bad:
         with pytest.raises(ValueError):
-            square_functions(POISSON1, f, sg, [OperatorSpec("g"), spec])
+            square_functions(POISSON1, [f], sg, [OperatorSpec("g"), spec])
     with pytest.warns(UserWarning, match="threshold"):
-        square_functions(POISSON1, f, sg, [OperatorSpec("gstar", lam=4.0)])
+        square_functions(POISSON1, [f], sg, [OperatorSpec("gstar", lam=4.0)])
 
 
 def test_kernel_of_another_dimension_is_refused():
@@ -483,89 +482,86 @@ def test_kernel_of_another_dimension_is_refused():
     gauss2 = gauss_derivative_kernel(2)
     sg = ScaleGrid(2.0 / 64, 0.25, 8)
     with pytest.raises(ValueError, match="dimension"):
-        square_functions(gauss2, f, sg, [OperatorSpec("g")])
+        square_functions(gauss2, [f], sg, [OperatorSpec("g")])
     with pytest.raises(ValueError, match="dimension"):
         g_function(gauss2, f, sg)
     with pytest.raises(ValueError, match="dimension"):
         convolve(dilate(gauss2, 0.1), f)
 
 
-@pytest.mark.filterwarnings("ignore:lambda")
-def test_cache_keys_keep_operators_kernels_and_geometries_apart():
-    gauss1 = gauss_derivative_kernel(1)
-    specs = [OperatorSpec("g"), OperatorSpec("s"),
-             OperatorSpec("s_dilated", ell=1), OperatorSpec("s_dilated", ell=2),
-             OperatorSpec("gstar", lam=8.0), OperatorSpec("gstar", lam=9.0)]
-    runs = [(kernel, GridFunction(1, L, N, np.random.default_rng(N).normal(size=N)))
-            for kernel in (POISSON1, gauss1)
-            for L, N in ((1.0, 64), (2.0, 64), (1.0, 128))]
-
-    # one scale grid for every geometry, so only the key can tell them apart
-    sg = ScaleGrid(1.0 / 32, 0.25, 8)
-
-    def compute(kernel, f):
-        return [r.values.values for r in square_functions(kernel, f, sg, specs)]
-
-    cold = []
-    for kernel, f in runs:
-        clear_spectrum_cache()
-        cold.append(compute(kernel, f))
-    clear_spectrum_cache()
-    for _ in range(2):
-        warm = [compute(kernel, f) for kernel, f in runs]
-        for a, b in zip(cold, warm):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    stats = spectrum_cache_stats()
-    # one kernel spectrum per (kernel, geometry, t) and one mask spectrum
-    # per (operator, geometry, t) on the first round, all hits on the second
-    geometries, kernels, masks, M = 3, 2, 5, 8
-    assert stats["misses"] == geometries * M * (kernels + masks)
-    assert stats["hits"] == 2 * len(runs) * M * (1 + masks) - stats["misses"]
-
-
-def test_cache_never_exceeds_its_cap(monkeypatch):
-    clear_spectrum_cache()
-    f = random_function(2, 16)
-    sg = ScaleGrid(2.0 / 16, 0.25, 8)
-    specs = [OperatorSpec("g"), OperatorSpec("s")]
-    full = [r.values.values for r in square_functions(
-        gauss_derivative_kernel(2), f, sg, specs)]
-    spectrum = 16 * 9 * 8  # one real rfft2 spectrum of a 16x16 grid
-    cap = 5 * spectrum + 100
-    monkeypatch.setattr(operators, "SPECTRUM_CACHE_BYTES", cap)
-    clear_spectrum_cache()
-    kernel = gauss_derivative_kernel(2)
-    for g in (f, GridFunction(2, 2.0, 16, f.values), f):
-        got = square_functions(kernel, g, ScaleGrid(2.0 * g.L / 16, g.L / 4, 8),
-                               specs)
-        assert spectrum_cache_stats()["bytes"] <= cap
-        assert spectrum_cache_stats()["spectra"] == 5
-        if g is f:
-            assert all(np.array_equal(r.values.values, x)
-                       for r, x in zip(got, full))
-    monkeypatch.undo()
-    g = random_function(1, 4096)
-    square_functions(POISSON1, g, default_scales(g), specs)
-    assert 0 < spectrum_cache_stats()["bytes"] <= operators.SPECTRUM_CACHE_BYTES
+BATCH_SPECS = [OperatorSpec("g"), OperatorSpec("s"),
+               OperatorSpec("s_dilated", ell=1), OperatorSpec("gstar", lam=8.0),
+               OperatorSpec("gstar", lam=9.0),
+               OperatorSpec("s", trunc_r=0.1, part="low"),
+               OperatorSpec("s", trunc_r=0.1, part="high")]
 
 
 @pytest.mark.filterwarnings("ignore:lambda")
-def test_spectra_stored_real_only_when_even():
-    clear_spectrum_cache()
-    f1, f2 = random_function(1, 64), random_function(2, 16)
-    specs = [OperatorSpec("s"), OperatorSpec("s_dilated", ell=1),
-             OperatorSpec("gstar", lam=5.0)]
-    square_functions(POISSON1, f1, ScaleGrid(2.0 / 64, 0.25, 6), specs)
-    square_functions(gauss_derivative_kernel(2), f2, ScaleGrid(2.0 / 16, 0.25, 6),
-                     specs)
-    stored = operators._SPECTRA.store
-    assert len(stored) == 2 * 6 * 4
-    assert all(spec.dtype == np.float64 for spec in stored.values())
-    odd = odd_kernel()
-    square_functions(odd, f1, ScaleGrid(2.0 / 64, 0.25, 6), [OperatorSpec("g")])
-    odd_spectra = [spec for (_, what, _), spec in stored.items()
-                   if what == ("kernel", odd)]
-    assert len(odd_spectra) == 6
-    for spec in odd_spectra:
-        assert spec.dtype == np.complex128
-        assert np.abs(spec.imag).max() > 1e-3 * np.abs(spec).max()
+@pytest.mark.parametrize("n,N,kernel", [(1, 256, POISSON1),
+                                        (2, 32, gauss_derivative_kernel(2))])
+@pytest.mark.parametrize("members_per_pass", [None, 2])
+def test_batch_equals_one_function_calls_bit_for_bit(monkeypatch, n, N, kernel,
+                                                     members_per_pass):
+    fs = [random_function(n, N, seed=s) for s in range(5)]
+    sg = ScaleGrid(2.0 / N, 0.25, 9)
+    single = [square_functions(kernel, [f], sg, BATCH_SPECS)[0] for f in fs]
+    if members_per_pass is not None:
+        # a cap that fits two members splits the batch into passes of 2, 2, 1
+        per_member = 8 * N**n * (len(BATCH_SPECS) + 6)
+        monkeypatch.setattr(operators, "STACK_BYTES", 2 * per_member + 1)
+    batch = square_functions(kernel, fs, sg, BATCH_SPECS)
+    assert len(batch) == len(fs)
+    sizes = [5] * 5 if members_per_pass is None else [2, 2, 2, 2, 1]
+    for f, one, many, size in zip(fs, single, batch, sizes):
+        assert len(many) == len(BATCH_SPECS)
+        for a, b in zip(one, many):
+            assert np.array_equal(a.values.values, b.values.values)
+            assert (a.op, a.lam, a.ell, a.part) == (b.op, b.lam, b.ell, b.part)
+            assert a.tail_bound == b.tail_bound
+            assert (a.batch_size, b.batch_size) == (1, size)
+            assert a.spectra_built == b.spectra_built
+
+
+@pytest.mark.filterwarnings("ignore:lambda")
+def test_batch_builds_each_spectrum_once_per_scale(monkeypatch):
+    calls = []
+    for name in ("_kernel_spectrum", "_mask_spectrum"):
+        build = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda *a, _b=build: calls.append(a) or _b(*a))
+    fs = [random_function(1, 64, seed=s) for s in range(3)]
+    M = 8
+    sg = ScaleGrid(2.0 / 64, 0.25, M)
+    results = square_functions(POISSON1, fs, sg, BATCH_SPECS)
+    # per scale one kernel spectrum and one spectrum per distinct mask:
+    # s (shared by the full and the split cone), s at aperture 2, and two
+    # g*_lam weights, however many functions the batch holds
+    assert len(calls) == M * (1 + 4)
+    assert len(calls) == len(set(calls))
+    assert all(r.spectra_built == len(calls) and r.batch_size == 3
+               for member in results for r in member)
+    assert square_functions(POISSON1, [], sg, BATCH_SPECS) == []
+
+
+def test_batch_refuses_mixed_geometries():
+    sg = ScaleGrid(1.0 / 32, 0.25, 4)
+    for other in (random_function(1, 128), GridFunction(1, 2.0, 64, np.ones(64))):
+        with pytest.raises(ValueError, match="share one grid"):
+            square_functions(POISSON1, [random_function(1, 64), other], sg,
+                             [OperatorSpec("g")])
+    with pytest.raises(ValueError, match="dimension"):
+        square_functions(POISSON1, [random_function(1, 64),
+                                    random_function(2, 64)], sg,
+                         [OperatorSpec("g")])
+
+
+def test_spectra_kept_real_only_when_even():
+    for n, N in ((1, 64), (2, 16)):
+        kernel = POISSON1 if n == 1 else gauss_derivative_kernel(2)
+        spectra = [operators._kernel_spectrum(kernel, n, 1.0, N, 0.1)]
+        spectra += [operators._mask_spectrum(mask, n, 1.0, N, 0.1)
+                    for mask in (("s", 1.0), ("s", 2.0), ("gstar", 5.0))]
+        assert all(spec.dtype == np.float64 for spec in spectra)
+    odd = operators._kernel_spectrum(odd_kernel(), 1, 1.0, 64, 0.1)
+    assert odd.dtype == np.complex128
+    assert np.abs(odd.imag).max() > 1e-3 * np.abs(odd).max()
