@@ -12,6 +12,7 @@ as one batch, while weights and jn hand out single entries.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import math
@@ -39,7 +40,6 @@ from .operators import (
     default_scales,
     g_function,
     l2_norm,
-    pass_size,
     square_functions,
 )
 from .oscillation import blo_constant, blo_p_norm, bmo_norm
@@ -54,6 +54,11 @@ from .report import (
 from .weights import a1_constant, ap_constant, doubling_report, power_weight
 
 __all__ = ["main", "build_parser"]
+
+
+# Largest relative change of an entry's A1 constant when weights refines
+# the grid from N to 2N.
+STABILITY_LIMIT = 0.05
 
 
 def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
@@ -172,7 +177,7 @@ def cmd_weights(cfg, jobs, manifest) -> list[Table]:
     for name, a1, a2, dbl_ok, margin, stability in rows:
         manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
                         f"margin={margin:.6f}")
-        manifest.record(f"stability:{name}", stability <= cfg.stability,
+        manifest.record(f"stability:{name}", stability <= STABILITY_LIMIT,
                         f"rel-change={stability:.4f}")
         manifest.record(f"a1-sane:{name}", a1 >= 1.0 and a2 <= a1,
                         f"a1={a1:.6f} a2={a2:.6f}")
@@ -187,14 +192,16 @@ def cmd_weights(cfg, jobs, manifest) -> list[Table]:
 
 def _operator_results(kernel, fs, scales, lams):
     """g, S and g*_lam for each lam in lams from one pass over the scales,
-    per function of the batch fs, keyed "g", "s", "gstar_<lam>"."""
+    per function of the batch fs, keyed "g", "s", "gstar_<lam>"; yielded
+    as square_functions computes them."""
     keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
     specs = [OperatorSpec("g"), OperatorSpec("s")] + \
         [OperatorSpec("gstar", lam=lam) for lam in lams]
     with warnings.catch_warnings():
+        # the lambda threshold warning comes from the checks, which run here
         warnings.simplefilter("ignore")
-        return [dict(zip(keys, results))
-                for results in square_functions(kernel, fs, scales, specs)]
+        stream = square_functions(kernel, fs, scales, specs)
+    return (dict(zip(keys, results)) for results in stream)
 
 
 def _operator_fields(kernel, f, scales, lam):
@@ -222,18 +229,20 @@ def _entry_record(name, results) -> dict:
 
 
 def _batched_results(kernel, entries, cfg, lams):
-    """(entry, f, w, operator results) for each entry of a chunk, realized
-    and computed one pass-sized batch at a time, so that only one batch's
-    samples and fields are held."""
-    size = pass_size(cfg.n, cfg.N, 2 + len(lams))
-    for lo in range(0, len(entries), size):
-        batch = entries[lo:lo + size]
-        pairs = [e.realize(cfg.n, cfg.L, cfg.N, cfg.seed) for e in batch]
-        fs = [f for f, _ in pairs]
-        results = _operator_results(kernel, fs, _make_scales(fs[0], cfg), lams)
-        for entry, (f, w), res in zip(batch, pairs, results):
-            yield entry, f, w, res
-        del pairs, fs, results
+    """(entry, f, w, operator results) for each entry of a chunk.  Entries
+    are realized only as square_functions draws them, one pass at a time,
+    so that only one pass's samples and fields are held."""
+    realized = collections.deque()
+
+    def functions():
+        for entry in entries:
+            f, w = entry.realize(cfg.n, cfg.L, cfg.N, cfg.seed)
+            realized.append((entry, f, w))
+            yield f
+
+    scales = _make_scales(SimpleNamespace(L=cfg.L, N=cfg.N), cfg)
+    for results in _operator_results(kernel, functions(), scales, lams):
+        yield *realized.popleft(), results
 
 
 def _operators_rows(entries, cfg):

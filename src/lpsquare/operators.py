@@ -18,20 +18,19 @@ mask spectrum accumulates in the frequency domain; each spatially summed
 operator ends with a single inverse FFT.  Kernel and mask spectra depend
 only on the geometry and the scale, so each is built once per scale, applied
 to every member of the batch and dropped; the results count them as
-spectra_built.  A batch whose working set would pass STACK_BYTES runs as
-several passes.  A spectrum whose imaginary part is rounding noise (every
-radial kernel and every mask, since they are even on the periodic grid) is
-kept real, at half the bytes.
+spectra_built.  A spectrum whose imaginary part is rounding noise (every
+radial kernel and every mask, since they are even) is kept real.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "OperatorSpec",
     "square_functions",
     "STACK_BYTES",
-    "pass_size",
     "g_function",
     "area_integral",
     "g_star",
@@ -320,9 +318,9 @@ def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
     return mask, keep, vol
 
 
-def square_functions(kernel: Kernel, fs: Sequence[GridFunction],
+def square_functions(kernel: Kernel, fs: Iterable[GridFunction],
                      scales: ScaleGrid, specs: Iterable[OperatorSpec],
-                     ) -> list[tuple[SquareFunctionResult, ...]]:
+                     ) -> Iterator[tuple[SquareFunctionResult, ...]]:
     """Every operator in specs for every function of the batch fs.
 
     The functions share one geometry.  Per scale t the kernel spectrum and
@@ -330,32 +328,36 @@ def square_functions(kernel: Kernel, fs: Sequence[GridFunction],
     is one inverse FFT of fft(f) times the kernel spectrum; |psi_t * f|^2
     feeds the vertical operators directly and, through one forward FFT, the
     frequency-domain accumulator of each spatially summed operator.  The
-    batch runs in passes whose working set stays under STACK_BYTES.  Returns
-    each member's results in the order of specs.
+    batch runs in passes whose working set stays under STACK_BYTES, drawing
+    fs one pass at a time, so a lazy fs holds one pass in memory.  Yields
+    each member's results in the order of specs.  The kernel, the specs and
+    the first member are checked at once, later members as they are drawn.
     """
     _require_certified(kernel)
-    fs, specs = list(fs), tuple(specs)
-    for f in fs:
-        _require_dimension(kernel.n, f)
-        if (f.n, f.L, f.N) != (fs[0].n, fs[0].L, fs[0].N):
-            raise ValueError("the functions of a batch must share one grid")
-    if not fs:
-        return []
-    plans = [_plan(spec, kernel, fs[0], scales) for spec in specs]
-    size = pass_size(fs[0].n, fs[0].N, len(specs))
-    results = []
-    for lo in range(0, len(fs), size):
-        results += _stack_pass(kernel, fs[lo:lo + size], scales, specs, plans)
-    return results
-
-
-def pass_size(n: int, N: int, n_ops: int) -> int:
-    """Functions per pass of n_ops operators on N^n samples: as many as keep
-    the working set under STACK_BYTES, and at least one."""
+    specs, members = tuple(specs), iter(fs)
+    first = next(members, None)
+    if first is None:
+        return iter(())
+    _require_dimension(kernel.n, first)
+    plans = [_plan(spec, kernel, first, scales) for spec in specs]
     # per member: its samples and transform, one accumulator per operator,
     # and the per-scale field, its square, that square's transform and the
     # products feeding them, each about 8 N^n bytes
-    return max(1, STACK_BYTES // (8 * N**n * (n_ops + 6)))
+    size = max(1, STACK_BYTES // (8 * first.N**first.n * (len(specs) + 6)))
+    return _passes(kernel, itertools.chain([first], members),
+                   (first.n, first.L, first.N), scales, specs, plans, size)
+
+
+def _passes(kernel: Kernel, members: Iterator[GridFunction], grid: tuple,
+            scales: ScaleGrid, specs: tuple[OperatorSpec, ...], plans: list,
+            size: int) -> Iterator[tuple[SquareFunctionResult, ...]]:
+    while batch := list(itertools.islice(members, size)):
+        for f in batch:
+            _require_dimension(kernel.n, f)
+            if (f.n, f.L, f.N) != grid:
+                raise ValueError("the functions of a batch must share one grid")
+        yield from _stack_pass(kernel, batch, scales, specs, plans)
+        del batch  # drop this pass before the next one is drawn
 
 
 def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
@@ -412,27 +414,27 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
 def g_function(kernel: Kernel, f: GridFunction,
                scales: ScaleGrid) -> SquareFunctionResult:
     """Vertical square operator (sum_j |psi_{t_j}*f|^2 w_j)^{1/2}."""
-    return square_functions(kernel, [f], scales, [OperatorSpec("g")])[0][0]
+    return next(square_functions(kernel, [f], scales, [OperatorSpec("g")]))[0]
 
 
 def area_integral(kernel: Kernel, f: GridFunction,
                   scales: ScaleGrid) -> SquareFunctionResult:
     """Conical square operator over |y - x| < t (periodic metric)."""
-    return square_functions(kernel, [f], scales, [OperatorSpec("s")])[0][0]
+    return next(square_functions(kernel, [f], scales, [OperatorSpec("s")]))[0]
 
 
 def g_star(kernel: Kernel, f: GridFunction, lam: float,
            scales: ScaleGrid) -> SquareFunctionResult:
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
-    return square_functions(kernel, [f], scales,
-                            [OperatorSpec("gstar", lam=lam)])[0][0]
+    return next(square_functions(kernel, [f], scales,
+                                 [OperatorSpec("gstar", lam=lam)]))[0]
 
 
 def dilated_area_integral(kernel: Kernel, f: GridFunction, ell: int,
                           scales: ScaleGrid) -> SquareFunctionResult:
     """Area integral with the cone opened to |y - x| < 2^ell t."""
-    return square_functions(kernel, [f], scales,
-                            [OperatorSpec("s_dilated", ell=ell)])[0][0]
+    return next(square_functions(kernel, [f], scales,
+                                 [OperatorSpec("s_dilated", ell=ell)]))[0]
 
 
 def annulus_level_cap(n: int, L: float, scales: ScaleGrid) -> int:

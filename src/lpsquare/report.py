@@ -326,7 +326,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
         "sigma": (float, "2.718281828459045"),
         "max_gen": (int, "5"),
         "lambda_nodes": (int, "32"),
-        "stability": (float, "0.05"),
     },
     "output": {"dir": (str, "out")},
 }
@@ -341,7 +340,6 @@ _RANGE = {
     "lambda_nodes": (lambda v: v >= 1, "must be at least 1"),
     "vanish": (lambda v: v > 0, "must be positive"),
     "sigma": (lambda v: v > 1, "must exceed 1"),
-    "stability": (lambda v: v >= 0, "must not be negative"),
 }
 
 
@@ -367,7 +365,6 @@ class RunConfig:
     sigma: float
     max_gen: int
     lambda_nodes: int
-    stability: float
     dir: str
     corpus: Corpus
     text: dict[str, dict[str, str]]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsquare import cli
+from lpsquare import cli, operators
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
 from lpsquare.grid import Cube, dyadic_cubes, grid_function
@@ -404,6 +404,23 @@ def test_uneven_chunks_write_the_same_csvs_as_one_batch(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_chunk_split_into_passes_writes_the_same_csvs(tmp_path, monkeypatch,
+                                                      command):
+    _, out1, _ = run(tmp_path / "whole", command, *FAST)
+    # room for five members of four operators on N=256: passes of 5, 5, 2
+    monkeypatch.setattr(operators, "STACK_BYTES", 5 * 8 * 256 * (4 + 6))
+    code, out2, manifest = run(tmp_path / "split", command, *FAST)
+    assert code == 0
+    assert [e["batch_size"] for e in manifest["entries"]] == [5] * 10 + [2] * 2
+    assert [e["name"] for e in manifest["entries"]] == \
+        [e.name for e in default_corpus()]
+    csvs = sorted(out1.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
 def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
                                                             command):
     # the 1D Poisson kernel's residual is 2.5e-11
@@ -447,26 +464,6 @@ def test_help_still_exits_0(capsys):
         main(["weights", "--help"])
     assert exc.value.code == 0
     assert "--jobs" in capsys.readouterr().out
-
-
-def test_stability_limit_is_a_setting(tmp_path, capsys):
-    args = ("weights", "--set", "grid.N=128", "--set", "family.max_level=3")
-    code, out1, manifest = run(tmp_path / "default", *args)
-    assert code == 0
-    stable = [c for c in manifest["criteria"]
-              if c["name"].startswith("stability:")]
-    assert len(stable) == 12 and all(c["passed"] for c in stable)
-    code, out2, manifest = run(tmp_path / "zero", *args,
-                               "--set", "tolerances.stability=0")
-    assert code == 1
-    failed = {c["name"] for c in manifest["criteria"] if not c["passed"]}
-    assert failed and all(name.startswith("stability:") for name in failed)
-    # the limit only judges the rows; the CSV does not move
-    assert (out2 / "weights.csv").read_bytes() == \
-        (out1 / "weights.csv").read_bytes()
-    assert_refused(tmp_path / "negative", capsys,
-                   (*args, "--set", "tolerances.stability=-0.01"),
-                   "tolerances.stability must not be negative")
 
 
 def oracle_witness(kind, f, w, cubes, p=None):

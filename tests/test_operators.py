@@ -504,12 +504,12 @@ def test_batch_equals_one_function_calls_bit_for_bit(monkeypatch, n, N, kernel,
                                                      members_per_pass):
     fs = [random_function(n, N, seed=s) for s in range(5)]
     sg = ScaleGrid(2.0 / N, 0.25, 9)
-    single = [square_functions(kernel, [f], sg, BATCH_SPECS)[0] for f in fs]
+    single = [next(square_functions(kernel, [f], sg, BATCH_SPECS)) for f in fs]
     if members_per_pass is not None:
         # a cap that fits two members splits the batch into passes of 2, 2, 1
         per_member = 8 * N**n * (len(BATCH_SPECS) + 6)
         monkeypatch.setattr(operators, "STACK_BYTES", 2 * per_member + 1)
-    batch = square_functions(kernel, fs, sg, BATCH_SPECS)
+    batch = list(square_functions(kernel, fs, sg, BATCH_SPECS))
     assert len(batch) == len(fs)
     sizes = [5] * 5 if members_per_pass is None else [2, 2, 2, 2, 1]
     for f, one, many, size in zip(fs, single, batch, sizes):
@@ -532,7 +532,7 @@ def test_batch_builds_each_spectrum_once_per_scale(monkeypatch):
     fs = [random_function(1, 64, seed=s) for s in range(3)]
     M = 8
     sg = ScaleGrid(2.0 / 64, 0.25, M)
-    results = square_functions(POISSON1, fs, sg, BATCH_SPECS)
+    results = list(square_functions(POISSON1, fs, sg, BATCH_SPECS))
     # per scale one kernel spectrum and one spectrum per distinct mask:
     # s (shared by the full and the split cone), s at aperture 2, and two
     # g*_lam weights, however many functions the batch holds
@@ -540,19 +540,47 @@ def test_batch_builds_each_spectrum_once_per_scale(monkeypatch):
     assert len(calls) == len(set(calls))
     assert all(r.spectra_built == len(calls) and r.batch_size == 3
                for member in results for r in member)
-    assert square_functions(POISSON1, [], sg, BATCH_SPECS) == []
+    assert list(square_functions(POISSON1, [], sg, BATCH_SPECS)) == []
 
 
 def test_batch_refuses_mixed_geometries():
     sg = ScaleGrid(1.0 / 32, 0.25, 4)
     for other in (random_function(1, 128), GridFunction(1, 2.0, 64, np.ones(64))):
         with pytest.raises(ValueError, match="share one grid"):
-            square_functions(POISSON1, [random_function(1, 64), other], sg,
-                             [OperatorSpec("g")])
+            list(square_functions(POISSON1, [random_function(1, 64), other],
+                                  sg, [OperatorSpec("g")]))
     with pytest.raises(ValueError, match="dimension"):
-        square_functions(POISSON1, [random_function(1, 64),
-                                    random_function(2, 64)], sg,
-                         [OperatorSpec("g")])
+        list(square_functions(POISSON1, [random_function(1, 64),
+                                         random_function(2, 64)], sg,
+                              [OperatorSpec("g")]))
+
+
+def test_batch_is_drawn_one_pass_at_a_time(monkeypatch):
+    sg = ScaleGrid(1.0 / 32, 0.25, 4)
+    per_member = 8 * 64 * (1 + 6)
+    monkeypatch.setattr(operators, "STACK_BYTES", 2 * per_member)
+    drawn = []
+
+    def members():
+        for seed in range(5):
+            drawn.append(seed)
+            yield random_function(1, 64, seed=seed)
+        # a member on another grid is refused when its pass is drawn
+        yield random_function(1, 128)
+
+    stream = square_functions(POISSON1, members(), sg, [OperatorSpec("g")])
+    # the checks draw the first member only
+    assert drawn == [0]
+    sizes, drawn_at = [], []
+    with pytest.raises(ValueError, match="share one grid"):
+        for results in stream:
+            sizes.append(results[0].batch_size)
+            drawn_at.append(len(drawn))
+    # each pass of two is drawn when its first result is asked for, and
+    # not before; the third pass holds member 4 and the refused one
+    assert sizes == [2, 2, 2, 2]
+    assert drawn_at == [2, 2, 4, 4]
+    assert len(drawn) == 5
 
 
 def test_spectra_kept_real_only_when_even():
