@@ -27,12 +27,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .czd import (
+    cube_local_constants,
     cz_decompose,
     equivalence_constant,
     jn_blo_verify,
     jn_bmo_verify,
 )
-from .grid import Cube, dyadic_cubes, grid_function
+from .grid import Cube, DyadicFamily, dyadic_cubes, grid_function
 from .kernels import certify, kernel_registry, nonvanishing_hat_kernel
 from .operators import (
     OperatorSpec,
@@ -69,9 +70,9 @@ def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
 
 
 @functools.lru_cache(maxsize=8)
-def _family(n: int, L: float, N: int, max_level: int) -> tuple[Cube, ...]:
+def _family(n: int, L: float, N: int, max_level: int) -> DyadicFamily:
     """The dyadic cubes of one grid geometry, built once per process."""
-    return tuple(dyadic_cubes(SimpleNamespace(n=n, L=L, N=N), max_level))
+    return dyadic_cubes(SimpleNamespace(n=n, L=L, N=N), max_level)
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,12 +165,10 @@ def _weights_row(entry, cfg):
     a1 = a1_constant(w, family)
     a2 = ap_constant(w, 2.0, family)
     doubling = doubling_report(w, family)
-    margin = min((r.bound / r.ratio for r in doubling.rows if r.ratio > 0),
-                 default=float("inf"))
     _, w2 = entry.realize(n, L, 2 * N, cfg.seed)
     a1_fine = a1_constant(w2, _family(n, L, 2 * N, cfg.max_level))
     stability = abs(a1_fine - a1) / a1
-    return (entry.name, a1, a2, doubling.all_ok, margin, stability)
+    return (entry.name, a1, a2, doubling.all_ok, doubling.margin, stability)
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
@@ -349,14 +348,16 @@ def _jn_rows(entry, cfg):
     n, L, nodes = cfg.n, cfg.L, cfg.lambda_nodes
     f, w = entry.realize(n, L, cfg.N, cfg.seed)
     box = Cube((L / 2.0,) * n, L, level=0)
-    tree = cz_decompose(f, w, box, sigma=cfg.sigma, max_gen=cfg.max_gen)
+    local = cube_local_constants(f, w, box)
+    tree = cz_decompose(f, w, box, sigma=cfg.sigma, max_gen=cfg.max_gen,
+                        local=local)
     fv = f.values.ravel()
     span_blo = float(fv.max() - fv.min())
     span_bmo = float(np.abs(fv - fv.mean()).max())
     lam_blo = np.linspace(span_blo / nodes, span_blo * 1.05, nodes)
     lam_bmo = np.linspace(span_bmo / nodes, span_bmo * 1.05, nodes)
-    rep_blo = jn_blo_verify(f, w, box, lam_blo, strict=False)
-    rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False)
+    rep_blo = jn_blo_verify(f, w, box, lam_blo, strict=False, local=local)
+    rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False, local=local)
     family = _family(n, L, cfg.N, cfg.max_level)
     a1 = a1_constant(w, family)
     blo_rep = blo_constant(f, w, family)

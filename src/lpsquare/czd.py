@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .grid import (
     Region,
     cube_region,
     dyadic_address,
+    dyadic_cube,
 )
 from .weights import Weight
 
@@ -54,8 +54,6 @@ __all__ = [
     "jn_blo_verify",
     "jn_bmo_verify",
     "equivalence_constant",
-    "save_tree",
-    "jn_csv",
 ]
 
 
@@ -175,7 +173,8 @@ def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
 
 
 def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
-                 max_gen: int = 5) -> DecompositionTree:
+                 max_gen: int = 5,
+                 local: LocalConstants | None = None) -> DecompositionTree:
     """Stopping-time tree for f on Q with threshold sigma * A_w.
 
     The descent runs one dyadic level at a time.  Its frontier holds the
@@ -183,14 +182,16 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
     stopping cube, its generation and its parent id; all their children
     are tested in one expression.  Node ids follow the breadth-first order
     (level, then parent, then child), and a selected cube of generation
-    max_gen is not subdivided.
+    max_gen is not subdivided.  local, when given, must be
+    cube_local_constants(f, w, Q); it is computed otherwise.
     """
     if not sigma > 1:
         raise ValueError("sigma must exceed 1")
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
     kq, b0 = _root_address(f, Q)
-    local = cube_local_constants(f, w, Q)
+    if local is None:
+        local = cube_local_constants(f, w, Q)
     a_w = local.a_w
     norm = local.blo
     n, L = f.n, f.L
@@ -220,11 +221,8 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         cmin = fp.min(k + 1)[blocks] / norm
         sel = mean > T
         ids = next_id + np.cumsum(sel) - 1
-        s = L / (1 << (k + 1))
         for c in np.flatnonzero(sel).tolist():
-            cube = Cube(tuple((i + 0.5) * s for i in
-                              _block_coords(n, k + 1, int(blocks[c]))),
-                        s, level=k + 1)
+            cube = dyadic_cube(n, L, k + 1, int(blocks[c]))
             generations[gen[c] - 1].append(SelectedCube(
                 cube, int(gen[c]), int(ids[c]), int(pid[c]), float(mean[c]),
                 float(cmin[c] - m_s[c])))
@@ -397,8 +395,10 @@ class JnReport:
 
 
 def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
-               lambdas: Sequence[float], strict: bool) -> JnReport:
-    local = cube_local_constants(f, w, Q)
+               lambdas: Sequence[float], strict: bool,
+               local: LocalConstants | None) -> JnReport:
+    if local is None:
+        local = cube_local_constants(f, w, Q)
     reg = cube_region(f, Q)
     fv = f.values.ravel()[reg.indices]
     if kind == "blo":
@@ -412,9 +412,13 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
     n = f.n
     c1 = math.e
     c2 = 1.0 / (2**n * math.e)
+    # samples above each lambda, |{dev > lam}|, counted from one sort
+    above = dev.size - np.searchsorted(np.sort(dev),
+                                       np.asarray(lambdas, dtype=float),
+                                       side="right")
     rows = []
-    for lam in lambdas:
-        measured = float((dev > lam).sum()) * h**n
+    for lam, count in zip(lambdas, above.tolist()):
+        measured = float(count) * h**n
         if norm > 0:
             bound = c1 * m_q * math.exp(-c2 * lam / (local.a_w * norm))
         else:
@@ -431,15 +435,19 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
 
 
 def jn_blo_verify(f: GridFunction, w: Weight, Q: Cube,
-                  lambdas: Sequence[float], strict: bool = True) -> JnReport:
-    """Tail of f - min_Q f against e * m(Q) * exp(-lambda/(A_w 2^n e norm))."""
-    return _jn_verify("blo", f, w, Q, lambdas, strict)
+                  lambdas: Sequence[float], strict: bool = True,
+                  local: LocalConstants | None = None) -> JnReport:
+    """Tail of f - min_Q f against e * m(Q) * exp(-lambda/(A_w 2^n e norm)).
+
+    local, when given, must be cube_local_constants(f, w, Q)."""
+    return _jn_verify("blo", f, w, Q, lambdas, strict, local)
 
 
 def jn_bmo_verify(f: GridFunction, w: Weight, Q: Cube,
-                  lambdas: Sequence[float], strict: bool = True) -> JnReport:
+                  lambdas: Sequence[float], strict: bool = True,
+                  local: LocalConstants | None = None) -> JnReport:
     """Same tail bound for |f - f_Q| with the mean-oscillation norm."""
-    return _jn_verify("bmo", f, w, Q, lambdas, strict)
+    return _jn_verify("bmo", f, w, Q, lambdas, strict, local)
 
 
 def equivalence_constant(p: float, n: int, a1: float, ap_of_nu: float) -> float:
@@ -457,24 +465,3 @@ def equivalence_constant(p: float, n: int, a1: float, ap_of_nu: float) -> float:
     c1 = math.e
     c2 = 1.0 / (2**n * math.e)
     return a1 * (cstar * p * math.gamma(p)) ** (1.0 / p) * c1 ** (delta / p) / (c2 * delta)
-
-
-def save_tree(tree: DecompositionTree, path: str | Path) -> None:
-    lines = [
-        f"# root center={';'.join(repr(c) for c in tree.root.center)} "
-        f"side={tree.root.side!r} sigma={tree.sigma!r} a_w={tree.a_w!r} "
-        f"blo={tree.blo_norm!r} max_gen={tree.max_gen}",
-    ]
-    for s in tree.nodes:
-        center = ";".join(repr(c) for c in s.cube.center)
-        lines.append(
-            f"gen={s.gen} parent={s.parent} center={center} "
-            f"side={s.cube.side!r} oscmean={s.osc_mean!r} mininc={s.min_inc!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def jn_csv(rep: JnReport) -> str:
-    lines = ["lambda,measured,bound,margin"]
-    for r in rep.rows:
-        lines.append(f"{r.lam!r},{r.measured!r},{r.bound!r},{r.margin!r}")
-    return "\n".join(lines) + "\n"

@@ -10,10 +10,8 @@ nonempty sample set has positive measure.
 from __future__ import annotations
 
 import functools
-import re
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +30,8 @@ __all__ = [
     "mean_value",
     "ess_inf",
     "ess_sup",
+    "DyadicFamily",
+    "dyadic_cube",
     "dyadic_cubes",
     "dilate_cube",
     "dyadic_address",
@@ -39,8 +39,6 @@ __all__ = [
     "BlockPyramid",
     "family_values",
     "periodic_displacement",
-    "save_grid_function",
-    "load_grid_function",
 ]
 
 # Fraction of the grid spacing used to separate cube-edge samples from
@@ -251,7 +249,57 @@ def ess_sup(f: GridFunction, region: Region) -> float:
     return float(f.values.ravel()[region.indices].max())
 
 
-def dyadic_cubes(grid, max_level: int) -> list[Cube]:
+def dyadic_cube(n: int, L: float, k: int, b: int) -> Cube:
+    """The level-k dyadic cube of the box [0, L)^n with row-major block
+    index b: side s = L/2^k, center (i + 0.5) s on each axis."""
+    s = L / (1 << k)
+    coords = (b,) if n == 1 else divmod(b, 1 << k)
+    return Cube(tuple((i + 0.5) * s for i in coords), s, level=k)
+
+
+class DyadicFamily(Sequence):
+    """The dyadic cubes of levels 0..max_level of the box [0, L)^n, by
+    level, then row-major over block indices (the block order of
+    level_blocks).
+
+    The family is immutable and knows its own dyadic addresses: levels[i]
+    and blocks[i] are the (level, block) address of cube i, read-only int
+    arrays.  A Cube is built only when an item is read.  A family compares
+    equal to a list or tuple of the same cubes.
+    """
+
+    def __init__(self, n: int, L: float, max_level: int):
+        self.n, self.L, self.max_level = n, L, max_level
+        counts = [1 << (n * k) for k in range(max_level + 1)]
+        self.levels = np.repeat(np.arange(max_level + 1), counts)
+        self.blocks = np.concatenate([np.arange(c) for c in counts])
+        self.levels.setflags(write=False)
+        self.blocks.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.levels.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return dyadic_cube(self.n, self.L, int(self.levels[i]),
+                           int(self.blocks[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, DyadicFamily):
+            return ((self.n, self.L, self.max_level)
+                    == (other.n, other.L, other.max_level))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"DyadicFamily(n={self.n}, L={self.L!r}, "
+                f"max_level={self.max_level})")
+
+
+def dyadic_cubes(grid, max_level: int) -> DyadicFamily:
     """All dyadic cubes of levels 0..max_level, each level tiling the box.
 
     Level-k cubes have side L/2^k; enumeration is by level, then row-major
@@ -261,17 +309,7 @@ def dyadic_cubes(grid, max_level: int) -> list[Cube]:
         raise ValueError("max_level must be >= 0")
     if (1 << max_level) > grid.N:
         raise ValueError(f"max_level {max_level} too deep for N={grid.N}")
-    cubes: list[Cube] = []
-    for k in range(max_level + 1):
-        s = grid.L / (1 << k)
-        if grid.n == 1:
-            for i in range(1 << k):
-                cubes.append(Cube(((i + 0.5) * s,), s, level=k))
-        else:
-            for i in range(1 << k):
-                for j in range(1 << k):
-                    cubes.append(Cube(((i + 0.5) * s, (j + 0.5) * s), s, level=k))
-    return cubes
+    return DyadicFamily(grid.n, grid.L, max_level)
 
 
 def dilate_cube(q: Cube, t: float) -> Cube:
@@ -336,9 +374,12 @@ class BlockPyramid:
 
     A level-k table holds one entry per level-k dyadic block, in the order
     of level_blocks, so entry b belongs to the cube at dyadic_address
-    (k, b).  Each table is reduced from level_blocks the first time one of
-    its levels is read and kept, so a scan pays only for the levels it
-    reads.  Tables are read-only.
+    (k, b).  Each table is built the first time one of its levels is read
+    and kept, so a scan pays only for the levels it reads.  Min and max are
+    built bottom-up, exactly: the finest level is a view of the samples and
+    each coarser level the element-wise min (max) of its children's
+    entries.  The other tables are reduced from level_blocks.  Tables are
+    read-only.
     """
 
     def __init__(self, values: np.ndarray, n: int):
@@ -367,11 +408,26 @@ class BlockPyramid:
     def sum(self, k: int) -> np.ndarray:
         return self.table("sum", k, lambda k: self.blocks(k).sum(axis=1))
 
+    def _coarsen(self, finer: Callable[[int], np.ndarray], k: int,
+                 op: np.ufunc) -> np.ndarray:
+        """op over the 2^n children of each level-k block, read from the
+        level-(k+1) table finer(k + 1); at the finest level, the samples."""
+        if k == self.depth:
+            return self.values.reshape(-1)
+        t = finer(k + 1).reshape((1 << k, 2) * self.n)
+        # pair axes 2n-1, ..., 3, 1: the child index along each axis
+        for axis in range(2 * self.n - 1, 0, -2):
+            lead = (slice(None),) * axis
+            t = op(t[lead + (0,)], t[lead + (1,)])
+        return t.ravel()
+
     def min(self, k: int) -> np.ndarray:
-        return self.table("min", k, lambda k: self.blocks(k).min(axis=1))
+        return self.table("min", k, lambda k: self._coarsen(
+            self.min, k, np.minimum))
 
     def max(self, k: int) -> np.ndarray:
-        return self.table("max", k, lambda k: self.blocks(k).max(axis=1))
+        return self.table("max", k, lambda k: self._coarsen(
+            self.max, k, np.maximum))
 
     def absdev(self, k: int) -> np.ndarray:
         """Σ_Q |v - v_Q| per block, v_Q the block mean."""
@@ -396,13 +452,18 @@ def family_values(grid, cubes: Sequence[Cube],
     """Per-cube quantities of a cube family, shape (quantities, len(cubes)).
 
     Each dyadic cube reads entry b of every table in level_values(k), where
-    (k, b) is its dyadic_address (mapped for the whole family in one
-    vectorized pass); level_values is called once per level
-    the family holds.  Other cubes, and the cubes of a level for which
-    level_values returns None, get cube_values(cube).  Columns follow the
-    order of cubes, so np.argmax finds the first maximal cube.
+    (k, b) is its dyadic_address: a DyadicFamily of the grid's box that
+    fits the grid supplies its own, any other sequence is mapped in one
+    vectorized pass.  level_values is called once per level the family
+    holds.  Other cubes, and the cubes of a level for which level_values
+    returns None, get cube_values(cube).  Columns follow the order of
+    cubes, so np.argmax finds the first maximal cube.
     """
-    levels, blocks = _dyadic_addresses(grid, cubes)
+    if (isinstance(cubes, DyadicFamily) and cubes.n == grid.n
+            and cubes.L == grid.L and (1 << cubes.max_level) <= grid.N):
+        levels, blocks = cubes.levels, cubes.blocks
+    else:
+        levels, blocks = _dyadic_addresses(grid, cubes)
     out = None
     for k in np.unique(levels).tolist():
         sel = np.flatnonzero(levels == k)
@@ -416,33 +477,3 @@ def family_values(grid, cubes: Sequence[Cube],
             out = np.empty((vals.shape[0], len(cubes)))
         out[:, sel] = vals
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_HEADER_RE = re.compile(r"#\s*n=(\d+)\s+L=([^\s]+)\s+N=(\d+)\s*$")
-
-
-def save_grid_function(f: GridFunction, path: str | Path) -> None:
-    """CSV form: header `# n=<n> L=<L> N=<N>`, one value per line, row-major."""
-    lines = [f"# n={f.n} L={f.L!r} N={f.N}"]
-    lines.extend(repr(float(v)) for v in f.values.ravel())
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_grid_function(path: str | Path) -> GridFunction:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    m = _HEADER_RE.match(text[0])
-    if not m:
-        raise ValueError(f"{path}: bad header {text[0]!r}")
-    n, L, N = int(m.group(1)), float(m.group(2)), int(m.group(3))
-    body = [ln for ln in text[1:] if ln and not ln.startswith("#")]
-    vals = np.array([float(v) for v in body])
-    if vals.size != N**n:
-        raise ValueError(f"{path}: expected {N**n} values, found {vals.size}")
-    if n == 2:
-        vals = vals.reshape(N, N)
-    return GridFunction(n, L, N, vals)

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -54,8 +52,6 @@ __all__ = [
     "lambda_warn_threshold",
     "annulus_level_cap",
     "l2_norm",
-    "save_result",
-    "load_result",
 ]
 
 # Largest working set, in bytes, of one pass of the operator stack; a
@@ -466,29 +462,3 @@ def l2_norm(f: GridFunction, w: Weight | None = None) -> float:
     if w is not None:
         sq = sq * w.values
     return math.sqrt(float(sq.sum()) * h**f.n)
-
-
-def save_result(res: SquareFunctionResult, path: str | Path) -> None:
-    g = res.values
-    lam = "none" if res.lam is None else repr(res.lam)
-    meta = (f"# op={res.op} lambda={lam} tmin={res.scales.t_min!r} "
-            f"tmax={res.scales.t_max!r} M={res.scales.M}")
-    if res.ell is not None:
-        meta += f" ell={res.ell}"
-    if res.part is not None:
-        meta += f" part={res.part} r={res.trunc_r!r}"
-    lines = [f"# n={g.n} L={g.L!r} N={g.N}", meta]
-    lines.extend(repr(float(v)) for v in g.values.ravel())
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_result(path: str | Path) -> tuple[GridFunction, dict]:
-    from .grid import load_grid_function
-
-    text = Path(path).read_text().splitlines()
-    meta: dict[str, str] = {}
-    if len(text) > 1 and text[1].startswith("# op="):
-        for tok in text[1][2:].split():
-            k, _, v = tok.partition("=")
-            meta[k] = v
-    return load_grid_function(path), meta

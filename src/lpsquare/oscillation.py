@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
+    BlockPyramid,
     Cube,
     GridFunction,
     cube_region,
@@ -47,7 +48,6 @@ __all__ = [
     "BmoLemmaRow",
     "BmoLemmaReport",
     "bmo_lemma_bounds",
-    "csv_row",
 ]
 
 
@@ -91,11 +91,13 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
     raise ValueError(f"unknown functional kind {kind!r}")
 
 
-def _deviation(kind: str, blocks: np.ndarray) -> np.ndarray:
-    """f - f_Q (bmo kinds, in absolute value) or f - min_Q f per block row."""
+def _deviation(kind: str, fp: BlockPyramid, k: int) -> np.ndarray:
+    """f - f_Q (bmo kinds, in absolute value) or f - min_Q f per level-k
+    block row."""
+    blocks = fp.blocks(k)
     if kind.startswith("bmo"):
         return np.abs(blocks - blocks.mean(axis=1, keepdims=True))
-    return blocks - blocks.min(axis=1, keepdims=True)
+    return blocks - fp.min(k)[:, None]
 
 
 def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
@@ -110,10 +112,10 @@ def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
         return fp.absdev(k) * hn / wq
     if kind == "blo":
         dev = fp.table("blo", k, lambda k: _deviation(
-            kind, fp.blocks(k)).sum(axis=1))
+            kind, fp, k).sum(axis=1))
         return dev * hn / wq
     dev = fp.table((kind, p, wp), k, lambda k: (
-        _deviation(kind, fp.blocks(k)) ** p
+        _deviation(kind, fp, k) ** p
         * level_blocks(wp.power(1.0 - p), f.n, k)).sum(axis=1))
     return (dev * hn / wq) ** (1.0 / p)
 
@@ -216,10 +218,3 @@ def bmo_lemma_bounds(f: GridFunction, w: Weight, base_cube: Cube, k_max: int,
         else:
             c_min = max(c_min, ratio)
     return BmoLemmaReport(tuple(rows), c_min, k0_ok, a1, bmo, min_w)
-
-
-def csv_row(rep: OscillationReport) -> str:
-    """kind,p,value,center,side,family -- one row per functional."""
-    center = ";".join(repr(c) for c in rep.argmax.center)
-    p = "" if rep.p is None else repr(rep.p)
-    return f"{rep.kind},{p},{rep.value!r},{center},{rep.argmax.side!r},{rep.family_id}"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .grid import (
     cube_region,
     dilate_cube,
     family_values,
-    load_grid_function,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "tdilate_report",
     "ReverseHolderReport",
     "reverse_holder",
-    "save_weight",
-    "load_weight",
 ]
 
 
@@ -160,21 +156,43 @@ class DoublingRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
+_SLACK = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
 class DoublingReport:
+    """Ratios ω(tQ)/ω(Q) of a cube family, one per entry of cubes, against
+    bound: one float for every ratio, or an array with one per ratio.
+    Compare reports by their rows."""
+
     constant: float
     constant_kind: str
-    rows: tuple[DoublingRecord, ...]
+    cubes: Sequence[Cube]
+    ratios: np.ndarray
+    bound: float | np.ndarray
 
     @property
     def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return bool(np.all(self.ratios <= self.bound * (1 + _SLACK)))
+
+    @property
+    def margin(self) -> float:
+        """Smallest bound/ratio over the positive ratios; inf if none."""
+        pos = self.ratios > 0
+        quot = np.broadcast_to(self.bound, self.ratios.shape)[pos] \
+            / self.ratios[pos]
+        return float(quot.min()) if quot.size else float("inf")
+
+    @property
+    def rows(self) -> tuple[DoublingRecord, ...]:
+        """One record per ratio, built on demand."""
+        bounds = np.broadcast_to(self.bound, self.ratios.shape).tolist()
+        return tuple(DoublingRecord(q, r, b, r <= b * (1 + _SLACK))
+                     for q, r, b in zip(self.cubes, self.ratios.tolist(),
+                                        bounds))
 
     def __iter__(self):
         return iter(self.rows)
-
-
-_SLACK = 1e-12
 
 
 def _doubled(table: np.ndarray, k: int, n: int, op: np.ufunc) -> np.ndarray:
@@ -223,10 +241,7 @@ def doubling_report(w: Weight, cubes: Sequence[Cube]) -> DoublingReport:
 
     ratios, a1_q, a1_2q = family_values(g, cubes, level_values, cube_values)
     a1 = float(max(a1_q.max(), a1_2q.max()))
-    bound = 2**g.n * a1
-    rows = tuple(DoublingRecord(q, ratio, bound, ratio <= bound * (1 + _SLACK))
-                 for q, ratio in zip(cubes, ratios.tolist()))
-    return DoublingReport(a1, "a1", rows)
+    return DoublingReport(a1, "a1", cubes, ratios, 2**g.n * a1)
 
 
 def tdilate_report(w: Weight, cubes: Sequence[Cube],
@@ -235,16 +250,15 @@ def tdilate_report(w: Weight, cubes: Sequence[Cube],
     g = w.base
     family = list(cubes) + [dilate_cube(q, t) for q in cubes for t in ts]
     a2 = ap_constant(w, 2.0, family)
-    rows = []
+    dilates, ratios, bounds = [], [], []
     for q in cubes:
         wq = weighted_measure(w, cube_region(g, q))
         for t in ts:
-            wtq = weighted_measure(w, cube_region(g, dilate_cube(q, t)))
-            ratio = wtq / wq
-            bound = t ** (2 * g.n) * a2
-            rows.append(DoublingRecord(dilate_cube(q, t), ratio, bound,
-                                       ratio <= bound * (1 + _SLACK)))
-    return DoublingReport(a2, "a2", tuple(rows))
+            dilates.append(dilate_cube(q, t))
+            ratios.append(weighted_measure(w, cube_region(g, dilates[-1])) / wq)
+            bounds.append(t ** (2 * g.n) * a2)
+    return DoublingReport(a2, "a2", tuple(dilates), np.array(ratios),
+                          np.array(bounds))
 
 
 @dataclass(frozen=True)
@@ -282,17 +296,3 @@ def reverse_holder(nu: Weight, p: float,
         rhs = cstar * float(g.values.ravel()[reg.indices].mean())
         rows.append(DoublingRecord(q, lhs, rhs, lhs <= rhs * (1 + _SLACK)))
     return eps, cstar, ReverseHolderReport(eps, cstar, delta, tuple(rows))
-
-
-def save_weight(w: Weight, path: str | Path) -> None:
-    g = w.base
-    lines = [f"# n={g.n} L={g.L!r} N={g.N}", "# kind=weight"]
-    lines.extend(repr(float(v)) for v in g.values.ravel())
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_weight(path: str | Path) -> Weight:
-    text = Path(path).read_text().splitlines()
-    if len(text) < 2 or text[1].replace(" ", "") != "#kind=weight":
-        raise ValueError(f"{path}: missing '# kind=weight' header flag")
-    return Weight(load_grid_function(path))

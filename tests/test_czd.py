@@ -10,7 +10,6 @@ generation order exactly, in 1D and 2D.
 """
 
 import math
-import re
 from collections import deque
 
 import numpy as np
@@ -27,9 +26,7 @@ from lpsquare.czd import (
     equivalence_constant,
     jn_blo_verify,
     jn_bmo_verify,
-    jn_csv,
     layer_cake_check,
-    save_tree,
 )
 from lpsquare.grid import (
     Cube,
@@ -808,15 +805,34 @@ def test_jn_rescaling_invariance():
         assert r1.bound == pytest.approx(r2.bound, rel=1e-12)
 
 
-def test_jn_csv_schema():
-    f = _rough_function(64, 24)
-    w = constant_weight(1, 1.0, 64)
-    rep = jn_blo_verify(f, w, Cube((0.5,), 1.0, level=0), [0.1, 0.5])
-    text = jn_csv(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "lambda,measured,bound,margin"
-    assert len(lines) == 3
-    assert all(len(line.split(",")) == 4 for line in lines[1:])
+@pytest.mark.parametrize("kind", ["blo", "bmo"])
+def test_tail_counts_match_a_comparison_pass(kind):
+    # few distinct values, so the lambda grid hits sample values exactly
+    rng = np.random.default_rng(8)
+    f = gf(rng.integers(-4, 5, 64) * 0.25)
+    w = Weight(gf(rng.uniform(0.5, 2.0, 64)))
+    box = Cube((0.5,), 1.0, level=0)
+    fv = f.values
+    dev = fv - fv.min() if kind == "blo" else np.abs(fv - fv.mean())
+    lams = np.concatenate([np.unique(dev), np.unique(dev) + 0.125, [-1.0]])
+    verify = jn_blo_verify if kind == "blo" else jn_bmo_verify
+    rep = verify(f, w, box, lams, strict=False)
+    assert [r.measured for r in rep.rows] == \
+        [float((dev > lam).sum()) * f.h for lam in lams]
+    # the local constants, when handed in, are the ones computed inside
+    shared = verify(f, w, box, lams, strict=False,
+                    local=cube_local_constants(f, w, box))
+    assert shared == rep
+
+
+def test_decomposition_with_shared_local_constants_is_the_same_tree():
+    f = _rough_function(128, 31, scale=3.0)
+    w = constant_weight(1, 1.0, 128)
+    box = Cube((0.5,), 1.0, level=0)
+    tree = cz_decompose(f, w, box, sigma=1.3, max_gen=4)
+    assert len(tree.nodes) > 0
+    assert cz_decompose(f, w, box, sigma=1.3, max_gen=4,
+                        local=cube_local_constants(f, w, box)) == tree
 
 
 def test_jn_strict_flag_returns_report():
@@ -844,27 +860,6 @@ def test_equivalence_constant_scaling_and_validation():
     assert equivalence_constant(2.0, 1, 1.0, 4.0) > base
     with pytest.raises(ValueError):
         equivalence_constant(1.0, 1, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_tree_serialization_format(tmp_path):
-    f = _rough_function(128, 31, scale=3.0)
-    w = constant_weight(1, 1.0, 128)
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=1.3,
-                        max_gen=4)
-    assert len(tree.nodes) > 0
-    path = tmp_path / "tree.txt"
-    save_tree(tree, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("# root center=")
-    pat = re.compile(r"^gen=\d+ parent=\d+ center=[^ ]+ side=[^ ]+ "
-                     r"oscmean=[^ ]+ mininc=[^ ]+$")
-    assert all(pat.match(line) for line in lines[1:])
-    save_tree(tree, tmp_path / "tree2.txt")
-    assert (tmp_path / "tree2.txt").read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

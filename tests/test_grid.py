@@ -1,4 +1,4 @@
-"""Grid substrate: measures, means, dyadic cubes, membership, serialization."""
+"""Grid substrate: measures, means, dyadic cubes, membership."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from lpsquare.grid import (
     Cube,
+    DyadicFamily,
     GridFunction,
+    _dyadic_addresses,
     Region,
     axis_coords,
     ball_region,
@@ -20,11 +22,9 @@ from lpsquare.grid import (
     from_callable,
     full_region,
     level_blocks,
-    load_grid_function,
     mean_value,
     measure,
     periodic_displacement,
-    save_grid_function,
 )
 
 
@@ -161,6 +161,48 @@ def test_dyadic_address_roundtrip():
         dyadic_address(f, Cube((0.25,), 0.5, level=1))
 
 
+def loop_dyadic_cubes(g, max_level):
+    """Every dyadic cube of levels 0..max_level, one Cube at a time."""
+    cubes = []
+    for k in range(max_level + 1):
+        s = g.L / (1 << k)
+        for i in range(1 << k):
+            if g.n == 1:
+                cubes.append(Cube(((i + 0.5) * s,), s, level=k))
+                continue
+            for j in range(1 << k):
+                cubes.append(Cube(((i + 0.5) * s, (j + 0.5) * s), s, level=k))
+    return cubes
+
+
+@pytest.mark.parametrize("n,N,L", [(1, 32, 1.0), (2, 8, 2.0), (1, 64, 0.7)])
+def test_dyadic_family_is_the_loop_family_with_its_addresses(n, N, L):
+    g = make_grid(n=n, L=L, N=N)
+    for max_level in range(N.bit_length()):
+        family = dyadic_cubes(g, max_level)
+        assert isinstance(family, DyadicFamily)
+        expected = loop_dyadic_cubes(g, max_level)
+        assert list(family) == expected
+        assert len(family) == len(expected)
+        levels, blocks = _dyadic_addresses(g, list(family))
+        assert np.array_equal(family.levels, levels)
+        assert np.array_equal(family.blocks, blocks)
+        assert not family.levels.flags.writeable
+        assert not family.blocks.flags.writeable
+        # equal to a list or tuple of the same cubes, and to itself
+        assert family == expected and family == tuple(expected)
+        assert expected == family
+        assert family == dyadic_cubes(g, max_level)
+        assert family != expected[:-1]
+        assert family != expected[::-1] or max_level == 0
+        assert family[-1] == expected[-1]
+        assert family[1::3] == expected[1::3]
+        assert family[np.int64(len(expected) - 1)] == expected[-1]
+        with pytest.raises(IndexError):
+            family[len(expected)]
+    assert dyadic_cubes(g, 1) != dyadic_cubes(g, 2)
+
+
 def test_region_sorts_and_dedupes_unsorted_input():
     given_idx = np.array([5, 1, 5, 3, 1])
     r = Region(1, 1.0, 8, given_idx)
@@ -215,18 +257,6 @@ def test_ess_bounds_and_validation():
         GridFunction(1, 1.0, 8, np.full(8, np.nan))
     with pytest.raises(ValueError):
         dyadic_cubes(f, 5)
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    for n, N in [(1, 16), (2, 8)]:
-        shape = (N,) if n == 1 else (N, N)
-        f = make_grid(n=n, L=2.0, N=N, values=rng.normal(size=shape))
-        p = tmp_path / f"f{n}.csv"
-        save_grid_function(f, p)
-        g = load_grid_function(p)
-        assert (g.n, g.L, g.N) == (f.n, f.L, f.N)
-        assert np.array_equal(g.values, f.values)
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,8 +30,6 @@ from lpsquare.operators import (
     g_star,
     l2_norm,
     lambda_warn_threshold,
-    load_result,
-    save_result,
     split_at_scale,
     square_functions,
 )
@@ -391,20 +389,6 @@ def test_l2_norm_weighted():
     assert l2_norm(f) == pytest.approx(2.0)
     w = constant_weight(1, 1.0, 16, 4.0)
     assert l2_norm(f, w) == pytest.approx(4.0)
-
-
-def test_result_serialization_roundtrip(tmp_path):
-    f = sine(N=64, k=2)
-    sg = ScaleGrid(2.0 / 64, 0.25, 8)
-    res = g_star(POISSON1, f, 8.0, sg)
-    p = tmp_path / "gstar.csv"
-    save_result(res, p)
-    back, meta = load_result(p)
-    assert np.array_equal(back.values, res.values.values)
-    assert meta["op"] == "gstar"
-    assert float(meta["lambda"]) == 8.0
-    assert int(meta["M"]) == 8
-    assert float(meta["tmin"]) == pytest.approx(2.0 / 64)
 
 
 # ---------------------------------------------------------------------------

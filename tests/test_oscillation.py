@@ -14,7 +14,6 @@ from lpsquare.oscillation import (
     bmo_lemma_bounds,
     bmo_norm,
     bmo_p_norm,
-    csv_row,
     linf_weighted_norm,
     single_cube_value,
 )
@@ -221,17 +220,6 @@ def test_bmo_lemma_constant_function():
     rep = bmo_lemma_bounds(f, w, base, 3, cubes)
     assert all(r.value == 0.0 for r in rep.rows)
     assert rep.c_min == 0.0
-
-
-def test_csv_row_schema():
-    f = indicator()
-    rep = bmo_norm(f, unit_weight(), dyadic_cubes(f, 2), family_id="dyadic-2")
-    row = csv_row(rep)
-    parts = row.split(",")
-    assert parts[0] == "bmo"
-    assert parts[1] == ""
-    assert float(parts[2]) == rep.value
-    assert parts[-1] == "dyadic-2"
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,15 @@ maximal cube.
 import numpy as np
 import pytest
 
-from lpsquare.grid import Cube, GridFunction, cube_region, dilate_cube, dyadic_cubes
+from lpsquare.grid import (
+    BlockPyramid,
+    Cube,
+    GridFunction,
+    cube_region,
+    dilate_cube,
+    dyadic_cubes,
+    level_blocks,
+)
 from lpsquare.oscillation import (
     blo_constant,
     blo_p_norm,
@@ -19,7 +27,13 @@ from lpsquare.oscillation import (
     linf_weighted_norm,
     single_cube_value,
 )
-from lpsquare.weights import Weight, a1_constant, ap_constant, doubling_report
+from lpsquare.weights import (
+    DoublingReport,
+    Weight,
+    a1_constant,
+    ap_constant,
+    doubling_report,
+)
 
 RTOL = 1e-12
 
@@ -160,3 +174,68 @@ def test_constant_function_ties_at_the_first_cube(n, N, family):
     assert a1_constant(w, cubes) == 1.0
     assert ap_constant(w, 2.0, cubes) == pytest.approx(1.0, rel=RTOL)
     assert doubling_report(w, cubes).constant == 1.0
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_family_scans_equal_the_list_scans_bit_for_bit(n, N):
+    # a DyadicFamily reads its own addresses; the list of its cubes maps
+    # them from the centers; every value and witness must agree exactly
+    f, w = random_pair(n, N, seed=4)
+    for max_level in range(N.bit_length()):
+        family = dyadic_cubes(f, max_level)
+        cubes = list(family)
+        for kind, p in KINDS:
+            a, b = SCANS[kind](f, w, family, p), SCANS[kind](f, w, cubes, p)
+            assert (a.value, a.argmax) == (b.value, b.argmax), kind
+        assert a1_constant(w, family) == a1_constant(w, cubes)
+        assert ap_constant(w, 2.0, family) == ap_constant(w, 2.0, cubes)
+        a, b = doubling_report(w, family), doubling_report(w, cubes)
+        assert a.constant == b.constant
+        assert a.ratios.tobytes() == b.ratios.tobytes()
+        assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_min_max_tables_equal_the_block_reductions(n, N):
+    # few distinct values, negatives included, so most blocks hold ties
+    rng = np.random.default_rng(5)
+    values = rng.integers(-3, 3, (N,) * n) + rng.choice([0.0, 0.5], (N,) * n)
+    pyr = BlockPyramid(values, n)
+    for k in range(pyr.depth + 1):
+        blocks = level_blocks(values, n, k)
+        assert pyr.min(k).tobytes() == blocks.min(axis=1).tobytes()
+        assert pyr.max(k).tobytes() == blocks.max(axis=1).tobytes()
+        assert not pyr.min(k).flags.writeable
+    # the finest level is the samples themselves, not a copy
+    assert np.shares_memory(pyr.min(pyr.depth), values)
+    assert np.shares_memory(pyr.max(pyr.depth), values)
+
+
+def per_record_margin(rows):
+    return min((r.bound / r.ratio for r in rows if r.ratio > 0),
+               default=float("inf"))
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_doubling_report_derives_rows_all_ok_and_margin(n, N):
+    _, w = random_pair(n, N)
+    family = dyadic_cubes(w.base, N.bit_length() - 1)
+    rep = doubling_report(w, family)
+    rows = rep.rows
+    assert [r.cube for r in rows] == family
+    assert [r.ratio for r in rows] == rep.ratios.tolist()
+    assert all(r.bound == rep.bound == 2**n * rep.constant for r in rows)
+    assert all(r.ok == (r.ratio <= r.bound * (1 + 1e-12)) for r in rows)
+    assert rep.all_ok is all(r.ok for r in rows)
+    assert rep.margin == per_record_margin(rows)
+    assert list(rep) == list(rows)
+    # a failing ratio, a zero ratio, and a bound per ratio
+    cubes = list(family)[:3]
+    for bound in (2.0, np.array([1.0, 2.0, 3.0])):
+        bad = DoublingReport(1.0, "a1", cubes, np.array([0.5, 3.0, 0.0]),
+                             bound)
+        assert bad.all_ok is all(r.ok for r in bad.rows) is False
+        assert bad.margin == per_record_margin(bad.rows)
+    none = DoublingReport(1.0, "a1", cubes, np.zeros(3), 2.0)
+    assert none.all_ok and none.margin == per_record_margin(none.rows) \
+        == float("inf")

@@ -21,10 +21,8 @@ from lpsquare.weights import (
     ap_constant,
     constant_weight,
     doubling_report,
-    load_weight,
     power_weight,
     reverse_holder,
-    save_weight,
     tdilate_report,
     weighted_measure,
 )
@@ -224,19 +222,6 @@ def test_ap_rejects_small_p():
     w = constant_weight(1, 1.0, 16, 1.0)
     with pytest.raises(ValueError):
         ap_constant(w, 1.0, dyadic_cubes(w.base, 2))
-
-
-def test_weight_serialization_roundtrip(tmp_path):
-    w = regularized_power(-0.4)(1, 2.0, 32)
-    p = tmp_path / "w.csv"
-    save_weight(w, p)
-    back = load_weight(p)
-    assert np.array_equal(back.values, w.values)
-    assert (back.n, back.L, back.N) == (1, 2.0, 32)
-    bad = tmp_path / "f.csv"
-    bad.write_text("# n=1 L=1.0 N=2\n1.0\n1.0\n")
-    with pytest.raises(ValueError):
-        load_weight(bad)
 
 
 @settings(max_examples=30, deadline=None)
