@@ -9,8 +9,13 @@ after another, each for the `run_seconds` that file sets, and writes BENCH_<LABE
 BENCHMARK.json. The record holds each workload's result line (the last
 stdout line of run.py: correct, attempted, failed and the end-to-end
 metrics), the checkout's commit and whether its tracked files differ from
-it, the seed, the run length, and the machine (platform, Python, nproc).
-Two records compare field by field. Exits 1 if any workload did not run.
+it, the seed, the run length, the machine (platform, Python, nproc) and
+`src_bytecode`: whether any *.pyc sat under the checkout's src/ before the
+runs.  A launch that imports compiled modules sets up faster than one that
+compiles them from source, so two records compare fairly only when their
+`src_bytecode` agree.  run.py runs with PYTHONDONTWRITEBYTECODE=1, so no
+launch compiles the checkout for the ones after it.  Two records compare
+field by field. Exits 1 if any workload did not run.
 """
 
 from __future__ import annotations
@@ -50,15 +55,17 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+        "src_bytecode": any((checkout / "src").rglob("*.pyc")),
         "workloads": {},
     }
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     ok = True
     for workload in (w["name"] for w in spec["workloads"]):
         done = subprocess.run(
             [sys.executable, str(checkout / "perfbench" / "run.py"),
              "--workload", workload, "--seed", str(args.seed),
              "--seconds", str(spec["run_seconds"]), "--trace", "0"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:
             print(f"{workload}: exit {done.returncode}\n{done.stderr}",

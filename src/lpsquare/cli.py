@@ -7,6 +7,10 @@ assertion of the invoked suite passed.  Corpus entries are processed in
 parallel under --jobs with deterministic output ordering: operators and
 theorem-suite hand each worker one contiguous chunk of entries, computed
 as one batch, while weights and jn hand out single entries.
+
+Importing this module loads only cli, report, grid and weights; each
+subcommand imports the other modules it runs where it uses them, before
+its pool forks, so that the workers inherit them.
 """
 
 from __future__ import annotations
@@ -26,24 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .czd import (
-    cube_local_constants,
-    cz_decompose,
-    equivalence_constant,
-    jn_blo_verify,
-    jn_bmo_verify,
-)
 from .grid import Cube, DyadicFamily, dyadic_cubes, grid_function
-from .kernels import certify, kernel_registry, nonvanishing_hat_kernel
-from .operators import (
-    OperatorSpec,
-    ScaleGrid,
-    default_scales,
-    g_function,
-    l2_norm,
-    square_functions,
-)
-from .oscillation import blo_constant, blo_p_norm, bmo_norm
 from .report import (
     RunManifest,
     RunConfig,
@@ -64,6 +51,7 @@ STABILITY_LIMIT = 0.05
 
 def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
     """The configured scale window; an unset endpoint keeps its default."""
+    from .operators import ScaleGrid, default_scales
     default = default_scales(f, M=cfg.M)
     return ScaleGrid(default.t_min if cfg.t_min is None else cfg.t_min,
                      default.t_max if cfg.t_max is None else cfg.t_max, cfg.M)
@@ -79,6 +67,7 @@ def _family(n: int, L: float, N: int, max_level: int) -> DyadicFamily:
 def _certified_kernel(name: str, n: int, vanish: float):
     """Registry lookup that only hands back kernels whose vanishing
     residual is within the configured tolerance."""
+    from .kernels import kernel_registry
     kernel = kernel_registry(name, n)
     rep = kernel.report
     if rep is None or not rep.passed or not rep.p1_residual <= vanish:
@@ -94,7 +83,9 @@ def _lambda_star(kernel, n: int) -> float:
 
 
 def _pmap(fn, items, cfg: RunConfig, jobs: int) -> list:
-    """fn(item, cfg) for every work item, in order, on up to jobs workers."""
+    """fn(item, cfg) for every work item, in order, on up to jobs workers
+    and never more workers than items."""
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(item, cfg) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -122,6 +113,7 @@ def _pmap_chunks(fn, cfg: RunConfig, jobs: int) -> list:
 
 
 def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
+    from .kernels import certify, kernel_registry, nonvanishing_hat_kernel
     n, tol = cfg.n, cfg.vanish
     names = ["poisson-derivative", "gauss-derivative"]
     if n == 1:
@@ -193,6 +185,7 @@ def _operator_results(kernel, fs, scales, lams):
     """g, S and g*_lam for each lam in lams from one pass over the scales,
     per function of the batch fs, keyed "g", "s", "gstar_<lam>"; yielded
     as square_functions computes them."""
+    from .operators import OperatorSpec, square_functions
     keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
     specs = [OperatorSpec("g"), OperatorSpec("s")] + \
         [OperatorSpec("gstar", lam=lam) for lam in lams]
@@ -245,6 +238,7 @@ def _batched_results(kernel, entries, cfg, lams):
 
 
 def _operators_rows(entries, cfg):
+    from .operators import l2_norm
     kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     lam = _lambda_star(kernel, cfg.n)
     out = []
@@ -262,6 +256,7 @@ def _operators_rows(entries, cfg):
 
 
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
+    from .operators import default_scales, g_function
     n, L, N = cfg.n, cfg.L, cfg.N
     kernel = _certified_kernel(cfg.kernel, n, cfg.vanish)
     manifest.kernels.append({
@@ -292,6 +287,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
 
 
 def _theorem_rows(entries, cfg):
+    from .oscillation import blo_constant, bmo_norm
     kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     family = _family(cfg.n, cfg.L, cfg.N, cfg.max_level)
     lam = _lambda_star(kernel, cfg.n)
@@ -315,6 +311,7 @@ def _theorem_rows(entries, cfg):
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
+    from . import operators, oscillation  # noqa: F401  loaded before the fork
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
     kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     manifest.kernels.append({
@@ -345,6 +342,9 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
 
 
 def _jn_rows(entry, cfg):
+    from .czd import (cube_local_constants, cz_decompose,
+                      equivalence_constant, jn_blo_verify, jn_bmo_verify)
+    from .oscillation import blo_constant, blo_p_norm
     n, L, nodes = cfg.n, cfg.L, cfg.lambda_nodes
     f, w = entry.realize(n, L, cfg.N, cfg.seed)
     box = Cube((L / 2.0,) * n, L, level=0)
@@ -392,6 +392,7 @@ def _jn_rows(entry, cfg):
 
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
+    from . import czd, oscillation  # noqa: F401  loaded before the fork
     results = _pmap(_jn_rows, cfg.corpus.entries, cfg, jobs)
     tables = []
     summary = []

@@ -34,6 +34,7 @@ from .grid import (
     GridFunction,
     Region,
     cube_region,
+    distinct_sorted,
     dyadic_address,
     dyadic_cube,
 )
@@ -348,7 +349,7 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, region: Region,
     gv = np.abs(g.values.ravel()[region.indices])
     wv = w.values.ravel()[region.indices] * h**g.n
     lhs = float((gv**p * wv).sum())
-    levels = np.unique(gv)
+    levels = distinct_sorted(gv)
     if mode == "auto":
         mode = "step" if levels.size <= 1024 else "trapezoid"
     if mode == "step":

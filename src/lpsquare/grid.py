@@ -38,6 +38,7 @@ __all__ = [
     "level_blocks",
     "BlockPyramid",
     "family_values",
+    "distinct_sorted",
     "periodic_displacement",
 ]
 
@@ -140,6 +141,16 @@ class Cube:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
 
+def distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1D array in ascending order, as np.unique
+    gives them for finite input.  np.unique is not used because its first
+    call imports numpy.ma."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 @dataclass(frozen=True)
 class Region:
     """A set of grid samples, stored as sorted flat indices."""
@@ -154,7 +165,7 @@ class Region:
         # cube and ball regions arrive sorted; only other input needs
         # sorting and deduplication
         if not np.all(idx[1:] > idx[:-1]):
-            idx = np.unique(idx)
+            idx = distinct_sorted(idx)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.N**self.n):
             raise ValueError("region indices out of range")
         idx.setflags(write=False)
@@ -408,6 +419,11 @@ class BlockPyramid:
     def sum(self, k: int) -> np.ndarray:
         return self.table("sum", k, lambda k: self.blocks(k).sum(axis=1))
 
+    def mean(self, k: int) -> np.ndarray:
+        """Block means, read from the sum table; equal bit for bit to
+        blocks(k).mean(axis=1), which divides the same row sums."""
+        return self.sum(k) / self.count(k)
+
     def _coarsen(self, finer: Callable[[int], np.ndarray], k: int,
                  op: np.ufunc) -> np.ndarray:
         """op over the 2^n children of each level-k block, read from the
@@ -432,8 +448,7 @@ class BlockPyramid:
     def absdev(self, k: int) -> np.ndarray:
         """Σ_Q |v - v_Q| per block, v_Q the block mean."""
         def build(k):
-            blocks = self.blocks(k)
-            return np.abs(blocks - blocks.mean(axis=1, keepdims=True)).sum(axis=1)
+            return np.abs(self.blocks(k) - self.mean(k)[:, None]).sum(axis=1)
         return self.table("absdev", k, build)
 
     def power(self, s: float) -> np.ndarray:
@@ -465,7 +480,7 @@ def family_values(grid, cubes: Sequence[Cube],
     else:
         levels, blocks = _dyadic_addresses(grid, cubes)
     out = None
-    for k in np.unique(levels).tolist():
+    for k in distinct_sorted(levels).tolist():
         sel = np.flatnonzero(levels == k)
         tables = level_values(k) if k >= 0 else None
         if tables is None:

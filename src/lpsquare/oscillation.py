@@ -94,10 +94,9 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
 def _deviation(kind: str, fp: BlockPyramid, k: int) -> np.ndarray:
     """f - f_Q (bmo kinds, in absolute value) or f - min_Q f per level-k
     block row."""
-    blocks = fp.blocks(k)
     if kind.startswith("bmo"):
-        return np.abs(blocks - blocks.mean(axis=1, keepdims=True))
-    return blocks - fp.min(k)[:, None]
+        return np.abs(fp.blocks(k) - fp.mean(k)[:, None])
+    return fp.blocks(k) - fp.min(k)[:, None]
 
 
 def _level_values(kind: str, f: GridFunction, w: Weight, k: int,

@@ -18,6 +18,12 @@ from lpsquare.report import _SCHEMA, default_corpus, load_config
 
 FAST = ("--set", "grid.N=256", "--set", "scales.M=12",
         "--set", "family.max_level=4")
+# five entries named a to e
+FIVE = ("--set", "corpus.a=step() | constant()",
+        "--set", "corpus.b=sine(k=2) | power-regularized(alpha=0.25)",
+        "--set", "corpus.c=log-spike(x0=0.3) | piecewise(seed=3)",
+        "--set", "corpus.d=random-martingale(seed=5) | constant()",
+        "--set", "corpus.e=sawtooth(k=4) | piecewise(seed=2)")
 
 
 def run(tmp_path, *argv):
@@ -382,16 +388,11 @@ def test_operator_csvs_do_not_depend_on_jobs(tmp_path, command):
 
 def test_uneven_chunks_write_the_same_csvs_as_one_batch(tmp_path):
     # five entries on two workers: chunks of 3 and 2
-    corpus = ("--set", "corpus.a=step() | constant()",
-              "--set", "corpus.b=sine(k=2) | power-regularized(alpha=0.25)",
-              "--set", "corpus.c=log-spike(x0=0.3) | piecewise(seed=3)",
-              "--set", "corpus.d=random-martingale(seed=5) | constant()",
-              "--set", "corpus.e=sawtooth(k=4) | piecewise(seed=2)")
     for command in ("operators", "theorem-suite"):
         _, out1, serial = run(tmp_path / command / "1", command, *FAST,
-                              *corpus)
+                              *FIVE)
         code, out2, parallel = run(tmp_path / command / "2", command, *FAST,
-                                   *corpus, "--jobs", "2")
+                                   *FIVE, "--jobs", "2")
         assert code == 0
         assert [e["batch_size"] for e in serial["entries"]] == [5] * 5
         assert [e["batch_size"] for e in parallel["entries"]] == \
@@ -401,6 +402,41 @@ def test_uneven_chunks_write_the_same_csvs_as_one_batch(tmp_path):
         assert csvs
         for path in csvs:
             assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no process starts."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("command",
+                         ["weights", "operators", "theorem-suite", "jn"])
+def test_pool_never_exceeds_the_work_items(tmp_path, monkeypatch, command):
+    _, out1, _ = run(tmp_path / "1", command, *FAST, *FIVE)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "workers", [])
+    code, out64, _ = run(tmp_path / "64", command, *FAST, *FIVE,
+                         "--jobs", "64")
+    assert code == 0
+    assert _InlinePool.workers == [5]
+    csvs = sorted(out1.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert (out64 / path.name).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])

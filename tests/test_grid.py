@@ -15,6 +15,7 @@ from lpsquare.grid import (
     ball_region,
     cube_region,
     dilate_cube,
+    distinct_sorted,
     dyadic_address,
     dyadic_cubes,
     ess_inf,
@@ -219,6 +220,19 @@ def test_region_sorts_and_dedupes_unsorted_input():
     for bad in ([1, 8], [8, 1], [-1, 2], [2, -1]):
         with pytest.raises(ValueError, match="out of range"):
             Region(1, 1.0, 8, bad)
+
+
+@pytest.mark.parametrize("values", [
+    [], [4], [1, 2, 3, 9], [9, 3, 1, 2], [5, 1, 5, 3, 1, 1], [2, 2, 2],
+    [-1, 0, 3, -1, 3, 0], [0.5, -0.0, 0.0, 2.5, 0.5, -1.5],
+])
+def test_distinct_sorted_equals_np_unique(values):
+    for dtype in (np.int64, float):
+        a = np.array(values, dtype=dtype)
+        got, want = distinct_sorted(a), np.unique(a)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert a.tolist() == np.array(values, dtype=dtype).tolist()
 
 
 def test_ball_region_1d_is_interval():

@@ -20,6 +20,7 @@ from lpsquare.grid import (
     level_blocks,
 )
 from lpsquare.oscillation import (
+    _deviation,
     blo_constant,
     blo_p_norm,
     bmo_norm,
@@ -209,6 +210,21 @@ def test_min_max_tables_equal_the_block_reductions(n, N):
     # the finest level is the samples themselves, not a copy
     assert np.shares_memory(pyr.min(pyr.depth), values)
     assert np.shares_memory(pyr.max(pyr.depth), values)
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 32)])
+def test_mean_tables_equal_the_block_mean_formula(n, N):
+    # ties and negative values; each table against blocks.mean(axis=1)
+    rng = np.random.default_rng(7)
+    values = rng.integers(-3, 3, (N,) * n) + rng.choice([0.0, 0.1], (N,) * n)
+    pyr = BlockPyramid(values, n)
+    for k in range(pyr.depth + 1):
+        blocks = level_blocks(values, n, k)
+        mean = blocks.mean(axis=1, keepdims=True)
+        dev = np.abs(blocks - mean)
+        assert pyr.mean(k).tobytes() == mean.ravel().tobytes()
+        assert pyr.absdev(k).tobytes() == dev.sum(axis=1).tobytes()
+        assert _deviation("bmo", pyr, k).tobytes() == dev.tobytes()
 
 
 def per_record_margin(rows):
