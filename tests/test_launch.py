@@ -61,3 +61,12 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command):
     assert "numpy.ma" not in numpy
     # Gauss–Legendre nodes load with the first kernel certification
     assert ("numpy.polynomial" in numpy) == ("lpsquare.kernels" in ours)
+
+
+def test_gauss_legendre_nodes_load_on_first_certification():
+    ours, numpy = launch("import lpsquare.kernels")
+    assert "lpsquare.kernels" in ours
+    assert "numpy.polynomial" not in numpy
+    _, numpy = launch("import lpsquare.kernels",
+                      "lpsquare.kernels.kernel_registry('gauss-derivative', 1)")
+    assert "numpy.polynomial" in numpy
