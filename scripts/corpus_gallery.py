@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from lpsquare.grid import axis_coords
-from lpsquare.report import Table, build_corpus, default_corpus, table_csv
+from lpsquare.report import Table, load_config, table_csv
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/gallery", help="output directory")
     ap.add_argument("--entries", default=None,
-                    help="optional corpus spec file (INI with a [corpus] section)")
+                    help="optional config file (INI with a [corpus] section); "
+                    "the built-in corpus when it lists no pairs")
     ap.add_argument("--N", type=int, default=1024, help="samples per axis")
     ap.add_argument("--L", type=float, default=1.0, help="box side")
     ap.add_argument("--seed", type=int, default=1234, help="base seed")
@@ -31,7 +32,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    corpus = build_corpus(args.entries) if args.entries else default_corpus()
+    corpus = load_config(args.entries).corpus
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -10,7 +10,7 @@ nonempty sample set has positive measure.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +23,8 @@ __all__ = [
     "from_callable",
     "axis_coords",
     "full_region",
-    "region_from_indices",
     "cube_region",
-    "ball_region",
     "measure",
-    "mean_value",
-    "ess_inf",
-    "ess_sup",
     "DyadicFamily",
     "dyadic_cube",
     "dyadic_cubes",
@@ -153,7 +148,7 @@ def distinct_sorted(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Region:
-    """A set of grid samples, stored as sorted flat indices."""
+    """A set of grid samples, stored as strictly increasing flat indices."""
 
     n: int
     L: float
@@ -162,10 +157,8 @@ class Region:
 
     def __post_init__(self) -> None:
         idx = np.array(self.indices, dtype=np.int64).ravel()
-        # cube and ball regions arrive sorted; only other input needs
-        # sorting and deduplication
         if not np.all(idx[1:] > idx[:-1]):
-            idx = distinct_sorted(idx)
+            raise ValueError("region indices must be strictly increasing")
         if idx.size and (idx[0] < 0 or idx[-1] >= self.N**self.n):
             raise ValueError("region indices out of range")
         idx.setflags(write=False)
@@ -178,10 +171,6 @@ class Region:
 
 def full_region(grid) -> Region:
     return Region(grid.n, grid.L, grid.N, np.arange(grid.N**grid.n))
-
-
-def region_from_indices(grid, indices: Iterable[int]) -> Region:
-    return Region(grid.n, grid.L, grid.N, np.fromiter(indices, dtype=np.int64))
 
 
 def periodic_displacement(x: np.ndarray, c: float, L: float) -> np.ndarray:
@@ -221,43 +210,10 @@ def cube_region(grid, cube: Cube) -> Region:
     return Region(grid.n, grid.L, grid.N, idx)
 
 
-def ball_region(grid, center: Sequence[float], radius: float) -> Region:
-    """Samples within periodic Euclidean distance < radius of center."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    x = axis_coords(grid)
-    if grid.n == 1:
-        d2 = periodic_displacement(x, float(center[0]), grid.L) ** 2
-    else:
-        dx = periodic_displacement(x, float(center[0]), grid.L)
-        dy = periodic_displacement(x, float(center[1]), grid.L)
-        d2 = dx[:, None] ** 2 + dy[None, :] ** 2
-    idx = np.nonzero((d2 < radius**2).ravel())[0]
-    return Region(grid.n, grid.L, grid.N, idx)
-
-
 def measure(region: Region) -> float:
     """Lebesgue measure: sample count times the cell volume h^n."""
     h = region.L / region.N
     return region.size * h**region.n
-
-
-def mean_value(f: GridFunction, region: Region) -> float:
-    if region.size == 0:
-        raise ValueError("empty region")
-    return float(f.values.ravel()[region.indices].mean())
-
-
-def ess_inf(f: GridFunction, region: Region) -> float:
-    if region.size == 0:
-        raise ValueError("empty region")
-    return float(f.values.ravel()[region.indices].min())
-
-
-def ess_sup(f: GridFunction, region: Region) -> float:
-    if region.size == 0:
-        raise ValueError("empty region")
-    return float(f.values.ravel()[region.indices].max())
 
 
 def dyadic_cube(n: int, L: float, k: int, b: int) -> Cube:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -47,10 +47,8 @@ __all__ = [
     "g_function",
     "area_integral",
     "g_star",
-    "dilated_area_integral",
     "split_at_scale",
     "lambda_warn_threshold",
-    "annulus_level_cap",
     "l2_norm",
 ]
 
@@ -119,7 +117,6 @@ class SquareFunctionResult:
     kernel_name: str
     scales: ScaleGrid
     lam: float | None = None
-    ell: int | None = None
     trunc_r: float | None = None
     part: str | None = None
     tail_bound: float = float("nan")
@@ -256,15 +253,13 @@ def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
 class OperatorSpec:
     """One operator for square_functions; fields mirror SquareFunctionResult.
 
-    op is "g", "s" (cone |y-x| < t), "s_dilated" (cone |y-x| < 2^ell t) or
-    "gstar" (weight (t/(t+|x-y|))^{lam n}).  With part "low" or "high" a
-    "g" or "s" operator keeps only the scale nodes t < trunc_r or
-    t >= trunc_r.
+    op is "g", "s" (cone |y-x| < t) or "gstar" (weight
+    (t/(t+|x-y|))^{lam n}).  With part "low" or "high" a "g" or "s"
+    operator keeps only the scale nodes t < trunc_r or t >= trunc_r.
     """
 
     op: str
     lam: float | None = None
-    ell: int | None = None
     trunc_r: float | None = None
     part: str | None = None
 
@@ -282,10 +277,6 @@ def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
         mask, vol = None, 1.0
     elif spec.op == "s":
         mask, vol = ("s", 1.0), 2.0**n
-    elif spec.op == "s_dilated":
-        if spec.ell is None or spec.ell < 1:
-            raise ValueError("ell must be a positive integer")
-        mask, vol = ("s", 2.0**spec.ell), 2.0 ** (n * (spec.ell + 1))
     elif spec.op == "gstar":
         lam = spec.lam
         if lam is None or not lam > 0:
@@ -401,7 +392,7 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
         for f, out, v in zip(fs, results, vals):
             out.append(SquareFunctionResult(
                 f.with_values(v), spec.op, kernel.name, scales, lam=spec.lam,
-                ell=spec.ell, trunc_r=spec.trunc_r, part=spec.part,
+                trunc_r=spec.trunc_r, part=spec.part,
                 tail_bound=_tail_bound(kernel, f, scales, vol),
                 spectra_built=built, batch_size=len(fs)))
     return [tuple(out) for out in results]
@@ -424,19 +415,6 @@ def g_star(kernel: Kernel, f: GridFunction, lam: float,
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
     return next(square_functions(kernel, [f], scales,
                                  [OperatorSpec("gstar", lam=lam)]))[0]
-
-
-def dilated_area_integral(kernel: Kernel, f: GridFunction, ell: int,
-                          scales: ScaleGrid) -> SquareFunctionResult:
-    """Area integral with the cone opened to |y - x| < 2^ell t."""
-    return next(square_functions(kernel, [f], scales,
-                                 [OperatorSpec("s_dilated", ell=ell)]))[0]
-
-
-def annulus_level_cap(n: int, L: float, scales: ScaleGrid) -> int:
-    """Smallest ell beyond which every annulus 2^{ell-1}t <= |y-x| is empty."""
-    dmax = L * math.sqrt(n) / 2.0
-    return max(1, int(math.ceil(1.0 + math.log2(dmax / scales.t_min))))
 
 
 def split_at_scale(op_kind: str, kernel: Kernel, f: GridFunction, r: float,

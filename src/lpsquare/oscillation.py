@@ -30,12 +30,10 @@ from .grid import (
     Cube,
     GridFunction,
     cube_region,
-    dilate_cube,
     family_values,
     level_blocks,
-    measure,
 )
-from .weights import Weight, a1_constant
+from .weights import Weight
 
 __all__ = [
     "OscillationReport",
@@ -45,9 +43,6 @@ __all__ = [
     "bmo_p_norm",
     "blo_p_norm",
     "linf_weighted_norm",
-    "BmoLemmaRow",
-    "BmoLemmaReport",
-    "bmo_lemma_bounds",
 ]
 
 
@@ -158,62 +153,3 @@ def blo_p_norm(f: GridFunction, w: Weight, p: float, cubes: Sequence[Cube],
 def linf_weighted_norm(f: GridFunction, w: Weight, cubes: Sequence[Cube],
                        family_id: str = "family") -> OscillationReport:
     return _scan("linf_w", f, w, cubes, None, family_id)
-
-
-@dataclass(frozen=True)
-class BmoLemmaRow:
-    k: int
-    cube: Cube
-    value: float
-    bound: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class BmoLemmaReport:
-    rows: tuple[BmoLemmaRow, ...]
-    c_min: float
-    k0_ok: bool
-    a1: float
-    bmo: float
-    min_w: float
-
-
-def bmo_lemma_bounds(f: GridFunction, w: Weight, base_cube: Cube, k_max: int,
-                     cubes: Sequence[Cube]) -> BmoLemmaReport:
-    """Mean deviation from f_Q over the dilates 2^k Q against k-linear bounds.
-
-    Dilation stops once the doubled cube would exceed the box.  The A1
-    constant and the oscillation norm are taken over the supplied family
-    augmented with the dilates themselves, which is what makes the k=0 case
-    and the telescoping bound exact in discrete arithmetic; the smallest
-    feasible C is max over k >= 1 of value / (k * a1 * min_Q w * bmo).
-    """
-    dilates = [base_cube]
-    for k in range(1, k_max + 1):
-        if base_cube.side * 2**k > f.L * (1 + 1e-12):
-            break
-        dilates.append(dilate_cube(base_cube, 2.0**k))
-    family = list(cubes) + dilates
-    a1 = a1_constant(w, family)
-    bmo = bmo_norm(f, w, family).value
-    base_reg = cube_region(f, base_cube)
-    h = f.L / f.N
-    f_q = float(f.values.ravel()[base_reg.indices].mean())
-    min_w = float(w.values.ravel()[base_reg.indices].min())
-    unit = a1 * min_w * bmo
-    rows = []
-    c_min = 0.0
-    k0_ok = True
-    for k, q in enumerate(dilates):
-        reg = cube_region(f, q)
-        lhs = float(np.abs(f.values.ravel()[reg.indices] - f_q).sum()) * h**f.n
-        lhs /= measure(reg)
-        bound = max(k, 1) * unit
-        ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0 else float("inf"))
-        rows.append(BmoLemmaRow(k, q, lhs, bound, ratio))
-        if k == 0:
-            k0_ok = lhs <= unit * (1 + 1e-12)
-        else:
-            c_min = max(c_min, ratio)
-    return BmoLemmaReport(tuple(rows), c_min, k0_ok, a1, bmo, min_w)

@@ -32,7 +32,6 @@ __all__ = [
     "CorpusEntry",
     "Corpus",
     "default_corpus",
-    "build_corpus",
     "realize_function",
     "realize_weight",
     "load_config",
@@ -249,7 +248,8 @@ _ENTRY_RE = re.compile(
     r"(?P<wf>[a-z-]+)\s*\((?P<wp>[^)]*)\)\s*$")
 
 
-def _parse_params(text: str) -> tuple[tuple[tuple[str, float], ...], int]:
+def _parse_params(name: str,
+                  text: str) -> tuple[tuple[tuple[str, float], ...], int]:
     params = []
     seed = 0
     for item in filter(None, (s.strip() for s in text.split(","))):
@@ -258,8 +258,13 @@ def _parse_params(text: str) -> tuple[tuple[tuple[str, float], ...], int]:
         key, val = (s.strip() for s in item.split("=", 1))
         if key == "seed":
             seed = int(val)
-        else:
-            params.append((key, float(val)))
+            continue
+        value = float(val)
+        # a step at x0=nan or x0=inf would realize the zero function
+        if not math.isfinite(value):
+            raise ValueError(f"corpus entry {name!r}: {key}={val!r} is not "
+                             "finite")
+        params.append((key, value))
     return tuple(sorted(params)), seed
 
 
@@ -273,8 +278,8 @@ def _parse_entry(name: str, text: str) -> CorpusEntry:
         raise ValueError(
             f"corpus entry {name!r} must look like "
             "'family(k=v, ...) | family(k=v, ...)'")
-    fp, fseed = _parse_params(m.group("fp"))
-    wp, wseed = _parse_params(m.group("wp"))
+    fp, fseed = _parse_params(name, m.group("fp"))
+    wp, wseed = _parse_params(name, m.group("wp"))
     return CorpusEntry(name, FunctionSpec(m.group("ff"), fp, fseed),
                        WeightSpec(m.group("wf"), wp, wseed))
 
@@ -285,27 +290,17 @@ def _corpus_of(section: dict[str, str]) -> Corpus:
                         if k != "seed"))
 
 
-def _read_ini(path: str | Path, what: str) -> dict[str, dict[str, str]]:
+def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
     """section -> key -> text of an INI file; a missing or unparsable file
     is a ValueError."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
         if not parser.read(str(path)):
-            raise ValueError(f"{what} {path} not found")
+            raise ValueError(f"config file {path} not found")
         return {s: dict(parser.items(s)) for s in parser.sections()}
     except configparser.Error as exc:
-        raise ValueError(f"{what} {path}: {exc}") from None
-
-
-def build_corpus(spec_file: str | Path) -> Corpus:
-    """Corpus from exactly the [corpus] entries of a spec file.
-
-    An empty file (or one without a [corpus] section) gives an empty corpus;
-    the built-in 12-pair corpus is only substituted by load_config.
-    """
-    ini = _read_ini(spec_file, "corpus spec file")
-    return _corpus_of(ini.get("corpus", {}))
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +326,24 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
 }
 
 # Ranges checked here, so that every subcommand refuses a value out of range
-# whether or not it reads the key: key -> (test, rule).  Each test is a
-# comparison that NaN fails; _convert refuses NaN for every other float key.
-# The code using a value keeps its own checks (GridFunction, ScaleGrid,
-# dyadic_cubes, cz_decompose, certify).
-_RANGE = {
-    "N": (lambda v: v >= 1, "must be at least 1"),
-    "lambda_nodes": (lambda v: v >= 1, "must be at least 1"),
-    "vanish": (lambda v: v > 0, "must be positive"),
-    "sigma": (lambda v: v > 1, "must exceed 1"),
-}
+# whether or not it reads the key: (key, test, rule), tested in this order.
+# Each test is a comparison that NaN fails; _convert refuses NaN for every
+# other float key.  An empty t_min or t_max is not tested.  The code using a
+# value keeps its own checks (GridFunction, ScaleGrid, dyadic_cubes,
+# cz_decompose, certify).
+_RANGE = (
+    ("L", lambda v: v > 0, "must be positive"),
+    ("N", lambda v: v >= 1, "must be at least 1"),
+    ("N", lambda v: v & (v - 1) == 0, "must be a power of two"),
+    ("M", lambda v: v >= 2, "must be at least 2"),
+    ("t_min", lambda v: v > 0, "must be positive"),
+    ("t_max", lambda v: v > 0, "must be positive"),
+    ("max_level", lambda v: v >= 0, "must be at least 0"),
+    ("max_gen", lambda v: v >= 1, "must be at least 1"),
+    ("lambda_nodes", lambda v: v >= 1, "must be at least 1"),
+    ("vanish", lambda v: v > 0, "must be positive"),
+    ("sigma", lambda v: v > 1, "must exceed 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -381,8 +384,9 @@ def _convert(section: str, key: str, text: str):
                          f"{kind.__name__}") from None
     if kind is float and math.isinf(value):
         raise ValueError(f"{section}.{key}={text!r} is not finite")
-    if key in _RANGE and not _RANGE[key][0](value):
-        raise ValueError(f"{section}.{key} {_RANGE[key][1]}")
+    for name, test, rule in _RANGE:
+        if name == key and not test(value):
+            raise ValueError(f"{section}.{key} {rule}")
     if kind is float and math.isnan(value):
         raise ValueError(f"{section}.{key}={text!r} is not a number")
     return value
@@ -396,7 +400,7 @@ def load_config(path: str | Path | None = None,
             for s, keys in _SCHEMA.items()}
     settings = []
     if path is not None:
-        ini = _read_ini(path, "config file")
+        ini = _read_ini(path)
         settings += [(s, k, v) for s, kv in ini.items() for k, v in kv.items()]
     for item in overrides:
         dotted, eq, value = item.partition("=")

@@ -17,7 +17,6 @@ from .grid import (
     BlockPyramid,
     Cube,
     GridFunction,
-    Region,
     cube_region,
     dilate_cube,
     family_values,
@@ -26,16 +25,12 @@ from .grid import (
 __all__ = [
     "Weight",
     "constant_weight",
-    "weighted_measure",
     "a1_constant",
     "ap_constant",
     "power_weight",
     "DoublingRecord",
     "DoublingReport",
     "doubling_report",
-    "tdilate_report",
-    "ReverseHolderReport",
-    "reverse_holder",
 ]
 
 
@@ -83,13 +78,6 @@ class Weight:
 def constant_weight(n: int, L: float, N: int, c: float = 1.0) -> Weight:
     shape = (N,) if n == 1 else (N, N)
     return Weight(GridFunction(n, L, N, np.full(shape, float(c))))
-
-
-def weighted_measure(w: Weight, region: Region) -> float:
-    """ω(E) = Σ_{x in E} ω(x) h^n."""
-    g = w.base
-    h = g.L / g.N
-    return float(g.values.ravel()[region.indices].sum()) * h**g.n
 
 
 def _cube_samples(g: GridFunction, q: Cube) -> np.ndarray:
@@ -161,15 +149,13 @@ _SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DoublingReport:
-    """Ratios ω(tQ)/ω(Q) of a cube family, one per entry of cubes, against
-    bound: one float for every ratio, or an array with one per ratio.
-    Compare reports by their rows."""
+    """Ratios ω(2Q)/ω(Q) of a cube family, one per entry of cubes, against
+    one bound.  Compare reports by their rows."""
 
     constant: float
-    constant_kind: str
     cubes: Sequence[Cube]
     ratios: np.ndarray
-    bound: float | np.ndarray
+    bound: float
 
     @property
     def all_ok(self) -> bool:
@@ -178,18 +164,15 @@ class DoublingReport:
     @property
     def margin(self) -> float:
         """Smallest bound/ratio over the positive ratios; inf if none."""
-        pos = self.ratios > 0
-        quot = np.broadcast_to(self.bound, self.ratios.shape)[pos] \
-            / self.ratios[pos]
+        quot = self.bound / self.ratios[self.ratios > 0]
         return float(quot.min()) if quot.size else float("inf")
 
     @property
     def rows(self) -> tuple[DoublingRecord, ...]:
         """One record per ratio, built on demand."""
-        bounds = np.broadcast_to(self.bound, self.ratios.shape).tolist()
+        b = self.bound
         return tuple(DoublingRecord(q, r, b, r <= b * (1 + _SLACK))
-                     for q, r, b in zip(self.cubes, self.ratios.tolist(),
-                                        bounds))
+                     for q, r in zip(self.cubes, self.ratios.tolist()))
 
     def __iter__(self):
         return iter(self.rows)
@@ -241,58 +224,4 @@ def doubling_report(w: Weight, cubes: Sequence[Cube]) -> DoublingReport:
 
     ratios, a1_q, a1_2q = family_values(g, cubes, level_values, cube_values)
     a1 = float(max(a1_q.max(), a1_2q.max()))
-    return DoublingReport(a1, "a1", cubes, ratios, 2**g.n * a1)
-
-
-def tdilate_report(w: Weight, cubes: Sequence[Cube],
-                   ts: Sequence[float] = (2.0, 3.0, 4.0)) -> DoublingReport:
-    """Ratios ω(tQ)/ω(Q) against the bound t^{2n} times the family A₂ constant."""
-    g = w.base
-    family = list(cubes) + [dilate_cube(q, t) for q in cubes for t in ts]
-    a2 = ap_constant(w, 2.0, family)
-    dilates, ratios, bounds = [], [], []
-    for q in cubes:
-        wq = weighted_measure(w, cube_region(g, q))
-        for t in ts:
-            dilates.append(dilate_cube(q, t))
-            ratios.append(weighted_measure(w, cube_region(g, dilates[-1])) / wq)
-            bounds.append(t ** (2 * g.n) * a2)
-    return DoublingReport(a2, "a2", tuple(dilates), np.array(ratios),
-                          np.array(bounds))
-
-
-@dataclass(frozen=True)
-class ReverseHolderReport:
-    epsilon: float
-    cstar: float
-    delta: float
-    rows: tuple[DoublingRecord, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def reverse_holder(nu: Weight, p: float,
-                   cubes: Sequence[Cube]) -> tuple[float, float, ReverseHolderReport]:
-    """Reverse Hölder exponent ε = 1/(2^{2p+1+n}·A_p(ν)) with slack factor 2.
-
-    Verifies (avg_Q ν^{1+ε})^{1/(1+ε)} ≤ 2·avg_Q ν on every family cube and
-    returns δ = ε/(1+ε), the exponent of the measure-comparison inequality
-    ν(E)/ν(Q) ≤ 2·(m(E)/m(Q))^δ that follows by Hölder.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    g = nu.base
-    apn = a1_constant(nu, cubes) if p == 1 else ap_constant(nu, p, cubes)
-    eps = 1.0 / (2 ** (2 * p + 1 + g.n) * apn)
-    cstar = 2.0
-    delta = eps / (1.0 + eps)
-    lifted = nu.base.values ** (1.0 + eps)
-    rows = []
-    for q in cubes:
-        reg = cube_region(g, q)
-        lhs = float(lifted.ravel()[reg.indices].mean()) ** (1.0 / (1.0 + eps))
-        rhs = cstar * float(g.values.ravel()[reg.indices].mean())
-        rows.append(DoublingRecord(q, lhs, rhs, lhs <= rhs * (1 + _SLACK)))
-    return eps, cstar, ReverseHolderReport(eps, cstar, delta, tuple(rows))
+    return DoublingReport(a1, cubes, ratios, 2**g.n * a1)

@@ -221,10 +221,28 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
      "tolerances.vanish='abc' is not a valid float"),
     ("kernel-check", "tolerances.vanish=nan",
      "tolerances.vanish must be positive"),
+    ("kernel-check", "grid.N=3", "grid.N must be a power of two"),
+    ("kernel-check", "grid.L=0", "grid.L must be positive"),
+    ("kernel-check", "grid.L=-1", "grid.L must be positive"),
+    ("kernel-check", "family.max_level=-1",
+     "family.max_level must be at least 0"),
+    ("weights", "scales.M=1", "scales.M must be at least 2"),
+    ("weights", "scales.t_min=-1", "scales.t_min must be positive"),
+    ("weights", "scales.t_max=0", "scales.t_max must be positive"),
+    ("weights", "tolerances.max_gen=0",
+     "tolerances.max_gen must be at least 1"),
 ])
 def test_malformed_setting_is_refused_by_every_command(
         tmp_path, capsys, command, setting, message):
     assert_refused(tmp_path, capsys, (command, "--set", setting), message)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_corpus_parameter_is_refused(tmp_path, capsys, value):
+    # step(x0=nan) would realize the zero function and pass every criterion
+    assert_refused(tmp_path, capsys,
+                   ("weights", "--set", f"corpus.x=step(x0={value})|constant()"),
+                   f"corpus entry 'x': x0='{value}' is not finite")
 
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()

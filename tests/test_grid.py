@@ -11,19 +11,14 @@ from lpsquare.grid import (
     GridFunction,
     _dyadic_addresses,
     Region,
-    axis_coords,
-    ball_region,
     cube_region,
     dilate_cube,
     distinct_sorted,
     dyadic_address,
     dyadic_cubes,
-    ess_inf,
-    ess_sup,
     from_callable,
     full_region,
     level_blocks,
-    mean_value,
     measure,
     periodic_displacement,
 )
@@ -43,7 +38,7 @@ def make_grid(n=1, L=1.0, N=8, values=None):
 def test_mean_of_identity_is_half_minus_half_h():
     N = 8
     f = from_callable(1, 1.0, N, lambda x: x)
-    got = mean_value(f, full_region(f))
+    got = float(f.values.mean())
     assert got == pytest.approx(0.4375, abs=1e-15)
     assert got == pytest.approx(0.5 - 0.5 / N, abs=1e-15)
 
@@ -140,8 +135,8 @@ def test_level_blocks_match_cube_regions():
             cubes = [q for q in dyadic_cubes(f, k) if q.level == k]
             assert blocks.shape[0] == len(cubes)
             for b, q in zip(blocks, cubes):
-                assert b.mean() == pytest.approx(
-                    mean_value(f, cube_region(f, q)), rel=1e-12)
+                samples = f.values.ravel()[cube_region(f, q).indices]
+                assert b.mean() == pytest.approx(samples.mean(), rel=1e-12)
 
 
 def test_dyadic_address_roundtrip():
@@ -204,20 +199,22 @@ def test_dyadic_family_is_the_loop_family_with_its_addresses(n, N, L):
     assert dyadic_cubes(g, 1) != dyadic_cubes(g, 2)
 
 
-def test_region_sorts_and_dedupes_unsorted_input():
-    given_idx = np.array([5, 1, 5, 3, 1])
-    r = Region(1, 1.0, 8, given_idx)
-    assert r.indices.tolist() == [1, 3, 5]
-    assert given_idx.tolist() == [5, 1, 5, 3, 1]
-    assert Region(1, 1.0, 8, [2, 2]).indices.tolist() == [2]
-    assert Region(2, 1.0, 4, np.array([[3, 0], [9, 3]])).indices.tolist() == [0, 3, 9]
+def test_region_refuses_indices_not_strictly_increasing():
+    # every constructor passes sorted indices; anything else is refused
+    for bad in ([5, 1, 5, 3, 1], [2, 2], [3, 1], [8, 1], [2, -1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Region(1, 1.0, 8, bad)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Region(2, 1.0, 4, np.array([[3, 0], [9, 3]]))
+    assert Region(2, 1.0, 4, np.array([[0, 3], [9, 15]])).indices.tolist() \
+        == [0, 3, 9, 15]
     assert Region(1, 1.0, 8, []).size == 0
     sorted_idx = np.arange(2, 6)
     r = Region(1, 1.0, 8, sorted_idx)
     assert r.indices.tolist() == [2, 3, 4, 5]
     sorted_idx[0] = 7  # the region keeps its own copy
     assert r.indices[0] == 2
-    for bad in ([1, 8], [8, 1], [-1, 2], [2, -1]):
+    for bad in ([1, 8], [8], [-1, 2], [-1]):
         with pytest.raises(ValueError, match="out of range"):
             Region(1, 1.0, 8, bad)
 
@@ -235,24 +232,6 @@ def test_distinct_sorted_equals_np_unique(values):
         assert a.tolist() == np.array(values, dtype=dtype).tolist()
 
 
-def test_ball_region_1d_is_interval():
-    f = make_grid(N=16)
-    r = ball_region(f, (0.5,), 0.2)
-    x = axis_coords(f)
-    expect = np.nonzero(np.abs(x - 0.5) < 0.2)[0]
-    assert np.array_equal(r.indices, expect)
-
-
-def test_ball_region_2d_symmetry():
-    f = make_grid(n=2, N=32)
-    r = ball_region(f, (0.5, 0.5), 0.3)
-    x = axis_coords(f)
-    dx = periodic_displacement(x, 0.5, 1.0)
-    cnt = int(((dx[:, None] ** 2 + dx[None, :] ** 2) < 0.09).sum())
-    assert r.size == cnt
-    assert r.size > 0
-
-
 def test_periodic_displacement_range():
     x = np.linspace(0, 1, 64, endpoint=False)
     d = periodic_displacement(x, 0.9, 1.0)
@@ -261,10 +240,12 @@ def test_periodic_displacement_range():
 
 
 def test_ess_bounds_and_validation():
+    # the pyramid's min and max tables are ess inf and ess sup per block
     f = make_grid(N=8, values=np.arange(8.0))
-    reg = full_region(f)
-    assert ess_inf(f, reg) == 0.0
-    assert ess_sup(f, reg) == 7.0
+    assert f.pyramid.min(0).tolist() == [0.0]
+    assert f.pyramid.max(0).tolist() == [7.0]
+    assert f.pyramid.min(1).tolist() == [0.0, 4.0]
+    assert f.pyramid.max(1).tolist() == [3.0, 7.0]
     with pytest.raises(ValueError):
         GridFunction(1, 1.0, 12, np.zeros(12))
     with pytest.raises(ValueError):
@@ -288,25 +269,26 @@ def test_measure_additivity_over_partitions(level, seed):
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5),
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_mean_value_linearity(a, b, seed):
+    # the pyramid's block means, which every dyadic scan reads
     rng = np.random.default_rng(seed)
     u = rng.normal(size=16)
     v = rng.normal(size=16)
     f = make_grid(N=16, values=u)
     g = make_grid(N=16, values=v)
     fg = make_grid(N=16, values=a * u + b * v)
-    reg = cube_region(f, Cube((0.25,), 0.5))
-    lhs = mean_value(fg, reg)
-    rhs = a * mean_value(f, reg) + b * mean_value(g, reg)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
+    for k in range(f.pyramid.depth + 1):
+        lhs = fg.pyramid.mean(k)
+        rhs = a * f.pyramid.mean(k) + b * g.pyramid.mean(k)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       c=st.floats(0, 1), s=st.sampled_from([0.25, 0.5, 1.0]))
-def test_mean_between_ess_bounds(seed, c, s):
+       n=st.sampled_from([1, 2]))
+def test_mean_between_ess_bounds(seed, n):
     rng = np.random.default_rng(seed)
-    f = make_grid(N=32, values=rng.normal(size=32))
-    reg = cube_region(f, Cube((c,), s))
-    if reg.size == 0:
-        return
-    assert ess_inf(f, reg) - 1e-12 <= mean_value(f, reg) <= ess_sup(f, reg) + 1e-12
+    f = make_grid(n=n, N=16, values=rng.normal(size=(16,) * n))
+    pyr = f.pyramid
+    for k in range(pyr.depth + 1):
+        assert np.all(pyr.min(k) - 1e-12 <= pyr.mean(k))
+        assert np.all(pyr.mean(k) <= pyr.max(k) + 1e-12)

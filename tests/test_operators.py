@@ -21,11 +21,9 @@ from lpsquare.operators import (
     OperatorSpec,
     ScaleGrid,
     _periodic_conv,
-    annulus_level_cap,
     area_integral,
     convolve,
     default_scales,
-    dilated_area_integral,
     g_function,
     g_star,
     l2_norm,
@@ -33,7 +31,7 @@ from lpsquare.operators import (
     split_at_scale,
     square_functions,
 )
-from lpsquare.weights import Weight, constant_weight
+from lpsquare.weights import constant_weight
 
 POISSON1 = poisson_derivative_kernel(1)
 
@@ -233,33 +231,6 @@ def test_scaling_covariance_of_g():
     assert np.max(np.abs(num[keep] / den[keep] - 1.0)) < 0.01
 
 
-def test_area_integral_saturates_to_no_cone_quadrature():
-    N = 128
-    f = sine(N=N, k=5)
-    sg = ScaleGrid(2.0 / N, 0.25, 8)
-    # aperture so large every sample is inside the cone at every scale
-    ell = annulus_level_cap(1, 1.0, sg) + 1
-    res = dilated_area_integral(POISSON1, f, ell, sg).values.values
-    h = 1.0 / N
-    flat = 0.0
-    for t, w in zip(sg.nodes, sg.weights):
-        F = convolve(dilate(POISSON1, float(t)), f).values
-        flat += w / t * float((F * F).sum()) * h
-    assert np.allclose(res, math.sqrt(flat), rtol=1e-12)
-
-
-def test_dilated_aperture_monotone():
-    f = sine(N=128, k=4)
-    sg = ScaleGrid(2.0 / 128, 0.25, 8)
-    s = area_integral(POISSON1, f, sg).values.values
-    s1 = dilated_area_integral(POISSON1, f, 1, sg).values.values
-    s2 = dilated_area_integral(POISSON1, f, 2, sg).values.values
-    assert np.all(s <= s1 * (1 + 1e-12))
-    assert np.all(s1 <= s2 * (1 + 1e-12))
-    with pytest.raises(ValueError):
-        dilated_area_integral(POISSON1, f, 0, sg)
-
-
 @pytest.mark.filterwarnings("ignore:lambda")
 def test_gstar_lambda_monotone_and_errors():
     f = sine(N=128, k=4)
@@ -302,10 +273,12 @@ def test_annulus_decomposition_bound():
     lam = 8.0
     gs2 = g_star(POISSON1, f, lam, sg).values.values ** 2
     s2 = area_integral(POISSON1, f, sg).values.values ** 2
-    cap = annulus_level_cap(1, 1.0, sg)
+    # the cones |y-x| < 2^ell t, summed directly, up to the level beyond
+    # which every annulus 2^(ell-1) t <= |y-x| <= 1/2 is empty
+    cap = math.ceil(1.0 + math.log2(0.5 / sg.t_min))
     rhs = s2.copy()
     for ell in range(1, cap + 1):
-        sl = dilated_area_integral(POISSON1, f, ell, sg).values.values
+        sl = oracle_square_function(POISSON1, f, sg, "s", aperture=2.0**ell)
         rhs += 2.0 ** (-ell * lam) * sl**2
     assert np.all(gs2 <= 2.0**lam * rhs * (1 + 1e-10))
 
@@ -407,8 +380,6 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
     cases = [
         (OperatorSpec("g"), dict(op="g")),
         (OperatorSpec("s"), dict(op="s")),
-        (OperatorSpec("s_dilated", ell=1), dict(op="s", aperture=2.0)),
-        (OperatorSpec("s_dilated", ell=2), dict(op="s", aperture=4.0)),
         (OperatorSpec("gstar", lam=lam), dict(op="gstar", lam=lam)),
         (OperatorSpec("gstar", lam=lam + 1), dict(op="gstar", lam=lam + 1)),
         (OperatorSpec("g", trunc_r=r, part="low"), dict(op="g", keep=low)),
@@ -424,10 +395,10 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * ref.max()), spec
     # the wrappers are the same pass, one operator at a time
     lo, hi = split_at_scale("s", kernel, f, r, sg)
-    assert np.array_equal(lo.values.values, results[8].values.values)
-    assert np.array_equal(hi.values.values, results[9].values.values)
+    assert np.array_equal(lo.values.values, results[6].values.values)
+    assert np.array_equal(hi.values.values, results[7].values.values)
     assert np.array_equal(g_star(kernel, f, lam, sg).values.values,
-                          results[4].values.values)
+                          results[2].values.values)
 
 
 def test_one_pass_matches_oracle_for_non_radial_kernel():
@@ -449,7 +420,6 @@ def test_one_pass_keeps_every_check():
         square_functions(nonvanishing_hat_kernel(), [f], sg, [OperatorSpec("g")])
     bad = [OperatorSpec("gstar"), OperatorSpec("gstar", lam=0.0),
            OperatorSpec("gstar", lam=float("nan")),
-           OperatorSpec("s_dilated"), OperatorSpec("s_dilated", ell=0),
            OperatorSpec("gstar", lam=8.0, trunc_r=0.05, part="low"),
            OperatorSpec("g", trunc_r=sg.t_min, part="low"),
            OperatorSpec("g", trunc_r=0.05, part="middle"),
@@ -474,7 +444,7 @@ def test_kernel_of_another_dimension_is_refused():
 
 
 BATCH_SPECS = [OperatorSpec("g"), OperatorSpec("s"),
-               OperatorSpec("s_dilated", ell=1), OperatorSpec("gstar", lam=8.0),
+               OperatorSpec("gstar", lam=8.0),
                OperatorSpec("gstar", lam=9.0),
                OperatorSpec("s", trunc_r=0.1, part="low"),
                OperatorSpec("s", trunc_r=0.1, part="high")]
@@ -500,7 +470,7 @@ def test_batch_equals_one_function_calls_bit_for_bit(monkeypatch, n, N, kernel,
         assert len(many) == len(BATCH_SPECS)
         for a, b in zip(one, many):
             assert np.array_equal(a.values.values, b.values.values)
-            assert (a.op, a.lam, a.ell, a.part) == (b.op, b.lam, b.ell, b.part)
+            assert (a.op, a.lam, a.part) == (b.op, b.lam, b.part)
             assert a.tail_bound == b.tail_bound
             assert (a.batch_size, b.batch_size) == (1, size)
             assert a.spectra_built == b.spectra_built
@@ -518,9 +488,9 @@ def test_batch_builds_each_spectrum_once_per_scale(monkeypatch):
     sg = ScaleGrid(2.0 / 64, 0.25, M)
     results = list(square_functions(POISSON1, fs, sg, BATCH_SPECS))
     # per scale one kernel spectrum and one spectrum per distinct mask:
-    # s (shared by the full and the split cone), s at aperture 2, and two
-    # g*_lam weights, however many functions the batch holds
-    assert len(calls) == M * (1 + 4)
+    # s (shared by the full and the split cone) and two g*_lam weights,
+    # however many functions the batch holds
+    assert len(calls) == M * (1 + 3)
     assert len(calls) == len(set(calls))
     assert all(r.spectra_built == len(calls) and r.batch_size == 3
                for member in results for r in member)

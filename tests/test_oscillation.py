@@ -1,17 +1,14 @@
 """Oscillation functionals: frozen values, orderings, witnessed suprema."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsquare.grid import Cube, GridFunction, dyadic_cubes, from_callable
+from lpsquare.grid import GridFunction, dyadic_cubes
 from lpsquare.oscillation import (
     blo_constant,
     blo_p_norm,
-    bmo_lemma_bounds,
     bmo_norm,
     bmo_p_norm,
     linf_weighted_norm,
@@ -195,31 +192,6 @@ def test_translation_invariance_with_covariant_family():
     for fn in (bmo_norm, blo_constant, linf_weighted_norm):
         assert fn(fs, ws, cubes).value == pytest.approx(
             fn(f, w, cubes).value, rel=1e-12)
-
-
-def test_bmo_lemma_bounds():
-    rng = np.random.default_rng(41)
-    f = GridFunction(1, 1.0, 128, rng.normal(size=128))
-    w = Weight(GridFunction(1, 1.0, 128, np.exp(rng.normal(size=128) * 0.3)))
-    cubes = dyadic_cubes(f, 4)
-    base = [q for q in cubes if q.level == 4][3]
-    rep = bmo_lemma_bounds(f, w, base, 6, cubes)
-    assert rep.k0_ok
-    # dilation truncates once 2^k side exceeds the box: sides 1/16 ... 1
-    assert [r.k for r in rep.rows] == [0, 1, 2, 3, 4]
-    assert rep.c_min <= (2**1 + 1) * (1 + 1e-9)
-    for r in rep.rows[1:]:
-        assert r.value <= rep.c_min * r.k * rep.a1 * rep.min_w * rep.bmo * (1 + 1e-9)
-
-
-def test_bmo_lemma_constant_function():
-    f = GridFunction(1, 1.0, 32, np.full(32, 2.0))
-    w = unit_weight(32)
-    cubes = dyadic_cubes(f, 3)
-    base = [q for q in cubes if q.level == 3][0]
-    rep = bmo_lemma_bounds(f, w, base, 3, cubes)
-    assert all(r.value == 0.0 for r in rep.rows)
-    assert rep.c_min == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -245,13 +245,11 @@ def test_doubling_report_derives_rows_all_ok_and_margin(n, N):
     assert rep.all_ok is all(r.ok for r in rows)
     assert rep.margin == per_record_margin(rows)
     assert list(rep) == list(rows)
-    # a failing ratio, a zero ratio, and a bound per ratio
+    # a failing ratio and a zero ratio
     cubes = list(family)[:3]
-    for bound in (2.0, np.array([1.0, 2.0, 3.0])):
-        bad = DoublingReport(1.0, "a1", cubes, np.array([0.5, 3.0, 0.0]),
-                             bound)
-        assert bad.all_ok is all(r.ok for r in bad.rows) is False
-        assert bad.margin == per_record_margin(bad.rows)
-    none = DoublingReport(1.0, "a1", cubes, np.zeros(3), 2.0)
+    bad = DoublingReport(1.0, cubes, np.array([0.5, 3.0, 0.0]), 2.0)
+    assert bad.all_ok is all(r.ok for r in bad.rows) is False
+    assert bad.margin == per_record_margin(bad.rows)
+    none = DoublingReport(1.0, cubes, np.zeros(3), 2.0)
     assert none.all_ok and none.margin == per_record_margin(none.rows) \
         == float("inf")

@@ -18,7 +18,6 @@ from lpsquare.report import (
     StageTimer,
     Table,
     WeightSpec,
-    build_corpus,
     default_corpus,
     emit_report,
     load_config,
@@ -112,14 +111,16 @@ def test_unknown_families_rejected_with_listing():
 # corpus files
 
 
-def test_build_corpus_from_file(tmp_path):
+def test_load_config_reads_corpus_entries_from_file(tmp_path):
     path = tmp_path / "corpus.ini"
     path.write_text(
         "[corpus]\n"
         "seed = 7\n"
         "mypair = sine(k=4, a=2.0) | power-regularized(alpha=0.3, seed=2)\n"
         "other = random-martingale(seed=9) | constant(c=1.5)\n")
-    corpus = build_corpus(path)
+    cfg = load_config(path)
+    corpus = cfg.corpus
+    assert cfg.seed == 7
     assert [e.name for e in corpus] == ["mypair", "other"]
     first = corpus.entries[0]
     assert first.function.family == "sine"
@@ -127,32 +128,37 @@ def test_build_corpus_from_file(tmp_path):
     assert first.weight.seed == 2
     assert corpus.entries[1].weight.params == (("c", 1.5),)
     assert corpus.entries[1].function.seed == 9
-
-
-def test_build_corpus_empty_file_gives_empty_corpus(tmp_path):
-    path = tmp_path / "empty.ini"
-    path.write_text("")
-    assert len(build_corpus(path)) == 0
-    path2 = tmp_path / "nocorpus.ini"
-    path2.write_text("[grid]\nN = 64\n")
-    assert len(build_corpus(path2)) == 0
-
-
-def test_build_corpus_errors(tmp_path):
-    with pytest.raises(ValueError, match="not found"):
-        build_corpus(tmp_path / "missing.ini")
     bad = tmp_path / "bad.ini"
     bad.write_text("[corpus]\npair = gaussian(k=1) | constant()\n")
     with pytest.raises(ValueError, match="sawtooth"):
-        build_corpus(bad)
+        load_config(bad)
     malformed = tmp_path / "malformed.ini"
     malformed.write_text("[corpus]\npair = sine k=1\n")
     with pytest.raises(ValueError, match="must look like"):
-        build_corpus(malformed)
+        load_config(malformed)
 
 
-def test_config_corpus_defaults_when_no_entries():
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+@pytest.mark.parametrize("side", ["function", "weight"])
+def test_non_finite_corpus_parameter_is_refused(value, side):
+    # step(x0=nan) would realize the zero function
+    text = (f"step(x0={value}) | constant()" if side == "function"
+            else f"step() | power-regularized(alpha={value})")
+    key = "x0" if side == "function" else "alpha"
+    with pytest.raises(ValueError) as err:
+        load_config(overrides=(f"corpus.pair={text}",))
+    assert str(err.value) == \
+        f"corpus entry 'pair': {key}={value!r} is not finite"
+
+
+def test_config_corpus_defaults_when_no_entries(tmp_path):
     assert load_config().corpus == default_corpus()
+    # a file with no [corpus] entries, or none at all, keeps the default
+    for name, text in (("empty.ini", ""), ("nocorpus.ini", "[grid]\nN = 64\n"),
+                       ("seedonly.ini", "[corpus]\nseed = 3\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert load_config(path).corpus == default_corpus()
 
 
 def test_config_accepts_every_default_entry_name():
