@@ -18,6 +18,8 @@ from lpsquare.report import (
     StageTimer,
     Table,
     WeightSpec,
+    _corpus_of,
+    _read_ini,
     default_corpus,
     emit_report,
     load_config,
@@ -111,7 +113,7 @@ def test_unknown_families_rejected_with_listing():
 # corpus files
 
 
-def test_load_config_reads_corpus_entries_from_file(tmp_path):
+def test_build_corpus_from_file(tmp_path):
     path = tmp_path / "corpus.ini"
     path.write_text(
         "[corpus]\n"
@@ -128,6 +130,23 @@ def test_load_config_reads_corpus_entries_from_file(tmp_path):
     assert first.weight.seed == 2
     assert corpus.entries[1].weight.params == (("c", 1.5),)
     assert corpus.entries[1].function.seed == 9
+
+
+def test_build_corpus_empty_file_gives_empty_corpus(tmp_path):
+    # the file itself declares no entries; load_config then substitutes
+    # the built-in corpus (test_config_corpus_defaults_when_no_entries)
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    assert len(_corpus_of(_read_ini(path).get("corpus", {}))) == 0
+    path2 = tmp_path / "nocorpus.ini"
+    path2.write_text("[grid]\nN = 64\n")
+    assert len(_corpus_of(_read_ini(path2).get("corpus", {}))) == 0
+    assert len(_corpus_of(load_config(path2).text["corpus"])) == 0
+
+
+def test_build_corpus_errors(tmp_path):
+    with pytest.raises(ValueError, match="not found"):
+        load_config(tmp_path / "missing.ini")
     bad = tmp_path / "bad.ini"
     bad.write_text("[corpus]\npair = gaussian(k=1) | constant()\n")
     with pytest.raises(ValueError, match="sawtooth"):
