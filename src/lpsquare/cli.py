@@ -104,7 +104,7 @@ def _chunks(items, jobs: int) -> list:
 def _pmap_chunks(fn, cfg: RunConfig, jobs: int) -> list:
     """fn(chunk, cfg) on one contiguous chunk of the corpus per worker; the
     per-entry results come back concatenated, in corpus order."""
-    chunks = _chunks(cfg.corpus.entries, jobs)
+    chunks = _chunks(cfg.corpus, jobs)
     return [res for part in _pmap(fn, chunks, cfg, jobs) for res in part]
 
 
@@ -164,7 +164,7 @@ def _weights_row(entry, cfg):
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    rows = _pmap(_weights_row, cfg.corpus.entries, cfg, jobs)
+    rows = _pmap(_weights_row, cfg.corpus, cfg, jobs)
     for name, a1, a2, dbl_ok, margin, stability in rows:
         manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
                         f"margin={margin:.6f}")
@@ -393,7 +393,7 @@ def _jn_rows(entry, cfg):
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     from . import czd, oscillation  # noqa: F401  loaded before the fork
-    results = _pmap(_jn_rows, cfg.corpus.entries, cfg, jobs)
+    results = _pmap(_jn_rows, cfg.corpus, cfg, jobs)
     tables = []
     summary = []
     equiv_rows = []

@@ -60,7 +60,6 @@ class GridFunction:
     L: float
     N: int
     values: np.ndarray
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
@@ -69,8 +68,6 @@ class GridFunction:
             raise ValueError("box side L must be positive")
         if not _is_power_of_two(self.N):
             raise ValueError(f"N must be a power of two, got {self.N}")
-        if not self.periodic:
-            raise ValueError("only periodic grids are supported")
         vals = np.asarray(self.values, dtype=float)
         expected = (self.N,) if self.n == 1 else (self.N, self.N)
         if vals.shape != expected:
@@ -90,7 +87,7 @@ class GridFunction:
         return self.N**self.n
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.n, self.L, self.N, values, self.periodic)
+        return GridFunction(self.n, self.L, self.N, values)
 
     @functools.cached_property
     def pyramid(self) -> "BlockPyramid":

@@ -40,6 +40,7 @@ TOL_VANISH = 1e-6
 _PROBE_BOX = 64.0
 _P1_NODES = 2**14
 _GL_NODES = 200
+_PROBES = 4096
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class CertReport:
     c1: float
     c2: float
     tol_vanish: float
-    probe_budget: int
     passed: bool
     notes: str = ""
 
@@ -57,8 +57,9 @@ class CertReport:
 class Kernel:
     """Closed-form profile with declared decay/smoothness exponents.
 
-    radial kernels expose radial_profile(r) for polar quadrature; profile
-    takes points of shape (m, n) and returns (m,) values.
+    profile takes points of shape (m, n) and returns (m,) values.  A planar
+    kernel must be radial and supply radial_profile(r), which certification
+    integrates in polar form.
     """
 
     name: str
@@ -66,7 +67,6 @@ class Kernel:
     profile: Callable[[np.ndarray], np.ndarray]
     delta: float
     gamma: float
-    radial: bool = True
     radial_profile: Callable[[np.ndarray], np.ndarray] | None = None
     c1: float | None = None
     c2: float | None = None
@@ -77,6 +77,8 @@ class Kernel:
             raise ValueError("kernel dimension must be 1 or 2")
         if not (0 < self.gamma <= 1):
             raise ValueError("gamma must lie in (0, 1]")
+        if self.n == 2 and self.radial_profile is None:
+            raise ValueError("a planar kernel must supply radial_profile")
 
 
 def evaluate(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
@@ -93,7 +95,7 @@ def _radial(name: str, n: int, f: Callable[[np.ndarray], np.ndarray],
         r = np.sqrt((np.asarray(pts, dtype=float) ** 2).sum(axis=-1))
         return f(r)
 
-    return Kernel(name, n, profile, delta, gamma, radial=True, radial_profile=f)
+    return Kernel(name, n, profile, delta, gamma, radial_profile=f)
 
 
 def poisson_derivative_kernel(n: int) -> Kernel:
@@ -197,7 +199,8 @@ def _tail(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
 
 
 def _vanishing_residual(kernel: Kernel) -> tuple[float, str]:
-    """Quadrature of ∫ψ: probe-box trapezoid plus Gauss–Legendre tails."""
+    """Quadrature of ∫ψ: in 1D a probe-box trapezoid plus Gauss–Legendre
+    tails, in 2D a polar Gauss–Legendre rule on the radial profile."""
     if kernel.n == 1:
         x = np.linspace(-_PROBE_BOX, _PROBE_BOX, _P1_NODES + 1)
         vals = evaluate(kernel, x)
@@ -205,42 +208,31 @@ def _vanishing_residual(kernel: Kernel) -> tuple[float, str]:
         lo = _tail(lambda s: evaluate(kernel, -s), _PROBE_BOX)
         hi = _tail(lambda s: evaluate(kernel, s), _PROBE_BOX)
         return abs(box + lo + hi), "trapezoid box + Gauss-Legendre tails"
-    if kernel.radial and kernel.radial_profile is not None:
-        g = lambda r: kernel.radial_profile(r) * r
-        u, w = _unit_rule()
-        inner = float(np.sum(w * g(_PROBE_BOX * u))) * _PROBE_BOX
-        outer = _tail(g, _PROBE_BOX)
-        return abs(2.0 * math.pi * (inner + outer)), "polar Gauss-Legendre"
-    # non-radial planar kernels get a box-only check
-    m = 513
-    x = np.linspace(-_PROBE_BOX, _PROBE_BOX, m)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    vals = evaluate(kernel, pts).reshape(m, m)
-    box = np.trapezoid(np.trapezoid(vals, x, axis=1), x)
-    return abs(float(box)), "box-only trapezoid (no tail correction)"
+    g = lambda r: kernel.radial_profile(r) * r
+    u, w = _unit_rule()
+    inner = float(np.sum(w * g(_PROBE_BOX * u))) * _PROBE_BOX
+    outer = _tail(g, _PROBE_BOX)
+    return abs(2.0 * math.pi * (inner + outer)), "polar Gauss-Legendre"
 
 
-def _probe_points(n: int, budget: int, rng: np.random.Generator) -> np.ndarray:
-    radii = np.geomspace(1e-3, 1e3, budget)
+def _probe_points(n: int, rng: np.random.Generator) -> np.ndarray:
+    radii = np.geomspace(1e-3, 1e3, _PROBES)
     if n == 1:
-        signs = np.where(np.arange(budget) % 2 == 0, 1.0, -1.0)
+        signs = np.where(np.arange(_PROBES) % 2 == 0, 1.0, -1.0)
         return (radii * signs)[:, None]
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=budget)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=_PROBES)
     return np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
 
 
-def certify(kernel: Kernel, probe_budget: int = 4096,
-            tol_vanish: float = TOL_VANISH) -> CertReport:
-    """Measure C1, C2 and the vanishing residual over deterministic probes.
+def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
+    """Measure C1, C2 and the vanishing residual over _PROBES deterministic
+    probes.
 
     Probes are reproducible (fixed seed); |h| for the smoothness check is
     drawn log-uniformly from [1e-4|x|, |x|/2], honoring the 2|h| <= |x|
     restriction.  The kernel passes when the residual is at most
     tol_vanish.
     """
-    if probe_budget < 1000:
-        raise ValueError("probe_budget must be at least 1000")
     if not tol_vanish > 0:
         raise ValueError("tol_vanish must be positive")
     if kernel.delta <= 0:
@@ -250,16 +242,16 @@ def certify(kernel: Kernel, probe_budget: int = 4096,
 
     residual, method = _vanishing_residual(kernel)
 
-    pts = _probe_points(n, probe_budget, rng)
+    pts = _probe_points(n, rng)
     r = np.sqrt((pts**2).sum(axis=1))
     vals = np.abs(evaluate(kernel, pts))
     c1 = float(np.max(vals * (1.0 + r) ** (n + kernel.delta)))
 
-    frac = np.exp(rng.uniform(np.log(1e-4), np.log(0.5), size=probe_budget))
+    frac = np.exp(rng.uniform(np.log(1e-4), np.log(0.5), size=_PROBES))
     if n == 1:
-        hdir = np.where(rng.uniform(size=probe_budget) < 0.5, 1.0, -1.0)[:, None]
+        hdir = np.where(rng.uniform(size=_PROBES) < 0.5, 1.0, -1.0)[:, None]
     else:
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=probe_budget)
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=_PROBES)
         hdir = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     hvec = hdir * (frac * r)[:, None]
     hnorm = frac * r
@@ -268,12 +260,11 @@ def certify(kernel: Kernel, probe_budget: int = 4096,
     c2 = float(np.max(diff / denom))
 
     passed = residual <= tol_vanish
-    return CertReport(residual, c1, c2, tol_vanish, probe_budget, passed,
-                      notes=method)
+    return CertReport(residual, c1, c2, tol_vanish, passed, notes=method)
 
 
-def _with_certification(k: Kernel, probe_budget: int = 4096) -> Kernel:
-    rep = certify(k, probe_budget)
+def _with_certification(k: Kernel) -> Kernel:
+    rep = certify(k)
     if not rep.passed:
         raise ValueError(
             f"kernel {k.name!r} failed vanishing check: residual {rep.p1_residual:.3e}")

@@ -47,7 +47,6 @@ __all__ = [
     "g_function",
     "area_integral",
     "g_star",
-    "split_at_scale",
     "lambda_warn_threshold",
     "l2_norm",
 ]
@@ -90,9 +89,6 @@ class ScaleGrid:
         w[0] = w[-1] = du / 2.0
         return w
 
-    def refined(self, factor: int = 2) -> "ScaleGrid":
-        return ScaleGrid(self.t_min, self.t_max, factor * (self.M - 1) + 1)
-
 
 def default_scales(f: GridFunction, M: int = 64) -> ScaleGrid:
     """t from 2h (below which convolution is unresolved) to L/4 (above
@@ -117,8 +113,6 @@ class SquareFunctionResult:
     kernel_name: str
     scales: ScaleGrid
     lam: float | None = None
-    trunc_r: float | None = None
-    part: str | None = None
     tail_bound: float = float("nan")
     spectra_built: int = 0
     batch_size: int = 1
@@ -254,14 +248,11 @@ class OperatorSpec:
     """One operator for square_functions; fields mirror SquareFunctionResult.
 
     op is "g", "s" (cone |y-x| < t) or "gstar" (weight
-    (t/(t+|x-y|))^{lam n}).  With part "low" or "high" a "g" or "s"
-    operator keeps only the scale nodes t < trunc_r or t >= trunc_r.
+    (t/(t+|x-y|))^{lam n}).
     """
 
     op: str
     lam: float | None = None
-    trunc_r: float | None = None
-    part: str | None = None
 
 
 def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
@@ -270,8 +261,8 @@ def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
 
 
 def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
-          scales: ScaleGrid) -> tuple[tuple[str, float] | None, np.ndarray, float]:
-    """(spatial mask or None, scale nodes kept, tail volume factor)."""
+          scales: ScaleGrid) -> tuple[tuple[str, float] | None, float]:
+    """(spatial mask or None, tail volume factor)."""
     n = f.n
     if spec.op == "g":
         mask, vol = None, 1.0
@@ -289,20 +280,7 @@ def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
         mask, vol = ("gstar", float(lam)), (f.L / scales.t_max) ** n
     else:
         raise ValueError(f"unknown operator {spec.op!r}")
-    keep = np.ones(scales.M, dtype=bool)
-    if spec.part is not None:
-        if spec.part not in ("low", "high"):
-            raise ValueError("part must be 'low' or 'high'")
-        if spec.op not in ("g", "s"):
-            raise ValueError("op_kind must be 'g' or 's'")
-        r = spec.trunc_r
-        if r is None or not (scales.t_min < r <= scales.t_max):
-            raise ValueError("truncation radius must lie inside the scale range")
-        low = scales.nodes < r
-        if not low.any():
-            raise ValueError("no scale nodes below the truncation radius")
-        keep = low if spec.part == "low" else ~low
-    return mask, keep, vol
+    return mask, vol
 
 
 def square_functions(kernel: Kernel, fs: Iterable[GridFunction],
@@ -357,25 +335,18 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
     step = len(fs) if n == 1 else 1
     fhat = _rfftn(np.stack([f.values for f in fs]), n)
     acc = [np.zeros((len(fs),) + fs[0].values.shape) if mask is None
-           else np.zeros(fhat.shape, dtype=complex) for mask, _, _ in plans]
-    built = 0
-    for j, (t, w) in enumerate(zip(scales.nodes.tolist(),
-                                   scales.weights.tolist())):
-        live = [k for k, (_, keep, _) in enumerate(plans) if keep[j]]
-        if not live:
-            continue
+           else np.zeros(fhat.shape, dtype=complex) for mask, _ in plans]
+    # the distinct masks, each built once per scale like the kernel
+    masks = dict.fromkeys(mask for mask, _ in plans if mask is not None)
+    for t, w in zip(scales.nodes.tolist(), scales.weights.tolist()):
         kspec = _kernel_spectrum(kernel, n, L, N, t)
-        masks = dict.fromkeys(plans[k][0] for k in live
-                              if plans[k][0] is not None)
         mspec = {mask: _mask_spectrum(mask, n, L, N, t) for mask in masks}
-        built += 1 + len(mspec)
         for lo in range(0, len(fs), step):
             part = slice(lo, lo + step)
             F = _irfftn(fhat[part] * kspec, n, N)
             sq = F * F
             sq_hat = None
-            for k in live:
-                mask = plans[k][0]
+            for k, (mask, _) in enumerate(plans):
                 if mask is None:
                     acc[k][part] += w * sq
                     continue
@@ -383,8 +354,9 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
                     sq_hat = _rfftn(sq, n) * w
                 acc[k][part] += sq_hat * mspec[mask]
     del fhat
+    built = scales.M * (1 + len(masks))
     results = [[] for _ in fs]
-    for k, (spec, (mask, _, vol)) in enumerate(zip(specs, plans)):
+    for k, (spec, (mask, vol)) in enumerate(zip(specs, plans)):
         vals = acc[k] if mask is None else _irfftn(acc[k], n, N)
         acc[k] = None
         # convolution roundoff can leave tiny negatives
@@ -392,7 +364,6 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
         for f, out, v in zip(fs, results, vals):
             out.append(SquareFunctionResult(
                 f.with_values(v), spec.op, kernel.name, scales, lam=spec.lam,
-                trunc_r=spec.trunc_r, part=spec.part,
                 tail_bound=_tail_bound(kernel, f, scales, vol),
                 spectra_built=built, batch_size=len(fs)))
     return [tuple(out) for out in results]
@@ -415,22 +386,6 @@ def g_star(kernel: Kernel, f: GridFunction, lam: float,
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
     return next(square_functions(kernel, [f], scales,
                                  [OperatorSpec("gstar", lam=lam)]))[0]
-
-
-def split_at_scale(op_kind: str, kernel: Kernel, f: GridFunction, r: float,
-                   scales: ScaleGrid) -> tuple[SquareFunctionResult, SquareFunctionResult]:
-    """Truncate the scale integral at r: low takes t < r, high takes t >= r.
-
-    The node sets partition the grid, so low^2 + high^2 equals the full
-    operator squared and the sandwich low, high <= full <= low + high holds
-    pointwise by arithmetic.
-    """
-    if op_kind not in ("g", "s"):
-        raise ValueError("op_kind must be 'g' or 's'")
-    [(lo, hi)] = square_functions(kernel, [f], scales, [
-        OperatorSpec(op_kind, trunc_r=r, part="low"),
-        OperatorSpec(op_kind, trunc_r=r, part="high")])
-    return lo, hi
 
 
 def l2_norm(f: GridFunction, w: Weight | None = None) -> float:

@@ -1,6 +1,6 @@
 """Weighted mean-oscillation functionals over a declared cube family.
 
-Five functionals share one scan pattern: a per-cube quantity maximized over
+Three functionals share one scan pattern: a per-cube quantity maximized over
 the family, with the first attaining cube recorded so every reported
 supremum is witnessed.  Dyadic cubes read their quantity from per-level
 reductions of the function's block pyramid; other cubes are gathered one
@@ -10,9 +10,7 @@ volume):
 
   bmo    (1/ω(Q)) Σ_Q |f - f_Q| h^n
   blo    (1/ω(Q)) Σ_Q (f - min_Q f) h^n
-  bmo_p  ((1/ω(Q)) Σ_Q |f - f_Q|^p ω^{1-p} h^n)^{1/p}
-  blo_p  same with f - min_Q f
-  linf_w (min_Q ω)^{-1} max_Q |f|
+  blo_p  ((1/ω(Q)) Σ_Q (f - min_Q f)^p ω^{1-p} h^n)^{1/p}
 
 All are family-relative; inequalities between functionals hold cube-wise,
 so both sides of any comparison must use the same family.
@@ -40,9 +38,7 @@ __all__ = [
     "single_cube_value",
     "bmo_norm",
     "blo_constant",
-    "bmo_p_norm",
     "blo_p_norm",
-    "linf_weighted_norm",
 ]
 
 
@@ -52,7 +48,6 @@ class OscillationReport:
     p: float | None
     value: float
     argmax: Cube
-    family_id: str
     family_size: int
 
 
@@ -75,22 +70,16 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
         return float(np.abs(fv - fv.mean()).sum()) * hn / wq
     if kind == "blo":
         return float((fv - fv.min()).sum()) * hn / wq
-    if kind in ("bmo_p", "blo_p"):
+    if kind == "blo_p":
         if p is None or p < 1:
             raise ValueError("p must be >= 1")
-        dev = np.abs(fv - fv.mean()) if kind == "bmo_p" else fv - fv.min()
-        s = float((dev**p * wv ** (1.0 - p)).sum()) * hn
+        s = float(((fv - fv.min())**p * wv ** (1.0 - p)).sum()) * hn
         return (s / wq) ** (1.0 / p)
-    if kind == "linf_w":
-        return float(np.abs(fv).max() / wv.min())
     raise ValueError(f"unknown functional kind {kind!r}")
 
 
-def _deviation(kind: str, fp: BlockPyramid, k: int) -> np.ndarray:
-    """f - f_Q (bmo kinds, in absolute value) or f - min_Q f per level-k
-    block row."""
-    if kind.startswith("bmo"):
-        return np.abs(fp.blocks(k) - fp.mean(k)[:, None])
+def _deviation(fp: BlockPyramid, k: int) -> np.ndarray:
+    """f - min_Q f per level-k block row."""
     return fp.blocks(k) - fp.min(k)[:, None]
 
 
@@ -100,56 +89,40 @@ def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
     fp, wp = f.pyramid, w.pyramid
     hn = (f.L / f.N) ** f.n
     wq = wp.sum(k) * hn
-    if kind == "linf_w":
-        return np.maximum(fp.max(k), -fp.min(k)) / wp.min(k)
     if kind == "bmo":
         return fp.absdev(k) * hn / wq
     if kind == "blo":
-        dev = fp.table("blo", k, lambda k: _deviation(
-            kind, fp, k).sum(axis=1))
+        dev = fp.table("blo", k, lambda k: _deviation(fp, k).sum(axis=1))
         return dev * hn / wq
     dev = fp.table((kind, p, wp), k, lambda k: (
-        _deviation(kind, fp, k) ** p
+        _deviation(fp, k) ** p
         * level_blocks(wp.power(1.0 - p), f.n, k)).sum(axis=1))
     return (dev * hn / wq) ** (1.0 / p)
 
 
 def _scan(kind: str, f: GridFunction, w: Weight, cubes: Sequence[Cube],
-          p: float | None, family_id: str) -> OscillationReport:
+          p: float | None) -> OscillationReport:
     if not cubes:
         raise ValueError("cube family must be nonempty")
     vals = family_values(f, cubes,
                          lambda k: (_level_values(kind, f, w, k, p),),
                          lambda q: (single_cube_value(kind, f, w, q, p),))[0]
     i = int(np.argmax(vals))
-    return OscillationReport(kind, p, float(vals[i]), cubes[i], family_id,
-                             len(cubes))
+    return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
 
 
-def bmo_norm(f: GridFunction, w: Weight, cubes: Sequence[Cube],
-             family_id: str = "family") -> OscillationReport:
-    return _scan("bmo", f, w, cubes, None, family_id)
+def bmo_norm(f: GridFunction, w: Weight,
+             cubes: Sequence[Cube]) -> OscillationReport:
+    return _scan("bmo", f, w, cubes, None)
 
 
-def blo_constant(f: GridFunction, w: Weight, cubes: Sequence[Cube],
-                 family_id: str = "family") -> OscillationReport:
-    return _scan("blo", f, w, cubes, None, family_id)
+def blo_constant(f: GridFunction, w: Weight,
+                 cubes: Sequence[Cube]) -> OscillationReport:
+    return _scan("blo", f, w, cubes, None)
 
 
-def bmo_p_norm(f: GridFunction, w: Weight, p: float, cubes: Sequence[Cube],
-               family_id: str = "family") -> OscillationReport:
+def blo_p_norm(f: GridFunction, w: Weight, p: float,
+               cubes: Sequence[Cube]) -> OscillationReport:
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _scan("bmo_p", f, w, cubes, p, family_id)
-
-
-def blo_p_norm(f: GridFunction, w: Weight, p: float, cubes: Sequence[Cube],
-               family_id: str = "family") -> OscillationReport:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return _scan("blo_p", f, w, cubes, p, family_id)
-
-
-def linf_weighted_norm(f: GridFunction, w: Weight, cubes: Sequence[Cube],
-                       family_id: str = "family") -> OscillationReport:
-    return _scan("linf_w", f, w, cubes, None, family_id)
+    return _scan("blo_p", f, w, cubes, p)

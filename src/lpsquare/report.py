@@ -12,11 +12,12 @@ stopping-time measure decay has slack at every generation.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "FunctionSpec",
     "WeightSpec",
     "CorpusEntry",
-    "Corpus",
     "default_corpus",
     "realize_function",
     "realize_weight",
@@ -82,20 +82,15 @@ class CorpusEntry:
 
     def realize(self, n: int, L: float, N: int,
                 base_seed: int = 0) -> tuple[GridFunction, Weight]:
+        """The entry's function and weight on the grid; a function that
+        realizes to all zeros is refused, since every oscillation ratio
+        divides by its norm."""
         f = realize_function(self.function, n, L, N, base_seed)
+        if not f.values.any():
+            raise ValueError(f"corpus entry {self.name!r}: the function "
+                             f"realizes to zero on the {n}D N={N} grid")
         w = realize_weight(self.weight, n, L, N, base_seed)
         return f, w
-
-
-@dataclass(frozen=True)
-class Corpus:
-    entries: tuple[CorpusEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _params(spec) -> dict[str, float]:
@@ -208,7 +203,7 @@ def realize_weight(spec: WeightSpec, n: int, L: float, N: int,
     return Weight(grid_function(n, L, N, np.asarray(vals, dtype=float)))
 
 
-def default_corpus() -> Corpus:
+def default_corpus() -> tuple[CorpusEntry, ...]:
     """Twelve pairs covering every function and weight family."""
     def fs(family, seed=0, **kw):
         return FunctionSpec(family, tuple(sorted(kw.items())), seed)
@@ -216,7 +211,7 @@ def default_corpus() -> Corpus:
     def ws(family, seed=0, **kw):
         return WeightSpec(family, tuple(sorted(kw.items())), seed)
 
-    entries = (
+    return (
         CorpusEntry("step-const", fs("step"), ws("constant")),
         CorpusEntry("step-powreg",
                     fs("step", x0=0.1, width=0.35),
@@ -240,7 +235,6 @@ def default_corpus() -> Corpus:
         CorpusEntry("martingale-piecewise", fs("random-martingale", seed=17),
                     ws("piecewise", seed=7)),
     )
-    return Corpus(entries)
 
 
 _ENTRY_RE = re.compile(
@@ -284,10 +278,10 @@ def _parse_entry(name: str, text: str) -> CorpusEntry:
                        WeightSpec(m.group("wf"), wp, wseed))
 
 
-def _corpus_of(section: dict[str, str]) -> Corpus:
+def _corpus_of(section: dict[str, str]) -> tuple[CorpusEntry, ...]:
     """The entries of a [corpus] section; its seed key is not an entry."""
-    return Corpus(tuple(_parse_entry(k, v) for k, v in section.items()
-                        if k != "seed"))
+    return tuple(_parse_entry(k, v) for k, v in section.items()
+                 if k != "seed")
 
 
 def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
@@ -369,7 +363,7 @@ class RunConfig:
     max_gen: int
     lambda_nodes: int
     dir: str
-    corpus: Corpus
+    corpus: tuple[CorpusEntry, ...]
     text: dict[str, dict[str, str]]
 
 
@@ -515,19 +509,13 @@ class StageTimer:
     def __init__(self):
         self.stages: list[tuple[str, float]] = []
 
+    @contextlib.contextmanager
     def measure(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                timer.stages.append((name, time.perf_counter() - self.t0))
-                return False
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages.append((name, time.perf_counter() - t0))
 
 
 @dataclass
@@ -552,18 +540,11 @@ class RunManifest:
         return all(c["passed"] for c in self.criteria)
 
     def write(self, path: str | Path) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "grid": self.grid,
-            "family": self.family,
-            "kernels": self.kernels,
-            "timings": [{"stage": s, "seconds": t} for s, t in self.timings],
-            "criteria": self.criteria,
-            "entries": self.entries,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-        }
+        # the fields in order, then all_passed, are the JSON keys
+        payload = asdict(self)
+        payload["timings"] = [{"stage": s, "seconds": t}
+                              for s, t in self.timings]
+        payload["all_passed"] = self.all_passed
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2) + "\n")

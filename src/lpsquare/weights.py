@@ -34,23 +34,26 @@ __all__ = [
 ]
 
 
+# Smallest weight value; a weight below it is floored there with a warning.
+EPS_MIN = 1e-12
+
+
 @dataclass(frozen=True)
 class Weight:
     """Strictly positive grid function.
 
-    Values at or below eps_min are floored there with a warning; the measure
+    Values below EPS_MIN are floored there with a warning; the measure
     dω = ω dx must stay nondegenerate on every sample.
     """
 
     base: GridFunction
-    eps_min: float = 1e-12
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.base.values, dtype=float)
-        if np.any(vals < self.eps_min):
-            warnings.warn(
-                f"weight values below {self.eps_min} floored", stacklevel=3)
-            vals = np.maximum(vals, self.eps_min)
+        if np.any(vals < EPS_MIN):
+            warnings.warn(f"weight values below {EPS_MIN} floored",
+                          stacklevel=3)
+            vals = np.maximum(vals, EPS_MIN)
             object.__setattr__(self, "base",
                                self.base.with_values(vals))
 
@@ -133,7 +136,7 @@ def ap_constant(w: Weight, p: float, cubes: Sequence[Cube]) -> float:
 
 
 def power_weight(w: Weight, s: float) -> Weight:
-    return Weight(w.base.with_values(w.base.values**s), eps_min=w.eps_min)
+    return Weight(w.base.with_values(w.base.values**s))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,20 @@ def test_non_finite_corpus_parameter_is_refused(tmp_path, capsys, value):
                    f"corpus entry 'x': x0='{value}' is not finite")
 
 
+@pytest.mark.parametrize("command", ["weights", "operators", "theorem-suite",
+                                     "jn"])
+@pytest.mark.parametrize("function", ["step(width=0)", "sine(k=0)",
+                                      "random-martingale(depth=0)",
+                                      "random-martingale(depth=-3)"])
+def test_zero_function_is_refused(tmp_path, capsys, command, function):
+    # every oscillation ratio and l2 ratio divides by the function's norm
+    assert_refused(tmp_path, capsys,
+                   (command, "--set", "grid.N=64", "--set", "scales.M=4",
+                    "--set", "family.max_level=2",
+                    "--set", f"corpus.z={function} | constant()"),
+                   "corpus entry 'z': the function realizes to zero")
+
+
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
               for key, (kind, _) in keys.items() if kind is float]
 
@@ -349,7 +363,7 @@ def test_crash_exits_3_with_an_error_criterion(tmp_path, capsys, monkeypatch):
 
 
 def test_lone_scale_endpoint_keeps_the_other_default(tmp_path):
-    f, _ = default_corpus().entries[0].realize(1, 1.0, 256)
+    f, _ = default_corpus()[0].realize(1, 1.0, 256)
     default = cli._make_scales(f, load_config(overrides=FAST[1::2]))
     for key, value in (("t_min", 0.01), ("t_max", 0.125)):
         cfg = load_config(overrides=(*FAST[1::2], f"scales.{key}={value}"))

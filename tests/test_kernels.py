@@ -86,13 +86,16 @@ def test_certified_bounds_hold_on_fresh_probes():
         assert np.all(vals <= bound * (1 + 1e-9))
 
 
-def test_certify_rejects_tiny_budget_and_bad_decay():
-    k = poisson_derivative_kernel(1)
-    with pytest.raises(ValueError):
-        certify(k, probe_budget=10)
+def test_certify_rejects_bad_decay():
     bad = Kernel("flat", 1, lambda p: np.ones(p.shape[0]), delta=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         certify(bad)
+
+
+def test_planar_kernel_must_supply_radial_profile():
+    # certification integrates a planar kernel in polar form
+    with pytest.raises(ValueError, match="radial_profile"):
+        Kernel("box", 2, lambda p: np.zeros(p.shape[0]), delta=1.0, gamma=1.0)
 
 
 def test_zero_kernel_certifies_with_zero_constants():

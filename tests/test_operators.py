@@ -1,4 +1,4 @@
-"""Square operators: quadrature correctness, orderings, truncations."""
+"""Square operators: quadrature correctness and orderings."""
 
 import dataclasses
 import math
@@ -28,7 +28,6 @@ from lpsquare.operators import (
     g_star,
     l2_norm,
     lambda_warn_threshold,
-    split_at_scale,
     square_functions,
 )
 from lpsquare.weights import constant_weight
@@ -51,8 +50,7 @@ def direct_periodic_conv(field, kern):
     return out
 
 
-def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0,
-                           keep=None):
+def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0):
     """Scale-by-scale direct sums: psi_t * f, then the spatial sum, each by
     direct_periodic_conv, accumulated in the sample domain."""
     n, L, N = f.n, f.L, f.N
@@ -65,9 +63,7 @@ def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0,
         pts = np.stack([dx.ravel(), dy.ravel()], axis=1)
         dist = np.sqrt(dx**2 + dy**2)
     acc = np.zeros(f.values.shape)
-    for j, (t, w) in enumerate(zip(scales.nodes, scales.weights)):
-        if keep is not None and not keep[j]:
-            continue
+    for t, w in zip(scales.nodes, scales.weights):
         kern = (evaluate(kernel, pts / t) / t**n).reshape(f.values.shape)
         F = direct_periodic_conv(f.values, kern - kern.mean()) * h**n
         sq = F * F
@@ -85,8 +81,7 @@ def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0,
 def odd_kernel():
     """-x exp(-x^2/2): certified, but odd, so its spectrum is imaginary."""
     k = Kernel("odd-gauss", 1,
-               lambda p: -p[:, 0] * np.exp(-p[:, 0] ** 2 / 2.0), 2.0, 1.0,
-               radial=False)
+               lambda p: -p[:, 0] * np.exp(-p[:, 0] ** 2 / 2.0), 2.0, 1.0)
     rep = certify(k)
     return dataclasses.replace(k, c1=rep.c1, c2=rep.c2, report=rep)
 
@@ -117,8 +112,6 @@ def test_default_scales_conventions():
     assert sg.t_min == pytest.approx(2.0 / 512)
     assert sg.t_max == pytest.approx(0.25)
     assert sg.M == 64
-    r = sg.refined()
-    assert r.t_min == sg.t_min and r.t_max == sg.t_max and r.M == 127
 
 
 def test_convolve_annihilates_constants_to_rounding():
@@ -211,7 +204,9 @@ def test_sine_ratio_stable_under_scale_refinement():
     f = sine(N=256, k=3)
     sg = ScaleGrid(2.0 / 256, 0.25, 32)
     r1 = l2_norm(g_function(POISSON1, f, sg).values) / l2_norm(f)
-    r2 = l2_norm(g_function(POISSON1, f, sg.refined()).values) / l2_norm(f)
+    # twice as many scale intervals over the same window
+    fine = ScaleGrid(sg.t_min, sg.t_max, 2 * (sg.M - 1) + 1)
+    r2 = l2_norm(g_function(POISSON1, f, fine).values) / l2_norm(f)
     assert r2 == pytest.approx(r1, rel=0.02)
 
 
@@ -283,44 +278,6 @@ def test_annulus_decomposition_bound():
     assert np.all(gs2 <= 2.0**lam * rhs * (1 + 1e-10))
 
 
-def test_split_sandwich_and_energy_partition():
-    f = sine(N=256, k=4)
-    sg = ScaleGrid(2.0 / 256, 0.25, 16)
-    full = g_function(POISSON1, f, sg).values.values
-    lo, hi = split_at_scale("g", POISSON1, f, 0.05, sg)
-    lov, hiv = lo.values.values, hi.values.values
-    assert lo.part == "low" and hi.part == "high"
-    assert np.all(lov <= full * (1 + 1e-12))
-    assert np.all(hiv <= full * (1 + 1e-12))
-    assert np.all(full <= lov + hiv + 1e-12)
-    assert np.allclose(lov**2 + hiv**2, full**2, rtol=1e-10, atol=1e-14)
-
-
-def test_split_at_top_scale_leaves_negligible_high_part():
-    # k=16 pushes the spectral mass far below t_max, so the top node is empty
-    f = sine(N=256, k=16)
-    sg = ScaleGrid(2.0 / 256, 0.25, 16)
-    full = g_function(POISSON1, f, sg).values.values
-    lo, hi = split_at_scale("g", POISSON1, f, sg.t_max, sg)
-    assert np.max(hi.values.values) < 1e-4 * np.max(full)
-    assert np.allclose(lo.values.values, full, rtol=1e-7)
-    with pytest.raises(ValueError):
-        split_at_scale("g", POISSON1, f, sg.t_min, sg)
-    with pytest.raises(ValueError):
-        split_at_scale("g", POISSON1, f, 2 * sg.t_max, sg)
-    with pytest.raises(ValueError):
-        split_at_scale("gstar", POISSON1, f, 0.05, sg)
-
-
-def test_split_works_for_area_integral():
-    f = sine(N=128, k=4)
-    sg = ScaleGrid(2.0 / 128, 0.25, 8)
-    full = area_integral(POISSON1, f, sg).values.values
-    lo, hi = split_at_scale("s", POISSON1, f, 0.06, sg)
-    assert np.allclose(lo.values.values ** 2 + hi.values.values ** 2,
-                       full**2, rtol=1e-10, atol=1e-14)
-
-
 def test_sublinearity_pointwise():
     rng = np.random.default_rng(3)
     N = 128
@@ -374,29 +331,22 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
     kernel = poisson_derivative_kernel(n) if n == 1 else gauss_derivative_kernel(2)
     f = random_function(n, N, seed=N)
     sg = ScaleGrid(1.0 / N, 0.5, M)
-    r = float(sg.nodes[M // 2])
-    low = sg.nodes < r
     lam = 3.0
     cases = [
         (OperatorSpec("g"), dict(op="g")),
         (OperatorSpec("s"), dict(op="s")),
         (OperatorSpec("gstar", lam=lam), dict(op="gstar", lam=lam)),
         (OperatorSpec("gstar", lam=lam + 1), dict(op="gstar", lam=lam + 1)),
-        (OperatorSpec("g", trunc_r=r, part="low"), dict(op="g", keep=low)),
-        (OperatorSpec("g", trunc_r=r, part="high"), dict(op="g", keep=~low)),
-        (OperatorSpec("s", trunc_r=r, part="low"), dict(op="s", keep=low)),
-        (OperatorSpec("s", trunc_r=r, part="high"), dict(op="s", keep=~low)),
     ]
     [results] = square_functions(kernel, [f], sg, [spec for spec, _ in cases])
     for (spec, kw), res in zip(cases, results):
         ref = oracle_square_function(kernel, f, sg, **kw)
         got = res.values.values
-        assert res.op == spec.op and res.part == spec.part
+        assert (res.op, res.lam) == (spec.op, spec.lam)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * ref.max()), spec
     # the wrappers are the same pass, one operator at a time
-    lo, hi = split_at_scale("s", kernel, f, r, sg)
-    assert np.array_equal(lo.values.values, results[6].values.values)
-    assert np.array_equal(hi.values.values, results[7].values.values)
+    assert np.array_equal(area_integral(kernel, f, sg).values.values,
+                          results[1].values.values)
     assert np.array_equal(g_star(kernel, f, lam, sg).values.values,
                           results[2].values.values)
 
@@ -420,9 +370,6 @@ def test_one_pass_keeps_every_check():
         square_functions(nonvanishing_hat_kernel(), [f], sg, [OperatorSpec("g")])
     bad = [OperatorSpec("gstar"), OperatorSpec("gstar", lam=0.0),
            OperatorSpec("gstar", lam=float("nan")),
-           OperatorSpec("gstar", lam=8.0, trunc_r=0.05, part="low"),
-           OperatorSpec("g", trunc_r=sg.t_min, part="low"),
-           OperatorSpec("g", trunc_r=0.05, part="middle"),
            OperatorSpec("sum")]
     for spec in bad:
         with pytest.raises(ValueError):
@@ -445,9 +392,7 @@ def test_kernel_of_another_dimension_is_refused():
 
 BATCH_SPECS = [OperatorSpec("g"), OperatorSpec("s"),
                OperatorSpec("gstar", lam=8.0),
-               OperatorSpec("gstar", lam=9.0),
-               OperatorSpec("s", trunc_r=0.1, part="low"),
-               OperatorSpec("s", trunc_r=0.1, part="high")]
+               OperatorSpec("gstar", lam=9.0)]
 
 
 @pytest.mark.filterwarnings("ignore:lambda")
@@ -470,7 +415,7 @@ def test_batch_equals_one_function_calls_bit_for_bit(monkeypatch, n, N, kernel,
         assert len(many) == len(BATCH_SPECS)
         for a, b in zip(one, many):
             assert np.array_equal(a.values.values, b.values.values)
-            assert (a.op, a.lam, a.part) == (b.op, b.lam, b.part)
+            assert (a.op, a.lam) == (b.op, b.lam)
             assert a.tail_bound == b.tail_bound
             assert (a.batch_size, b.batch_size) == (1, size)
             assert a.spectra_built == b.spectra_built
@@ -487,9 +432,8 @@ def test_batch_builds_each_spectrum_once_per_scale(monkeypatch):
     M = 8
     sg = ScaleGrid(2.0 / 64, 0.25, M)
     results = list(square_functions(POISSON1, fs, sg, BATCH_SPECS))
-    # per scale one kernel spectrum and one spectrum per distinct mask:
-    # s (shared by the full and the split cone) and two g*_lam weights,
-    # however many functions the batch holds
+    # per scale one kernel spectrum and one spectrum per distinct mask, the
+    # cone and two g*_lam weights, however many functions the batch holds
     assert len(calls) == M * (1 + 3)
     assert len(calls) == len(set(calls))
     assert all(r.spectra_built == len(calls) and r.batch_size == 3

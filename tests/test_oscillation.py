@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsquare.grid import GridFunction, dyadic_cubes
+from lpsquare.grid import GridFunction, cube_region, dyadic_cubes
 from lpsquare.oscillation import (
     blo_constant,
     blo_p_norm,
     bmo_norm,
-    bmo_p_norm,
-    linf_weighted_norm,
     single_cube_value,
 )
 from lpsquare.weights import Weight, constant_weight
@@ -95,12 +93,10 @@ def test_p_equal_one_reduces_to_base():
     f = GridFunction(1, 1.0, 32, rng.normal(size=32))
     w = Weight(GridFunction(1, 1.0, 32, np.exp(rng.normal(size=32) * 0.4)))
     cubes = dyadic_cubes(f, 3)
-    assert bmo_p_norm(f, w, 1.0, cubes).value == pytest.approx(
-        bmo_norm(f, w, cubes).value, rel=1e-14)
     assert blo_p_norm(f, w, 1.0, cubes).value == pytest.approx(
         blo_constant(f, w, cubes).value, rel=1e-14)
     with pytest.raises(ValueError):
-        bmo_p_norm(f, w, 0.5, cubes)
+        blo_p_norm(f, w, 0.5, cubes)
 
 
 def test_bmo_at_most_twice_blo():
@@ -122,8 +118,6 @@ def test_blo_at_most_blo_p():
     blo = blo_constant(f, w, cubes).value
     for p in (1.5, 2.0, 3.0):
         assert blo <= blo_p_norm(f, w, p, cubes).value * (1 + 1e-12)
-        bmo = bmo_norm(f, w, cubes).value
-        assert bmo <= bmo_p_norm(f, w, p, cubes).value * (1 + 1e-12)
 
 
 def test_blo_square_inequality_unweighted():
@@ -138,20 +132,12 @@ def test_blo_square_inequality_unweighted():
     assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_linf_weighted():
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=32)
-    f = GridFunction(1, 1.0, 32, vals)
-    w = unit_weight(32)
-    cubes = dyadic_cubes(f, 3)
-    rep = linf_weighted_norm(f, w, cubes)
-    assert rep.value == pytest.approx(np.abs(vals).max(), rel=1e-14)
-    for c in (0.5, 3.0):
-        scaled = f.with_values(c * vals)
-        assert linf_weighted_norm(scaled, w, cubes).value == pytest.approx(
-            abs(c) * rep.value, rel=1e-13)
-    bmo = bmo_norm(f, w, cubes).value
-    assert bmo <= 2 * rep.value * (1 + 1e-12)
+def linf_over_weight(f, w, cubes):
+    """max over the family of max_Q |f| / min_Q ω, by direct gathers."""
+    def quotient(q):
+        idx = cube_region(f, q).indices
+        return np.abs(f.values.ravel()[idx]).max() / w.values.ravel()[idx].min()
+    return max(quotient(q) for q in cubes)
 
 
 def test_bmo_le_two_linf_with_nonflat_weight():
@@ -160,7 +146,7 @@ def test_bmo_le_two_linf_with_nonflat_weight():
     w = Weight(GridFunction(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.5)))
     cubes = dyadic_cubes(f, 4)
     assert bmo_norm(f, w, cubes).value <= \
-        2 * linf_weighted_norm(f, w, cubes).value * (1 + 1e-12)
+        2 * linf_over_weight(f, w, cubes) * (1 + 1e-12)
 
 
 def test_witnessed_supremum():
@@ -171,9 +157,7 @@ def test_witnessed_supremum():
     for kind, rep in [
         ("bmo", bmo_norm(f, w, cubes)),
         ("blo", blo_constant(f, w, cubes)),
-        ("bmo_p", bmo_p_norm(f, w, 2.0, cubes)),
         ("blo_p", blo_p_norm(f, w, 2.0, cubes)),
-        ("linf_w", linf_weighted_norm(f, w, cubes)),
     ]:
         again = single_cube_value(kind, f, w, rep.argmax, rep.p)
         assert again == rep.value
@@ -189,7 +173,7 @@ def test_translation_invariance_with_covariant_family():
     fs = GridFunction(1, 1.0, 64, np.roll(vals, shift))
     ws = Weight(GridFunction(1, 1.0, 64, np.roll(wvals, shift)))
     cubes = dyadic_cubes(f, 2)
-    for fn in (bmo_norm, blo_constant, linf_weighted_norm):
+    for fn in (bmo_norm, blo_constant):
         assert fn(fs, ws, cubes).value == pytest.approx(
             fn(f, w, cubes).value, rel=1e-12)
 
@@ -205,4 +189,4 @@ def test_order_properties_random(seed):
     blo = blo_constant(f, w, cubes).value
     assert 0 <= bmo <= 2 * blo * (1 + 1e-12)
     assert blo <= blo_p_norm(f, w, 2.0, cubes).value * (1 + 1e-12)
-    assert bmo <= 2 * linf_weighted_norm(f, w, cubes).value * (1 + 1e-12)
+    assert bmo <= 2 * linf_over_weight(f, w, cubes) * (1 + 1e-12)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpsquare.report import (
-    Corpus,
     CorpusEntry,
     FunctionSpec,
     RunConfig,
@@ -124,12 +123,12 @@ def test_build_corpus_from_file(tmp_path):
     corpus = cfg.corpus
     assert cfg.seed == 7
     assert [e.name for e in corpus] == ["mypair", "other"]
-    first = corpus.entries[0]
+    first = corpus[0]
     assert first.function.family == "sine"
     assert dict(first.function.params) == {"k": 4.0, "a": 2.0}
     assert first.weight.seed == 2
-    assert corpus.entries[1].weight.params == (("c", 1.5),)
-    assert corpus.entries[1].function.seed == 9
+    assert corpus[1].weight.params == (("c", 1.5),)
+    assert corpus[1].function.seed == 9
 
 
 def test_build_corpus_empty_file_gives_empty_corpus(tmp_path):
@@ -168,6 +167,14 @@ def test_non_finite_corpus_parameter_is_refused(value, side):
         load_config(overrides=(f"corpus.pair={text}",))
     assert str(err.value) == \
         f"corpus entry 'pair': {key}={value!r} is not finite"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_function_is_refused_when_realized(n):
+    entry = CorpusEntry("flat", FunctionSpec("step", (("width", 0.0),)),
+                        WeightSpec("constant"))
+    with pytest.raises(ValueError, match="corpus entry 'flat'"):
+        entry.realize(n, 1.0, 32)
 
 
 def test_config_corpus_defaults_when_no_entries(tmp_path):

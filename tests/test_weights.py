@@ -15,6 +15,7 @@ from lpsquare.grid import (
     measure,
 )
 from lpsquare.weights import (
+    EPS_MIN,
     Weight,
     a1_constant,
     ap_constant,
@@ -175,7 +176,7 @@ def test_positivity_flooring_warns():
     vals[3] = -2.0
     with pytest.warns(UserWarning):
         w = Weight(GridFunction(1, 1.0, 16, vals))
-    assert w.values.min() >= w.eps_min
+    assert w.values.min() >= EPS_MIN
 
 
 def test_ap_rejects_small_p():
