@@ -339,11 +339,10 @@ class BlockPyramid:
     A level-k table holds one entry per level-k dyadic block, in the order
     of level_blocks, so entry b belongs to the cube at dyadic_address
     (k, b).  Each table is built the first time one of its levels is read
-    and kept, so a scan pays only for the levels it reads.  Min and max are
-    built bottom-up, exactly: the finest level is a view of the samples and
-    each coarser level the element-wise min (max) of its children's
-    entries.  The other tables are reduced from level_blocks.  Tables are
-    read-only.
+    and kept, so a scan pays only for the levels it reads.  Min is built
+    bottom-up, exactly: the finest level is a view of the samples and each
+    coarser level the element-wise min of its children's entries.  The
+    other tables are reduced from level_blocks.  Tables are read-only.
     """
 
     def __init__(self, values: np.ndarray, n: int):
@@ -393,10 +392,6 @@ class BlockPyramid:
     def min(self, k: int) -> np.ndarray:
         return self.table("min", k, lambda k: self._coarsen(
             self.min, k, np.minimum))
-
-    def max(self, k: int) -> np.ndarray:
-        return self.table("max", k, lambda k: self._coarsen(
-            self.max, k, np.maximum))
 
     def absdev(self, k: int) -> np.ndarray:
         """Σ_Q |v - v_Q| per block, v_Q the block mean."""

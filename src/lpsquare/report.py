@@ -1,9 +1,9 @@
 """Experiment corpus, config handling, CSV/plot emission, run manifests.
 
 Corpus entries are declarative (family name, parameters, seed) and realize
-to samples deterministically given (n, L, N).  Function families: step,
-sawtooth, sine, log-spike, random-martingale.  Weight families: constant,
-power-regularized, piecewise.  Singular profiles are regularized at a
+to samples deterministically given (n, L, N).  Each family is one realizer
+in FUNCTION_FAMILIES or WEIGHT_FAMILIES, whose keyword defaults are the
+family's parameters.  Singular profiles are regularized at a
 resolution-independent epsilon so that refining the grid resamples the same
 underlying object; weight families keep a dynamic range below e so that
 stopping-time measure decay has slack at every generation.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, grid_function
+from .grid import GridFunction, from_callable, periodic_displacement
 from .weights import Weight
 
 __all__ = [
@@ -43,35 +43,123 @@ __all__ = [
     "StageTimer",
 ]
 
-FUNCTION_FAMILIES = ("step", "sawtooth", "sine", "log-spike",
-                     "random-martingale")
-WEIGHT_FAMILIES = ("constant", "power-regularized", "piecewise")
+# ---------------------------------------------------------------------------
+# corpus families
+#
+# Each family is one realizer: it maps the sample coordinates (one array
+# per axis, in the shape of the grid), the box side L and the entry's
+# seeds (base seed, entry seed) to sample values.  Its keyword-only
+# parameters are the family's parameters and their defaults the family's
+# defaults; positions and widths are fractions of L.
+
+
+def _repeat(blocks: np.ndarray, r: int) -> np.ndarray:
+    """Each entry of blocks repeated r times along every axis."""
+    for axis in range(blocks.ndim):
+        blocks = np.repeat(blocks, r, axis=axis)
+    return blocks
+
+
+def _step(coords, L, seeds, *, a=1.0, x0=0.25, width=0.25):
+    vals = np.ones_like(coords[0])
+    for c in coords:
+        vals = vals * ((c - x0 * L) % L < width * L)
+    return a * vals
+
+
+def _sawtooth(coords, L, seeds, *, k=3.0, a=1.0, x0=0.0):
+    return a * (((coords[0] - x0 * L) * k / L) % 1.0 - 0.5)
+
+
+def _sine(coords, L, seeds, *, k=3.0, a=1.0, phase=0.0):
+    vals = np.ones_like(coords[0]) * a
+    for c in coords:
+        vals = vals * np.sin(2 * np.pi * k * c / L + phase)
+    return vals
+
+
+def _log_spike(coords, L, seeds, *, x0=0.3, eps=1.0 / 1024.0):
+    d = np.sqrt(sum(periodic_displacement(c, x0 * L, L) ** 2 for c in coords))
+    return -np.log(np.maximum(d, eps * L) / L)
+
+
+def _random_martingale(coords, L, seeds, *, depth=8):
+    """Seeded dyadic martingale: symmetric increments per refinement level."""
+    N = coords[0].shape[0]
+    vals = np.zeros((1,) * len(coords))
+    rng = np.random.default_rng(seeds)
+    for _ in range(min(int(depth), N.bit_length() - 1)):
+        vals = _repeat(vals, 2)
+        vals += rng.uniform(-1.0, 1.0, vals.shape)
+    return _repeat(vals, N // vals.shape[0])
+
+
+def _constant(coords, L, seeds, *, c=1.0):
+    return np.full_like(coords[0], c)
+
+
+def _power_regularized(coords, L, seeds, *, alpha=0.25, x0=0.5,
+                       eps=1.0 / 64.0):
+    d = np.sqrt(sum(periodic_displacement(c, x0 * L, L) ** 2 for c in coords))
+    return (np.maximum(d, eps * L) / L) ** alpha
+
+
+def _piecewise(coords, L, seeds, *, level=3, lo=2.0 / 3.0, hi=1.5):
+    """Seeded constants on the level-`level` dyadic blocks."""
+    N = coords[0].shape[0]
+    level = int(level)
+    # checked before drawing: a deep level asks for 2^(n*level) draws
+    if not 0 <= level <= N.bit_length() - 1:
+        raise ValueError(f"piecewise level={level} must lie between 0 and "
+                         f"log2(N)={N.bit_length() - 1}")
+    B = 1 << level
+    palette = np.random.default_rng(seeds).uniform(lo, hi, (B,) * len(coords))
+    return _repeat(palette, N // B)
+
+
+FUNCTION_FAMILIES = {"step": _step, "sawtooth": _sawtooth, "sine": _sine,
+                     "log-spike": _log_spike,
+                     "random-martingale": _random_martingale}
+WEIGHT_FAMILIES = {"constant": _constant,
+                   "power-regularized": _power_regularized,
+                   "piecewise": _piecewise}
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class _FamilySpec:
+    """A family of the subclass's families map, parameters that family
+    declares, and a seed."""
+
     family: str
     params: tuple[tuple[str, float], ...] = ()
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FUNCTION_FAMILIES:
+        if self.family not in self.families:
             raise ValueError(
-                f"unknown function family {self.family!r}; "
-                f"valid: {', '.join(FUNCTION_FAMILIES)}")
+                f"unknown {self.kind} family {self.family!r}; "
+                f"valid: {', '.join(self.families)}")
+        declared = self.families[self.family].__kwdefaults__
+        for key, _ in self.params:
+            if key not in declared:
+                raise ValueError(
+                    f"{self.family} has no parameter {key!r}; "
+                    f"valid: {', '.join(declared)}, seed")
+
+    def sample(self, n: int, L: float, N: int,
+               base_seed: int = 0) -> GridFunction:
+        realizer = self.families[self.family]
+        seeds = (base_seed, self.seed)
+        return from_callable(n, L, N, lambda *coords: realizer(
+            coords, L, seeds, **dict(self.params)))
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    family: str
-    params: tuple[tuple[str, float], ...] = ()
-    seed: int = 0
+class FunctionSpec(_FamilySpec):
+    kind, families = "function", FUNCTION_FAMILIES
 
-    def __post_init__(self):
-        if self.family not in WEIGHT_FAMILIES:
-            raise ValueError(
-                f"unknown weight family {self.family!r}; "
-                f"valid: {', '.join(WEIGHT_FAMILIES)}")
+
+class WeightSpec(_FamilySpec):
+    kind, families = "weight", WEIGHT_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -82,159 +170,62 @@ class CorpusEntry:
 
     def realize(self, n: int, L: float, N: int,
                 base_seed: int = 0) -> tuple[GridFunction, Weight]:
-        """The entry's function and weight on the grid; a function that
-        realizes to all zeros is refused, since every oscillation ratio
-        divides by its norm."""
-        f = realize_function(self.function, n, L, N, base_seed)
-        if not f.values.any():
-            raise ValueError(f"corpus entry {self.name!r}: the function "
-                             f"realizes to zero on the {n}D N={N} grid")
-        w = realize_weight(self.weight, n, L, N, base_seed)
-        return f, w
-
-
-def _params(spec) -> dict[str, float]:
-    return dict(spec.params)
-
-
-def _axis(n: int, L: float, N: int):
-    x = np.arange(N) * (L / N)
-    if n == 1:
-        return (x,)
-    return np.meshgrid(x, x, indexing="ij")
-
-
-def _periodic_dist(coords, x0, L):
-    parts = [((c - x0 + L / 2) % L) - L / 2 for c in coords]
-    if len(parts) == 1:
-        return np.abs(parts[0])
-    return np.sqrt(parts[0] ** 2 + parts[1] ** 2)
-
-
-def _rng(base_seed: int, seed: int) -> np.random.Generator:
-    return np.random.default_rng((base_seed, seed))
-
-
-def _dyadic_noise(n: int, N: int, depth: int, rng) -> np.ndarray:
-    """Seeded dyadic martingale: symmetric increments per refinement level."""
-    depth = min(depth, int(math.log2(N)))
-    if n == 1:
-        vals = np.zeros(1)
-        for _ in range(depth):
-            vals = np.repeat(vals, 2)
-            vals += rng.uniform(-1.0, 1.0, vals.size)
-        return np.repeat(vals, N // vals.size)
-    vals = np.zeros((1, 1))
-    for _ in range(depth):
-        vals = np.repeat(np.repeat(vals, 2, axis=0), 2, axis=1)
-        vals += rng.uniform(-1.0, 1.0, vals.shape)
-    r = N // vals.shape[0]
-    return np.repeat(np.repeat(vals, r, axis=0), r, axis=1)
+        """The entry's function and weight on the grid; a refusal names
+        the entry."""
+        try:
+            return (realize_function(self.function, n, L, N, base_seed),
+                    realize_weight(self.weight, n, L, N, base_seed))
+        except ValueError as exc:
+            raise ValueError(f"corpus entry {self.name!r}: {exc}") from None
 
 
 def realize_function(spec: FunctionSpec, n: int, L: float, N: int,
                      base_seed: int = 0) -> GridFunction:
-    p = _params(spec)
-    coords = _axis(n, L, N)
-    if spec.family == "step":
-        a = p.get("a", 1.0)
-        x0 = p.get("x0", 0.25) * L
-        width = p.get("width", 0.25) * L
-        vals = np.ones_like(coords[0])
-        for c in coords:
-            d = (c - x0) % L
-            vals = vals * (d < width)
-        vals = a * vals
-    elif spec.family == "sawtooth":
-        k = p.get("k", 3.0)
-        a = p.get("a", 1.0)
-        x0 = p.get("x0", 0.0) * L
-        vals = a * (((coords[0] - x0) * k / L) % 1.0 - 0.5)
-    elif spec.family == "sine":
-        k = p.get("k", 3.0)
-        a = p.get("a", 1.0)
-        phase = p.get("phase", 0.0)
-        vals = np.ones_like(coords[0]) * a
-        for c in coords:
-            vals = vals * np.sin(2 * np.pi * k * c / L + phase)
-    elif spec.family == "log-spike":
-        x0 = p.get("x0", 0.3) * L
-        eps = p.get("eps", 1.0 / 1024.0) * L
-        d = _periodic_dist(coords, x0, L)
-        vals = -np.log(np.maximum(d, eps) / L)
-    elif spec.family == "random-martingale":
-        depth = int(p.get("depth", 8))
-        vals = _dyadic_noise(n, N, depth, _rng(base_seed, spec.seed))
-    else:  # pragma: no cover - guarded by FunctionSpec
-        raise ValueError(spec.family)
-    return grid_function(n, L, N, np.asarray(vals, dtype=float))
+    """spec's samples on the grid; a constant is refused, since every
+    oscillation ratio divides by the function's oscillation."""
+    f = spec.sample(n, L, N, base_seed)
+    lo, hi = f.values.min(), f.values.max()
+    if lo == hi:
+        what = "zero" if hi == 0 else f"the constant {float(hi)!r}"
+        raise ValueError(f"the function realizes to {what} on the {n}D "
+                         f"N={N} grid")
+    return f
 
 
 def realize_weight(spec: WeightSpec, n: int, L: float, N: int,
                    base_seed: int = 0) -> Weight:
-    p = _params(spec)
-    coords = _axis(n, L, N)
-    if spec.family == "constant":
-        c = p.get("c", 1.0)
-        if c <= 0:
-            raise ValueError("constant weight must be positive")
-        vals = np.full_like(coords[0], c)
-    elif spec.family == "power-regularized":
-        alpha = p.get("alpha", 0.25)
-        x0 = p.get("x0", 0.5) * L
-        eps = p.get("eps", 1.0 / 64.0) * L
-        d = _periodic_dist(coords, x0, L)
-        vals = (np.maximum(d, eps) / L) ** alpha
-    elif spec.family == "piecewise":
-        level = int(p.get("level", 3))
-        lo = p.get("lo", 2.0 / 3.0)
-        hi = p.get("hi", 1.5)
-        rng = _rng(base_seed, spec.seed)
-        B = 1 << level
-        if n == 1:
-            palette = rng.uniform(lo, hi, B)
-            vals = np.repeat(palette, N // B)
-        else:
-            palette = rng.uniform(lo, hi, (B, B))
-            r = N // B
-            vals = np.repeat(np.repeat(palette, r, axis=0), r, axis=1)
-    else:  # pragma: no cover - guarded by WeightSpec
-        raise ValueError(spec.family)
-    return Weight(grid_function(n, L, N, np.asarray(vals, dtype=float)))
+    """spec's samples as a weight; one not strictly positive is refused."""
+    w = spec.sample(n, L, N, base_seed)
+    lo = float(w.values.min())
+    if not lo > 0:
+        raise ValueError(f"the weight is not strictly positive on the {n}D "
+                         f"N={N} grid: its minimum is {lo!r}")
+    return Weight(w)
+
+
+# The built-in corpus: twelve [corpus] entries covering every function and
+# weight family.
+_DEFAULT_CORPUS = {
+    "step-const": "step() | constant()",
+    "step-powreg": "step(x0=0.1, width=0.35) | "
+                   "power-regularized(alpha=0.28, x0=0.7)",
+    "sawtooth-const": "sawtooth(k=4) | constant()",
+    "sawtooth-piecewise": "sawtooth(k=5, x0=0.1) | piecewise(seed=2)",
+    "sine-const": "sine(k=3) | constant()",
+    "sine-powreg": "sine(k=8, a=1.5) | power-regularized(alpha=-0.25, x0=0.7)",
+    "logspike-const": "log-spike(x0=0.3) | constant()",
+    "logspike-powreg": "log-spike(x0=0.62) | "
+                       "power-regularized(alpha=0.25, x0=0.2)",
+    "logspike-piecewise": "log-spike(x0=0.3) | piecewise(seed=3)",
+    "martingale-const": "random-martingale(seed=5) | constant()",
+    "martingale-powreg": "random-martingale(seed=11) | "
+                         "power-regularized(alpha=0.2, x0=0.45)",
+    "martingale-piecewise": "random-martingale(seed=17) | piecewise(seed=7)",
+}
 
 
 def default_corpus() -> tuple[CorpusEntry, ...]:
-    """Twelve pairs covering every function and weight family."""
-    def fs(family, seed=0, **kw):
-        return FunctionSpec(family, tuple(sorted(kw.items())), seed)
-
-    def ws(family, seed=0, **kw):
-        return WeightSpec(family, tuple(sorted(kw.items())), seed)
-
-    return (
-        CorpusEntry("step-const", fs("step"), ws("constant")),
-        CorpusEntry("step-powreg",
-                    fs("step", x0=0.1, width=0.35),
-                    ws("power-regularized", alpha=0.28, x0=0.7)),
-        CorpusEntry("sawtooth-const", fs("sawtooth", k=4.0), ws("constant")),
-        CorpusEntry("sawtooth-piecewise", fs("sawtooth", k=5.0, x0=0.1),
-                    ws("piecewise", seed=2)),
-        CorpusEntry("sine-const", fs("sine", k=3.0), ws("constant")),
-        CorpusEntry("sine-powreg", fs("sine", k=8.0, a=1.5),
-                    ws("power-regularized", alpha=-0.25, x0=0.7)),
-        CorpusEntry("logspike-const", fs("log-spike", x0=0.3),
-                    ws("constant")),
-        CorpusEntry("logspike-powreg", fs("log-spike", x0=0.62),
-                    ws("power-regularized", alpha=0.25, x0=0.2)),
-        CorpusEntry("logspike-piecewise", fs("log-spike", x0=0.3),
-                    ws("piecewise", seed=3)),
-        CorpusEntry("martingale-const", fs("random-martingale", seed=5),
-                    ws("constant")),
-        CorpusEntry("martingale-powreg", fs("random-martingale", seed=11),
-                    ws("power-regularized", alpha=0.2, x0=0.45)),
-        CorpusEntry("martingale-piecewise", fs("random-martingale", seed=17),
-                    ws("piecewise", seed=7)),
-    )
+    return _corpus_of(_DEFAULT_CORPUS)
 
 
 _ENTRY_RE = re.compile(
@@ -242,24 +233,28 @@ _ENTRY_RE = re.compile(
     r"(?P<wf>[a-z-]+)\s*\((?P<wp>[^)]*)\)\s*$")
 
 
-def _parse_params(name: str,
-                  text: str) -> tuple[tuple[tuple[str, float], ...], int]:
+def _parse_params(name: str, kind: type, family: str,
+                  text: str) -> FunctionSpec | WeightSpec:
+    """kind(family, params, seed) from an entry's "k=v, ..." text; seed= is
+    accepted on every family, and a refusal names the entry."""
     params = []
     seed = 0
-    for item in filter(None, (s.strip() for s in text.split(","))):
-        if "=" not in item:
-            raise ValueError(f"malformed parameter {item!r}")
-        key, val = (s.strip() for s in item.split("=", 1))
-        if key == "seed":
-            seed = int(val)
-            continue
-        value = float(val)
-        # a step at x0=nan or x0=inf would realize the zero function
-        if not math.isfinite(value):
-            raise ValueError(f"corpus entry {name!r}: {key}={val!r} is not "
-                             "finite")
-        params.append((key, value))
-    return tuple(sorted(params)), seed
+    try:
+        for item in filter(None, (s.strip() for s in text.split(","))):
+            if "=" not in item:
+                raise ValueError(f"malformed parameter {item!r}")
+            key, val = (s.strip() for s in item.split("=", 1))
+            if key == "seed":
+                seed = int(val)
+                continue
+            value = float(val)
+            # a step at x0=nan or x0=inf would realize the zero function
+            if not math.isfinite(value):
+                raise ValueError(f"{key}={val!r} is not finite")
+            params.append((key, value))
+        return kind(family, tuple(sorted(params)), seed)
+    except ValueError as exc:
+        raise ValueError(f"corpus entry {name!r}: {exc}") from None
 
 
 def _parse_entry(name: str, text: str) -> CorpusEntry:
@@ -272,10 +267,9 @@ def _parse_entry(name: str, text: str) -> CorpusEntry:
         raise ValueError(
             f"corpus entry {name!r} must look like "
             "'family(k=v, ...) | family(k=v, ...)'")
-    fp, fseed = _parse_params(name, m.group("fp"))
-    wp, wseed = _parse_params(name, m.group("wp"))
-    return CorpusEntry(name, FunctionSpec(m.group("ff"), fp, fseed),
-                       WeightSpec(m.group("wf"), wp, wseed))
+    return CorpusEntry(
+        name, _parse_params(name, FunctionSpec, m.group("ff"), m.group("fp")),
+        _parse_params(name, WeightSpec, m.group("wf"), m.group("wp")))
 
 
 def _corpus_of(section: dict[str, str]) -> tuple[CorpusEntry, ...]:
@@ -326,6 +320,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
 # value keeps its own checks (GridFunction, ScaleGrid, dyadic_cubes,
 # cz_decompose, certify).
 _RANGE = (
+    ("n", lambda v: v in (1, 2), "must be 1 or 2"),
     ("L", lambda v: v > 0, "must be positive"),
     ("N", lambda v: v >= 1, "must be at least 1"),
     ("N", lambda v: v & (v - 1) == 0, "must be a power of two"),

@@ -14,7 +14,8 @@ from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
 from lpsquare.grid import Cube, dyadic_cubes, grid_function
 from lpsquare.oscillation import single_cube_value
-from lpsquare.report import _SCHEMA, default_corpus, load_config
+from lpsquare.report import (FUNCTION_FAMILIES, WEIGHT_FAMILIES, _SCHEMA,
+                             default_corpus, load_config)
 
 FAST = ("--set", "grid.N=256", "--set", "scales.M=12",
         "--set", "family.max_level=4")
@@ -231,6 +232,8 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
     ("weights", "scales.t_max=0", "scales.t_max must be positive"),
     ("weights", "tolerances.max_gen=0",
      "tolerances.max_gen must be at least 1"),
+    ("kernel-check", "grid.n=3", "grid.n must be 1 or 2"),
+    ("weights", "grid.n=0", "grid.n must be 1 or 2"),
 ])
 def test_malformed_setting_is_refused_by_every_command(
         tmp_path, capsys, command, setting, message):
@@ -257,6 +260,40 @@ def test_zero_function_is_refused(tmp_path, capsys, command, function):
                     "--set", "family.max_level=2",
                     "--set", f"corpus.z={function} | constant()"),
                    "corpus entry 'z': the function realizes to zero")
+
+
+@pytest.mark.parametrize("command", ["weights", "operators", "theorem-suite",
+                                     "jn"])
+@pytest.mark.parametrize("entry, message", [
+    # a constant's BMO norm is 0, so every ratio would read inf
+    ("step(width=1) | constant()",
+     "corpus entry 'x': the function realizes to the constant 1.0 on the 1D "
+     "N=64 grid"),
+    ("sawtooth(k=0) | constant()",
+     "corpus entry 'x': the function realizes to the constant -0.5"),
+    ("sine(k=0, phase=1) | constant()",
+     "corpus entry 'x': the function realizes to the constant 0.84"),
+    ("step(xo=0.3) | constant()",
+     "corpus entry 'x': step has no parameter 'xo'; valid: a, x0, width, "
+     "seed"),
+    ("step() | piecewise(lo=-1)",
+     "corpus entry 'x': the weight is not strictly positive on the 1D N=64 "
+     "grid"),
+    ("step() | constant(c=0)",
+     "corpus entry 'x': the weight is not strictly positive on the 1D N=64 "
+     "grid: its minimum is 0.0"),
+    ("step() | piecewise(level=7)",
+     "corpus entry 'x': piecewise level=7 must lie between 0 and "
+     "log2(N)=6"),
+    ("step() | piecewise(level=-1)",
+     "corpus entry 'x': piecewise level=-1 must lie between 0 and "
+     "log2(N)=6"),
+])
+def test_corpus_entry_is_refused(tmp_path, capsys, command, entry, message):
+    assert_refused(tmp_path, capsys,
+                   (command, "--set", "grid.N=64", "--set", "scales.M=4",
+                    "--set", "family.max_level=2",
+                    "--set", f"corpus.x={entry}"), message)
 
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
@@ -321,16 +358,41 @@ VALUES = ["", "0", "-1", "1", "2", "3", "1.5", "0.01", "0.125", "1e-3",
           "hermite2", "sine(k=2) | constant()", "sine(k=x) | constant()"]
 SETTING = st.builds("{}={}".format, st.sampled_from(SETTING_KEYS),
                     st.one_of(st.sampled_from(VALUES), st.text(max_size=2)))
+# corpus entries of the declared families, each parameter declared or
+# misspelt; level never takes 25, which would draw 2^25 values per axis if
+# its refusal were lost
+PARAMETER_VALUES = ["0", "-1", "0.5", "1", "3", "25"]
 
 
-@settings(max_examples=100, deadline=None)
+def _parameter(key):
+    values = PARAMETER_VALUES[:-1] if key == "level" else PARAMETER_VALUES
+    return st.sampled_from(values).map(f"{key}={{}}".format)
+
+
+def _family_text(families):
+    def text(family):
+        keys = [*families[family].__kwdefaults__, "seed"]
+        params = st.sampled_from(keys + [key + "_" for key in keys])
+        return st.lists(params.flatmap(_parameter), max_size=3).map(
+            lambda items: f"{family}({', '.join(items)})")
+    return st.sampled_from(list(families)).flatmap(text)
+
+
+ENTRY = st.builds("corpus.{}={} | {}".format, st.sampled_from("pq"),
+                  _family_text(FUNCTION_FAMILIES),
+                  _family_text(WEIGHT_FAMILIES))
+
+
+@settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(sorted(cli._COMMANDS)),
-       items=st.lists(SETTING, max_size=2))
-def test_any_settings_give_a_verdict_and_a_manifest(command, items):
+       items=st.lists(SETTING, max_size=2),
+       entries=st.lists(ENTRY, max_size=2))
+def test_any_settings_give_a_verdict_and_a_manifest(command, items, entries):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         # --set=TEXT, so that text starting with "-" is a setting's value
-        code = main([command, *TINY, *(f"--set={item}" for item in items),
+        code = main([command, *TINY,
+                     *(f"--set={item}" for item in [*items, *entries]),
                      "--out", str(out)])
         assert code in (0, 1, 2)
         manifest = json.loads((out / "manifest.json").read_text())

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpsquare.grid import periodic_displacement
 from lpsquare.report import (
+    FUNCTION_FAMILIES,
+    WEIGHT_FAMILIES,
     CorpusEntry,
     FunctionSpec,
     RunConfig,
@@ -106,6 +111,42 @@ def test_unknown_families_rejected_with_listing():
         FN("brownian")
     with pytest.raises(ValueError, match="piecewise"):
         WT("lognormal")
+    with pytest.raises(ValueError, match="valid: a, x0, width, seed"):
+        FN("step", (("xo", 0.3),))
+
+
+def test_readme_table_lists_every_declared_parameter_and_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (function|weight) \| ([^|]*) \|",
+                      readme, re.MULTILINE)
+    declared = {**{f: ("function", r) for f, r in FUNCTION_FAMILIES.items()},
+                **{f: ("weight", r) for f, r in WEIGHT_FAMILIES.items()}}
+    assert [family for family, _, _ in rows] == list(declared)
+    for family, kind, params in rows:
+        assert kind == declared[family][0], family
+        defaults = declared[family][1].__kwdefaults__
+        table = re.findall(r"`(\w+)=([^`]+)`", params)
+        assert [key for key, _ in table] == list(defaults), family
+        for key, text in table:
+            assert float(Fraction(text)) == defaults[key], (family, key)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_families_read_the_periodic_distance(n):
+    # |x - x0| is the absolute periodic displacement in 1D, the Euclidean
+    # norm of the per-axis displacements in 2D
+    L, N = 2.0, 32
+    x = np.arange(N) * (L / N)
+    parts = [periodic_displacement(c, 0.3 * L, L)
+             for c in np.meshgrid(*(x,) * n, indexing="ij")]
+    d = np.abs(parts[0]) if n == 1 else np.sqrt(parts[0] ** 2 + parts[1] ** 2)
+    f = realize_function(FN("log-spike", (("x0", 0.3),)), n, L, N)
+    w = realize_weight(WT("power-regularized", (("alpha", 0.5), ("x0", 0.3))),
+                       n, L, N)
+    assert f.values.tobytes() == \
+        (-np.log(np.maximum(d, L / 1024.0) / L)).tobytes()
+    assert w.values.tobytes() == \
+        ((np.maximum(d, L / 64.0) / L) ** 0.5).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +216,74 @@ def test_zero_function_is_refused_when_realized(n):
                         WeightSpec("constant"))
     with pytest.raises(ValueError, match="corpus entry 'flat'"):
         entry.realize(n, 1.0, 32)
+
+
+def _entry(text: str) -> CorpusEntry:
+    [entry] = load_config(overrides=(f"corpus.e={text}",)).corpus
+    return entry
+
+
+@pytest.mark.parametrize("text, message", [
+    ("step(xo=0.3) | constant()",
+     "step has no parameter 'xo'; valid: a, x0, width, seed"),
+    ("log-spike(eps=0.1, X0=0.2) | constant()",
+     "log-spike has no parameter 'X0'; valid: x0, eps, seed"),
+    ("step() | piecewise(levels=2)",
+     "piecewise has no parameter 'levels'; valid: level, lo, hi, seed"),
+])
+def test_undeclared_corpus_parameter_is_refused(text, message):
+    with pytest.raises(ValueError) as err:
+        _entry(text)
+    assert str(err.value) == f"corpus entry 'e': {message}"
+
+
+def test_every_family_accepts_a_seed():
+    for family in FUNCTION_FAMILIES:
+        assert _entry(f"{family}(seed=3) | constant()").function.seed == 3
+    for family in WEIGHT_FAMILIES:
+        assert _entry(f"step() | {family}(seed=4)").weight.seed == 4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("function, value", [
+    ("step(width=1)", "1.0"), ("step(width=3, a=-2)", "-2.0"),
+    ("sawtooth(k=0)", "-0.5"),
+    ("sine(k=0, phase=1)", ""),  # sin(1), whatever its last bit
+    ("random-martingale(depth=0)", None)])
+def test_constant_function_is_refused_when_realized(n, function, value):
+    with pytest.raises(ValueError) as err:
+        _entry(f"{function} | constant()").realize(n, 1.0, 32)
+    what = "zero" if value is None else f"the constant {value}"
+    assert str(err.value).startswith(
+        f"corpus entry 'e': the function realizes to {what}")
+    assert str(err.value).endswith(f" on the {n}D N=32 grid")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("weight", [
+    "constant(c=0)", "constant(c=-1)", "piecewise(lo=-1, hi=-0.5)",
+    "power-regularized(alpha=0.5, x0=0.5, eps=0)"])
+def test_weight_not_strictly_positive_is_refused_when_realized(n, weight):
+    with pytest.raises(ValueError) as err:
+        _entry(f"step() | {weight}").realize(n, 1.0, 32)
+    assert str(err.value).startswith(
+        f"corpus entry 'e': the weight is not strictly positive on the "
+        f"{n}D N=32 grid")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("level", [-1, 6, 9])
+def test_piecewise_level_off_the_grid_is_refused_before_drawing(
+        n, level, monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew values")
+
+    entry = _entry(f"step() | piecewise(level={level})")
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    with pytest.raises(ValueError) as err:
+        entry.realize(n, 1.0, 32)
+    assert str(err.value) == (f"corpus entry 'e': piecewise level={level} "
+                              "must lie between 0 and log2(N)=5")
 
 
 def test_config_corpus_defaults_when_no_entries(tmp_path):
