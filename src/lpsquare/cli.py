@@ -365,7 +365,11 @@ def _jn_rows(entry, cfg):
     witnesses = {"blo": _cube_record(blo_rep.argmax)}
     equiv = []
     for p in (1.5, 2.0, 3.0):
-        nu = power_weight(w, -1.0 / (p - 1.0))
+        try:
+            nu = power_weight(w, -1.0 / (p - 1.0))
+        except ValueError as exc:
+            raise ValueError(f"corpus entry {entry.name!r}: w^(-1/(p-1)) at "
+                             f"p={p:g}: {exc}") from None
         k_bound = equivalence_constant(p, n, a1, ap_constant(nu, p, family))
         blo_p_rep = blo_p_norm(f, w, p, family)
         witnesses[f"blo_p:{p:g}"] = _cube_record(blo_p_rep.argmax)

@@ -8,8 +8,9 @@ deterministic probe set and the integral residual by quadrature (a
 trapezoid rule on the probe box plus a fixed Gauss–Legendre rule for the
 tails); shipped constructors return already certified kernels.
 
-Kernels are closed-form evaluators, sampled lazily onto whatever grid an
-operator run uses, so one kernel serves every (L, N, t) combination.
+Every kernel is radial: its profile is ψ as a function of r = |x|, a
+closed-form evaluator that the operators sample on the distance grid of
+whatever (L, N, t) a run uses, so one kernel serves every combination.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "kernel_registry",
     "certify",
     "evaluate",
-    "dilate",
-    "DilatedKernel",
 ]
 
 TOL_VANISH = 1e-6
@@ -55,11 +54,11 @@ class CertReport:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Closed-form profile with declared decay/smoothness exponents.
+    """Closed-form radial profile on R^n with declared decay/smoothness
+    exponents.
 
-    profile takes points of shape (m, n) and returns (m,) values.  A planar
-    kernel must be radial and supply radial_profile(r), which certification
-    integrates in polar form.
+    profile maps distances r >= 0, an array of any shape, to ψ(x) at
+    |x| = r, elementwise.
     """
 
     name: str
@@ -67,9 +66,6 @@ class Kernel:
     profile: Callable[[np.ndarray], np.ndarray]
     delta: float
     gamma: float
-    radial_profile: Callable[[np.ndarray], np.ndarray] | None = None
-    c1: float | None = None
-    c2: float | None = None
     report: CertReport | None = None
 
     def __post_init__(self) -> None:
@@ -77,25 +73,11 @@ class Kernel:
             raise ValueError("kernel dimension must be 1 or 2")
         if not (0 < self.gamma <= 1):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.n == 2 and self.radial_profile is None:
-            raise ValueError("a planar kernel must supply radial_profile")
 
 
-def evaluate(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    """ψ at points of shape (m, n) (or (m,) when n=1)."""
-    pts = np.asarray(pts, dtype=float)
-    if kernel.n == 1 and pts.ndim == 1:
-        pts = pts[:, None]
-    return np.asarray(kernel.profile(pts), dtype=float)
-
-
-def _radial(name: str, n: int, f: Callable[[np.ndarray], np.ndarray],
-            delta: float, gamma: float) -> Kernel:
-    def profile(pts: np.ndarray) -> np.ndarray:
-        r = np.sqrt((np.asarray(pts, dtype=float) ** 2).sum(axis=-1))
-        return f(r)
-
-    return Kernel(name, n, profile, delta, gamma, radial_profile=f)
+def evaluate(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+    """ψ at distances r >= 0, in the shape of r."""
+    return np.asarray(kernel.profile(np.asarray(r, dtype=float)), dtype=float)
 
 
 def poisson_derivative_kernel(n: int) -> Kernel:
@@ -117,8 +99,7 @@ def poisson_derivative_kernel(n: int) -> Kernel:
         q = 1.0 + np.asarray(r, dtype=float) ** 2
         return cn * (q ** (-(n + 1) / 2.0) - (n + 1) * q ** (-(n + 3) / 2.0))
 
-    k = _radial("poisson-derivative", n, f, delta=1.0, gamma=1.0)
-    return _with_certification(k)
+    return _with_certification(Kernel("poisson-derivative", n, f, delta=1.0, gamma=1.0))
 
 
 def gauss_derivative_kernel(n: int) -> Kernel:
@@ -136,8 +117,7 @@ def gauss_derivative_kernel(n: int) -> Kernel:
         r2 = np.asarray(r, dtype=float) ** 2
         return a * np.exp(-r2 / 4.0) * (r2 / 4.0 - n / 2.0)
 
-    k = _radial("gauss-derivative", n, f, delta=2.0, gamma=1.0)
-    return _with_certification(k)
+    return _with_certification(Kernel("gauss-derivative", n, f, delta=2.0, gamma=1.0))
 
 
 def hermite2_kernel() -> Kernel:
@@ -149,8 +129,7 @@ def hermite2_kernel() -> Kernel:
         r = np.asarray(r, dtype=float)
         return (r**2 - 1.0) * np.exp(-(r**2) / 2.0)
 
-    k = _radial("hermite2", 1, f, delta=2.0, gamma=1.0)
-    return _with_certification(k)
+    return _with_certification(Kernel("hermite2", 1, f, delta=2.0, gamma=1.0))
 
 
 def nonvanishing_hat_kernel() -> Kernel:
@@ -163,7 +142,7 @@ def nonvanishing_hat_kernel() -> Kernel:
         r = np.asarray(r, dtype=float)
         return (1.0 - r**2) * np.exp(-(r**2))
 
-    return _radial("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0)
+    return Kernel("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0)
 
 
 def kernel_registry(name: str, n: int) -> Kernel:
@@ -200,15 +179,14 @@ def _tail(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
 
 def _vanishing_residual(kernel: Kernel) -> tuple[float, str]:
     """Quadrature of ∫ψ: in 1D a probe-box trapezoid plus Gauss–Legendre
-    tails, in 2D a polar Gauss–Legendre rule on the radial profile."""
+    tails, in 2D a polar Gauss–Legendre rule on the profile."""
     if kernel.n == 1:
         x = np.linspace(-_PROBE_BOX, _PROBE_BOX, _P1_NODES + 1)
-        vals = evaluate(kernel, x)
-        box = float(np.trapezoid(vals, x))
-        lo = _tail(lambda s: evaluate(kernel, -s), _PROBE_BOX)
-        hi = _tail(lambda s: evaluate(kernel, s), _PROBE_BOX)
-        return abs(box + lo + hi), "trapezoid box + Gauss-Legendre tails"
-    g = lambda r: kernel.radial_profile(r) * r
+        box = float(np.trapezoid(evaluate(kernel, np.abs(x)), x))
+        # the tails beyond -_PROBE_BOX and _PROBE_BOX are equal
+        tail = _tail(lambda s: evaluate(kernel, s), _PROBE_BOX)
+        return abs(box + tail + tail), "trapezoid box + Gauss-Legendre tails"
+    g = lambda r: evaluate(kernel, r) * r
     u, w = _unit_rule()
     inner = float(np.sum(w * g(_PROBE_BOX * u))) * _PROBE_BOX
     outer = _tail(g, _PROBE_BOX)
@@ -222,6 +200,11 @@ def _probe_points(n: int, rng: np.random.Generator) -> np.ndarray:
         return (radii * signs)[:, None]
     theta = rng.uniform(0.0, 2.0 * math.pi, size=_PROBES)
     return np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
+
+
+def _norm(pts: np.ndarray) -> np.ndarray:
+    """|x| for each row x of pts."""
+    return np.sqrt((pts**2).sum(axis=1))
 
 
 def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
@@ -243,9 +226,9 @@ def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
     residual, method = _vanishing_residual(kernel)
 
     pts = _probe_points(n, rng)
-    r = np.sqrt((pts**2).sum(axis=1))
-    vals = np.abs(evaluate(kernel, pts))
-    c1 = float(np.max(vals * (1.0 + r) ** (n + kernel.delta)))
+    r = _norm(pts)
+    psi = evaluate(kernel, r)
+    c1 = float(np.max(np.abs(psi) * (1.0 + r) ** (n + kernel.delta)))
 
     frac = np.exp(rng.uniform(np.log(1e-4), np.log(0.5), size=_PROBES))
     if n == 1:
@@ -253,9 +236,9 @@ def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
     else:
         ang = rng.uniform(0.0, 2.0 * math.pi, size=_PROBES)
         hdir = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    hvec = hdir * (frac * r)[:, None]
     hnorm = frac * r
-    diff = np.abs(evaluate(kernel, pts + hvec) - evaluate(kernel, pts))
+    hvec = hdir * hnorm[:, None]
+    diff = np.abs(evaluate(kernel, _norm(pts + hvec)) - psi)
     denom = hnorm**kernel.gamma * (1.0 + r) ** (-(n + kernel.delta + kernel.gamma))
     c2 = float(np.max(diff / denom))
 
@@ -268,27 +251,4 @@ def _with_certification(k: Kernel) -> Kernel:
     if not rep.passed:
         raise ValueError(
             f"kernel {k.name!r} failed vanishing check: residual {rep.p1_residual:.3e}")
-    return dataclasses.replace(k, c1=rep.c1, c2=rep.c2, report=rep)
-
-
-class DilatedKernel:
-    """Evaluator for ψ_t(x) = t^{-n} ψ(x/t); composes multiplicatively."""
-
-    def __init__(self, base: Kernel, t: float):
-        if t <= 0:
-            raise ValueError("dilation parameter must be positive")
-        self.base = base
-        self.t = float(t)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return evaluate(self.base, np.asarray(pts, dtype=float) / self.t) / self.t**self.n
-
-
-def dilate(kernel: Kernel | DilatedKernel, t: float) -> DilatedKernel:
-    if isinstance(kernel, DilatedKernel):
-        return DilatedKernel(kernel.base, kernel.t * t)
-    return DilatedKernel(kernel, t)
+    return dataclasses.replace(k, report=rep)

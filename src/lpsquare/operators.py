@@ -5,10 +5,12 @@ grid carrying the multiplicative measure dt/t, composed with a spatial sum:
 none for the vertical operator, a cone |y-x| < t for the area integral,
 and the full box weighted by (t/(t+|x-y|))^{lambda n} for the starred form.
 
-Sampled kernels are mean-corrected so the discrete mass of psi_t vanishes;
-this folds the quadrature residual of the vanishing condition and the
-periodic truncation into a DC shift, pushing the response to constants
-down to float rounding.
+psi_t(x) = t^{-n} psi(|x|/t) is sampled at the grid's displacements, each
+distance computed from the axis displacements scaled by 1/t.  Sampled
+kernels are mean-corrected so the discrete mass of psi_t vanishes; this
+folds the quadrature residual of the vanishing condition and the periodic
+truncation into a DC shift, pushing the response to constants down to float
+rounding.
 
 square_functions computes any set of operators for a batch of functions
 that share one geometry, in one pass over the scales: one forward FFT of
@@ -18,22 +20,24 @@ mask spectrum accumulates in the frequency domain; each spatially summed
 operator ends with a single inverse FFT.  Kernel and mask spectra depend
 only on the geometry and the scale, so each is built once per scale, applied
 to every member of the batch and dropped; the results count them as
-spectra_built.  A spectrum whose imaginary part is rounding noise (every
-radial kernel and every mask, since they are even) is kept real.
+spectra_built.  Every kernel is radial and every mask depends on |x-y|
+only, so their samples are exactly even on the periodic grid; the imaginary
+parts of their spectra are rounding noise and only the real parts are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .grid import GridFunction
-from .kernels import DilatedKernel, Kernel, dilate
+from .kernels import Kernel, evaluate
 from .weights import Weight
 
 __all__ = [
@@ -54,10 +58,6 @@ __all__ = [
 # Largest working set, in bytes, of one pass of the operator stack; a
 # larger batch is split into passes that each stay under it.
 STACK_BYTES = 128 * 2**20
-
-# A spectrum is stored real when its imaginary part is below this fraction
-# of its largest real coefficient; even sequences measure about 3e-16.
-_EVEN_RTOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -118,31 +118,15 @@ class SquareFunctionResult:
     batch_size: int = 1
 
 
-# displacement grids are shared across calls on the same geometry
-_DISP_CACHE: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _displacements(n: int, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points of shape (N^n, n), |displacement| of grid shape)."""
-    key = (n, L, N)
-    hit = _DISP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    h = L / N
-    d = ((np.arange(N) + N // 2) % N - N // 2) * h
-    if n == 1:
-        pts = d[:, None]
-        dist = np.abs(d)
-    else:
-        dx, dy = np.meshgrid(d, d, indexing="ij")
-        pts = np.stack([dx.ravel(), dy.ravel()], axis=1)
-        dist = np.sqrt(dx**2 + dy**2)
-    pts.setflags(write=False)
+    """(periodic displacement along one axis, |displacement| of grid
+    shape); shared across calls on the same geometry."""
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    dist = np.abs(d) if n == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
+    d.setflags(write=False)
     dist.setflags(write=False)
-    if len(_DISP_CACHE) > 32:
-        _DISP_CACHE.clear()
-    _DISP_CACHE[key] = (pts, dist)
-    return pts, dist
+    return d, dist
 
 
 def _rfftn(a: np.ndarray, n: int) -> np.ndarray:
@@ -160,27 +144,23 @@ def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return _irfftn(_rfftn(field, n) * _rfftn(kern, n), n, field.shape[0])
 
 
-def _sample_evaluator(ev: Callable[[np.ndarray], np.ndarray],
-                      n: int, L: float, N: int) -> np.ndarray:
-    pts, _ = _displacements(n, L, N)
-    vals = np.asarray(ev(pts), dtype=float)
-    return vals if n == 1 else vals.reshape(N, N)
-
-
-def _sampled_kernel(psi_t: Callable[[np.ndarray], np.ndarray],
-                    n: int, L: float, N: int) -> np.ndarray:
-    kern = _sample_evaluator(psi_t, n, L, N)
+def _sampled_kernel(kernel: Kernel, n: int, L: float, N: int,
+                    t: float) -> np.ndarray:
+    """Mean-corrected samples of psi_t(x) = t^{-n} psi(|x|/t)."""
+    if not t > 0:
+        raise ValueError("dilation parameter must be positive")
+    s = _displacements(n, L, N)[0] / t
+    r = np.abs(s) if n == 1 else np.sqrt(s[:, None] ** 2 + s[None, :] ** 2)
+    kern = evaluate(kernel, r.ravel()).reshape(r.shape) / t**n
     return kern - kern.mean()
 
 
-def convolve(psi_t: Callable[[np.ndarray], np.ndarray] | DilatedKernel,
-             f: GridFunction) -> GridFunction:
+def convolve(kernel: Kernel, t: float, f: GridFunction) -> GridFunction:
     """Periodic quadrature of psi_t * f with mean-corrected samples."""
-    _require_dimension(getattr(psi_t, "n", f.n), f)
-    kern = _sampled_kernel(psi_t, f.n, f.L, f.N)
+    _require_dimension(kernel.n, f)
+    kern = _sampled_kernel(kernel, f.n, f.L, f.N, t)
     h = f.L / f.N
-    out = _periodic_conv(f.values, kern) * h**f.n
-    return f.with_values(out)
+    return f.with_values(_periodic_conv(f.values, kern) * h**f.n)
 
 
 def _require_dimension(n: int, f: GridFunction) -> None:
@@ -196,36 +176,28 @@ def _require_certified(kernel: Kernel) -> None:
 
 def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
                 volume_factor: float) -> float:
-    if kernel.c1 is None:
-        return float("nan")
     h = f.L / f.N
     l1 = float(np.abs(f.values).sum()) * h**f.n
     n = f.n
-    return (kernel.c1 * l1) ** 2 * scales.t_max ** (-2 * n) / (2 * n) * volume_factor
+    return (kernel.report.c1 * l1) ** 2 * scales.t_max ** (-2 * n) / (2 * n) * volume_factor
 
 
 # ---------------------------------------------------------------------------
 # kernel and mask spectra
 
 
-def _real_if_even(spec: np.ndarray) -> np.ndarray:
-    """Drop an imaginary part at rounding level (the sequence was even)."""
-    scale = float(np.abs(spec.real).max(initial=0.0))
-    if float(np.abs(spec.imag).max(initial=0.0)) <= _EVEN_RTOL * scale:
-        return np.ascontiguousarray(spec.real)
-    return spec
-
-
 def _kernel_spectrum(kernel: Kernel, n: int, L: float, N: int,
                      t: float) -> np.ndarray:
-    """Transform of the mean-corrected samples of psi_t, times h^n."""
-    kern = _sampled_kernel(dilate(kernel, t), n, L, N)
-    return _real_if_even(_rfftn(kern, n) * (L / N) ** n)
+    """Real part of the transform of the mean-corrected samples of psi_t,
+    times h^n."""
+    kern = _sampled_kernel(kernel, n, L, N, t)
+    return (_rfftn(kern, n) * (L / N) ** n).real
 
 
 def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
                    t: float) -> np.ndarray:
-    """Transform of the spatial weight at scale t, times (h/t)^n.
+    """Real part of the transform of the spatial weight at scale t, times
+    (h/t)^n.
 
     mask is ("s", aperture) for the cone |x-y| < aperture t or
     ("gstar", lam) for (t/(t+|x-y|))^{lam n}.
@@ -236,7 +208,7 @@ def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
         weight = (dist < param * t).astype(float)
     else:
         weight = (t / (t + dist)) ** (param * n)
-    return _real_if_even(_rfftn(weight, n) * (L / N / t) ** n)
+    return (_rfftn(weight, n) * (L / N / t) ** n).real
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ def _piecewise(coords, L, seeds, *, level=3, lo=2.0 / 3.0, hi=1.5):
     if not 0 <= level <= N.bit_length() - 1:
         raise ValueError(f"piecewise level={level} must lie between 0 and "
                          f"log2(N)={N.bit_length() - 1}")
+    if lo > hi:
+        raise ValueError(f"piecewise lo={lo} must not exceed hi={hi}")
     B = 1 << level
     palette = np.random.default_rng(seeds).uniform(lo, hi, (B,) * len(coords))
     return _repeat(palette, N // B)
@@ -194,13 +196,9 @@ def realize_function(spec: FunctionSpec, n: int, L: float, N: int,
 
 def realize_weight(spec: WeightSpec, n: int, L: float, N: int,
                    base_seed: int = 0) -> Weight:
-    """spec's samples as a weight; one not strictly positive is refused."""
-    w = spec.sample(n, L, N, base_seed)
-    lo = float(w.values.min())
-    if not lo > 0:
-        raise ValueError(f"the weight is not strictly positive on the {n}D "
-                         f"N={N} grid: its minimum is {lo!r}")
-    return Weight(w)
+    """spec's samples as a weight; Weight refuses one with a sample below
+    EPS_MIN."""
+    return Weight(spec.sample(n, L, N, base_seed))
 
 
 # The built-in corpus: twelve [corpus] entries covering every function and
@@ -246,6 +244,8 @@ def _parse_params(name: str, kind: type, family: str,
             key, val = (s.strip() for s in item.split("=", 1))
             if key == "seed":
                 seed = int(val)
+                if seed < 0:
+                    raise ValueError(f"seed={val!r} must be non-negative")
                 continue
             value = float(val)
             # a step at x0=nan or x0=inf would realize the zero function

@@ -7,7 +7,6 @@ reports the maximum.  Enlarging the family can only increase the value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,28 +33,27 @@ __all__ = [
 ]
 
 
-# Smallest weight value; a weight below it is floored there with a warning.
+# Smallest weight value; a weight with a sample below it is refused.
 EPS_MIN = 1e-12
 
 
 @dataclass(frozen=True)
 class Weight:
-    """Strictly positive grid function.
+    """Grid function with every sample at least EPS_MIN.
 
-    Values below EPS_MIN are floored there with a warning; the measure
-    dω = ω dx must stay nondegenerate on every sample.
+    A sample below EPS_MIN (or NaN) is refused: the measure dω = ω dx must
+    stay nondegenerate on every sample.
     """
 
     base: GridFunction
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.base.values, dtype=float)
-        if np.any(vals < EPS_MIN):
-            warnings.warn(f"weight values below {EPS_MIN} floored",
-                          stacklevel=3)
-            vals = np.maximum(vals, EPS_MIN)
-            object.__setattr__(self, "base",
-                               self.base.with_values(vals))
+        lo = float(np.min(self.base.values))
+        if not lo >= EPS_MIN:
+            what = ("is not strictly positive" if not lo > 0
+                    else f"falls below EPS_MIN={EPS_MIN}")
+            raise ValueError(f"the weight {what} on the {self.n}D N={self.N} "
+                             f"grid: its minimum is {lo!r}")
 
     @property
     def n(self) -> int:

@@ -288,12 +288,29 @@ def test_zero_function_is_refused(tmp_path, capsys, command, function):
     ("step() | piecewise(level=-1)",
      "corpus entry 'x': piecewise level=-1 must lie between 0 and "
      "log2(N)=6"),
+    # positive, but about 7e-46 at its minimum
+    ("step() | power-regularized(alpha=25)",
+     "corpus entry 'x': the weight falls below EPS_MIN=1e-12 on the 1D N=64 "
+     "grid"),
+    ("step() | piecewise(lo=3)",
+     "corpus entry 'x': piecewise lo=3.0 must not exceed hi=1.5"),
+    ("random-martingale(seed=-1) | constant()",
+     "corpus entry 'x': seed='-1' must be non-negative"),
 ])
 def test_corpus_entry_is_refused(tmp_path, capsys, command, entry, message):
     assert_refused(tmp_path, capsys,
                    (command, "--set", "grid.N=64", "--set", "scales.M=4",
                     "--set", "family.max_level=2",
                     "--set", f"corpus.x={entry}"), message)
+
+
+def test_jn_refuses_a_dual_weight_below_the_floor(tmp_path, capsys):
+    # the weight peaks at 64^4, so w^-2 at p = 1.5 dips to about 3.6e-15
+    assert_refused(tmp_path, capsys,
+                   ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
+                    "--set", "corpus.x=step() | power-regularized(alpha=-4)"),
+                   "corpus entry 'x': w^(-1/(p-1)) at p=1.5: the weight falls "
+                   "below EPS_MIN=1e-12 on the 1D N=64 grid")
 
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()

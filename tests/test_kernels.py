@@ -1,4 +1,4 @@
-"""Kernel construction, certification, and dilation algebra."""
+"""Kernel construction and certification."""
 
 import math
 import os
@@ -12,10 +12,8 @@ import pytest
 import lpsquare
 from lpsquare.kernels import (
     CertReport,
-    DilatedKernel,
     Kernel,
     certify,
-    dilate,
     evaluate,
     gauss_derivative_kernel,
     hermite2_kernel,
@@ -33,20 +31,14 @@ def test_poisson_derivative_value_at_origin():
     assert got == pytest.approx(-1.0 / math.pi, abs=1e-15)
 
 
-def test_poisson_derivative_is_even():
-    k = poisson_derivative_kernel(1)
-    x = np.linspace(0.01, 30.0, 200)
-    assert np.allclose(evaluate(k, x), evaluate(k, -x), rtol=0, atol=0)
-
-
 def test_poisson_certifies_both_dimensions():
     for n in (1, 2):
         k = poisson_derivative_kernel(n)
         rep = k.report
         assert rep is not None and rep.passed
         assert rep.p1_residual < 1e-6
-        assert 0 < k.c1 < np.inf
-        assert 0 < k.c2 < np.inf
+        assert 0 < rep.c1 < np.inf
+        assert 0 < rep.c2 < np.inf
 
 
 def test_gauss_certifies_both_dimensions():
@@ -54,7 +46,7 @@ def test_gauss_certifies_both_dimensions():
         k = gauss_derivative_kernel(n)
         assert k.report.passed
         assert k.report.p1_residual < 1e-8
-        assert 0 < k.c1 < np.inf and 0 < k.c2 < np.inf
+        assert 0 < k.report.c1 < np.inf and 0 < k.report.c2 < np.inf
 
 
 def test_hermite2_certifies():
@@ -72,78 +64,33 @@ def test_nonvanishing_hat_rejected():
 
 
 def test_certified_bounds_hold_on_fresh_probes():
-    rng = np.random.default_rng(99)
+    r = np.geomspace(1e-2, 1e2, 500)
     for k in (poisson_derivative_kernel(1), poisson_derivative_kernel(2)):
-        n = k.n
-        r = np.geomspace(1e-2, 1e2, 500)
-        if n == 1:
-            pts = r[:, None] * np.where(rng.uniform(size=500) < 0.5, 1, -1)[:, None]
-        else:
-            th = rng.uniform(0, 2 * math.pi, 500)
-            pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        vals = np.abs(evaluate(k, pts))
-        bound = k.c1 * (1 + r) ** (-(n + k.delta))
+        vals = np.abs(evaluate(k, r))
+        bound = k.report.c1 * (1 + r) ** (-(k.n + k.delta))
         assert np.all(vals <= bound * (1 + 1e-9))
 
 
 def test_certify_rejects_bad_decay():
-    bad = Kernel("flat", 1, lambda p: np.ones(p.shape[0]), delta=0.0, gamma=1.0)
+    bad = Kernel("flat", 1, np.ones_like, delta=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         certify(bad)
 
 
-def test_planar_kernel_must_supply_radial_profile():
-    # certification integrates a planar kernel in polar form
-    with pytest.raises(ValueError, match="radial_profile"):
-        Kernel("box", 2, lambda p: np.zeros(p.shape[0]), delta=1.0, gamma=1.0)
-
-
 def test_zero_kernel_certifies_with_zero_constants():
-    def prof(pts):
-        pts = np.asarray(pts)
-        m = pts.shape[0]
-        return np.zeros(m)
-
-    z = Kernel("zero", 1, prof, delta=1.0, gamma=1.0)
-    rep = certify(z)
-    assert rep.passed
-    assert rep.c1 == 0.0 and rep.c2 == 0.0
-    assert rep.p1_residual == 0.0
+    for n in (1, 2):
+        rep = certify(Kernel("zero", n, np.zeros_like, delta=1.0, gamma=1.0))
+        assert rep.passed
+        assert rep.c1 == 0.0 and rep.c2 == 0.0
+        assert rep.p1_residual == 0.0
 
 
-def test_dilate_identity_and_origin_scaling():
-    k = poisson_derivative_kernel(1)
-    x = np.linspace(-3, 3, 41)
-    d1 = dilate(k, 1.0)
-    assert np.allclose(d1(x), evaluate(k, x), rtol=0, atol=0)
-    for t in (0.25, 4.0):
-        dt = dilate(k, t)
-        assert float(dt(np.array([0.0]))[0]) == pytest.approx(
-            evaluate(k, np.array([0.0]))[0] / t, rel=1e-15)
-
-
-def test_dilate_mass_invariance():
-    k = hermite2_kernel()
-    x = np.linspace(-60, 60, 2**13 + 1)
-    for t in (0.25, 1.0, 4.0):
-        mass = np.trapezoid(dilate(k, t)(x), x)
-        assert abs(mass) < 1e-8
-
-
-def test_dilation_composes():
-    k = poisson_derivative_kernel(1)
-    x = np.linspace(-5, 5, 101)
-    lhs = dilate(dilate(k, 0.5), 3.0)(x)
-    rhs = dilate(k, 1.5)(x)
-    assert np.array_equal(lhs, rhs)
-
-
-def test_dilate_rejects_nonpositive():
-    k = poisson_derivative_kernel(1)
-    with pytest.raises(ValueError):
-        dilate(k, 0.0)
-    with pytest.raises(ValueError):
-        dilate(k, -2.0)
+def test_evaluate_keeps_the_shape_of_its_distances():
+    k = gauss_derivative_kernel(2)
+    r = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    vals = evaluate(k, r)
+    assert vals.shape == (3, 4)
+    assert np.array_equal(vals.ravel(), evaluate(k, r.ravel()))
 
 
 def test_registry_names():
@@ -160,9 +107,8 @@ def test_gauss_derivative_closed_form_spot_values():
     # psi(0) = -(4 pi)^{-n/2} * n/2
     for n in (1, 2):
         k = gauss_derivative_kernel(n)
-        pt = np.zeros((1, n))
         expect = -((4 * math.pi) ** (-n / 2)) * n / 2
-        assert float(evaluate(k, pt)[0]) == pytest.approx(expect, rel=1e-15)
+        assert float(evaluate(k, np.zeros(1))[0]) == pytest.approx(expect, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +124,10 @@ def test_tail_rule_matches_closed_forms():
     exact = B / (math.pi * (1.0 + B * B))
     assert _tail(lambda s: evaluate(k1, s), B) == pytest.approx(exact,
                                                                 rel=1e-12)
-    assert _tail(lambda s: evaluate(k1, -s), B) == pytest.approx(exact,
-                                                                 rel=1e-12)
     # ∫_B^∞ r ψ(r) dr = B² (1+B²)^(-3/2) / (2π) for the 2D one
     k2 = poisson_derivative_kernel(2)
     exact = B * B * (1.0 + B * B) ** -1.5 / (2.0 * math.pi)
-    got = _tail(lambda r: k2.radial_profile(r) * r, B)
+    got = _tail(lambda r: evaluate(k2, r) * r, B)
     assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -209,7 +153,7 @@ def test_certify_judges_against_tol_vanish():
     loose = certify(k, tol_vanish=1e-3)
     assert loose.passed and loose.tol_vanish == 1e-3
     assert (loose.p1_residual, loose.c1, loose.c2) == \
-        (k.report.p1_residual, k.c1, k.c2)
+        (k.report.p1_residual, k.report.c1, k.report.c2)
     tight = certify(k, tol_vanish=1e-12)
     assert not tight.passed and tight.tol_vanish == 1e-12
     assert certify(nonvanishing_hat_kernel(), tol_vanish=1.0).passed

@@ -1,6 +1,5 @@
 """Square operators: quadrature correctness and orderings."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +9,9 @@ from lpsquare import operators
 from lpsquare.grid import GridFunction, from_callable
 from lpsquare.kernels import (
     Kernel,
-    certify,
-    dilate,
     evaluate,
     gauss_derivative_kernel,
+    hermite2_kernel,
     nonvanishing_hat_kernel,
     poisson_derivative_kernel,
 )
@@ -50,21 +48,31 @@ def direct_periodic_conv(field, kern):
     return out
 
 
+def grid_points(n, L, N):
+    """The periodic displacements of the grid as points of shape (N^n, n)."""
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    if n == 1:
+        return d[:, None]
+    dx, dy = np.meshgrid(d, d, indexing="ij")
+    return np.stack([dx.ravel(), dy.ravel()], axis=1)
+
+
+def sampled_profile(kernel, pts, t, shape):
+    """t^-n psi(|x|/t) at the points x, with |x/t| computed from each point."""
+    r = np.sqrt(((pts / t) ** 2).sum(axis=1))
+    return (evaluate(kernel, r) / t**kernel.n).reshape(shape)
+
+
 def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0):
     """Scale-by-scale direct sums: psi_t * f, then the spatial sum, each by
     direct_periodic_conv, accumulated in the sample domain."""
     n, L, N = f.n, f.L, f.N
     h = L / N
-    d = ((np.arange(N) + N // 2) % N - N // 2) * h
-    if n == 1:
-        pts, dist = d[:, None], np.abs(d)
-    else:
-        dx, dy = np.meshgrid(d, d, indexing="ij")
-        pts = np.stack([dx.ravel(), dy.ravel()], axis=1)
-        dist = np.sqrt(dx**2 + dy**2)
+    pts = grid_points(n, L, N)
+    dist = np.sqrt((pts**2).sum(axis=1)).reshape(f.values.shape)
     acc = np.zeros(f.values.shape)
     for t, w in zip(scales.nodes, scales.weights):
-        kern = (evaluate(kernel, pts / t) / t**n).reshape(f.values.shape)
+        kern = sampled_profile(kernel, pts, t, f.values.shape)
         F = direct_periodic_conv(f.values, kern - kern.mean()) * h**n
         sq = F * F
         if op == "g":
@@ -76,14 +84,6 @@ def oracle_square_function(kernel, f, scales, op, lam=None, aperture=1.0):
             spatial = (t / (t + dist)) ** (lam * n)
         acc += w / t**n * direct_periodic_conv(sq, spatial) * h**n
     return np.sqrt(np.maximum(acc, 0.0))
-
-
-def odd_kernel():
-    """-x exp(-x^2/2): certified, but odd, so its spectrum is imaginary."""
-    k = Kernel("odd-gauss", 1,
-               lambda p: -p[:, 0] * np.exp(-p[:, 0] ** 2 / 2.0), 2.0, 1.0)
-    rep = certify(k)
-    return dataclasses.replace(k, c1=rep.c1, c2=rep.c2, report=rep)
 
 
 def random_function(n, N, seed=0):
@@ -116,14 +116,14 @@ def test_default_scales_conventions():
 
 def test_convolve_annihilates_constants_to_rounding():
     f = GridFunction(1, 1.0, 128, np.full(128, 3.25))
-    out = convolve(dilate(POISSON1, 0.05), f)
+    out = convolve(POISSON1, 0.05, f)
     # mean correction leaves only float rounding, far below tol_vanish
     assert np.max(np.abs(out.values)) < 1e-12
 
 
 def test_convolve_zero_function():
     f = GridFunction(1, 1.0, 64, np.zeros(64))
-    out = convolve(dilate(POISSON1, 0.1), f)
+    out = convolve(POISSON1, 0.1, f)
     assert np.all(out.values == 0.0)
 
 
@@ -134,9 +134,9 @@ def test_convolve_delta_reproduces_kernel_samples():
     vals = np.zeros(N)
     vals[i0] = 1.0 / h
     f = GridFunction(1, L, N, vals)
-    out = convolve(dilate(POISSON1, t), f).values
+    out = convolve(POISSON1, t, f).values
     d = ((np.arange(N) - i0 + N // 2) % N - N // 2) * h
-    kern = evaluate(POISSON1, d / t) / t
+    kern = evaluate(POISSON1, np.abs(d / t)) / t
     kern_corr = kern - kern.mean()
     assert np.allclose(out, kern_corr, atol=1e-12)
     # and the raw profile up to the small DC shift
@@ -160,7 +160,7 @@ def test_requires_certified_kernel():
     sg = default_scales(f, M=8)
     with pytest.raises(ValueError):
         g_function(nonvanishing_hat_kernel(), f, sg)
-    bare = Kernel("anon", 1, lambda p: np.zeros(p.shape[0]), 1.0, 1.0)
+    bare = Kernel("anon", 1, np.zeros_like, 1.0, 1.0)
     with pytest.raises(ValueError):
         area_integral(bare, f, sg)
 
@@ -183,7 +183,7 @@ def test_sine_response_matches_discrete_multiplier():
     d = ((np.arange(N) + N // 2) % N - N // 2) * h
     amp2 = 0.0
     for t, w in zip(sg.nodes, sg.weights):
-        kern = evaluate(POISSON1, d / t) / t
+        kern = evaluate(POISSON1, np.abs(d / t)) / t
         kern -= kern.mean()
         a = h * float((kern * np.cos(2 * math.pi * k * np.arange(N) / N)).sum())
         amp2 += w * a * a
@@ -351,18 +351,6 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
                           results[2].values.values)
 
 
-def test_one_pass_matches_oracle_for_non_radial_kernel():
-    kernel = odd_kernel()
-    f = random_function(1, 64, seed=2)
-    sg = ScaleGrid(2.0 / 64, 0.25, 8)
-    [(g, s)] = square_functions(kernel, [f], sg,
-                                [OperatorSpec("g"), OperatorSpec("s")])
-    for res, op in ((g, "g"), (s, "s")):
-        ref = oracle_square_function(kernel, f, sg, op)
-        assert np.allclose(res.values.values, ref, rtol=1e-12,
-                           atol=1e-12 * ref.max())
-
-
 def test_one_pass_keeps_every_check():
     f = random_function(1, 64)
     sg = ScaleGrid(2.0 / 64, 0.25, 8)
@@ -387,7 +375,7 @@ def test_kernel_of_another_dimension_is_refused():
     with pytest.raises(ValueError, match="dimension"):
         g_function(gauss2, f, sg)
     with pytest.raises(ValueError, match="dimension"):
-        convolve(dilate(gauss2, 0.1), f)
+        convolve(gauss2, 0.1, f)
 
 
 BATCH_SPECS = [OperatorSpec("g"), OperatorSpec("s"),
@@ -481,13 +469,75 @@ def test_batch_is_drawn_one_pass_at_a_time(monkeypatch):
     assert len(drawn) == 5
 
 
+def is_even(a):
+    """a[-i] == a[i] on every axis of the periodic grid, exactly."""
+    return all(np.array_equal(a, np.roll(np.flip(a, axis), 1, axis))
+               for axis in range(a.ndim))
+
+
 def test_spectra_kept_real_only_when_even():
+    # kernel samples and masks are exactly even on the periodic grid, so
+    # their spectra are real up to rounding, which the builders drop
+    L, t, eps = 1.0, 0.1, np.finfo(float).eps
     for n, N in ((1, 64), (2, 16)):
         kernel = POISSON1 if n == 1 else gauss_derivative_kernel(2)
-        spectra = [operators._kernel_spectrum(kernel, n, 1.0, N, 0.1)]
-        spectra += [operators._mask_spectrum(mask, n, 1.0, N, 0.1)
-                    for mask in (("s", 1.0), ("s", 2.0), ("gstar", 5.0))]
-        assert all(spec.dtype == np.float64 for spec in spectra)
-    odd = operators._kernel_spectrum(odd_kernel(), 1, 1.0, 64, 0.1)
-    assert odd.dtype == np.complex128
-    assert np.abs(odd.imag).max() > 1e-3 * np.abs(odd).max()
+        h = L / N
+        pts = grid_points(n, L, N)
+        shape = (N,) * n
+        raw = sampled_profile(kernel, pts, t, shape)
+        kern = operators._sampled_kernel(kernel, n, L, N, t)
+        assert np.array_equal(kern, raw - raw.mean())
+        dist = np.sqrt((pts**2).sum(axis=1)).reshape(shape)
+        cases = [(kern, h**n, operators._kernel_spectrum(kernel, n, L, N, t))]
+        for mask, weight in (
+                (("s", 1.0), dist < t), (("s", 2.0), dist < 2.0 * t),
+                (("gstar", 5.0), (t / (t + dist)) ** (5.0 * n))):
+            cases.append((weight.astype(float), (h / t)**n,
+                          operators._mask_spectrum(mask, n, L, N, t)))
+        for samples, scale, built in cases:
+            assert is_even(samples)
+            spec = operators._rfftn(samples, n) * scale
+            assert np.abs(spec.imag).max() <= \
+                64 * eps * np.abs(spec.real).max()
+            assert built.dtype == np.float64
+            assert np.array_equal(built, spec.real)
+
+
+def test_sampled_kernel_is_the_dilated_profile_minus_its_mean():
+    # psi_t = t^-1 psi(|x|/t), whose mass vanishes at every t before the
+    # mean correction removes the discrete remainder
+    k = hermite2_kernel()
+    L, N = 120.0, 2**13
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    for t in (0.25, 1.0, 4.0):
+        raw = evaluate(k, np.abs(d / t)) / t
+        assert np.array_equal(operators._sampled_kernel(k, 1, L, N, t),
+                              raw - raw.mean())
+        assert abs(raw.sum() * (L / N)) < 1e-8
+        # psi(0) = -1, scaled by t^-1
+        assert raw[0] == -1.0 / t
+
+
+def test_convolve_rejects_nonpositive_scale():
+    f = random_function(1, 64)
+    for t in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            convolve(POISSON1, t, f)
+
+
+def test_stack_evaluates_the_kernel_once_per_scale_and_sample(monkeypatch):
+    # the benchmark's kernels.evaluate_points counts one value per sample
+    sizes = []
+
+    def counted(kernel, r):
+        values = evaluate(kernel, r)
+        sizes.append(values.shape)
+        return values
+
+    monkeypatch.setattr(operators, "evaluate", counted)
+    N, M = 16, 4
+    f = random_function(2, N)
+    list(square_functions(gauss_derivative_kernel(2), [f],
+                          ScaleGrid(2.0 / N, 0.25, M),
+                          [OperatorSpec("g"), OperatorSpec("s")]))
+    assert sizes == [(N * N,)] * M

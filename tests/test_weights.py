@@ -171,12 +171,17 @@ def test_doubling_bound_holds_for_singular_weight():
     assert max(r.ratio for r in rep.rows) <= 2 * rep.constant + 1e-9
 
 
-def test_positivity_flooring_warns():
-    vals = np.ones(16)
-    vals[3] = -2.0
-    with pytest.warns(UserWarning):
-        w = Weight(GridFunction(1, 1.0, 16, vals))
-    assert w.values.min() >= EPS_MIN
+def test_weight_below_floor_is_refused():
+    for low, what in ((-2.0, "is not strictly positive"),
+                      (0.0, "is not strictly positive"),
+                      (EPS_MIN / 2, "falls below EPS_MIN=1e-12")):
+        vals = np.ones(16)
+        vals[3] = low
+        with pytest.raises(ValueError,
+                           match=f"the weight {what} on the 1D N=16 grid"):
+            Weight(GridFunction(1, 1.0, 16, vals))
+    vals[3] = EPS_MIN
+    assert Weight(GridFunction(1, 1.0, 16, vals)).values.min() == EPS_MIN
 
 
 def test_ap_rejects_small_p():
