@@ -3,7 +3,9 @@
 
 Each stage writes its tables and manifest into its own subdirectory of
 the chosen output root, so a full run leaves a self-contained report
-tree behind.  The script exits nonzero if any stage fails.
+tree behind.  The script exits with the largest stage exit code: 0 when
+every stage passed, 1 when a criterion failed, 2 when a stage was refused
+and 3 when one crashed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
     root.mkdir(parents=True, exist_ok=True)
     (root / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"summary written to {root / 'summary.json'}")
-    return 0 if summary["all_passed"] else 1
+    return max(codes.values())
 
 
 if __name__ == "__main__":

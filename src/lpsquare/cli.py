@@ -196,11 +196,6 @@ def _operator_results(kernel, fs, scales, lams):
     return (dict(zip(keys, results)) for results in stream)
 
 
-def _operator_fields(kernel, f, scales, lam):
-    [results] = _operator_results(kernel, [f], scales, (lam,))
-    return {op: res.values for op, res in results.items()}
-
-
 def _cube_record(cube: Cube) -> dict:
     """A witness cube as the manifest records it."""
     return {"center": list(cube.center), "side": cube.side,
@@ -498,7 +493,11 @@ def main(argv=None) -> int:
     failure: str | None = None
     error: str | None = None
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, "
+                         f"got {args.jobs}")
         command, out_arg = args.command, args.out
     except _UsageError as exc:
         failure = exc.message

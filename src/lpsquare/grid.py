@@ -4,7 +4,9 @@ The ambient space is the periodic box [0, L)^n (n = 1 or 2) sampled at N
 points per axis, N a power of two so that dyadic cubes are exact sample
 blocks.  Integrals are cell sums with volume h^n, h = L/N; essential
 infimum/supremum are plain min/max over samples, since on a grid every
-nonempty sample set has positive measure.
+nonempty sample set has positive measure.  A family scan (family_values)
+reads one table per level of a DyadicFamily, levels 0..max_level laid end
+to end; cube_region gathers the samples of any single cube.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "DyadicFamily",
     "dyadic_cube",
     "dyadic_cubes",
-    "dilate_cube",
     "dyadic_address",
     "level_blocks",
     "BlockPyramid",
@@ -120,7 +121,7 @@ class Cube:
     """Axis-parallel cube with given center and side length.
 
     Dyadic cubes (side L/2^k, tiling the box) carry their level k; derived
-    cubes (dilates, ad-hoc probes) leave level unset.
+    cubes (doubles 2Q, ad-hoc probes) leave level unset.
     """
 
     center: tuple[float, ...]
@@ -191,10 +192,10 @@ def cube_region(grid, cube: Cube) -> Region:
     if cube.level is not None:
         # Exact block arithmetic for dyadic cubes; a level tag whose side or
         # center is off the dyadic grid takes the mask path below.
-        levels, blocks = _dyadic_addresses(grid, [cube])
-        if levels[0] >= 0:
-            block = grid.N >> int(levels[0])
-            starts = np.unravel_index(blocks[0], (grid.N // block,) * grid.n)
+        addr = dyadic_address(grid, cube)
+        if addr is not None:
+            block = grid.N >> addr[0]
+            starts = np.unravel_index(addr[1], (grid.N // block,) * grid.n)
             axes = [np.arange(s * block, (s + 1) * block) for s in starts]
             idx = np.ravel_multi_index(np.ix_(*axes), (grid.N,) * grid.n)
             return Region(grid.n, grid.L, grid.N, idx.ravel())
@@ -228,8 +229,7 @@ class DyadicFamily(Sequence):
 
     The family is immutable and knows its own dyadic addresses: levels[i]
     and blocks[i] are the (level, block) address of cube i, read-only int
-    arrays.  A Cube is built only when an item is read.  A family compares
-    equal to a list or tuple of the same cubes.
+    arrays.  A Cube is built only when an item is read.
     """
 
     def __init__(self, n: int, L: float, max_level: int):
@@ -243,9 +243,7 @@ class DyadicFamily(Sequence):
     def __len__(self) -> int:
         return self.levels.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i) -> Cube:
         return dyadic_cube(self.n, self.L, int(self.levels[i]),
                            int(self.blocks[i]))
 
@@ -253,9 +251,6 @@ class DyadicFamily(Sequence):
         if isinstance(other, DyadicFamily):
             return ((self.n, self.L, self.max_level)
                     == (other.n, other.L, other.max_level))
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -276,45 +271,28 @@ def dyadic_cubes(grid, max_level: int) -> DyadicFamily:
     return DyadicFamily(grid.n, grid.L, max_level)
 
 
-def dilate_cube(q: Cube, t: float) -> Cube:
-    """tQ: same center, side t*r, clipped to the box side under wrap."""
-    if t <= 0:
-        raise ValueError("dilation factor must be positive")
-    if t == 1.0:
-        return q
-    return Cube(q.center, q.side * t, level=None)
-
-
 def dyadic_address(grid, cube: Cube) -> tuple[int, int] | None:
-    """(level, row-major block index) for a dyadic cube, else None."""
-    levels, blocks = _dyadic_addresses(grid, [cube])
-    return None if levels[0] < 0 else (int(levels[0]), int(blocks[0]))
-
-
-def _dyadic_addresses(grid, cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """dyadic_address of each cube of a nonempty family, as arrays.
+    """(level, row-major block index) for a dyadic cube, else None.
 
     A cube is dyadic when it carries a level k with 2^k <= N, its side is
-    L/2^k and its center sits on a level-k block center; the others get
-    level -1.
+    L/2^k and its center sits on a level-k block center, taken modulo the
+    box.
     """
-    centers = np.array([q.center for q in cubes], dtype=float)
-    if centers.shape != (len(cubes), grid.n):
+    if len(cube.center) != grid.n:
         raise ValueError("cube dimension does not match grid")
-    levels = np.array([-1 if q.level is None else q.level for q in cubes],
-                      dtype=np.int64)
-    sides = np.array([q.side for q in cubes])
-    depth = grid.N.bit_length() - 1
-    ok = (levels >= 0) & (levels <= depth)
-    B = np.left_shift(1, np.where(ok, levels, 0))
+    k = cube.level
+    if k is None or not 0 <= k <= grid.N.bit_length() - 1:
+        return None
+    B = 1 << k
     s = grid.L / B
-    ok &= np.abs(sides - s) <= 1e-12 * grid.L
-    b = centers / s[:, None] - 0.5
+    if abs(cube.side - s) > 1e-12 * grid.L:
+        return None
+    b = np.array(cube.center) / s - 0.5
     bi = np.rint(b)
-    ok &= np.all(np.abs(b - bi) <= 1e-9, axis=1)
-    bi = np.where(ok[:, None], bi, 0).astype(np.int64) % B[:, None]
-    flat = bi[:, 0] if grid.n == 1 else bi[:, 0] * B + bi[:, 1]
-    return np.where(ok, levels, -1), flat
+    if not np.all(np.abs(b - bi) <= 1e-9):
+        return None
+    i = bi.astype(np.int64) % B
+    return int(k), int(i[0] if grid.n == 1 else i[0] * B + i[1])
 
 
 def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
@@ -409,34 +387,22 @@ class BlockPyramid:
             self.power(s), self.n, k).sum(axis=1))
 
 
-def family_values(grid, cubes: Sequence[Cube],
-                  level_values: Callable[[int], Sequence[np.ndarray] | None],
-                  cube_values: Callable[[Cube], Sequence[float]]) -> np.ndarray:
-    """Per-cube quantities of a cube family, shape (quantities, len(cubes)).
+def family_values(grid, family: DyadicFamily,
+                  level_values: Callable[[int], Sequence[np.ndarray]]
+                  ) -> np.ndarray:
+    """Per-cube quantities of a dyadic family, shape (quantities, len(family)).
 
-    Each dyadic cube reads entry b of every table in level_values(k), where
-    (k, b) is its dyadic_address: a DyadicFamily of the grid's box that
-    fits the grid supplies its own, any other sequence is mapped in one
-    vectorized pass.  level_values is called once per level the family
-    holds.  Other cubes, and the cubes of a level for which level_values
-    returns None, get cube_values(cube).  Columns follow the order of
-    cubes, so np.argmax finds the first maximal cube.
+    level_values(k) holds one table per quantity, each with one entry per
+    level-k block in block order; it is called once for each level
+    k = 0..max_level and the tables are laid end to end, which is the
+    family's own order, so np.argmax finds the first maximal cube.
     """
-    if (isinstance(cubes, DyadicFamily) and cubes.n == grid.n
-            and cubes.L == grid.L and (1 << cubes.max_level) <= grid.N):
-        levels, blocks = cubes.levels, cubes.blocks
-    else:
-        levels, blocks = _dyadic_addresses(grid, cubes)
-    out = None
-    for k in distinct_sorted(levels).tolist():
-        sel = np.flatnonzero(levels == k)
-        tables = level_values(k) if k >= 0 else None
-        if tables is None:
-            vals = np.array([cube_values(cubes[i]) for i in sel],
-                            dtype=float).T
-        else:
-            vals = np.array([t[blocks[sel]] for t in tables])
-        if out is None:
-            out = np.empty((vals.shape[0], len(cubes)))
-        out[:, sel] = vals
-    return out
+    if not isinstance(family, DyadicFamily):
+        raise TypeError(f"a family scan takes a DyadicFamily, "
+                        f"not a {type(family).__name__}")
+    if ((family.n, family.L) != (grid.n, grid.L)
+            or (1 << family.max_level) > grid.N):
+        raise ValueError(f"{family!r} does not fit the {grid.n}D grid "
+                         f"of side L={grid.L!r} with N={grid.N}")
+    return np.concatenate([level_values(k)
+                           for k in range(family.max_level + 1)], axis=1)

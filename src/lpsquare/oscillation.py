@@ -1,10 +1,10 @@
 """Weighted mean-oscillation functionals over a declared cube family.
 
 Three functionals share one scan pattern: a per-cube quantity maximized over
-the family, with the first attaining cube recorded so every reported
-supremum is witnessed.  Dyadic cubes read their quantity from per-level
-reductions of the function's block pyramid; other cubes are gathered one
-at a time by single_cube_value, the per-cube reference.  The per-cube
+a DyadicFamily, with the first attaining cube recorded so every reported
+supremum is witnessed.  Each level of the family reads its quantities from
+one reduction of the function's block pyramid; single_cube_value gathers
+the samples of any one cube and is the per-cube reference.  The per-cube
 quantities (ω a weight, Q a cube, f_Q the plain mean, h^n the cell
 volume):
 
@@ -19,13 +19,13 @@ so both sides of any comparison must use the same family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .grid import (
     BlockPyramid,
     Cube,
+    DyadicFamily,
     GridFunction,
     cube_region,
     family_values,
@@ -100,29 +100,26 @@ def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
     return (dev * hn / wq) ** (1.0 / p)
 
 
-def _scan(kind: str, f: GridFunction, w: Weight, cubes: Sequence[Cube],
+def _scan(kind: str, f: GridFunction, w: Weight, cubes: DyadicFamily,
           p: float | None) -> OscillationReport:
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    vals = family_values(f, cubes,
-                         lambda k: (_level_values(kind, f, w, k, p),),
-                         lambda q: (single_cube_value(kind, f, w, q, p),))[0]
+    vals = family_values(
+        f, cubes, lambda k: (_level_values(kind, f, w, k, p),))[0]
     i = int(np.argmax(vals))
     return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
 
 
 def bmo_norm(f: GridFunction, w: Weight,
-             cubes: Sequence[Cube]) -> OscillationReport:
+             cubes: DyadicFamily) -> OscillationReport:
     return _scan("bmo", f, w, cubes, None)
 
 
 def blo_constant(f: GridFunction, w: Weight,
-                 cubes: Sequence[Cube]) -> OscillationReport:
+                 cubes: DyadicFamily) -> OscillationReport:
     return _scan("blo", f, w, cubes, None)
 
 
 def blo_p_norm(f: GridFunction, w: Weight, p: float,
-               cubes: Sequence[Cube]) -> OscillationReport:
+               cubes: DyadicFamily) -> OscillationReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     return _scan("blo_p", f, w, cubes, p)

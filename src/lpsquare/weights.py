@@ -1,8 +1,10 @@
-"""Muckenhoupt weight functionals over declared cube families.
+"""Muckenhoupt weight functionals over a dyadic cube family.
 
 All constants here are family-relative: the supremum over every ball is
-unattainable on a grid, so each functional scans a finite list of cubes and
-reports the maximum.  Enlarging the family can only increase the value.
+unattainable on a grid, so each functional scans the cubes of a
+DyadicFamily, reading one table per dyadic level from the weight's block
+pyramid, and reports the maximum.  Enlarging the family can only increase
+the value.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    BlockPyramid,
-    Cube,
-    GridFunction,
-    cube_region,
-    dilate_cube,
-    family_values,
-)
+from .grid import BlockPyramid, Cube, DyadicFamily, GridFunction, family_values
 
 __all__ = [
     "Weight",
@@ -81,42 +76,22 @@ def constant_weight(n: int, L: float, N: int, c: float = 1.0) -> Weight:
     return Weight(GridFunction(n, L, N, np.full(shape, float(c))))
 
 
-def _cube_samples(g: GridFunction, q: Cube) -> np.ndarray:
-    """Flat sample indices of a cube, refusing a cube with no samples."""
-    reg = cube_region(g, q)
-    if reg.size == 0:
-        raise ValueError(f"cube {q} contains no samples")
-    return reg.indices
-
-
-def _a1_of(vals: np.ndarray) -> float:
-    return float(vals.mean()) / float(vals.min())
-
-
 def _a1_level(pyr: BlockPyramid, k: int) -> np.ndarray:
     """(average of ω over Q) / (min of ω over Q) per level-k dyadic cube."""
     return pyr.sum(k) / pyr.count(k) / pyr.min(k)
 
 
-def a1_constant(w: Weight, cubes: Sequence[Cube]) -> float:
+def a1_constant(w: Weight, cubes: DyadicFamily) -> float:
     """max over the family of (average of ω over Q) / (min of ω over Q)."""
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    g = w.base
     pyr = w.pyramid
-    vals = family_values(
-        g, cubes, lambda k: (_a1_level(pyr, k),),
-        lambda q: (_a1_of(g.values.ravel()[_cube_samples(g, q)]),))[0]
-    return float(vals.max())
+    return float(family_values(
+        w.base, cubes, lambda k: (_a1_level(pyr, k),))[0].max())
 
 
-def ap_constant(w: Weight, p: float, cubes: Sequence[Cube]) -> float:
+def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
     """max over the family of (avg ω)(avg ω^{1-p'})^{p-1}, p' = p/(p-1)."""
     if p <= 1:
         raise ValueError("use a1_constant for p <= 1")
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
-    g = w.base
     pyr = w.pyramid
     s = 1.0 - p / (p - 1.0)
 
@@ -124,13 +99,7 @@ def ap_constant(w: Weight, p: float, cubes: Sequence[Cube]) -> float:
         cnt = pyr.count(k)
         return ((pyr.sum(k) / cnt) * (pyr.power_sums(s, k) / cnt) ** (p - 1.0),)
 
-    def cube_values(q):
-        idx = _cube_samples(g, q)
-        m1 = float(g.values.ravel()[idx].mean())
-        m2 = float(pyr.power(s).ravel()[idx].mean())
-        return (m1 * m2 ** (p - 1.0),)
-
-    return float(family_values(g, cubes, level_values, cube_values)[0].max())
+    return float(family_values(w.base, cubes, level_values)[0].max())
 
 
 def power_weight(w: Weight, s: float) -> Weight:
@@ -194,14 +163,27 @@ def _doubled(table: np.ndarray, k: int, n: int, op: np.ufunc) -> np.ndarray:
     return out.ravel()
 
 
-def doubling_report(w: Weight, cubes: Sequence[Cube]) -> DoublingReport:
+def _doubled_samples(values: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op over each doubled cube 2Q of the finest level, one per sample.
+
+    2Q of sample i holds samples i and i+1 (periodic) on each axis.  Each
+    row lists them in increasing flat index, the order of the sum over
+    cube_region(2Q), so the sums agree with it bit for bit.
+    """
+    N, n = values.shape[0], values.ndim
+    i = np.arange(N)
+    pair = np.sort(np.stack([i, (i + 1) % N], axis=1), axis=1)
+    rows = values[pair] if n == 1 else \
+        values[pair[:, None, :, None], pair[None, :, None, :]]
+    return op.reduce(rows.reshape(N**n, 2**n), axis=1)
+
+
+def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
     """Ratios ω(2Q)/ω(Q), each bounded by 2^n times the family A₁ constant.
 
     The A₁ constant is taken over the given cubes together with their
     doubles, which is exactly the family the bound's derivation scans.
     """
-    if not cubes:
-        raise ValueError("cube family must be nonempty")
     g = w.base
     pyr = w.pyramid
     hn = (g.L / g.N) ** g.n
@@ -212,17 +194,13 @@ def doubling_report(w: Weight, cubes: Sequence[Cube]) -> DoublingReport:
         if k == 0:  # 2Q covers the box once
             return (s1 * hn) / (s1 * hn), a1_q, a1_q
         if k == pyr.depth:  # 2Q holds two samples per axis
-            return None
-        s2 = _doubled(pyr.sum(k + 1), k, g.n, np.add)
-        m2 = _doubled(pyr.min(k + 1), k, g.n, np.minimum)
+            s2 = _doubled_samples(g.values, np.add)
+            m2 = _doubled_samples(g.values, np.minimum)
+        else:
+            s2 = _doubled(pyr.sum(k + 1), k, g.n, np.add)
+            m2 = _doubled(pyr.min(k + 1), k, g.n, np.minimum)
         return (s2 * hn) / (s1 * hn), a1_q, s2 / (2**g.n * pyr.count(k)) / m2
 
-    def cube_values(q):
-        v1 = g.values.ravel()[_cube_samples(g, q)]
-        v2 = g.values.ravel()[_cube_samples(g, dilate_cube(q, 2.0))]
-        ratio = (float(v2.sum()) * hn) / (float(v1.sum()) * hn)
-        return ratio, _a1_of(v1), _a1_of(v2)
-
-    ratios, a1_q, a1_2q = family_values(g, cubes, level_values, cube_values)
+    ratios, a1_q, a1_2q = family_values(g, cubes, level_values)
     a1 = float(max(a1_q.max(), a1_2q.max()))
     return DoublingReport(a1, cubes, ratios, 2**g.n * a1)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lpsquare.cli import _certified_kernel, _lambda_star, _operator_fields
+from lpsquare.cli import _certified_kernel, _lambda_star, _operator_results
 from lpsquare.czd import (cz_decompose, distribution_function,
                           equivalence_constant, jn_blo_verify, jn_bmo_verify,
                           layer_cake_check)
@@ -32,6 +32,13 @@ REL = 1e-12
 SLACK = 1.0 + REL
 
 STEP_FAMILIES = ("step", "random-martingale")
+
+
+def _operator_fields(kernel, f, scales, lam):
+    """g, S and g*_lam of f from one pass over the scales, keyed "g", "s"
+    and "gstar_<lam>"."""
+    [results] = _operator_results(kernel, [f], scales, (lam,))
+    return {op: res.values for op, res in results.items()}
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str) -> None:

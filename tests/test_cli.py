@@ -461,8 +461,7 @@ def test_lone_scale_endpoint_keeps_the_other_default(tmp_path):
 def test_family_is_built_once_per_geometry():
     family = cli._family(1, 1.0, 64, 3)
     assert family is cli._family(1, 1.0, 64, 3)
-    assert family == tuple(dyadic_cubes(grid_function(1, 1.0, 64,
-                                                      np.zeros(64)), 3))
+    assert family == dyadic_cubes(grid_function(1, 1.0, 64, np.zeros(64)), 3)
     with pytest.raises(ValueError, match="too deep for N=4"):
         cli._family(1, 1.0, 4, 3)
 
@@ -588,6 +587,10 @@ def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
 
 @pytest.mark.parametrize("argv, command, message", [
     (["weights", "--jobs", "x"], "weights", "invalid int value: 'x'"),
+    (["kernel-check", "--jobs", "0"], "kernel-check",
+     "argument --jobs: must be at least 1, got 0"),
+    (["operators", "--jobs=-3"], "operators",
+     "argument --jobs: must be at least 1, got -3"),
     (["jn", "--bogus"], "jn", "unrecognized arguments: --bogus"),
     (["frobnicate"], "lpsquare", "invalid choice: 'frobnicate'"),
 ])

@@ -70,10 +70,12 @@ def test_constant_function_all_zero():
 def test_zero_iff_constant_per_cube():
     f = indicator()
     w = unit_weight()
-    # family avoiding the top cube: f is constant on every member
-    sub = [q for q in dyadic_cubes(f, 3) if q.level >= 1]
-    assert bmo_norm(f, w, sub).value == 0.0
-    assert bmo_norm(f, w, dyadic_cubes(f, 3)).value > 0
+    family = dyadic_cubes(f, 3)
+    # f is constant on every cube below the top one
+    assert all(single_cube_value("bmo", f, w, family[i]) == 0.0
+               for i in np.flatnonzero(family.levels >= 1))
+    rep = bmo_norm(f, w, family)
+    assert rep.value > 0 and rep.argmax.level == 0
 
 
 def test_constant_shift_invariance():

@@ -3,9 +3,12 @@
 Every functional that reads per-level tables is compared with a loop over
 the family that gathers each cube's samples through cube_region: the
 oscillation kinds through single_cube_value, the weight constants through
-direct sums.  Values agree to RTOL and the witness is the same first
-maximal cube.
+direct sums.  Families run from the box alone (max_level 0) to every level
+down to single samples.  Values agree to RTOL and the witness is the same
+first maximal cube.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from lpsquare.grid import (
     Cube,
     GridFunction,
     cube_region,
-    dilate_cube,
     dyadic_cubes,
     level_blocks,
 )
@@ -53,26 +55,24 @@ def random_pair(n, N, seed=0):
     return f, w
 
 
-def families(g):
-    """name -> cube family: every dyadic level, shuffled, and mixed with
-    dilates and off-grid probes."""
-    depth = g.N.bit_length() - 1
-    full = dyadic_cubes(g, depth)
-    order = np.random.default_rng(1).permutation(len(full))
-    coarse = dyadic_cubes(g, 3)
-    h = g.L / g.N
-    probes = [Cube((0.3,) * g.n, 0.17), Cube((0.91,) * g.n, 0.4),
-              # a level tag on a cube off the block centers
-              Cube((0.25 + h / 3,) * g.n, 0.5, level=1)]
-    mixed = (coarse[::2] + [dilate_cube(q, t) for q in coarse[1::3]
-                            for t in (0.5, 2.0, 3.0)]
-             + probes + coarse[1::2])
-    return {"full": full, "shuffled": [full[i] for i in order],
-            "mixed": mixed}
+# max_level of the scanned family: the box alone, a middle depth, and
+# every level down to single samples (the depth of the grid)
+DEPTHS = [0, 3, "depth"]
+
+
+def family(g, max_level):
+    if max_level == "depth":
+        max_level = g.N.bit_length() - 1
+    return dyadic_cubes(g, max_level)
 
 
 def samples(g, q):
     return g.values.ravel()[cube_region(g, q).indices]
+
+
+def doubled(q):
+    """2Q: the cube with the center of q and twice its side."""
+    return Cube(q.center, 2 * q.side)
 
 
 def first_max(values, cubes):
@@ -81,11 +81,11 @@ def first_max(values, cubes):
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
-@pytest.mark.parametrize("family", ["full", "shuffled", "mixed"])
+@pytest.mark.parametrize("max_level", DEPTHS)
 @pytest.mark.parametrize("kind,p", KINDS)
-def test_oscillation_scan_matches_per_cube_loop(n, N, family, kind, p):
+def test_oscillation_scan_matches_per_cube_loop(n, N, max_level, kind, p):
     f, w = random_pair(n, N)
-    cubes = families(f)[family]
+    cubes = family(f, max_level)
     rep = SCANS[kind](f, w, cubes, p)
     value, witness = first_max(
         [single_cube_value(kind, f, w, q, p) for q in cubes], cubes)
@@ -95,10 +95,10 @@ def test_oscillation_scan_matches_per_cube_loop(n, N, family, kind, p):
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
-@pytest.mark.parametrize("family", ["full", "shuffled", "mixed"])
-def test_weight_constants_match_per_cube_loop(n, N, family):
+@pytest.mark.parametrize("max_level", DEPTHS)
+def test_weight_constants_match_per_cube_loop(n, N, max_level):
     _, w = random_pair(n, N)
-    cubes = families(w.base)[family]
+    cubes = family(w.base, max_level)
     a1 = max(float(v.mean() / v.min())
              for v in (samples(w.base, q) for q in cubes))
     assert a1_constant(w, cubes) == pytest.approx(a1, rel=RTOL)
@@ -112,21 +112,21 @@ def doubling_reference(w, cubes):
     """(ratios, A₁ over the cubes and their doubles) from cube_region sums."""
     ratios, a1 = [], 0.0
     for q in cubes:
-        v1, v2 = samples(w.base, q), samples(w.base, dilate_cube(q, 2.0))
+        v1, v2 = samples(w.base, q), samples(w.base, doubled(q))
         ratios.append(float(v2.sum()) / float(v1.sum()))
         a1 = max(a1, float(v1.mean() / v1.min()), float(v2.mean() / v2.min()))
     return ratios, a1
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
-@pytest.mark.parametrize("family", ["full", "shuffled", "mixed"])
-def test_doubling_matches_per_cube_loop(n, N, family):
+@pytest.mark.parametrize("max_level", DEPTHS)
+def test_doubling_matches_per_cube_loop(n, N, max_level):
     _, w = random_pair(n, N)
-    cubes = families(w.base)[family]
+    cubes = family(w.base, max_level)
     rep = doubling_report(w, cubes)
     ratios, a1 = doubling_reference(w, cubes)
     assert rep.constant == pytest.approx(a1, rel=RTOL)
-    assert [r.cube for r in rep.rows] == cubes
+    assert [r.cube for r in rep.rows] == list(cubes)
     np.testing.assert_allclose([r.ratio for r in rep.rows], ratios, rtol=RTOL)
     assert all(r.bound == 2**n * rep.constant for r in rep.rows)
 
@@ -141,28 +141,50 @@ def test_doubled_windows_are_the_cube_region_samples(n, N):
     w = Weight(GridFunction(n, 1.0, N,
                             rng.integers(1, 1000, (N,) * n).astype(float)))
     depth = N.bit_length() - 1
-    by_level = {}
-    for q in dyadic_cubes(w.base, depth):
-        by_level.setdefault(q.level, []).append(q)
-    for k, cubes in by_level.items():
-        rep = doubling_report(w, cubes)
-        ratios, a1 = doubling_reference(w, cubes)
-        assert [r.ratio for r in rep.rows] == ratios, f"level {k}"
-        if k == 0:  # 2Q is the whole box, counted once
-            assert ratios == [1.0]
-        if k == depth:  # 2Q holds two samples per axis
-            assert all(samples(w.base, dilate_cube(q, 2.0)).size == 2**n
-                       for q in cubes)
-        assert rep.constant == pytest.approx(a1, rel=RTOL)
+    cubes = dyadic_cubes(w.base, depth)
+    rep = doubling_report(w, cubes)
+    ratios, a1 = doubling_reference(w, cubes)
+    for k in range(depth + 1):
+        at_k = np.flatnonzero(cubes.levels == k)
+        assert rep.ratios[at_k].tolist() == [ratios[i] for i in at_k], \
+            f"level {k}"
+    assert ratios[0] == 1.0  # 2Q of the box is the whole box, counted once
+    # at the finest level 2Q holds two samples per axis
+    assert all(samples(w.base, doubled(cubes[i])).size == 2**n
+               for i in np.flatnonzero(cubes.levels == depth))
+    assert rep.constant == pytest.approx(a1, rel=RTOL)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 8)])
+def test_finest_doubled_cubes_sum_as_cube_region_does(n, N):
+    # Non-integer weights: a sum of four samples depends on their order, so
+    # the finest-level ratios ω(2Q)/ω(Q) equal the cube_region sums bit for
+    # bit only when the samples of 2Q are added in increasing flat index,
+    # the wrap at i = N-1 included.
+    rng = np.random.default_rng(9)
+    w = Weight(GridFunction(n, 1.0, N,
+                            np.exp(rng.uniform(-3.0, 3.0, (N,) * n)) / 3.0))
+    depth = N.bit_length() - 1
+    cubes = dyadic_cubes(w.base, depth)
+    finest = np.flatnonzero(cubes.levels == depth)
+    hn = (1.0 / N) ** n
+    rep = doubling_report(w, cubes)
+    for i in finest:
+        v1, v2 = samples(w.base, cubes[i]), samples(w.base, doubled(cubes[i]))
+        assert rep.ratios[i] == (float(v2.sum()) * hn) / (float(v1.sum()) * hn)
+    # 2Q of the last sample wraps to the first sample on every axis
+    wrap = cube_region(w.base, doubled(cubes[finest[-1]])).indices
+    corners = np.ravel_multi_index(np.ix_(*[[0, N - 1]] * n), (N,) * n)
+    assert wrap.tolist() == sorted(corners.ravel().tolist())
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
-@pytest.mark.parametrize("family", ["full", "shuffled", "mixed"])
-def test_constant_function_ties_at_the_first_cube(n, N, family):
+@pytest.mark.parametrize("max_level", DEPTHS)
+def test_constant_function_ties_at_the_first_cube(n, N, max_level):
     shape = (N,) * n
     f = GridFunction(n, 1.0, N, np.full(shape, -3.0))
     w = Weight(GridFunction(n, 1.0, N, np.full(shape, 2.0)))
-    cubes = families(f)[family]
+    cubes = family(f, max_level)
     for kind, p in KINDS:
         rep = SCANS[kind](f, w, cubes, p)
         assert rep.value == 0.0
@@ -170,25 +192,6 @@ def test_constant_function_ties_at_the_first_cube(n, N, family):
     assert a1_constant(w, cubes) == 1.0
     assert ap_constant(w, 2.0, cubes) == pytest.approx(1.0, rel=RTOL)
     assert doubling_report(w, cubes).constant == 1.0
-
-
-@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
-def test_family_scans_equal_the_list_scans_bit_for_bit(n, N):
-    # a DyadicFamily reads its own addresses; the list of its cubes maps
-    # them from the centers; every value and witness must agree exactly
-    f, w = random_pair(n, N, seed=4)
-    for max_level in range(N.bit_length()):
-        family = dyadic_cubes(f, max_level)
-        cubes = list(family)
-        for kind, p in KINDS:
-            a, b = SCANS[kind](f, w, family, p), SCANS[kind](f, w, cubes, p)
-            assert (a.value, a.argmax) == (b.value, b.argmax), kind
-        assert a1_constant(w, family) == a1_constant(w, cubes)
-        assert ap_constant(w, 2.0, family) == ap_constant(w, 2.0, cubes)
-        a, b = doubling_report(w, family), doubling_report(w, cubes)
-        assert a.constant == b.constant
-        assert a.ratios.tobytes() == b.ratios.tobytes()
-        assert a.rows == b.rows
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -232,7 +235,7 @@ def test_doubling_report_derives_rows_all_ok_and_margin(n, N):
     family = dyadic_cubes(w.base, N.bit_length() - 1)
     rep = doubling_report(w, family)
     rows = rep.rows
-    assert [r.cube for r in rows] == family
+    assert [r.cube for r in rows] == list(family)
     assert [r.ratio for r in rows] == rep.ratios.tolist()
     assert all(r.bound == rep.bound == 2**n * rep.constant for r in rows)
     assert all(r.ok == (r.ratio <= r.bound * (1 + 1e-12)) for r in rows)
@@ -247,3 +250,23 @@ def test_doubling_report_derives_rows_all_ok_and_margin(n, N):
     none = DoublingReport(1.0, cubes, np.zeros(3), 2.0)
     assert none.all_ok and none.margin == per_record_margin(none.rows) \
         == float("inf")
+
+
+def test_scans_refuse_a_cube_list_and_a_family_of_another_grid():
+    f, w = random_pair(2, 16)
+    cubes = dyadic_cubes(f, 2)
+    with pytest.raises(TypeError, match="DyadicFamily, not a list"):
+        bmo_norm(f, w, list(cubes))
+    with pytest.raises(TypeError, match="DyadicFamily, not a tuple"):
+        a1_constant(w, tuple(cubes))
+    line = GridFunction(1, 1.0, 16, np.zeros(16))
+    for other in (dyadic_cubes(line, 2),          # another dimension
+                  dyadic_cubes(GridFunction(2, 2.0, 16, np.zeros((16, 16))),
+                               2),               # another box side
+                  dyadic_cubes(GridFunction(2, 1.0, 64, np.zeros((64, 64))),
+                               5)):              # too deep for N=16
+        with pytest.raises(ValueError, match=re.escape(f"{other!r} does not "
+                                                       "fit the 2D grid")):
+            doubling_report(w, other)
+        with pytest.raises(ValueError, match="does not fit"):
+            blo_p_norm(f, w, 2.0, other)

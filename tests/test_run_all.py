@@ -1,0 +1,36 @@
+"""scripts/run_all.py: every subcommand into one report tree, exiting with
+the largest stage exit code."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+STAGES = ("kernel-check", "weights", "operators", "theorem-suite", "jn")
+SMALL = ("--set", "grid.N=64", "--set", "scales.M=8",
+         "--set", "family.max_level=3",
+         "--set", "corpus.one=sine(k=2) | constant()",
+         "--set", "corpus.two=step(x0=0.5) | power-regularized(alpha=0.25)")
+
+
+def run_all(argv):
+    spec = importlib.util.spec_from_file_location("run_all", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+
+def test_passing_stages_exit_0_and_write_the_summary(tmp_path):
+    out = tmp_path / "full"
+    assert run_all(["--out", str(out), *SMALL]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"stages": dict.fromkeys(STAGES, 0), "all_passed": True}
+    for stage in STAGES:
+        assert (out / stage.replace("-", "_") / "manifest.json").is_file()
+
+
+def test_refused_stages_exit_2(tmp_path):
+    out = tmp_path / "full"
+    assert run_all(["--out", str(out), *SMALL, "--set", "scales.M=1"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"stages": dict.fromkeys(STAGES, 2), "all_passed": False}

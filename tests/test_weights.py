@@ -156,19 +156,21 @@ def test_family_monotonicity():
 def test_doubling_constant_weight_exact():
     for n in (1, 2):
         w = constant_weight(n, 1.0, 16, 1.0)
-        cubes = [q for q in dyadic_cubes(w.base, 2) if q.level == 2]
-        rep = doubling_report(w, cubes)
+        family = dyadic_cubes(w.base, 2)
+        rep = doubling_report(w, family)
         assert rep.all_ok
-        for row in rep:
-            assert row.ratio == pytest.approx(2**n, rel=1e-12)
+        # 2Q of the box is the box; below it, 2Q holds 2^n copies of Q
+        assert rep.ratios[family.levels == 0].tolist() == [1.0]
+        for ratio in rep.ratios[family.levels >= 1]:
+            assert ratio == pytest.approx(2**n, rel=1e-12)
 
 
 def test_doubling_bound_holds_for_singular_weight():
     w = regularized_power(-0.7)(1, 1.0, 256)
-    cubes = [q for q in dyadic_cubes(w.base, 4) if q.level == 4]
-    rep = doubling_report(w, cubes)
+    family = dyadic_cubes(w.base, 4)
+    rep = doubling_report(w, family)
     assert rep.all_ok
-    assert max(r.ratio for r in rep.rows) <= 2 * rep.constant + 1e-9
+    assert rep.ratios[family.levels == 4].max() <= 2 * rep.constant + 1e-9
 
 
 def test_weight_below_floor_is_refused():
