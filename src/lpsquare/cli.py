@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -79,7 +78,8 @@ def _certified_kernel(name: str, n: int, vanish: float):
 
 
 def _lambda_star(kernel, n: int) -> float:
-    return 4.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
+    from .operators import lambda_warn_threshold
+    return lambda_warn_threshold(kernel, n) + 1.0
 
 
 def _pmap(fn, items, cfg: RunConfig, jobs: int) -> list:
@@ -189,10 +189,7 @@ def _operator_results(kernel, fs, scales, lams):
     keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
     specs = [OperatorSpec("g"), OperatorSpec("s")] + \
         [OperatorSpec("gstar", lam=lam) for lam in lams]
-    with warnings.catch_warnings():
-        # the lambda threshold warning comes from the checks, which run here
-        warnings.simplefilter("ignore")
-        stream = square_functions(kernel, fs, scales, specs)
+    stream = square_functions(kernel, fs, scales, specs)
     return (dict(zip(keys, results)) for results in stream)
 
 
@@ -240,6 +237,10 @@ def _operators_rows(entries, cfg):
     for entry, f, w, results in _batched_results(kernel, entries, cfg,
                                                  (lam, lam + 1.0)):
         denom = l2_norm(f, w)
+        if denom == 0.0:
+            raise ValueError(f"corpus entry {entry.name!r}: the function's "
+                             f"weighted L2 norm underflows to 0 on the "
+                             f"{cfg.n}D N={cfg.N} grid")
         record = _entry_record(entry.name, results)
         hi = results.pop(f"gstar_{lam + 1.0:g}").values
         rows = [(entry.name, op, l2_norm(res.values, w) / denom)

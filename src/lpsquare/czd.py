@@ -19,6 +19,10 @@ varies inside Q, so they are measured and recorded rather than assumed.
 Descent bottoms out at single-sample cubes, which are never selected; this
 is what turns the almost-everywhere differentiation step of the continuum
 argument into the 2^n factor of (E).
+
+Every function takes its cube Q: the tree, the local constants and the tail
+checks read Q's dyadic block, and distribution_function and layer_cake_check
+gather Q's samples with cube_region.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import numpy as np
 from .grid import (
     Cube,
     GridFunction,
-    Region,
     cube_region,
     distinct_sorted,
     dyadic_address,
@@ -302,29 +305,30 @@ class DistributionFunction:
     p: float | None = None
 
 
-def _mu_weights(mu_kind: str, w: Weight, region: Region,
+def _mu_weights(mu_kind: str, w: Weight, idx: np.ndarray,
                 p: float | None) -> np.ndarray:
     h = w.L / w.N
     if mu_kind == "lebesgue":
-        return np.full(region.size, h**w.n)
+        return np.full(idx.size, h**w.n)
     if mu_kind == "weight":
-        return w.values.ravel()[region.indices] * h**w.n
+        return w.values.ravel()[idx] * h**w.n
     if mu_kind == "power_weight":
         if p is None:
             raise ValueError("power_weight measure needs p")
-        return w.values.ravel()[region.indices] ** (1.0 - p) * h**w.n
+        return w.values.ravel()[idx] ** (1.0 - p) * h**w.n
     raise ValueError(f"unknown measure kind {mu_kind!r}")
 
 
 def distribution_function(g: GridFunction, mu_kind: str, w: Weight,
-                          region: Region, lambdas: Sequence[float],
+                          Q: Cube, lambdas: Sequence[float],
                           p: float | None = None) -> DistributionFunction:
-    """mu({x in region : g(x) > lambda}) for each threshold, by exact scan."""
+    """mu({x in Q : g(x) > lambda}) for each threshold, by exact scan."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.size and np.any(np.diff(lam) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
-    gv = g.values.ravel()[region.indices]
-    mu = _mu_weights(mu_kind, w, region, p)
+    idx = cube_region(g, Q)
+    gv = g.values.ravel()[idx]
+    mu = _mu_weights(mu_kind, w, idx, p)
     order = np.argsort(gv)
     gv_sorted = gv[order]
     # suffix sums: mass of {g > lambda} = total - prefix mass up to lambda
@@ -334,7 +338,7 @@ def distribution_function(g: GridFunction, mu_kind: str, w: Weight,
     return DistributionFunction(lam, masses, mu_kind, p)
 
 
-def layer_cake_check(g: GridFunction, w: Weight, p: float, region: Region,
+def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
                      mode: str = "auto", nodes: int = 10**4) -> tuple[float, float, float]:
     """Compare the direct weighted p-th power sum with its layer-cake form.
 
@@ -346,8 +350,9 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, region: Region,
     if p < 1:
         raise ValueError("p must be >= 1")
     h = g.L / g.N
-    gv = np.abs(g.values.ravel()[region.indices])
-    wv = w.values.ravel()[region.indices] * h**g.n
+    idx = cube_region(g, Q)
+    gv = np.abs(g.values.ravel()[idx])
+    wv = w.values.ravel()[idx] * h**g.n
     lhs = float((gv**p * wv).sum())
     levels = distinct_sorted(gv)
     if mode == "auto":
@@ -363,7 +368,7 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, region: Region,
         top = float(levels[-1]) if levels.size else 0.0
         lam = np.linspace(0.0, top * (1.0 + 1.0 / nodes) + 1e-300, nodes)
         d = distribution_function(g.with_values(np.abs(g.values)), "weight",
-                                  w, region, lam).masses
+                                  w, Q, lam).masses
         rhs = float(np.trapezoid(p * lam ** (p - 1) * d, lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -400,8 +405,8 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
                local: LocalConstants | None) -> JnReport:
     if local is None:
         local = cube_local_constants(f, w, Q)
-    reg = cube_region(f, Q)
-    fv = f.values.ravel()[reg.indices]
+    # Q's block ravels row-major: the samples in ascending flat order
+    fv = f.values[_block_cells(f.n, f.N, *_root_address(f, Q))].ravel()
     if kind == "blo":
         dev = fv - fv.min()
         norm = local.blo
@@ -409,7 +414,7 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
         dev = np.abs(fv - fv.mean())
         norm = local.bmo
     h = f.L / f.N
-    m_q = reg.size * h**f.n
+    m_q = fv.size * h**f.n
     n = f.n
     c1 = math.e
     c2 = 1.0 / (2**n * math.e)

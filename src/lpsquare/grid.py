@@ -1,4 +1,4 @@
-"""Periodic grid substrate: sampled functions, dyadic cubes, discrete measure.
+"""Periodic grid substrate: sampled functions, dyadic cubes, block tables.
 
 The ambient space is the periodic box [0, L)^n (n = 1 or 2) sampled at N
 points per axis, N a power of two so that dyadic cubes are exact sample
@@ -6,7 +6,7 @@ blocks.  Integrals are cell sums with volume h^n, h = L/N; essential
 infimum/supremum are plain min/max over samples, since on a grid every
 nonempty sample set has positive measure.  A family scan (family_values)
 reads one table per level of a DyadicFamily, levels 0..max_level laid end
-to end; cube_region gathers the samples of any single cube.
+to end; cube_region gives the flat sample indices of any single cube.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "Cube",
-    "Region",
     "grid_function",
     "from_callable",
     "axis_coords",
-    "full_region",
     "cube_region",
-    "measure",
     "DyadicFamily",
     "dyadic_cube",
     "dyadic_cubes",
@@ -82,10 +79,6 @@ class GridFunction:
     @property
     def h(self) -> float:
         return self.L / self.N
-
-    @property
-    def num_samples(self) -> int:
-        return self.N**self.n
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.n, self.L, self.N, values)
@@ -144,33 +137,6 @@ def distinct_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-@dataclass(frozen=True)
-class Region:
-    """A set of grid samples, stored as strictly increasing flat indices."""
-
-    n: int
-    L: float
-    N: int
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.array(self.indices, dtype=np.int64).ravel()
-        if not np.all(idx[1:] > idx[:-1]):
-            raise ValueError("region indices must be strictly increasing")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.N**self.n):
-            raise ValueError("region indices out of range")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-
-def full_region(grid) -> Region:
-    return Region(grid.n, grid.L, grid.N, np.arange(grid.N**grid.n))
-
-
 def periodic_displacement(x: np.ndarray, c: float, L: float) -> np.ndarray:
     """Signed displacement x - c wrapped into [-L/2, L/2)."""
     return (x - c + L / 2.0) % L - L / 2.0
@@ -185,33 +151,14 @@ def _axis_membership(grid, center: float, side: float) -> np.ndarray:
     return (d >= -side / 2.0 - eta) & (d < side / 2.0 - eta)
 
 
-def cube_region(grid, cube: Cube) -> Region:
-    """Samples lying in the cube under the periodic half-open convention."""
+def cube_region(grid, cube: Cube) -> np.ndarray:
+    """Ascending flat indices of the samples lying in the cube under the
+    periodic half-open convention; a dyadic cube gets its block's samples."""
     if len(cube.center) != grid.n:
         raise ValueError("cube dimension does not match grid")
-    if cube.level is not None:
-        # Exact block arithmetic for dyadic cubes; a level tag whose side or
-        # center is off the dyadic grid takes the mask path below.
-        addr = dyadic_address(grid, cube)
-        if addr is not None:
-            block = grid.N >> addr[0]
-            starts = np.unravel_index(addr[1], (grid.N // block,) * grid.n)
-            axes = [np.arange(s * block, (s + 1) * block) for s in starts]
-            idx = np.ravel_multi_index(np.ix_(*axes), (grid.N,) * grid.n)
-            return Region(grid.n, grid.L, grid.N, idx.ravel())
     masks = [_axis_membership(grid, c, cube.side) for c in cube.center]
-    if grid.n == 1:
-        idx = np.nonzero(masks[0])[0]
-    else:
-        m = masks[0][:, None] & masks[1][None, :]
-        idx = np.nonzero(m.ravel())[0]
-    return Region(grid.n, grid.L, grid.N, idx)
-
-
-def measure(region: Region) -> float:
-    """Lebesgue measure: sample count times the cell volume h^n."""
-    h = region.L / region.N
-    return region.size * h**region.n
+    mask = masks[0] if grid.n == 1 else masks[0][:, None] & masks[1][None, :]
+    return np.flatnonzero(mask)
 
 
 def dyadic_cube(n: int, L: float, k: int, b: int) -> Cube:

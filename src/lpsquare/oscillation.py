@@ -52,13 +52,11 @@ class OscillationReport:
 
 
 def _gather(f: GridFunction, w: Weight, q: Cube) -> tuple[np.ndarray, np.ndarray, float]:
-    reg = cube_region(f, q)
-    if reg.size == 0:
+    idx = cube_region(f, q)
+    if idx.size == 0:
         raise ValueError(f"cube {q} contains no samples")
     h = f.L / f.N
-    return (f.values.ravel()[reg.indices],
-            w.values.ravel()[reg.indices],
-            h**f.n)
+    return f.values.ravel()[idx], w.values.ravel()[idx], h**f.n
 
 
 def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,

@@ -332,6 +332,7 @@ _RANGE = (
     ("lambda_nodes", lambda v: v >= 1, "must be at least 1"),
     ("vanish", lambda v: v > 0, "must be positive"),
     ("sigma", lambda v: v > 1, "must exceed 1"),
+    ("seed", lambda v: v >= 0, "must be non-negative"),
 )
 
 

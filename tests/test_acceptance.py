@@ -17,7 +17,7 @@ from lpsquare.cli import _certified_kernel, _lambda_star, _operator_results
 from lpsquare.czd import (cz_decompose, distribution_function,
                           equivalence_constant, jn_blo_verify, jn_bmo_verify,
                           layer_cake_check)
-from lpsquare.grid import Cube, dyadic_cubes, full_region
+from lpsquare.grid import Cube, dyadic_cubes
 from lpsquare.kernels import kernel_registry
 from lpsquare.operators import default_scales
 from lpsquare.oscillation import blo_constant, blo_p_norm, bmo_norm
@@ -195,14 +195,13 @@ def test_criterion_09_layer_cake_identity():
     worst_step = 0.0
     worst_smooth = 0.0
     for entry, f, w in _pairs(2048):
-        region = full_region(f)
         if entry.function.family in STEP_FAMILIES:
             for p in (1.0, 2.0, 3.0):
-                _, _, gap = layer_cake_check(f, w, p, region, mode="step")
+                _, _, gap = layer_cake_check(f, w, p, BOX, mode="step")
                 worst_step = max(worst_step, gap)
         else:
-            _, _, gap = layer_cake_check(f, w, 2.0, region,
-                                         mode="trapezoid", nodes=10**4)
+            _, _, gap = layer_cake_check(f, w, 2.0, BOX, mode="trapezoid",
+                                         nodes=10**4)
             worst_smooth = max(worst_smooth, gap)
     ok = worst_step <= REL and worst_smooth < 1e-3
     _criterion(9, "layer cake identity", ok,
@@ -227,18 +226,17 @@ def test_criterion_10_oracle_equivalence():
     assert compared > 0
 
     entry, f, w = _pairs(256)[7]
-    region = full_region(f)
     lam = np.linspace(float(np.min(f.values)) - 0.5,
                       float(np.max(f.values)) + 0.5, 64)
     h = f.L / f.N
     recount_worst = 0.0
     for mu_kind, p in (("lebesgue", None), ("weight", None),
                        ("power_weight", 2.0)):
-        dist = distribution_function(f, mu_kind, w, region, lam, p=p) \
-            if p is not None else distribution_function(f, mu_kind, w, region, lam)
+        dist = distribution_function(f, mu_kind, w, BOX, lam, p=p) \
+            if p is not None else distribution_function(f, mu_kind, w, BOX, lam)
         for lv, measured in zip(lam, dist.masses):
             total = 0.0
-            for idx in region.indices:
+            for idx in range(f.values.size):
                 if f.values.ravel()[idx] > lv:
                     wv = w.values.ravel()[idx]
                     if mu_kind == "lebesgue":

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,46 @@ def test_nan_is_refused_for_every_float_key(tmp_path, capsys, command, key):
     assert criterion["detail"].startswith(key)
     assert key in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("source", ["set", "env"])
+def test_negative_seed_is_refused_by_every_command(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   source):
+    # refused while reading the settings, even when no entry is seeded
+    seed = ("--set", "corpus.seed=-1") if source == "set" else ()
+    if source == "env":
+        monkeypatch.setenv("LPSQUARE_SEED", "-1")
+    code, out, manifest = run(tmp_path, command, "--set", "grid.N=64",
+                              "--set", "family.max_level=2",
+                              "--set", "scales.M=4",
+                              "--set", "corpus.a=step() | constant()", *seed)
+    assert code == 2
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert criterion["detail"] == "corpus.seed must be non-negative"
+    assert "corpus.seed must be non-negative" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_operators_refuses_an_l2_norm_that_underflows(tmp_path, capsys):
+    # (1e-200)^2 underflows, so every l2 ratio would divide by zero
+    assert_refused(tmp_path, capsys,
+                   ("operators", "--set", "grid.N=64", "--set", "scales.M=4",
+                    "--set", "corpus.x=step(a=1e-200) | constant()"),
+                   "corpus entry 'x': the function's weighted L2 norm "
+                   "underflows to 0 on the 1D N=64 grid")
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_suites_raise_no_warning(tmp_path, command):
+    # lambda* lies one above the threshold below which g*_lambda warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(tmp_path, command, "--set", "grid.N=64",
+                         "--set", "scales.M=8", "--set", "family.max_level=3")
+    assert code == 0
 
 
 def test_kernel_check_certifies_against_the_configured_vanish(tmp_path):

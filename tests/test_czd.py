@@ -33,7 +33,6 @@ from lpsquare.grid import (
     cube_region,
     dyadic_address,
     dyadic_cubes,
-    full_region,
     grid_function,
 )
 from lpsquare.oscillation import blo_constant, bmo_norm, single_cube_value
@@ -52,6 +51,9 @@ def coords(N, L=1.0):
 
 def weight_from(values, L=1.0):
     return Weight(gf(values, L=L))
+
+
+BOX = Cube((0.5,), 1.0, level=0)  # the whole unit interval
 
 
 def regularized_power(N, alpha, x0=0.5, L=1.0):
@@ -222,7 +224,7 @@ def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
                                   for k in range(q.level, depth + 1))
         local = cube_local_constants(f, w, q)
         # the family scan over the subcubes, one cube at a time
-        weights = [w.values.ravel()[cube_region(f, c).indices] for c in inside]
+        weights = [w.values.ravel()[cube_region(f, c)] for c in inside]
         assert local.a1 == pytest.approx(
             max(float(v.mean() / v.min()) for v in weights), rel=1e-12)
         assert local.blo == pytest.approx(
@@ -230,7 +232,7 @@ def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
         assert local.bmo == pytest.approx(
             max(single_cube_value("bmo", f, w, c) for c in inside), rel=1e-12)
         assert local.min_w == \
-            w.values.ravel()[cube_region(f, q).indices].min()
+            w.values.ravel()[cube_region(f, q)].min()
 
 
 def test_root_must_be_dyadic():
@@ -679,16 +681,15 @@ def test_distribution_matches_per_sample_recount():
     N = 64
     g = gf(rng.standard_normal(N))
     w = weight_from(regularized_power(N, 0.4))
-    region = full_region(g)
     h = 1.0 / N
     lambdas = np.sort(np.unique(np.concatenate([
         g.values[::5], [-10.0, 0.0, 10.0]])))
     for kind, p in (("lebesgue", None), ("weight", None),
                     ("power_weight", 2.0)):
-        d = distribution_function(g, kind, w, region, lambdas, p=p)
+        d = distribution_function(g, kind, w, BOX, lambdas, p=p)
         for lam, mass in zip(d.lambdas, d.masses):
             total = 0.0
-            for i in region.indices:
+            for i in range(N):
                 if g.values[i] > lam:
                     if kind == "lebesgue":
                         total += h
@@ -702,17 +703,16 @@ def test_distribution_matches_per_sample_recount():
 def test_distribution_edges_and_validation():
     g = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
-    region = full_region(g)
-    d = distribution_function(g, "lebesgue", w, region, [-1.0, 7.5])
+    d = distribution_function(g, "lebesgue", w, BOX, [-1.0, 7.5])
     assert d.masses[0] == pytest.approx(1.0)
     assert d.masses[1] == 0.0
     assert np.all(np.diff(d.masses) <= 0)
     with pytest.raises(ValueError):
-        distribution_function(g, "lebesgue", w, region, [1.0, 1.0])
+        distribution_function(g, "lebesgue", w, BOX, [1.0, 1.0])
     with pytest.raises(ValueError):
-        distribution_function(g, "volume", w, region, [1.0])
+        distribution_function(g, "volume", w, BOX, [1.0])
     with pytest.raises(ValueError):
-        distribution_function(g, "power_weight", w, region, [1.0])
+        distribution_function(g, "power_weight", w, BOX, [1.0])
 
 
 def test_distribution_indicator_mass():
@@ -720,8 +720,7 @@ def test_distribution_indicator_mass():
     vals[:4] = 1.0
     g = gf(vals)
     w = weight_from(np.linspace(1.0, 2.0, 16))
-    region = full_region(g)
-    d = distribution_function(g, "weight", w, region, [0.5])
+    d = distribution_function(g, "weight", w, BOX, [0.5])
     assert d.masses[0] == pytest.approx(w.values[:4].sum() / 16.0, rel=1e-12)
 
 
@@ -729,12 +728,11 @@ def test_layer_cake_step_mode_is_exact():
     rng = np.random.default_rng(11)
     N = 128
     w = weight_from(np.exp(0.5 * rng.standard_normal(N)))
-    region = full_region(w.base)
     for vals in (np.sin(2 * np.pi * 3 * coords(N)),
                  rng.choice([0.0, 0.7, -1.3], size=N)):
         g = gf(vals)
         for p in (1.0, 2.0, 3.0):
-            lhs, rhs, gap = layer_cake_check(g, w, p, region, mode="step")
+            lhs, rhs, gap = layer_cake_check(g, w, p, BOX, mode="step")
             assert gap < 1e-12
 
 
@@ -743,24 +741,23 @@ def test_layer_cake_trapezoid_converges_on_smooth_data():
     x = coords(N)
     g = gf(1.0 + 0.5 * np.sin(2 * np.pi * x))
     w = weight_from(1.0 + 0.2 * np.cos(2 * np.pi * x))
-    lhs, rhs, gap = layer_cake_check(g, w, 2.0, full_region(g),
-                                     mode="trapezoid", nodes=10**4)
+    lhs, rhs, gap = layer_cake_check(g, w, 2.0, BOX, mode="trapezoid",
+                                     nodes=10**4)
     assert gap < 1e-3
-    coarse = layer_cake_check(g, w, 2.0, full_region(g),
-                              mode="trapezoid", nodes=100)[2]
+    coarse = layer_cake_check(g, w, 2.0, BOX, mode="trapezoid",
+                              nodes=100)[2]
     assert gap < coarse
 
 
 def test_layer_cake_auto_and_validation():
     g = gf(np.arange(16.0))
     w = constant_weight(1, 1.0, 16)
-    region = full_region(g)
-    lhs, rhs, gap = layer_cake_check(g, w, 2.0, region, mode="auto")
+    lhs, rhs, gap = layer_cake_check(g, w, 2.0, BOX, mode="auto")
     assert gap < 1e-12
     with pytest.raises(ValueError):
-        layer_cake_check(g, w, 0.5, region)
+        layer_cake_check(g, w, 0.5, BOX)
     with pytest.raises(ValueError):
-        layer_cake_check(g, w, 2.0, region, mode="simpson")
+        layer_cake_check(g, w, 2.0, BOX, mode="simpson")
 
 
 # ---------------------------------------------------------------------------
@@ -888,5 +885,5 @@ def test_layer_cake_identity_property(seed, p):
     rng = np.random.default_rng(seed)
     g = gf(rng.uniform(-2.0, 2.0, size=16))
     w = weight_from(rng.uniform(0.5, 2.0, size=16))
-    lhs, rhs, gap = layer_cake_check(g, w, p, full_region(g), mode="step")
+    lhs, rhs, gap = layer_cake_check(g, w, p, BOX, mode="step")
     assert gap < 1e-10

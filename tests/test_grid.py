@@ -1,4 +1,4 @@
-"""Grid substrate: measures, means, dyadic cubes, membership."""
+"""Grid substrate: means, dyadic cubes, membership."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from lpsquare.grid import (
     Cube,
     DyadicFamily,
     GridFunction,
-    Region,
     cube_region,
     distinct_sorted,
     dyadic_address,
     dyadic_cubes,
     from_callable,
-    full_region,
     level_blocks,
-    measure,
     periodic_displacement,
 )
 
@@ -44,7 +41,8 @@ def test_mean_of_identity_is_half_minus_half_h():
 def test_level2_cube_measure_in_unit_square():
     f = make_grid(n=2, N=16)
     q = [c for c in dyadic_cubes(f, 2) if c.level == 2][0]
-    assert measure(cube_region(f, q)) == pytest.approx(1.0 / 16.0, abs=1e-15)
+    assert cube_region(f, q).size * f.h**2 == pytest.approx(1.0 / 16.0,
+                                                         abs=1e-15)
 
 
 def test_dyadic_cube_counts():
@@ -57,7 +55,7 @@ def test_dyadic_cube_counts():
 def test_half_open_membership_1d():
     f = make_grid(N=8)
     q = Cube((0.25,), 0.5)
-    idx = cube_region(f, q).indices
+    idx = cube_region(f, q)
     # [0, 0.5): left edge in, right edge out
     assert list(idx) == [0, 1, 2, 3]
 
@@ -65,16 +63,20 @@ def test_half_open_membership_1d():
 def test_membership_wraps_periodically():
     f = make_grid(N=8)
     q = Cube((0.0,), 0.5)
-    idx = cube_region(f, q).indices
+    idx = cube_region(f, q)
     assert list(idx) == [0, 1, 6, 7]
 
 
 def test_dyadic_fast_path_matches_mask_path():
-    f = make_grid(n=2, N=16)
-    for q in dyadic_cubes(f, 3):
-        masked = cube_region(f, Cube(q.center, q.side, level=None))
-        fast = cube_region(f, q)
-        assert np.array_equal(masked.indices, fast.indices)
+    # the membership mask picks each dyadic cube's block, whose rows of
+    # level_blocks list its flat indices in ascending order
+    for n, N in [(1, 16), (2, 16)]:
+        f = make_grid(n=n, N=N)
+        flat = np.arange(N**n).reshape((N,) * n)
+        cubes = dyadic_cubes(f, 3)
+        for q, k, b in zip(cubes, cubes.levels, cubes.blocks):
+            block = level_blocks(flat, n, int(k))[b]
+            assert np.array_equal(cube_region(f, q), block)
 
 
 def test_off_grid_level_tag_takes_mask_path():
@@ -82,9 +84,9 @@ def test_off_grid_level_tag_takes_mask_path():
     f = make_grid(N=64)
     q = Cube((0.25 + 4 * f.h / 3,), 0.5, level=1)
     assert dyadic_address(f, q) is None
-    idx = cube_region(f, q).indices
+    idx = cube_region(f, q)
     assert list(idx) == list(range(2, 34))
-    assert np.array_equal(idx, cube_region(f, Cube(q.center, q.side)).indices)
+    assert np.array_equal(idx, cube_region(f, Cube(q.center, q.side)))
 
 
 def test_dilate_cube_doubles_sample_count():
@@ -93,7 +95,7 @@ def test_dilate_cube_doubles_sample_count():
     r1 = cube_region(f, q)
     r2 = cube_region(f, Cube(q.center, 2.0 * q.side))
     assert r2.size == 2 * r1.size
-    assert set(r1.indices).issubset(set(r2.indices))
+    assert set(r1).issubset(set(r2))
 
 
 def test_dilate_beyond_box_captures_everything():
@@ -110,16 +112,16 @@ def test_dyadic_nesting():
     for q in cubes:
         by_level.setdefault(q.level, []).append(q)
     for q in by_level[2]:
-        child = set(cube_region(f, q).indices)
+        child = set(cube_region(f, q))
         parents = [p for p in by_level[1]
-                   if set(cube_region(f, p).indices) >= child]
+                   if set(cube_region(f, p)) >= child]
         assert len(parents) == 1
 
 
 def test_level_partition_is_disjoint_cover():
     f = make_grid(n=2, N=8)
     lvl2 = [q for q in dyadic_cubes(f, 2) if q.level == 2]
-    seen = np.concatenate([cube_region(f, q).indices for q in lvl2])
+    seen = np.concatenate([cube_region(f, q) for q in lvl2])
     assert np.array_equal(np.sort(seen), np.arange(f.N**2))
 
 
@@ -133,7 +135,7 @@ def test_level_blocks_match_cube_regions():
             cubes = [q for q in dyadic_cubes(f, k) if q.level == k]
             assert blocks.shape[0] == len(cubes)
             for b, q in zip(blocks, cubes):
-                samples = f.values.ravel()[cube_region(f, q).indices]
+                samples = f.values.ravel()[cube_region(f, q)]
                 assert b.mean() == pytest.approx(samples.mean(), rel=1e-12)
 
 
@@ -192,26 +194,6 @@ def test_dyadic_family_is_the_loop_family_with_its_addresses(n, N, L):
     assert dyadic_cubes(g, 1) != dyadic_cubes(g, 2)
 
 
-def test_region_refuses_indices_not_strictly_increasing():
-    # every constructor passes sorted indices; anything else is refused
-    for bad in ([5, 1, 5, 3, 1], [2, 2], [3, 1], [8, 1], [2, -1]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Region(1, 1.0, 8, bad)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Region(2, 1.0, 4, np.array([[3, 0], [9, 3]]))
-    assert Region(2, 1.0, 4, np.array([[0, 3], [9, 15]])).indices.tolist() \
-        == [0, 3, 9, 15]
-    assert Region(1, 1.0, 8, []).size == 0
-    sorted_idx = np.arange(2, 6)
-    r = Region(1, 1.0, 8, sorted_idx)
-    assert r.indices.tolist() == [2, 3, 4, 5]
-    sorted_idx[0] = 7  # the region keeps its own copy
-    assert r.indices[0] == 2
-    for bad in ([1, 8], [8], [-1, 2], [-1]):
-        with pytest.raises(ValueError, match="out of range"):
-            Region(1, 1.0, 8, bad)
-
-
 @pytest.mark.parametrize("values", [
     [], [4], [1, 2, 3, 9], [9, 3, 1, 2], [5, 1, 5, 3, 1, 1], [2, 2, 2],
     [-1, 0, 3, -1, 3, 0], [0.5, -0.0, 0.0, 2.5, 0.5, -1.5],
@@ -252,8 +234,8 @@ def test_measure_additivity_over_partitions(level, seed):
     rng = np.random.default_rng(seed)
     f = make_grid(n=1, N=16, values=rng.normal(size=16))
     cubes = [q for q in dyadic_cubes(f, level) if q.level == level]
-    total = sum(measure(cube_region(f, q)) for q in cubes)
-    assert total == pytest.approx(measure(full_region(f)), rel=1e-12)
+    total = sum(cube_region(f, q).size * f.h for q in cubes)
+    assert total == pytest.approx(f.L, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,12 @@
 """What a launch loads: each subcommand imports only the library modules it
-runs, and no launch imports numpy.ma.
+runs, and no launch imports numpy.ma.  README's library example runs too.
 
 Every check runs in a fresh interpreter, so no other test's imports count.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import lpsquare
 
 SRC = str(Path(lpsquare.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parents[1] / "README.md"
 BASE = {"lpsquare", "lpsquare.cli", "lpsquare.grid", "lpsquare.report",
         "lpsquare.weights"}
 # library modules each subcommand runs, beyond those cli itself imports
@@ -70,3 +72,12 @@ def test_gauss_legendre_nodes_load_on_first_certification():
     _, numpy = launch("import lpsquare.kernels",
                       "lpsquare.kernels.kernel_registry('gauss-derivative', 1)")
     assert "numpy.polynomial" in numpy
+
+
+def test_readme_python_example_runs():
+    [example] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    done = subprocess.run([sys.executable, "-c", example], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          check=True)
+    # the BLO constant of the log spike's g function
+    assert float(done.stdout) == pytest.approx(0.5313271523010675, rel=1e-9)

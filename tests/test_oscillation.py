@@ -137,7 +137,7 @@ def test_blo_square_inequality_unweighted():
 def linf_over_weight(f, w, cubes):
     """max over the family of max_Q |f| / min_Q ω, by direct gathers."""
     def quotient(q):
-        idx = cube_region(f, q).indices
+        idx = cube_region(f, q)
         return np.abs(f.values.ravel()[idx]).max() / w.values.ravel()[idx].min()
     return max(quotient(q) for q in cubes)
 

@@ -67,7 +67,7 @@ def family(g, max_level):
 
 
 def samples(g, q):
-    return g.values.ravel()[cube_region(g, q).indices]
+    return g.values.ravel()[cube_region(g, q)]
 
 
 def doubled(q):
@@ -173,7 +173,7 @@ def test_finest_doubled_cubes_sum_as_cube_region_does(n, N):
         v1, v2 = samples(w.base, cubes[i]), samples(w.base, doubled(cubes[i]))
         assert rep.ratios[i] == (float(v2.sum()) * hn) / (float(v1.sum()) * hn)
     # 2Q of the last sample wraps to the first sample on every axis
-    wrap = cube_region(w.base, doubled(cubes[finest[-1]])).indices
+    wrap = cube_region(w.base, doubled(cubes[finest[-1]]))
     corners = np.ravel_multi_index(np.ix_(*[[0, N - 1]] * n), (N,) * n)
     assert wrap.tolist() == sorted(corners.ravel().tolist())
 
