@@ -3,27 +3,30 @@
 Subcommands: kernel-check, weights, operators, theorem-suite, jn.  Every
 invocation writes a manifest (even on failure or on a command-line error)
 plus one CSV per result table; exit status is 0 exactly when every
-assertion of the invoked suite passed.  Corpus entries are processed in
-parallel under --jobs with deterministic output ordering: operators and
-theorem-suite hand each worker one contiguous chunk of entries, computed
-as one batch, while weights and jn hand out single entries.
+assertion of the invoked suite passed.  Under --jobs K the corpus is cut
+into at most K contiguous chunks, and each chunk runs in its own forked
+child; the results come back in corpus order, so the output does not
+depend on K.  operators and theorem-suite compute a chunk as one batch.
 
 Importing this module loads only cli, report, grid and weights; each
 subcommand imports the other modules it runs where it uses them, before
-its pool forks, so that the workers inherit them.
+it forks, so that the children inherit them.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import ctypes
 import dataclasses
 import functools
+import gc
 import math
 import os
+import pickle
+import signal
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,6 +49,12 @@ __all__ = ["main", "build_parser"]
 # Largest relative change of an entry's A1 constant when weights refines
 # the grid from N to 2N.
 STABILITY_LIMIT = 0.05
+
+# glibc mallopt parameters (malloc.h) and the values main sets; 32 MiB is
+# the largest mmap threshold glibc accepts on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
 
 
 def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
@@ -82,16 +91,6 @@ def _lambda_star(kernel, n: int) -> float:
     return lambda_warn_threshold(kernel, n) + 1.0
 
 
-def _pmap(fn, items, cfg: RunConfig, jobs: int) -> list:
-    """fn(item, cfg) for every work item, in order, on up to jobs workers
-    and never more workers than items."""
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
-        return [fn(item, cfg) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, [cfg] * len(items)))
-
-
 def _chunks(items, jobs: int) -> list:
     """items cut into at most jobs contiguous runs, longest first, whose
     lengths differ by at most one."""
@@ -101,11 +100,102 @@ def _chunks(items, jobs: int) -> list:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _pmap_chunks(fn, cfg: RunConfig, jobs: int) -> list:
-    """fn(chunk, cfg) on one contiguous chunk of the corpus per worker; the
-    per-entry results come back concatenated, in corpus order."""
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child,
+    attached as the cause of the exception the parent re-raises."""
+
+
+def _outcome(fn, chunk, cfg: RunConfig) -> bytes:
+    """Pickled (True, fn(chunk, cfg)), or (False, (exception, its formatted
+    traceback)) when fn raises or its result does not pickle; an exception
+    that does not survive pickling becomes a RuntimeError naming it."""
+    try:
+        return pickle.dumps((True, fn(chunk, cfg)), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:
+        text = traceback.format_exc()
+        try:
+            data = pickle.dumps((False, (exc, text)), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)
+            return data
+        except Exception:
+            last = text.rstrip().splitlines()[-1]
+            return pickle.dumps((False, (RuntimeError(last), text)))
+
+
+def _fork(fn, chunk, cfg: RunConfig):
+    """(pid, read end of its pipe) of a forked child that writes
+    _outcome(fn, chunk, cfg) to the pipe and exits."""
+    r, w = os.pipe()
+    # the child must not print what the parent has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(_outcome(fn, chunk, cfg))
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
+    """fn(chunk, cfg) for each of the at most jobs contiguous chunks of the
+    corpus; the per-entry results come back concatenated, in corpus order.
+
+    With more than one chunk, each chunk runs in its own forked child.
+    The parent runs none itself, so that no chunk's work adds to what the
+    parent already holds; it only waits.  A child's exception is re-raised here with the child's traceback as its cause,
+    the first in corpus order first, and a child that exits without a
+    result raises RuntimeError.  Every child is killed and reaped before
+    this returns or raises.  Without os.fork the chunks run in turn here.
+    """
     chunks = _chunks(cfg.corpus, jobs)
-    return [res for part in _pmap(fn, chunks, cfg, jobs) for res in part]
+    if len(chunks) == 1 or not hasattr(os, "fork"):
+        return [res for chunk in chunks for res in fn(chunk, cfg)]
+    children = []             # [pid or None once reaped, pipe] per chunk
+    try:
+        # the children's collections skip the objects inherited from the
+        # parent, so they do not copy the pages those live on
+        gc.freeze()
+        try:
+            for chunk in chunks:
+                children.append(list(_fork(fn, chunk, cfg)))
+        finally:
+            gc.unfreeze()
+        results = []
+        for child, chunk in zip(children, chunks):
+            pid, pipe = child
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            if not data:
+                raise RuntimeError(
+                    f"the child computing corpus entries "
+                    f"{[e.name for e in chunk]} exited without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                exc, text = value
+                raise exc from _ChildTraceback("\n" + text)
+            results.extend(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +253,12 @@ def _weights_row(entry, cfg):
     return (entry.name, a1, a2, doubling.all_ok, doubling.margin, stability)
 
 
+def _weights_rows(entries, cfg):
+    return [_weights_row(entry, cfg) for entry in entries]
+
+
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    rows = _pmap(_weights_row, cfg.corpus, cfg, jobs)
+    rows = _pmap(_weights_rows, cfg, jobs)
     for name, a1, a2, dbl_ok, margin, stability in rows:
         manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
                         f"margin={margin:.6f}")
@@ -258,7 +352,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     manifest.kernels.append({
         "name": cfg.kernel, "n": n, "certified": True,
         "residual": kernel.report.p1_residual})
-    results = _pmap_chunks(_operators_rows, cfg, jobs)
+    results = _pmap(_operators_rows, cfg, jobs)
     rows = []
     for (entry_rows, mono_ok, record), entry in zip(results, cfg.corpus):
         rows.extend(entry_rows)
@@ -314,7 +408,7 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
         "name": cfg.kernel, "n": cfg.n, "certified": True,
         "residual": kernel.report.p1_residual,
         "lambda_star": _lambda_star(kernel, cfg.n)})
-    results = _pmap_chunks(_theorem_rows, cfg, jobs)
+    results = _pmap(_theorem_rows, cfg, jobs)
     rows = []
     sup_by_op: dict[str, float] = {}
     for entry_rows, record in results:
@@ -337,7 +431,7 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
 # jn
 
 
-def _jn_rows(entry, cfg):
+def _jn_row(entry, cfg):
     from .czd import (cube_local_constants, cz_decompose,
                       equivalence_constant, jn_blo_verify, jn_bmo_verify)
     from .oscillation import blo_constant, blo_p_norm
@@ -370,6 +464,10 @@ def _jn_rows(entry, cfg):
         blo_p_rep = blo_p_norm(f, w, p, family)
         witnesses[f"blo_p:{p:g}"] = _cube_record(blo_p_rep.argmax)
         blo_p = blo_p_rep.value
+        if blo > 0 and blo_p == 0.0:
+            raise ValueError(f"corpus entry {entry.name!r}: the BLO_p norm "
+                             f"at p={p:g} underflows to 0 on the {n}D "
+                             f"N={cfg.N} grid")
         equiv.append((entry.name, p, blo_p, blo,
                       blo_p / blo if blo > 0 else float("inf"), k_bound))
     tail_blo = [(r.lam, r.measured, r.bound, r.margin) for r in rep_blo.rows]
@@ -391,9 +489,13 @@ def _jn_rows(entry, cfg):
     }
 
 
+def _jn_rows(entries, cfg):
+    return [_jn_row(entry, cfg) for entry in entries]
+
+
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     from . import czd, oscillation  # noqa: F401  loaded before the fork
-    results = _pmap(_jn_rows, cfg.corpus, cfg, jobs)
+    results = _pmap(_jn_rows, cfg, jobs)
     tables = []
     summary = []
     equiv_rows = []
@@ -489,7 +591,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed blocks for reuse: blocks up to
+    MMAP_THRESHOLD come from the heap, and up to TRIM_THRESHOLD of free
+    heap stays mapped, so a loop that frees and reallocates a large numpy
+    temporary does not fault its pages in again each time.  Both are set:
+    setting only the trim threshold turns off glibc's dynamic mmap
+    threshold.  A C library without mallopt keeps its own policy."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     argv = sys.argv[1:] if argv is None else list(argv)
     failure: str | None = None
     error: str | None = None

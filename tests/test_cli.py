@@ -1,9 +1,14 @@
 """End-to-end command-line tests on small grids."""
 
+import ctypes
+import gc
 import json
+import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,6 +369,16 @@ def test_operators_refuses_an_l2_norm_that_underflows(tmp_path, capsys):
                    "underflows to 0 on the 1D N=64 grid")
 
 
+def test_jn_refuses_a_blo_p_norm_that_underflows(tmp_path, capsys):
+    # blo is 1e-200 > 0, but (1e-200)^2 underflows, so the equivalence
+    # ratio at p=2 would read 0
+    assert_refused(tmp_path, capsys,
+                   ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
+                    "--set", "corpus.x=step(a=1e-200) | constant()"),
+                   "corpus entry 'x': the BLO_p norm at p=2 underflows to 0 "
+                   "on the 1D N=64 grid")
+
+
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])
 def test_suites_raise_no_warning(tmp_path, command):
     # lambda* lies one above the threshold below which g*_lambda warns
@@ -555,39 +570,166 @@ def test_uneven_chunks_write_the_same_csvs_as_one_batch(tmp_path):
             assert (out2 / path.name).read_bytes() == path.read_bytes()
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no process starts."""
+def assert_children_reaped():
+    """No child of this process is left, and gc is unfrozen again."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
-    workers: list[int] = []
 
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the children that os.fork starts from this process."""
+    pids = []
+    fork = os.fork
 
-    def __enter__(self):
-        return self
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
 @pytest.mark.parametrize("command",
                          ["weights", "operators", "theorem-suite", "jn"])
-def test_pool_never_exceeds_the_work_items(tmp_path, monkeypatch, command):
+def test_pool_never_exceeds_the_work_items(tmp_path, forks, command):
     _, out1, _ = run(tmp_path / "1", command, *FAST, *FIVE)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "workers", [])
+    assert forks == []
     code, out64, _ = run(tmp_path / "64", command, *FAST, *FIVE,
                          "--jobs", "64")
     assert code == 0
-    assert _InlinePool.workers == [5]
+    # one child per entry: min(jobs, items)
+    assert len(forks) == 5
+    assert_children_reaped()
     csvs = sorted(out1.glob("*.csv"))
     assert csvs
     for path in csvs:
         assert (out64 / path.name).read_bytes() == path.read_bytes()
+
+
+def test_child_refusal_exits_2_naming_the_first_entry(tmp_path, capsys,
+                                                      forks):
+    # chunks (a, b, c) and (d, e): both children refuse an entry
+    bad = "step(width=0) | constant()"
+    code, out, manifest = run(tmp_path, "weights", *FAST, *FIVE,
+                              "--set", f"corpus.b={bad}",
+                              "--set", f"corpus.e={bad}", "--jobs", "2")
+    assert code == 2
+    assert len(forks) == 2
+    assert_children_reaped()
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == "weights-preconditions"
+    assert "corpus entry 'b'" in criterion["detail"]
+    err = capsys.readouterr().err
+    assert "error: corpus entry 'b'" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_child_crash_exits_3_with_the_child_traceback(tmp_path, capsys,
+                                                      monkeypatch, forks):
+    jn_row = cli._jn_row
+
+    def boom_in_child(entry, cfg):
+        if entry.name == "d":
+            raise RuntimeError(f"boom in pid {os.getpid()}")
+        return jn_row(entry, cfg)
+
+    monkeypatch.setattr(cli, "_jn_row", boom_in_child)
+    code, _, manifest = run(tmp_path, "jn", *FAST, *FIVE, "--jobs", "2")
+    assert code == 3
+    assert_children_reaped()
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == "jn-error"
+    assert criterion["detail"] == f"RuntimeError: boom in pid {forks[1]}"
+    err = capsys.readouterr().err
+    # the child's frames, then the parent's
+    assert err.index("in boom_in_child") < err.index("in _pmap")
+    assert err.rstrip().endswith(f"RuntimeError: boom in pid {forks[1]}")
+
+
+def test_unpicklable_child_exception_becomes_a_runtime_error(
+        tmp_path, capsys, monkeypatch, forks):
+    class Local(Exception):
+        pass
+
+    def raise_local(entries, cfg):
+        raise Local("not importable")
+
+    monkeypatch.setattr(cli, "_weights_rows", raise_local)
+    code, _, manifest = run(tmp_path, "weights", *FAST, "--jobs", "2")
+    assert code == 3
+    assert len(forks) == 2
+    assert_children_reaped()
+    [criterion] = manifest["criteria"]
+    assert criterion["detail"].startswith("RuntimeError: ")
+    assert "Local: not importable" in criterion["detail"]
+    assert "in raise_local" in capsys.readouterr().err
+
+
+def test_child_dying_without_a_result_exits_3(tmp_path, capsys,
+                                              monkeypatch, forks):
+    def die(entries, cfg):
+        if entries[0].name == "d":
+            os._exit(7)
+        return [None] * len(entries)
+
+    monkeypatch.setattr(cli, "_weights_rows", die)
+    code, _, manifest = run(tmp_path, "weights", *FAST, *FIVE,
+                            "--jobs", "2")
+    assert code == 3
+    assert len(forks) == 2
+    assert_children_reaped()
+    [criterion] = manifest["criteria"]
+    assert criterion["detail"] == (
+        "RuntimeError: the child computing corpus entries ['d', 'e'] "
+        "exited without a result (exit status 7)")
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_parent_raises_before_later_children_finish(tmp_path, monkeypatch,
+                                                    forks):
+    # the first chunk fails at once; the second would run for minutes
+    def first_fails(entries, cfg):
+        if entries[0].name == "a":
+            raise ValueError("corpus entry 'a': refused")
+        time.sleep(600)
+
+    monkeypatch.setattr(cli, "_jn_rows", first_fails)
+    start = time.monotonic()
+    code, _, _ = run(tmp_path, "jn", *FAST, *FIVE, "--jobs", "2")
+    assert code == 2
+    assert time.monotonic() - start < 60
+    assert len(forks) == 2
+    assert_children_reaped()
+
+
+def test_missing_mallopt_is_skipped(tmp_path, monkeypatch):
+    _, out1, _ = run(tmp_path / "glibc", "jn", *FAST)
+    # a C library without mallopt
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    code, out2, _ = run(tmp_path / "none", "jn", *FAST)
+    assert code == 0
+    csvs = sorted(out1.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+def test_main_sets_both_malloc_thresholds(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    assert main(["kernel-check", "--out", str(tmp_path)]) == 0
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])

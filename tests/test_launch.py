@@ -1,5 +1,6 @@
 """What a launch loads: each subcommand imports only the library modules it
-runs, and no launch imports numpy.ma.  README's library example runs too.
+runs, no launch imports numpy.ma or a process pool, and README's library
+example runs.
 
 Every check runs in a fresh interpreter, so no other test's imports count.
 """
@@ -81,3 +82,18 @@ def test_readme_python_example_runs():
                           check=True)
     # the BLO constant of the log spike's g function
     assert float(done.stdout) == pytest.approx(0.5313271523010675, rel=1e-9)
+
+
+@pytest.mark.parametrize("runs", [False, True])
+def test_no_launch_loads_a_process_pool(tmp_path, runs):
+    # children are forked directly; no concurrent.futures or multiprocessing
+    argv = ["jn", *TINY[:-2], "--jobs", "2", "--out", str(tmp_path / "out")]
+    script = "\n".join([
+        "import sys", "import lpsquare.cli",
+        *([f"assert lpsquare.cli.main({argv!r}) == 0"] if runs else []),
+        "print(sorted(m for m in sys.modules if m.split('.')[0] "
+        "in ('concurrent', 'multiprocessing')))"])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
