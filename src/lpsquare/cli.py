@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import collections
 import ctypes
-import dataclasses
 import functools
 import gc
 import math
@@ -73,17 +72,25 @@ def _family(n: int, L: float, N: int, max_level: int) -> DyadicFamily:
 
 @functools.lru_cache(maxsize=8)
 def _certified_kernel(name: str, n: int, vanish: float):
-    """Registry lookup that only hands back kernels whose vanishing
-    residual is within the configured tolerance."""
-    from .kernels import kernel_registry
+    """Registry lookup that only hands back kernels certified at the
+    configured tolerance."""
+    from .kernels import certified, kernel_registry
     kernel = kernel_registry(name, n)
-    rep = kernel.report
-    if rep is None or not rep.passed or not rep.p1_residual <= vanish:
-        residual = "none" if rep is None else f"{rep.p1_residual:.3e}"
+    if not certified(kernel, vanish):
         raise ValueError(f"kernel {name!r} is not certified for use at "
                          f"tolerances.vanish={vanish:g} "
-                         f"(residual {residual})")
+                         f"(residual {kernel.report.p1_residual:.3e})")
     return kernel
+
+
+def _kernel_record(kernel, vanish: float) -> dict:
+    """manifest.kernels' record of kernel's certificate, judged at vanish."""
+    from .kernels import certified
+    rep = kernel.report
+    return {"name": kernel.name, "n": kernel.n,
+            "certified": certified(kernel, vanish),
+            "residual": rep.p1_residual, "tol_vanish": vanish,
+            "c1": rep.c1, "c2": rep.c2}
 
 
 def _lambda_star(kernel, n: int) -> float:
@@ -203,34 +210,23 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
 
 
 def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
-    from .kernels import certify, kernel_registry, nonvanishing_hat_kernel
+    from .kernels import certified, shipped_kernels
     n, tol = cfg.n, cfg.vanish
-    names = ["poisson-derivative", "gauss-derivative"]
-    if n == 1:
-        names.append("hermite2")
     rows = []
-    for name in names:
-        # The constructor already certified the kernel; judge that report
-        # against the configured threshold instead of certifying again.
-        rep = kernel_registry(name, n).report
-        rep = dataclasses.replace(rep, tol_vanish=tol,
-                                  passed=rep.p1_residual <= tol)
-        manifest.record(f"certified:{name}", rep.passed,
-                        f"residual={rep.p1_residual:.3e}")
-        manifest.kernels.append({
-            "name": name, "n": n, "certified": rep.passed,
-            "residual": rep.p1_residual, "tol_vanish": rep.tol_vanish,
-            "c1": rep.c1, "c2": rep.c2})
-        rows.append((name, n, rep.p1_residual, rep.c1, rep.c2, rep.passed,
-                     "pass"))
-    if n == 1:
-        control = nonvanishing_hat_kernel()
-        rep = certify(control, tol_vanish=tol)
-        rejected = not rep.passed
-        manifest.record("negative-control-rejected", rejected,
-                        f"residual={rep.p1_residual:.3e}")
-        rows.append((control.name, n, rep.p1_residual, rep.c1, rep.c2,
-                     rep.passed, "fail"))
+    for name, make in shipped_kernels(n).items():
+        kernel = make()
+        rep, passed = kernel.report, certified(kernel, tol)
+        detail = f"residual={rep.p1_residual:.3e}"
+        # the negative control is the shipped kernel that fails at the
+        # default tolerance
+        expected = certified(kernel)
+        if expected:
+            manifest.record(f"certified:{name}", passed, detail)
+            manifest.kernels.append(_kernel_record(kernel, tol))
+        else:
+            manifest.record("negative-control-rejected", not passed, detail)
+        rows.append((name, n, rep.p1_residual, rep.c1, rep.c2, passed,
+                     "pass" if expected else "fail"))
     return [Table("kernel_check",
                   ("kernel", "n", "residual", "c1", "c2", "passed",
                    "expected"), tuple(rows))]
@@ -277,14 +273,14 @@ def cmd_weights(cfg, jobs, manifest) -> list[Table]:
 
 def _operator_results(kernel, fs, scales, lams):
     """g, S and g*_lam for each lam in lams from one pass over the scales,
-    per function of the batch fs, keyed "g", "s", "gstar_<lam>"; yielded
-    as square_functions computes them."""
+    per function of the batch fs, keyed by operator name in that order;
+    yielded as square_functions computes them."""
     from .operators import OperatorSpec, square_functions
-    keys = ["g", "s"] + [f"gstar_{lam:g}" for lam in lams]
-    specs = [OperatorSpec("g"), OperatorSpec("s")] + \
-        [OperatorSpec("gstar", lam=lam) for lam in lams]
+    specs = [OperatorSpec("g"), OperatorSpec("s"),
+             *(OperatorSpec("gstar", lam) for lam in lams)]
     stream = square_functions(kernel, fs, scales, specs)
-    return (dict(zip(keys, results)) for results in stream)
+    return ({spec.name: res for spec, res in zip(specs, results)}
+            for results in stream)
 
 
 def _cube_record(cube: Cube) -> dict:
@@ -335,13 +331,13 @@ def _operators_rows(entries, cfg):
             raise ValueError(f"corpus entry {entry.name!r}: the function's "
                              f"weighted L2 norm underflows to 0 on the "
                              f"{cfg.n}D N={cfg.N} grid")
-        record = _entry_record(entry.name, results)
-        hi = results.pop(f"gstar_{lam + 1.0:g}").values
-        rows = [(entry.name, op, l2_norm(res.values, w) / denom)
-                for op, res in results.items()]
-        mono_ok = l2_norm(hi, w) <= \
-            l2_norm(results[f"gstar_{lam:g}"].values, w) * (1 + 1e-12)
-        out.append((rows, mono_ok, record))
+        norms = [(op, l2_norm(res.values, w)) for op, res in results.items()]
+        # g*_(lam+1), last, is computed only to check that g*_lam does not
+        # grow with lam
+        (_, at_lam), (_, above) = norms[-2:]
+        rows = [(entry.name, op, norm / denom) for op, norm in norms[:-1]]
+        mono_ok = above <= at_lam * (1 + 1e-12)
+        out.append((rows, mono_ok, _entry_record(entry.name, results)))
     return out
 
 
@@ -349,9 +345,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     from .operators import default_scales, g_function
     n, L, N = cfg.n, cfg.L, cfg.N
     kernel = _certified_kernel(cfg.kernel, n, cfg.vanish)
-    manifest.kernels.append({
-        "name": cfg.kernel, "n": n, "certified": True,
-        "residual": kernel.report.p1_residual})
+    manifest.kernels.append(_kernel_record(kernel, cfg.vanish))
     results = _pmap(_operators_rows, cfg, jobs)
     rows = []
     for (entry_rows, mono_ok, record), entry in zip(results, cfg.corpus):
@@ -404,10 +398,8 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     from . import operators, oscillation  # noqa: F401  loaded before the fork
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
     kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
-    manifest.kernels.append({
-        "name": cfg.kernel, "n": cfg.n, "certified": True,
-        "residual": kernel.report.p1_residual,
-        "lambda_star": _lambda_star(kernel, cfg.n)})
+    manifest.kernels.append({**_kernel_record(kernel, cfg.vanish),
+                             "lambda_star": _lambda_star(kernel, cfg.n)})
     results = _pmap(_theorem_rows, cfg, jobs)
     rows = []
     sup_by_op: dict[str, float] = {}
@@ -632,7 +624,8 @@ def main(argv=None) -> int:
             failure = str(exc)
     if failure is not None:
         # a refused run still gets a manifest, written from the defaults
-        cfg = load_config(overrides=out)
+        # and a non-empty --out
+        cfg = load_config(overrides=out if out_arg else ())
     out_dir = Path(cfg.dir)
 
     manifest = RunManifest(command, cfg.text)

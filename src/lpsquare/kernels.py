@@ -6,7 +6,9 @@ smoothness estimate |ψ(x+h)-ψ(x)| <= C2 |h|^gamma (1+|x|)^{-(n+delta+gamma)}
 restricted to 2|h| <= |x|.  certify() measures the best constants over a
 deterministic probe set and the integral residual by quadrature (a
 trapezoid rule on the probe box plus a fixed Gauss–Legendre rule for the
-tails); shipped constructors return already certified kernels.
+tails), and certified() is the one verdict on that measurement.  Shipped
+constructors attach their measured report, and refuse an uncertified kernel
+unless it is the negative control.
 
 Every kernel is radial: its profile is ψ as a function of r = |x|, a
 closed-form evaluator that the operators sample on the distance grid of
@@ -15,7 +17,6 @@ whatever (L, N, t) a run uses, so one kernel serves every combination.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -30,8 +31,10 @@ __all__ = [
     "gauss_derivative_kernel",
     "hermite2_kernel",
     "nonvanishing_hat_kernel",
+    "shipped_kernels",
     "kernel_registry",
     "certify",
+    "certified",
     "evaluate",
 ]
 
@@ -44,12 +47,11 @@ _PROBES = 4096
 
 @dataclass(frozen=True)
 class CertReport:
+    """What certify measured: |∫ψ| and the best C1 and C2 over the probes."""
+
     p1_residual: float
     c1: float
     c2: float
-    tol_vanish: float
-    passed: bool
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,13 @@ def poisson_derivative_kernel(n: int) -> Kernel:
     since d/dt [t (t^2+r^2)^{-(n+1)/2}] = (t^2+r^2)^{-(n+1)/2}
     - (n+1) t^2 (t^2+r^2)^{-(n+3)/2}.  Decay delta=1, smoothness gamma=1.
     """
-    if n not in (1, 2):
-        raise ValueError("poisson_derivative_kernel supports n in {1, 2}")
     cn = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
 
     def f(r: np.ndarray) -> np.ndarray:
         q = 1.0 + np.asarray(r, dtype=float) ** 2
         return cn * (q ** (-(n + 1) / 2.0) - (n + 1) * q ** (-(n + 3) / 2.0))
 
-    return _with_certification(Kernel("poisson-derivative", n, f, delta=1.0, gamma=1.0))
+    return _certified(Kernel("poisson-derivative", n, f, delta=1.0, gamma=1.0))
 
 
 def gauss_derivative_kernel(n: int) -> Kernel:
@@ -109,15 +109,13 @@ def gauss_derivative_kernel(n: int) -> Kernel:
     ψ(x) = (4 pi)^{-n/2} exp(-|x|^2/4) (|x|^2/4 - n/2).  The Gaussian tail
     dominates any polynomial, so delta=2, gamma=1 certify comfortably.
     """
-    if n not in (1, 2):
-        raise ValueError("gauss_derivative_kernel supports n in {1, 2}")
     a = (4.0 * math.pi) ** (-n / 2.0)
 
     def f(r: np.ndarray) -> np.ndarray:
         r2 = np.asarray(r, dtype=float) ** 2
         return a * np.exp(-r2 / 4.0) * (r2 / 4.0 - n / 2.0)
 
-    return _with_certification(Kernel("gauss-derivative", n, f, delta=2.0, gamma=1.0))
+    return _certified(Kernel("gauss-derivative", n, f, delta=2.0, gamma=1.0))
 
 
 def hermite2_kernel() -> Kernel:
@@ -129,37 +127,40 @@ def hermite2_kernel() -> Kernel:
         r = np.asarray(r, dtype=float)
         return (r**2 - 1.0) * np.exp(-(r**2) / 2.0)
 
-    return _with_certification(Kernel("hermite2", 1, f, delta=2.0, gamma=1.0))
+    return _certified(Kernel("hermite2", 1, f, delta=2.0, gamma=1.0))
 
 
 def nonvanishing_hat_kernel() -> Kernel:
     """ψ(x) = (1-x^2) e^{-x^2}: hat-shaped but with integral sqrt(pi)/2.
 
-    Shipped uncertified as a negative control; certify() must reject it on
-    the vanishing check.
+    Shipped as a negative control with its measured report attached: its
+    residual fails the vanishing check, so it is not certified.
     """
     def f(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return (1.0 - r**2) * np.exp(-(r**2))
 
-    return Kernel("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0)
+    return _measured(Kernel("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0))
+
+
+def shipped_kernels(n: int) -> dict[str, Callable[[], Kernel]]:
+    """The constructors of the kernels shipped in dimension n, by registry
+    name, the negative control last."""
+    shipped = {"poisson-derivative": lambda: poisson_derivative_kernel(n),
+               "gauss-derivative": lambda: gauss_derivative_kernel(n)}
+    if n == 1:
+        shipped |= {"hermite2": hermite2_kernel,
+                    "nonvanishing-hat": nonvanishing_hat_kernel}
+    return shipped
 
 
 def kernel_registry(name: str, n: int) -> Kernel:
     """CLI-facing constructor lookup by registry name."""
-    if name == "poisson-derivative":
-        return poisson_derivative_kernel(n)
-    if name == "gauss-derivative":
-        return gauss_derivative_kernel(n)
-    if name == "hermite2":
-        if n != 1:
-            raise ValueError("hermite2 kernel is one-dimensional")
-        return hermite2_kernel()
-    if name == "nonvanishing-hat":
-        if n != 1:
-            raise ValueError("nonvanishing-hat kernel is one-dimensional")
-        return nonvanishing_hat_kernel()
-    raise ValueError(f"unknown kernel {name!r}")
+    shipped = shipped_kernels(n)
+    if name not in shipped:
+        raise ValueError(f"no kernel {name!r} ships in dimension {n}; "
+                         f"valid: {', '.join(shipped)}")
+    return shipped[name]()
 
 
 @functools.cache
@@ -177,7 +178,7 @@ def _tail(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     return float(np.sum(w * f(b / u) * b / u**2))
 
 
-def _vanishing_residual(kernel: Kernel) -> tuple[float, str]:
+def _vanishing_residual(kernel: Kernel) -> float:
     """Quadrature of ∫ψ: in 1D a probe-box trapezoid plus Gauss–Legendre
     tails, in 2D a polar Gauss–Legendre rule on the profile."""
     if kernel.n == 1:
@@ -185,12 +186,12 @@ def _vanishing_residual(kernel: Kernel) -> tuple[float, str]:
         box = float(np.trapezoid(evaluate(kernel, np.abs(x)), x))
         # the tails beyond -_PROBE_BOX and _PROBE_BOX are equal
         tail = _tail(lambda s: evaluate(kernel, s), _PROBE_BOX)
-        return abs(box + tail + tail), "trapezoid box + Gauss-Legendre tails"
+        return abs(box + tail + tail)
     g = lambda r: evaluate(kernel, r) * r
     u, w = _unit_rule()
     inner = float(np.sum(w * g(_PROBE_BOX * u))) * _PROBE_BOX
     outer = _tail(g, _PROBE_BOX)
-    return abs(2.0 * math.pi * (inner + outer)), "polar Gauss-Legendre"
+    return abs(2.0 * math.pi * (inner + outer))
 
 
 def _probe_points(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,23 +208,20 @@ def _norm(pts: np.ndarray) -> np.ndarray:
     return np.sqrt((pts**2).sum(axis=1))
 
 
-def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
+def certify(kernel: Kernel) -> CertReport:
     """Measure C1, C2 and the vanishing residual over _PROBES deterministic
     probes.
 
     Probes are reproducible (fixed seed); |h| for the smoothness check is
     drawn log-uniformly from [1e-4|x|, |x|/2], honoring the 2|h| <= |x|
-    restriction.  The kernel passes when the residual is at most
-    tol_vanish.
+    restriction.  certified() judges the residual.
     """
-    if not tol_vanish > 0:
-        raise ValueError("tol_vanish must be positive")
     if kernel.delta <= 0:
         raise ValueError("non-integrable decay: delta must be positive")
     rng = np.random.default_rng(0)
     n = kernel.n
 
-    residual, method = _vanishing_residual(kernel)
+    residual = _vanishing_residual(kernel)
 
     pts = _probe_points(n, rng)
     r = _norm(pts)
@@ -241,14 +239,26 @@ def certify(kernel: Kernel, tol_vanish: float = TOL_VANISH) -> CertReport:
     diff = np.abs(evaluate(kernel, _norm(pts + hvec)) - psi)
     denom = hnorm**kernel.gamma * (1.0 + r) ** (-(n + kernel.delta + kernel.gamma))
     c2 = float(np.max(diff / denom))
-
-    passed = residual <= tol_vanish
-    return CertReport(residual, c1, c2, tol_vanish, passed, notes=method)
+    return CertReport(residual, c1, c2)
 
 
-def _with_certification(k: Kernel) -> Kernel:
-    rep = certify(k)
-    if not rep.passed:
-        raise ValueError(
-            f"kernel {k.name!r} failed vanishing check: residual {rep.p1_residual:.3e}")
-    return dataclasses.replace(k, report=rep)
+def certified(kernel: Kernel, tol: float = TOL_VANISH) -> bool:
+    """The verdict on a kernel: it carries a measured report whose vanishing
+    residual is at most tol.  A Kernel built without a report is not
+    certified."""
+    return kernel.report is not None and kernel.report.p1_residual <= tol
+
+
+def _measured(kernel: Kernel) -> Kernel:
+    """kernel with the report certify measures on it attached."""
+    return Kernel(kernel.name, kernel.n, kernel.profile, kernel.delta,
+                  kernel.gamma, certify(kernel))
+
+
+def _certified(kernel: Kernel) -> Kernel:
+    """_measured(kernel), refused unless it is certified at TOL_VANISH."""
+    kernel = _measured(kernel)
+    if not certified(kernel):
+        raise ValueError(f"kernel {kernel.name!r} failed vanishing check: "
+                         f"residual {kernel.report.p1_residual:.3e}")
+    return kernel

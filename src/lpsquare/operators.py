@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .grid import GridFunction
-from .kernels import Kernel, evaluate
+from .kernels import Kernel, certified, evaluate
 from .weights import Weight
 
 __all__ = [
@@ -99,7 +99,7 @@ def default_scales(f: GridFunction, M: int = 64) -> ScaleGrid:
 
 @dataclass(frozen=True)
 class SquareFunctionResult:
-    """Operator output with the metadata needed to reproduce it.
+    """One operator's values on one function, with what its pass measured.
 
     tail_bound estimates the discarded t > t_max integral via the decay
     pattern |psi_t * f| <= C1 ||f||_1 t^{-n}, whose square integrates to
@@ -109,13 +109,9 @@ class SquareFunctionResult:
     """
 
     values: GridFunction
-    op: str
-    kernel_name: str
-    scales: ScaleGrid
-    lam: float | None = None
-    tail_bound: float = float("nan")
-    spectra_built: int = 0
-    batch_size: int = 1
+    tail_bound: float
+    spectra_built: int
+    batch_size: int
 
 
 @functools.lru_cache(maxsize=32)
@@ -169,11 +165,6 @@ def _require_dimension(n: int, f: GridFunction) -> None:
                          f"{f.n}-dimensional function")
 
 
-def _require_certified(kernel: Kernel) -> None:
-    if kernel.report is None or not kernel.report.passed:
-        raise ValueError(f"kernel {kernel.name!r} is not certified")
-
-
 def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
                 volume_factor: float) -> float:
     h = f.L / f.N
@@ -194,20 +185,15 @@ def _kernel_spectrum(kernel: Kernel, n: int, L: float, N: int,
     return (_rfftn(kern, n) * (L / N) ** n).real
 
 
-def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
+def _mask_spectrum(spec: OperatorSpec, n: int, L: float, N: int,
                    t: float) -> np.ndarray:
-    """Real part of the transform of the spatial weight at scale t, times
-    (h/t)^n.
-
-    mask is ("s", aperture) for the cone |x-y| < aperture t or
-    ("gstar", lam) for (t/(t+|x-y|))^{lam n}.
-    """
+    """Real part of the transform of the spatial weight of spec, an "s" or
+    "gstar" operator, at scale t, times (h/t)^n."""
     _, dist = _displacements(n, L, N)
-    kind, param = mask
-    if kind == "s":
-        weight = (dist < param * t).astype(float)
+    if spec.op == "s":
+        weight = (dist < t).astype(float)
     else:
-        weight = (t / (t + dist)) ** (param * n)
+        weight = (t / (t + dist)) ** (spec.lam * n)
     return (_rfftn(weight, n) * (L / N / t) ** n).real
 
 
@@ -217,14 +203,24 @@ def _mask_spectrum(mask: tuple[str, float], n: int, L: float, N: int,
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One operator for square_functions; fields mirror SquareFunctionResult.
-
-    op is "g", "s" (cone |y-x| < t) or "gstar" (weight
-    (t/(t+|x-y|))^{lam n}).
-    """
+    """One square operator: "g" (vertical), "s" (the cone |y-x| < t) or
+    "gstar" (the weight (t/(t+|x-y|))^{lam n}), the only one with a lam."""
 
     op: str
     lam: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.op not in ("g", "s", "gstar"):
+            raise ValueError(f"unknown operator {self.op!r}")
+        if self.op != "gstar" and self.lam is not None:
+            raise ValueError(f"operator {self.op!r} takes no lambda")
+        if self.op == "gstar" and not (self.lam is not None and self.lam > 0):
+            raise ValueError("lambda must be positive")
+
+    @property
+    def name(self) -> str:
+        """The operator's CSV label: g, s or gstar_<lam>."""
+        return self.op if self.lam is None else f"gstar_{self.lam:g}"
 
 
 def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
@@ -232,27 +228,20 @@ def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
     return 3.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
 
 
-def _plan(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
-          scales: ScaleGrid) -> tuple[tuple[str, float] | None, float]:
-    """(spatial mask or None, tail volume factor)."""
+def _tail_volume(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
+                 scales: ScaleGrid) -> float:
+    """The tail bound's volume factor for spec; warns of a lam at or below
+    the guarantee threshold."""
     n = f.n
     if spec.op == "g":
-        mask, vol = None, 1.0
-    elif spec.op == "s":
-        mask, vol = ("s", 1.0), 2.0**n
-    elif spec.op == "gstar":
-        lam = spec.lam
-        if lam is None or not lam > 0:
-            raise ValueError("lambda must be positive")
-        thr = lambda_warn_threshold(kernel, n)
-        if lam <= thr:
-            warnings.warn(
-                f"lambda={lam} at or below the guarantee threshold {thr}",
-                stacklevel=3)
-        mask, vol = ("gstar", float(lam)), (f.L / scales.t_max) ** n
-    else:
-        raise ValueError(f"unknown operator {spec.op!r}")
-    return mask, vol
+        return 1.0
+    if spec.op == "s":
+        return 2.0**n
+    thr = lambda_warn_threshold(kernel, n)
+    if spec.lam <= thr:
+        warnings.warn(f"lambda={spec.lam} at or below the guarantee "
+                      f"threshold {thr}", stacklevel=3)
+    return (f.L / scales.t_max) ** n
 
 
 def square_functions(kernel: Kernel, fs: Iterable[GridFunction],
@@ -267,38 +256,39 @@ def square_functions(kernel: Kernel, fs: Iterable[GridFunction],
     frequency-domain accumulator of each spatially summed operator.  The
     batch runs in passes whose working set stays under STACK_BYTES, drawing
     fs one pass at a time, so a lazy fs holds one pass in memory.  Yields
-    each member's results in the order of specs.  The kernel, the specs and
-    the first member are checked at once, later members as they are drawn.
+    each member's results in the order of specs.  The kernel and the first
+    member are checked at once, later members as they are drawn.
     """
-    _require_certified(kernel)
+    if not certified(kernel):
+        raise ValueError(f"kernel {kernel.name!r} is not certified")
     specs, members = tuple(specs), iter(fs)
     first = next(members, None)
     if first is None:
         return iter(())
     _require_dimension(kernel.n, first)
-    plans = [_plan(spec, kernel, first, scales) for spec in specs]
+    vols = [_tail_volume(spec, kernel, first, scales) for spec in specs]
     # per member: its samples and transform, one accumulator per operator,
     # and the per-scale field, its square, that square's transform and the
     # products feeding them, each about 8 N^n bytes
     size = max(1, STACK_BYTES // (8 * first.N**first.n * (len(specs) + 6)))
     return _passes(kernel, itertools.chain([first], members),
-                   (first.n, first.L, first.N), scales, specs, plans, size)
+                   (first.n, first.L, first.N), scales, specs, vols, size)
 
 
 def _passes(kernel: Kernel, members: Iterator[GridFunction], grid: tuple,
-            scales: ScaleGrid, specs: tuple[OperatorSpec, ...], plans: list,
+            scales: ScaleGrid, specs: tuple[OperatorSpec, ...], vols: list,
             size: int) -> Iterator[tuple[SquareFunctionResult, ...]]:
     while batch := list(itertools.islice(members, size)):
         for f in batch:
             _require_dimension(kernel.n, f)
             if (f.n, f.L, f.N) != grid:
                 raise ValueError("the functions of a batch must share one grid")
-        yield from _stack_pass(kernel, batch, scales, specs, plans)
+        yield from _stack_pass(kernel, batch, scales, specs, vols)
         del batch  # drop this pass before the next one is drawn
 
 
 def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
-                specs: tuple[OperatorSpec, ...], plans: list,
+                specs: tuple[OperatorSpec, ...], vols: list,
                 ) -> list[tuple[SquareFunctionResult, ...]]:
     """One pass over the scales for a batch held in memory at once."""
     n, L, N = fs[0].n, fs[0].L, fs[0].N
@@ -306,37 +296,37 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
     # beats a stacked one
     step = len(fs) if n == 1 else 1
     fhat = _rfftn(np.stack([f.values for f in fs]), n)
-    acc = [np.zeros((len(fs),) + fs[0].values.shape) if mask is None
-           else np.zeros(fhat.shape, dtype=complex) for mask, _ in plans]
-    # the distinct masks, each built once per scale like the kernel
-    masks = dict.fromkeys(mask for mask, _ in plans if mask is not None)
+    acc = [np.zeros((len(fs),) + fs[0].values.shape) if spec.op == "g"
+           else np.zeros(fhat.shape, dtype=complex) for spec in specs]
+    # the distinct spatially summed operators, each mask built once per
+    # scale like the kernel
+    masks = dict.fromkeys(spec for spec in specs if spec.op != "g")
     for t, w in zip(scales.nodes.tolist(), scales.weights.tolist()):
         kspec = _kernel_spectrum(kernel, n, L, N, t)
-        mspec = {mask: _mask_spectrum(mask, n, L, N, t) for mask in masks}
+        mspec = {spec: _mask_spectrum(spec, n, L, N, t) for spec in masks}
         for lo in range(0, len(fs), step):
             part = slice(lo, lo + step)
             F = _irfftn(fhat[part] * kspec, n, N)
             sq = F * F
             sq_hat = None
-            for k, (mask, _) in enumerate(plans):
-                if mask is None:
+            for k, spec in enumerate(specs):
+                if spec.op == "g":
                     acc[k][part] += w * sq
                     continue
                 if sq_hat is None:
                     sq_hat = _rfftn(sq, n) * w
-                acc[k][part] += sq_hat * mspec[mask]
+                acc[k][part] += sq_hat * mspec[spec]
     del fhat
     built = scales.M * (1 + len(masks))
     results = [[] for _ in fs]
-    for k, (spec, (mask, vol)) in enumerate(zip(specs, plans)):
-        vals = acc[k] if mask is None else _irfftn(acc[k], n, N)
+    for k, (spec, vol) in enumerate(zip(specs, vols)):
+        vals = acc[k] if spec.op == "g" else _irfftn(acc[k], n, N)
         acc[k] = None
         # convolution roundoff can leave tiny negatives
         np.sqrt(np.maximum(vals, 0.0, out=vals), out=vals)
         for f, out, v in zip(fs, results, vals):
             out.append(SquareFunctionResult(
-                f.with_values(v), spec.op, kernel.name, scales, lam=spec.lam,
-                tail_bound=_tail_bound(kernel, f, scales, vol),
+                f.with_values(v), _tail_bound(kernel, f, scales, vol),
                 spectra_built=built, batch_size=len(fs)))
     return [tuple(out) for out in results]
 
@@ -357,7 +347,7 @@ def g_star(kernel: Kernel, f: GridFunction, lam: float,
            scales: ScaleGrid) -> SquareFunctionResult:
     """Weighted full-plane square operator with weight (t/(t+|x-y|))^{lam n}."""
     return next(square_functions(kernel, [f], scales,
-                                 [OperatorSpec("gstar", lam=lam)]))[0]
+                                 [OperatorSpec("gstar", lam)]))[0]
 
 
 def l2_norm(f: GridFunction, w: Weight | None = None) -> float:

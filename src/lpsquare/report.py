@@ -315,10 +315,11 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
 
 # Ranges checked here, so that every subcommand refuses a value out of range
 # whether or not it reads the key: (key, test, rule), tested in this order.
-# Each test is a comparison that NaN fails; _convert refuses NaN for every
-# other float key.  An empty t_min or t_max is not tested.  The code using a
+# Each float test is a comparison that NaN fails; _convert refuses NaN for
+# every other float key.  An empty output.dir would mean the current
+# directory.  An empty t_min or t_max is not tested.  The code using a
 # value keeps its own checks (GridFunction, ScaleGrid, dyadic_cubes,
-# cz_decompose, certify).
+# cz_decompose).
 _RANGE = (
     ("n", lambda v: v in (1, 2), "must be 1 or 2"),
     ("L", lambda v: v > 0, "must be positive"),
@@ -333,6 +334,7 @@ _RANGE = (
     ("vanish", lambda v: v > 0, "must be positive"),
     ("sigma", lambda v: v > 1, "must exceed 1"),
     ("seed", lambda v: v >= 0, "must be non-negative"),
+    ("dir", lambda v: v != "", "must not be empty"),
 )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests on small grids."""
 
+import csv
 import ctypes
 import gc
 import json
@@ -110,6 +111,43 @@ def test_theorem_suite_refuses_uncertified_kernel(tmp_path, capsys):
     assert "not certified" in err
 
 
+def test_operators_refuses_the_negative_control_naming_its_residual(
+        tmp_path, capsys):
+    assert_refused(tmp_path, capsys,
+                   ("operators", "--set", "grid.N=64",
+                    "--set", "tolerances.kernel=nonvanishing-hat"),
+                   "kernel 'nonvanishing-hat' is not certified for use at "
+                   "tolerances.vanish=1e-06 (residual 8.862e-01)")
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_manifest_kernels_share_one_record_shape(tmp_path, n, N):
+    records = {}
+    for command in ("kernel-check", "operators", "theorem-suite"):
+        code, _, manifest = run(tmp_path / command, command,
+                                "--set", f"grid.n={n}", "--set", f"grid.N={N}",
+                                "--set", "scales.M=4",
+                                "--set", "family.max_level=2")
+        assert code == 0
+        records[command] = manifest["kernels"]
+    keys = {"name", "n", "certified", "residual", "tol_vanish", "c1", "c2"}
+    assert [set(r) for r in records["kernel-check"]] == \
+        [keys] * (3 if n == 1 else 2)
+    [operators_record] = records["operators"]
+    [suite_record] = records["theorem-suite"]
+    assert set(operators_record) == keys
+    assert set(suite_record) == keys | {"lambda_star"}
+    # each record's certificate is the kernel_check.csv row of its kernel
+    csv_path = tmp_path / "kernel-check" / "out" / "kernel_check.csv"
+    rows = {row["kernel"]: row for row in csv.DictReader(csv_path.open())}
+    for record in [*records["kernel-check"], operators_record, suite_record]:
+        row = rows[record["name"]]
+        assert (int(row["n"]), float(row["residual"]), float(row["c1"]),
+                float(row["c2"])) == (n, record["residual"], record["c1"],
+                                      record["c2"])
+        assert record["certified"] is True and record["tol_vanish"] == 1e-6
+
+
 def test_jn_report(tmp_path):
     code, out, manifest = run(tmp_path, "jn", *FAST)
     assert code == 0
@@ -194,6 +232,26 @@ def assert_refused(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [
+    ("--out=",), ("--out", ""), ("--set", "output.dir="),
+    ("--config", "run.ini")])
+def test_empty_output_dir_is_refused(tmp_path, capsys, monkeypatch, spelling):
+    # an empty directory would write every table into the current one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[output]\ndir =\n")
+    code = main(["jn", "--set", "grid.N=64", "--set", "family.max_level=3",
+                 *spelling])
+    assert code == 2
+    # the refused run's manifest goes to the default directory, alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["criteria"] == [{
+        "name": "jn-preconditions", "passed": False,
+        "detail": "output.dir must not be empty"}]
+    assert "output.dir must not be empty" in capsys.readouterr().err
+
+
 def test_malformed_number_is_refused(tmp_path, capsys):
     assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=abc"),
                    "grid.N='abc' is not a valid int")
@@ -227,6 +285,10 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
     ("jn", "tolerances.vanish=abc",
      "tolerances.vanish='abc' is not a valid float"),
     ("kernel-check", "tolerances.vanish=nan",
+     "tolerances.vanish must be positive"),
+    ("kernel-check", "tolerances.vanish=0",
+     "tolerances.vanish must be positive"),
+    ("operators", "tolerances.vanish=-1e-6",
      "tolerances.vanish must be positive"),
     ("kernel-check", "grid.N=3", "grid.N must be a power of two"),
     ("kernel-check", "grid.L=0", "grid.L must be positive"),

@@ -1,5 +1,6 @@
 """Kernel construction and certification."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 
 import lpsquare
 from lpsquare.kernels import (
+    TOL_VANISH,
     CertReport,
     Kernel,
+    certified,
     certify,
     evaluate,
     gauss_derivative_kernel,
@@ -20,8 +23,10 @@ from lpsquare.kernels import (
     kernel_registry,
     nonvanishing_hat_kernel,
     poisson_derivative_kernel,
+    shipped_kernels,
 )
 from lpsquare.kernels import _tail
+from lpsquare.report import _SCHEMA
 
 
 def test_poisson_derivative_value_at_origin():
@@ -35,7 +40,7 @@ def test_poisson_certifies_both_dimensions():
     for n in (1, 2):
         k = poisson_derivative_kernel(n)
         rep = k.report
-        assert rep is not None and rep.passed
+        assert certified(k)
         assert rep.p1_residual < 1e-6
         assert 0 < rep.c1 < np.inf
         assert 0 < rep.c2 < np.inf
@@ -44,21 +49,23 @@ def test_poisson_certifies_both_dimensions():
 def test_gauss_certifies_both_dimensions():
     for n in (1, 2):
         k = gauss_derivative_kernel(n)
-        assert k.report.passed
+        assert certified(k)
         assert k.report.p1_residual < 1e-8
         assert 0 < k.report.c1 < np.inf and 0 < k.report.c2 < np.inf
 
 
 def test_hermite2_certifies():
     k = hermite2_kernel()
-    assert k.report.passed
+    assert certified(k)
     assert k.report.p1_residual < 1e-8
 
 
 def test_nonvanishing_hat_rejected():
     k = nonvanishing_hat_kernel()
-    rep = certify(k)
-    assert not rep.passed
+    # the control carries its measured report, and fails the verdict on it
+    rep = k.report
+    assert rep == certify(k)
+    assert not certified(k)
     # integral of (1-x^2)exp(-x^2) is sqrt(pi)/2
     assert rep.p1_residual == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-6)
 
@@ -79,8 +86,9 @@ def test_certify_rejects_bad_decay():
 
 def test_zero_kernel_certifies_with_zero_constants():
     for n in (1, 2):
-        rep = certify(Kernel("zero", n, np.zeros_like, delta=1.0, gamma=1.0))
-        assert rep.passed
+        zero = Kernel("zero", n, np.zeros_like, delta=1.0, gamma=1.0)
+        rep = certify(zero)
+        assert certified(dataclasses.replace(zero, report=rep))
         assert rep.c1 == 0.0 and rep.c2 == 0.0
         assert rep.p1_residual == 0.0
 
@@ -101,6 +109,23 @@ def test_registry_names():
         kernel_registry("hermite2", 2)
     with pytest.raises(ValueError):
         kernel_registry("泊松", 1)
+    # Kernel itself refuses a dimension other than 1 or 2
+    for make in (poisson_derivative_kernel, gauss_derivative_kernel):
+        with pytest.raises(ValueError, match="dimension must be 1 or 2"):
+            make(3)
+
+
+def test_every_shipped_kernel_carries_its_measured_report():
+    assert list(shipped_kernels(1)) == ["poisson-derivative", "gauss-derivative",
+                                        "hermite2", "nonvanishing-hat"]
+    assert list(shipped_kernels(2)) == ["poisson-derivative", "gauss-derivative"]
+    for n in (1, 2):
+        for name, make in shipped_kernels(n).items():
+            kernel = kernel_registry(name, n)
+            assert (kernel.name, kernel.n) == (name, n)
+            assert kernel.report == make().report == certify(kernel)
+            # only the negative control fails at the default tolerance
+            assert certified(kernel) is (name != "nonvanishing-hat")
 
 
 def test_gauss_derivative_closed_form_spot_values():
@@ -142,24 +167,29 @@ def test_tail_rule_matches_closed_forms():
     (gauss_derivative_kernel, 2, 2.179917811255395e-17),
 ])
 def test_residual_stays_at_its_pinned_value(make, n, residual):
-    rep = certify(make(n))
-    assert abs(rep.p1_residual - residual) <= 1e-14
-    assert rep.passed is (residual < 1e-6)
+    kernel = make(n)
+    assert abs(kernel.report.p1_residual - residual) <= 1e-14
+    assert certified(kernel) is (residual < 1e-6)
 
 
-def test_certify_judges_against_tol_vanish():
+def test_certified_judges_the_measured_residual_against_tol():
+    assert [f.name for f in dataclasses.fields(CertReport)] == \
+        ["p1_residual", "c1", "c2"]
     k = poisson_derivative_kernel(1)
-    assert k.report.tol_vanish == 1e-6
-    loose = certify(k, tol_vanish=1e-3)
-    assert loose.passed and loose.tol_vanish == 1e-3
-    assert (loose.p1_residual, loose.c1, loose.c2) == \
-        (k.report.p1_residual, k.report.c1, k.report.c2)
-    tight = certify(k, tol_vanish=1e-12)
-    assert not tight.passed and tight.tol_vanish == 1e-12
-    assert certify(nonvanishing_hat_kernel(), tol_vanish=1.0).passed
-    for bad in (0.0, -1e-6, float("nan")):
-        with pytest.raises(ValueError):
-            certify(k, tol_vanish=bad)
+    # the 1D Poisson kernel's residual is 2.5e-11
+    assert certified(k) is certified(k, TOL_VANISH) is True
+    assert certified(k, 1e-3) and certified(k, k.report.p1_residual)
+    assert not certified(k, 1e-12)
+    assert certified(nonvanishing_hat_kernel(), 1.0)
+    # a Kernel built without a report passes at no tolerance
+    bare = Kernel("bare", 1, np.zeros_like, delta=1.0, gamma=1.0)
+    assert not certified(bare, math.inf)
+
+
+def test_default_vanishing_tolerance_is_declared_once():
+    # report may not import kernels, so the config default is its own text
+    kind, default = _SCHEMA["tolerances"]["vanish"]
+    assert kind(default) == TOL_VANISH
 
 
 def test_kernel_check_runs_without_scipy(tmp_path):

@@ -1,5 +1,6 @@
 """Square operators: quadrature correctness and orderings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from lpsquare.kernels import (
 from lpsquare.operators import (
     OperatorSpec,
     ScaleGrid,
+    SquareFunctionResult,
     _periodic_conv,
     area_integral,
     convolve,
@@ -332,17 +334,13 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
     f = random_function(n, N, seed=N)
     sg = ScaleGrid(1.0 / N, 0.5, M)
     lam = 3.0
-    cases = [
-        (OperatorSpec("g"), dict(op="g")),
-        (OperatorSpec("s"), dict(op="s")),
-        (OperatorSpec("gstar", lam=lam), dict(op="gstar", lam=lam)),
-        (OperatorSpec("gstar", lam=lam + 1), dict(op="gstar", lam=lam + 1)),
-    ]
-    [results] = square_functions(kernel, [f], sg, [spec for spec, _ in cases])
-    for (spec, kw), res in zip(cases, results):
-        ref = oracle_square_function(kernel, f, sg, **kw)
+    specs = [OperatorSpec("g"), OperatorSpec("s"), OperatorSpec("gstar", lam),
+             OperatorSpec("gstar", lam + 1)]
+    [results] = square_functions(kernel, [f], sg, specs)
+    assert len(results) == len(specs)
+    for spec, res in zip(specs, results):
+        ref = oracle_square_function(kernel, f, sg, spec.op, spec.lam)
         got = res.values.values
-        assert (res.op, res.lam) == (spec.op, spec.lam)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * ref.max()), spec
     # the wrappers are the same pass, one operator at a time
     assert np.array_equal(area_integral(kernel, f, sg).values.values,
@@ -351,17 +349,24 @@ def test_one_pass_matches_direct_sum_oracle(n, N, M):
                           results[2].values.values)
 
 
+def test_operator_spec_checks_itself_and_names_its_column():
+    bad = [("gstar",), ("gstar", 0.0), ("gstar", -3.0), ("gstar", float("nan")),
+           ("sum",), ("g", 8.0), ("s", 8.0)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            OperatorSpec(*args)
+    specs = [OperatorSpec("g"), OperatorSpec("s"), OperatorSpec("gstar", 8.0),
+             OperatorSpec("gstar", 9.5)]
+    assert [spec.name for spec in specs] == ["g", "s", "gstar_8", "gstar_9.5"]
+    assert [f.name for f in dataclasses.fields(SquareFunctionResult)] == \
+        ["values", "tail_bound", "spectra_built", "batch_size"]
+
+
 def test_one_pass_keeps_every_check():
     f = random_function(1, 64)
     sg = ScaleGrid(2.0 / 64, 0.25, 8)
     with pytest.raises(ValueError, match="not certified"):
         square_functions(nonvanishing_hat_kernel(), [f], sg, [OperatorSpec("g")])
-    bad = [OperatorSpec("gstar"), OperatorSpec("gstar", lam=0.0),
-           OperatorSpec("gstar", lam=float("nan")),
-           OperatorSpec("sum")]
-    for spec in bad:
-        with pytest.raises(ValueError):
-            square_functions(POISSON1, [f], sg, [OperatorSpec("g"), spec])
     with pytest.warns(UserWarning, match="threshold"):
         square_functions(POISSON1, [f], sg, [OperatorSpec("gstar", lam=4.0)])
 
@@ -403,7 +408,6 @@ def test_batch_equals_one_function_calls_bit_for_bit(monkeypatch, n, N, kernel,
         assert len(many) == len(BATCH_SPECS)
         for a, b in zip(one, many):
             assert np.array_equal(a.values.values, b.values.values)
-            assert (a.op, a.lam) == (b.op, b.lam)
             assert a.tail_bound == b.tail_bound
             assert (a.batch_size, b.batch_size) == (1, size)
             assert a.spectra_built == b.spectra_built
@@ -489,11 +493,11 @@ def test_spectra_kept_real_only_when_even():
         assert np.array_equal(kern, raw - raw.mean())
         dist = np.sqrt((pts**2).sum(axis=1)).reshape(shape)
         cases = [(kern, h**n, operators._kernel_spectrum(kernel, n, L, N, t))]
-        for mask, weight in (
-                (("s", 1.0), dist < t), (("s", 2.0), dist < 2.0 * t),
-                (("gstar", 5.0), (t / (t + dist)) ** (5.0 * n))):
+        for spec, weight in (
+                (OperatorSpec("s"), dist < t),
+                (OperatorSpec("gstar", 5.0), (t / (t + dist)) ** (5.0 * n))):
             cases.append((weight.astype(float), (h / t)**n,
-                          operators._mask_spectrum(mask, n, L, N, t)))
+                          operators._mask_spectrum(spec, n, L, N, t)))
         for samples, scale, built in cases:
             assert is_even(samples)
             spec = operators._rfftn(samples, n) * scale
