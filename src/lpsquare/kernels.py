@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -143,20 +143,22 @@ def nonvanishing_hat_kernel() -> Kernel:
     return _measured(Kernel("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0))
 
 
-def shipped_kernels(n: int) -> dict[str, Callable[[], Kernel]]:
+def shipped_kernels(n: int) -> tuple[dict, dict]:
     """The constructors of the kernels shipped in dimension n, by registry
-    name, the negative control last."""
-    shipped = {"poisson-derivative": lambda: poisson_derivative_kernel(n),
-               "gauss-derivative": lambda: gauss_derivative_kernel(n)}
+    name: those that certify, and the negative controls, which must not."""
+    usable = {"poisson-derivative": lambda: poisson_derivative_kernel(n),
+              "gauss-derivative": lambda: gauss_derivative_kernel(n)}
+    controls = {}
     if n == 1:
-        shipped |= {"hermite2": hermite2_kernel,
-                    "nonvanishing-hat": nonvanishing_hat_kernel}
-    return shipped
+        usable["hermite2"] = hermite2_kernel
+        controls["nonvanishing-hat"] = nonvanishing_hat_kernel
+    return usable, controls
 
 
 def kernel_registry(name: str, n: int) -> Kernel:
     """CLI-facing constructor lookup by registry name."""
-    shipped = shipped_kernels(n)
+    usable, controls = shipped_kernels(n)
+    shipped = usable | controls
     if name not in shipped:
         raise ValueError(f"no kernel {name!r} ships in dimension {n}; "
                          f"valid: {', '.join(shipped)}")
@@ -251,8 +253,7 @@ def certified(kernel: Kernel, tol: float = TOL_VANISH) -> bool:
 
 def _measured(kernel: Kernel) -> Kernel:
     """kernel with the report certify measures on it attached."""
-    return Kernel(kernel.name, kernel.n, kernel.profile, kernel.delta,
-                  kernel.gamma, certify(kernel))
+    return replace(kernel, report=certify(kernel))
 
 
 def _certified(kernel: Kernel) -> Kernel:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small grids."""
 
 import csv
+import dataclasses
 import ctypes
 import gc
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsquare import cli, operators
+from lpsquare import cli, kernels, operators
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
 from lpsquare.grid import Cube, dyadic_cubes, grid_function
@@ -482,6 +483,23 @@ def test_kernel_check_certifies_against_the_configured_vanish(tmp_path):
     assert rows[1].endswith(",False,pass")
 
 
+def test_kernel_check_fails_when_the_control_certifies(tmp_path,
+                                                       monkeypatch):
+    # a certifier that no longer sees the control's mass must fail the run:
+    # the control is declared, not told apart by its measured residual
+    measure = kernels.certify
+    monkeypatch.setattr(kernels, "certify", lambda kernel: dataclasses.replace(
+        measure(kernel), p1_residual=0.0))
+    code, out, manifest = run(tmp_path, "kernel-check")
+    assert code == 1
+    failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
+    assert failed == ["negative-control-rejected"]
+    assert "nonvanishing-hat" not in {k["name"] for k in manifest["kernels"]}
+    control = (out / "kernel_check.csv").read_text().strip().split("\n")[-1]
+    assert control.startswith("nonvanishing-hat,1,0.0,")
+    assert control.endswith(",True,fail")
+
+
 # every subcommand on a tiny grid; the random settings come after it, and
 # their values are short, so no random setting asks for a large grid
 TINY = ("--set=grid.N=16", "--set=family.max_level=2", "--set=scales.M=4")
@@ -828,6 +846,16 @@ def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
     code, _, _ = run(tmp_path / "loose", command, *tiny,
                      "--set", "tolerances.vanish=1e-10")
     assert code == 0
+    # a loose tolerance does not admit the control, which square_functions
+    # refuses at the default: it is refused here, naming both
+    code, _, manifest = run(tmp_path / "lax", command, *tiny,
+                            "--set", "tolerances.kernel=nonvanishing-hat",
+                            "--set", "tolerances.vanish=1.0")
+    assert code == 2
+    [criterion] = manifest["criteria"]
+    assert ("kernel 'nonvanishing-hat' is not certified for use at "
+            "tolerances.vanish=1 (residual 8.862e-01)") in criterion["detail"]
+    assert manifest["kernels"] == []
 
 
 @pytest.mark.parametrize("argv, command, message", [

@@ -116,16 +116,22 @@ def test_registry_names():
 
 
 def test_every_shipped_kernel_carries_its_measured_report():
-    assert list(shipped_kernels(1)) == ["poisson-derivative", "gauss-derivative",
-                                        "hermite2", "nonvanishing-hat"]
-    assert list(shipped_kernels(2)) == ["poisson-derivative", "gauss-derivative"]
+    usable, controls = shipped_kernels(1)
+    assert list(usable) == ["poisson-derivative", "gauss-derivative",
+                            "hermite2"]
+    assert list(controls) == ["nonvanishing-hat"]
+    usable, controls = shipped_kernels(2)
+    assert list(usable) == ["poisson-derivative", "gauss-derivative"]
+    assert controls == {}
     for n in (1, 2):
-        for name, make in shipped_kernels(n).items():
+        usable, controls = shipped_kernels(n)
+        for name, make in (usable | controls).items():
             kernel = kernel_registry(name, n)
             assert (kernel.name, kernel.n) == (name, n)
             assert kernel.report == make().report == certify(kernel)
-            # only the negative control fails at the default tolerance
-            assert certified(kernel) is (name != "nonvanishing-hat")
+            # the declared negative controls, and only they, fail at the
+            # default tolerance
+            assert certified(kernel) is (name in usable)
 
 
 def test_gauss_derivative_closed_form_spot_values():
