@@ -1,13 +1,15 @@
 """Golden SHA-256 digests of every CSV the five subcommands write at the
-default config.
+default config, and of the criteria their manifests record.
 
-Any change to a CSV byte at the default grid (1D N=2048, M=64,
-max_level=6, the built-in corpus with seed 1234) fails here, at --jobs 1
-and at --jobs 2 alike.  A change that alters the bytes on purpose states
-the drift and updates the digests in the same change.
+Any change to a CSV byte, or to a criterion's name, verdict, detail or
+place in manifest.json's "criteria" list, at the default grid (1D N=2048,
+M=64, max_level=6, the built-in corpus with seed 1234) fails here, at
+--jobs 1 and at --jobs 2 alike.  A change that alters them on purpose
+states the drift and updates the digests in the same change.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -86,6 +88,20 @@ DIGESTS = {
     },
 }
 
+# SHA-256 of json.dumps(manifest["criteria"]), as read back from the file
+CRITERIA = {
+    "kernel-check":
+        "0d21d8f057b0cbd03a3fd16737995c4ed1768cbb3970b56a74e1c070c6935d5e",
+    "weights":
+        "77e37936b892c070c798c90293ffaec5698ddd3ebd104552e9a4919402a31543",
+    "operators":
+        "37a5606271cc620f11a65e863ce3305604354d57ae2bfa93118b136a8bb94020",
+    "theorem-suite":
+        "4ed0b36b33b88a7b43caec46ec4132c8348723b706db6f87ccb395ec091dcbdb",
+    "jn":
+        "be6bd9d61d5e3a4367b5b1bd95fd0f8d52d758f16efa4ed3c368840ff57e7bd5",
+}
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(DIGESTS))
@@ -96,3 +112,14 @@ def test_default_config_csvs_are_byte_identical(tmp_path, monkeypatch,
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert digests == DIGESTS[command]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(CRITERIA))
+def test_default_config_criteria_are_unchanged(tmp_path, monkeypatch,
+                                               command, jobs):
+    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+    assert main([command, "--jobs", jobs, "--out", str(tmp_path)]) == 0
+    criteria = json.loads((tmp_path / "manifest.json").read_text())["criteria"]
+    digest = hashlib.sha256(json.dumps(criteria).encode()).hexdigest()
+    assert digest == CRITERIA[command]
