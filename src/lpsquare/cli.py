@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import collections
 import ctypes
+import dataclasses
 import functools
 import gc
 import math
@@ -56,10 +57,11 @@ MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
 
 
-def _make_scales(f, cfg: RunConfig) -> ScaleGrid:
-    """The configured scale window; an unset endpoint keeps its default."""
+def _make_scales(cfg: RunConfig) -> ScaleGrid:
+    """The configured scale window on cfg's grid; an unset endpoint keeps
+    its default."""
     from .operators import ScaleGrid, default_scales
-    default = default_scales(f, M=cfg.M)
+    default = default_scales(cfg, M=cfg.M)
     return ScaleGrid(default.t_min if cfg.t_min is None else cfg.t_min,
                      default.t_max if cfg.t_max is None else cfg.t_max, cfg.M)
 
@@ -98,6 +100,28 @@ def _kernel_record(kernel, vanish: float) -> dict:
 def _lambda_star(kernel, n: int) -> float:
     from .operators import lambda_warn_threshold
     return lambda_warn_threshold(kernel, n) + 1.0
+
+
+def _gather(manifest: RunManifest, outcomes) -> list[Table]:
+    """Records each entry's (criteria, tables, record) outcome in corpus
+    order, and joins the table parts that share a name into one table."""
+    parts: dict[str, Table] = {}
+    rows: dict[str, list] = {}
+    for criteria, tables, record in outcomes:
+        for criterion in criteria:
+            manifest.record(*criterion)
+        if record is not None:
+            manifest.entries.append(record)
+        for table in tables:
+            parts.setdefault(table.name, table)
+            rows.setdefault(table.name, []).extend(table.rows)
+    return [dataclasses.replace(table, rows=tuple(rows[name]))
+            for name, table in parts.items()]
+
+
+def _each(fn):
+    """The chunk worker that applies fn(entry, cfg) to each entry."""
+    return lambda entries, cfg: [fn(entry, cfg) for entry in entries]
 
 
 def _chunks(items, jobs: int) -> list:
@@ -246,25 +270,23 @@ def _weights_row(entry, cfg):
     _, w2 = entry.realize(n, L, 2 * N, cfg.seed)
     a1_fine = a1_constant(w2, _family(n, L, 2 * N, cfg.max_level))
     stability = abs(a1_fine - a1) / a1
-    return (entry.name, a1, a2, doubling.all_ok, doubling.margin, stability)
-
-
-def _weights_rows(entries, cfg):
-    return [_weights_row(entry, cfg) for entry in entries]
+    name, margin = entry.name, doubling.margin
+    criteria = [
+        (f"doubling:{name}", doubling.all_ok and margin >= 1.0,
+         f"margin={margin:.6f}"),
+        (f"stability:{name}", stability <= STABILITY_LIMIT,
+         f"rel-change={stability:.4f}"),
+        (f"a1-sane:{name}", a1 >= 1.0 and a2 <= a1,
+         f"a1={a1:.6f} a2={a2:.6f}")]
+    row = (name, a1, a2, doubling.all_ok, margin, stability)
+    return criteria, [Table("weights",
+                            ("pair", "a1", "a2", "doubling_ok",
+                             "doubling_margin", "stability_rel"),
+                            (row,))], None
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    rows = _pmap(_weights_rows, cfg, jobs)
-    for name, a1, a2, dbl_ok, margin, stability in rows:
-        manifest.record(f"doubling:{name}", dbl_ok and margin >= 1.0,
-                        f"margin={margin:.6f}")
-        manifest.record(f"stability:{name}", stability <= STABILITY_LIMIT,
-                        f"rel-change={stability:.4f}")
-        manifest.record(f"a1-sane:{name}", a1 >= 1.0 and a2 <= a1,
-                        f"a1={a1:.6f} a2={a2:.6f}")
-    return [Table("weights",
-                  ("pair", "a1", "a2", "doubling_ok", "doubling_margin",
-                   "stability_rel"), tuple(rows))]
+    return _gather(manifest, _pmap(_each(_weights_row), cfg, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +311,13 @@ def _cube_record(cube: Cube) -> dict:
             "level": cube.level}
 
 
-def _entry_record(name, results) -> dict:
-    """Manifest record of one entry: each operator's tail_bound, and the
-    spectra built by the batch pass that computed the entry, shared by the
-    batch_size entries of that pass."""
-    first = next(iter(results.values()))
-    return {
-        "name": name,
-        "tail_bounds": {op: res.tail_bound for op, res in results.items()},
-        "spectra_built": first.spectra_built,
-        "batch_size": first.batch_size,
-    }
-
-
 def _batched_results(kernel, entries, cfg, lams):
-    """(entry, f, w, operator results) for each entry of a chunk.  Entries
-    are realized only as square_functions draws them, one pass at a time,
-    so that only one pass's samples and fields are held."""
+    """(entry, f, w, operator results, manifest record) for each entry of a
+    chunk.  The record holds each operator's tail_bound, and the spectra
+    built by the batch pass that computed the entry, shared by the
+    batch_size entries of that pass.  Entries are realized only as
+    square_functions draws them, one pass at a time, so that only one
+    pass's samples and fields are held."""
     realized = collections.deque()
 
     def functions():
@@ -314,18 +326,24 @@ def _batched_results(kernel, entries, cfg, lams):
             realized.append((entry, f, w))
             yield f
 
-    scales = _make_scales(SimpleNamespace(L=cfg.L, N=cfg.N), cfg)
-    for results in _operator_results(kernel, functions(), scales, lams):
-        yield *realized.popleft(), results
+    for results in _operator_results(kernel, functions(), _make_scales(cfg),
+                                     lams):
+        entry, f, w = realized.popleft()
+        first = next(iter(results.values()))
+        record = {
+            "name": entry.name,
+            "tail_bounds": {op: res.tail_bound for op, res in results.items()},
+            "spectra_built": first.spectra_built,
+            "batch_size": first.batch_size,
+        }
+        yield entry, f, w, results, record
 
 
-def _operators_rows(entries, cfg):
+def _operators_rows(kernel, lam, entries, cfg):
     from .operators import OperatorSpec, l2_norm
-    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
-    lam = _lambda_star(kernel, cfg.n)
     out = []
-    for entry, f, w, results in _batched_results(kernel, entries, cfg,
-                                                 (lam, lam + 1.0)):
+    for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
+                                                         (lam, lam + 1.0)):
         denom = l2_norm(f, w)
         if denom == 0.0:
             raise ValueError(f"corpus entry {entry.name!r}: the function's "
@@ -335,8 +353,16 @@ def _operators_rows(entries, cfg):
         # g*_(lam+1) only checks that g*_lam does not grow with lam
         above = norms.pop(OperatorSpec("gstar", lam + 1.0).name)
         mono_ok = above <= norms[OperatorSpec("gstar", lam).name] * (1 + 1e-12)
-        rows = [(entry.name, op, norm / denom) for op, norm in norms.items()]
-        out.append((rows, mono_ok, _entry_record(entry.name, results)))
+        rows = tuple((entry.name, op, norm / denom)
+                     for op, norm in norms.items())
+        criteria = [
+            (f"l2-finite:{entry.name}",
+             all(math.isfinite(r[2]) for r in rows),
+             f"ratios={[round(r[2], 4) for r in rows]}"),
+            (f"lambda-monotone:{entry.name}", mono_ok, "")]
+        out.append((criteria, [Table("operators",
+                                     ("pair", "operator", "l2_ratio"), rows)],
+                    record))
     return out
 
 
@@ -345,15 +371,8 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     n, L, N = cfg.n, cfg.L, cfg.N
     kernel = _certified_kernel(cfg.kernel, n, cfg.vanish)
     manifest.kernels.append(_kernel_record(kernel, cfg.vanish))
-    results = _pmap(_operators_rows, cfg, jobs)
-    rows = []
-    for (entry_rows, mono_ok, record), entry in zip(results, cfg.corpus):
-        rows.extend(entry_rows)
-        manifest.entries.append(record)
-        finite = all(math.isfinite(r[2]) for r in entry_rows)
-        manifest.record(f"l2-finite:{entry.name}", finite,
-                        f"ratios={[round(r[2], 4) for r in entry_rows]}")
-        manifest.record(f"lambda-monotone:{entry.name}", mono_ok)
+    rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel, n))
+    tables = _gather(manifest, _pmap(rows, cfg, jobs))
     # a constant input must be annihilated up to rounding
     const = grid_function(n, L, min(N, 512),
                           np.full((min(N, 512),) * n, 2.0))
@@ -361,35 +380,37 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     peak = float(np.max(g0.values))
     manifest.record("constant-annihilated", peak < 1e-10,
                     f"max={peak:.3e}")
-    return [Table("operators", ("pair", "operator", "l2_ratio"),
-                  tuple(rows))]
+    return tables
 
 
 # ---------------------------------------------------------------------------
 # theorem-suite
 
 
-def _theorem_rows(entries, cfg):
+def _theorem_rows(kernel, lam, entries, cfg):
     from .oscillation import blo_constant, bmo_norm
-    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
     family = _family(cfg.n, cfg.L, cfg.N, cfg.max_level)
-    lam = _lambda_star(kernel, cfg.n)
     out = []
-    for entry, f, w, results in _batched_results(kernel, entries, cfg,
-                                                 (lam,)):
+    for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
+                                                         (lam,)):
         bmo_rep = bmo_norm(f, w, family)
         bmo = bmo_rep.value
         witnesses = {"bmo": _cube_record(bmo_rep.argmax)}
-        rows = []
+        rows, criteria = [], []
         for op, res in results.items():
             blo_rep = blo_constant(res.values, w, family)
             witnesses[f"blo:{op}"] = _cube_record(blo_rep.argmax)
             blo = blo_rep.value
             ratio = blo / bmo if bmo > 0 else float("inf")
             rows.append((entry.name, op, blo, bmo, ratio))
-        record = _entry_record(entry.name, results)
+            criteria.append((f"finite:{entry.name}:{op}",
+                             math.isfinite(ratio) and blo >= 0.0,
+                             f"ratio={ratio:.6f}"))
         record["witnesses"] = witnesses
-        out.append((rows, record))
+        out.append((criteria, [Table("theorem_suite",
+                                     ("pair", "operator", "blo_value",
+                                      "bmo_value", "ratio"),
+                                     tuple(rows), plot="hist")], record))
     return out
 
 
@@ -397,25 +418,18 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     from . import operators, oscillation  # noqa: F401  loaded before the fork
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
     kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
+    lam = _lambda_star(kernel, cfg.n)
     manifest.kernels.append({**_kernel_record(kernel, cfg.vanish),
-                             "lambda_star": _lambda_star(kernel, cfg.n)})
-    results = _pmap(_theorem_rows, cfg, jobs)
-    rows = []
+                             "lambda_star": lam})
+    rows = functools.partial(_theorem_rows, kernel, lam)
+    [table] = _gather(manifest, _pmap(rows, cfg, jobs))
     sup_by_op: dict[str, float] = {}
-    for entry_rows, record in results:
-        rows.extend(entry_rows)
-        manifest.entries.append(record)
-        for name, op, blo, bmo, ratio in entry_rows:
-            sup_by_op[op] = max(sup_by_op.get(op, 0.0), ratio)
-            manifest.record(f"finite:{name}:{op}",
-                            math.isfinite(ratio) and blo >= 0.0,
-                            f"ratio={ratio:.6f}")
+    for _, op, _, _, ratio in table.rows:
+        sup_by_op[op] = max(sup_by_op.get(op, 0.0), ratio)
     for op, sup in sorted(sup_by_op.items()):
         manifest.record(f"empirical-constant:{op}", math.isfinite(sup),
                         f"sup={sup:.6f}")
-    return [Table("theorem_suite",
-                  ("pair", "operator", "blo_value", "bmo_value", "ratio"),
-                  tuple(rows), plot="hist")]
+    return [table]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +453,13 @@ def _jn_row(entry, cfg):
     lam_bmo = np.linspace(span_bmo / nodes, span_bmo * 1.05, nodes)
     rep_blo = jn_blo_verify(f, w, box, lam_blo, strict=False, local=local)
     rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False, local=local)
+    name = entry.name
+    criteria = [
+        (f"tree-invariants:{name}", tree.all_ok, f"nodes={len(tree.nodes)}"),
+        (f"tail-blo:{name}", rep_blo.all_ok,
+         f"worst-margin={rep_blo.worst_margin:.4f}"),
+        (f"tail-bmo:{name}", rep_bmo.all_ok,
+         f"worst-margin={rep_bmo.worst_margin:.4f}")]
     family = _family(n, L, cfg.N, cfg.max_level)
     a1 = a1_constant(w, family)
     blo_rep = blo_constant(f, w, family)
@@ -449,77 +470,43 @@ def _jn_row(entry, cfg):
         try:
             nu = power_weight(w, -1.0 / (p - 1.0))
         except ValueError as exc:
-            raise ValueError(f"corpus entry {entry.name!r}: w^(-1/(p-1)) at "
+            raise ValueError(f"corpus entry {name!r}: w^(-1/(p-1)) at "
                              f"p={p:g}: {exc}") from None
         k_bound = equivalence_constant(p, n, a1, ap_constant(nu, p, family))
         blo_p_rep = blo_p_norm(f, w, p, family)
         witnesses[f"blo_p:{p:g}"] = _cube_record(blo_p_rep.argmax)
         blo_p = blo_p_rep.value
         if blo > 0 and blo_p == 0.0:
-            raise ValueError(f"corpus entry {entry.name!r}: the BLO_p norm "
+            raise ValueError(f"corpus entry {name!r}: the BLO_p norm "
                              f"at p={p:g} underflows to 0 on the {n}D "
                              f"N={cfg.N} grid")
-        equiv.append((entry.name, p, blo_p, blo,
-                      blo_p / blo if blo > 0 else float("inf"), k_bound))
-    tail_blo = [(r.lam, r.measured, r.bound, r.margin) for r in rep_blo.rows]
-    tail_bmo = [(r.lam, r.measured, r.bound, r.margin) for r in rep_bmo.rows]
-    return {
-        "name": entry.name,
-        "tree_ok": tree.all_ok,
-        "tree_nodes": len(tree.nodes),
-        "tree": {"nodes_per_gen": [len(g) for g in tree.generations],
-                 "blocks_visited": tree.blocks_visited},
-        "blo_ok": rep_blo.all_ok,
-        "bmo_ok": rep_bmo.all_ok,
-        "blo_margin": rep_blo.worst_margin,
-        "bmo_margin": rep_bmo.worst_margin,
-        "tail_blo": tail_blo,
-        "tail_bmo": tail_bmo,
-        "equiv": equiv,
-        "witnesses": witnesses,
-    }
-
-
-def _jn_rows(entries, cfg):
-    return [_jn_row(entry, cfg) for entry in entries]
+        ratio = blo_p / blo if blo > 0 else float("inf")
+        equiv.append((name, p, blo_p, blo, ratio, k_bound))
+        criteria.append((f"equivalence:{name}:p={p:g}",
+                         ratio <= k_bound and blo <= blo_p * (1 + 1e-12),
+                         f"ratio={ratio:.4f} K={k_bound:.1f}"))
+    tables = [Table(f"jn_tail_{kind}_{name}",
+                    ("lambda", "measured", "bound", "margin"),
+                    tuple((r.lam, r.measured, r.bound, r.margin)
+                          for r in rep.rows), plot="tail")
+              for kind, rep in (("blo", rep_blo), ("bmo", rep_bmo))]
+    tables.append(Table("jn_summary",
+                        ("pair", "blo_worst_margin", "bmo_worst_margin",
+                         "tree_nodes"),
+                        ((name, rep_blo.worst_margin, rep_bmo.worst_margin,
+                          len(tree.nodes)),)))
+    tables.append(Table("equivalence",
+                        ("pair", "p", "blo_p", "blo", "ratio", "k_bound"),
+                        tuple(equiv)))
+    record = {"name": name, "witnesses": witnesses,
+              "tree": {"nodes_per_gen": [len(g) for g in tree.generations],
+                       "blocks_visited": tree.blocks_visited}}
+    return criteria, tables, record
 
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     from . import czd, oscillation  # noqa: F401  loaded before the fork
-    results = _pmap(_jn_rows, cfg, jobs)
-    tables = []
-    summary = []
-    equiv_rows = []
-    for res in results:
-        manifest.entries.append({"name": res["name"],
-                                 "witnesses": res["witnesses"],
-                                 "tree": res["tree"]})
-        manifest.record(f"tree-invariants:{res['name']}", res["tree_ok"],
-                        f"nodes={res['tree_nodes']}")
-        manifest.record(f"tail-blo:{res['name']}", res["blo_ok"],
-                        f"worst-margin={res['blo_margin']:.4f}")
-        manifest.record(f"tail-bmo:{res['name']}", res["bmo_ok"],
-                        f"worst-margin={res['bmo_margin']:.4f}")
-        for name, p, blo_p, blo, ratio, k_bound in res["equiv"]:
-            ok = ratio <= k_bound and blo <= blo_p * (1 + 1e-12)
-            manifest.record(f"equivalence:{name}:p={p:g}", ok,
-                            f"ratio={ratio:.4f} K={k_bound:.1f}")
-        equiv_rows.extend(res["equiv"])
-        summary.append((res["name"], res["blo_margin"], res["bmo_margin"],
-                        res["tree_nodes"]))
-        tables.append(Table(f"jn_tail_blo_{res['name']}",
-                            ("lambda", "measured", "bound", "margin"),
-                            tuple(res["tail_blo"]), plot="tail"))
-        tables.append(Table(f"jn_tail_bmo_{res['name']}",
-                            ("lambda", "measured", "bound", "margin"),
-                            tuple(res["tail_bmo"]), plot="tail"))
-    tables.append(Table("jn_summary",
-                        ("pair", "blo_worst_margin", "bmo_worst_margin",
-                         "tree_nodes"), tuple(summary)))
-    tables.append(Table("equivalence",
-                        ("pair", "p", "blo_p", "blo", "ratio", "k_bound"),
-                        tuple(equiv_rows)))
-    return tables
+    return _gather(manifest, _pmap(_each(_jn_row), cfg, jobs))
 
 
 # ---------------------------------------------------------------------------

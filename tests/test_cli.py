@@ -578,11 +578,10 @@ def test_crash_exits_3_with_an_error_criterion(tmp_path, capsys, monkeypatch):
 
 
 def test_lone_scale_endpoint_keeps_the_other_default(tmp_path):
-    f, _ = default_corpus()[0].realize(1, 1.0, 256)
-    default = cli._make_scales(f, load_config(overrides=FAST[1::2]))
+    default = cli._make_scales(load_config(overrides=FAST[1::2]))
     for key, value in (("t_min", 0.01), ("t_max", 0.125)):
         cfg = load_config(overrides=(*FAST[1::2], f"scales.{key}={value}"))
-        scales = cli._make_scales(f, cfg)
+        scales = cli._make_scales(cfg)
         assert getattr(scales, key) == value
         other = "t_max" if key == "t_min" else "t_min"
         assert getattr(scales, other) == getattr(default, other)
@@ -735,10 +734,10 @@ def test_unpicklable_child_exception_becomes_a_runtime_error(
     class Local(Exception):
         pass
 
-    def raise_local(entries, cfg):
+    def raise_local(entry, cfg):
         raise Local("not importable")
 
-    monkeypatch.setattr(cli, "_weights_rows", raise_local)
+    monkeypatch.setattr(cli, "_weights_row", raise_local)
     code, _, manifest = run(tmp_path, "weights", *FAST, "--jobs", "2")
     assert code == 3
     assert len(forks) == 2
@@ -751,12 +750,11 @@ def test_unpicklable_child_exception_becomes_a_runtime_error(
 
 def test_child_dying_without_a_result_exits_3(tmp_path, capsys,
                                               monkeypatch, forks):
-    def die(entries, cfg):
-        if entries[0].name == "d":
+    def die(entry, cfg):
+        if entry.name == "d":
             os._exit(7)
-        return [None] * len(entries)
 
-    monkeypatch.setattr(cli, "_weights_rows", die)
+    monkeypatch.setattr(cli, "_weights_row", die)
     code, _, manifest = run(tmp_path, "weights", *FAST, *FIVE,
                             "--jobs", "2")
     assert code == 3
@@ -772,12 +770,12 @@ def test_child_dying_without_a_result_exits_3(tmp_path, capsys,
 def test_parent_raises_before_later_children_finish(tmp_path, monkeypatch,
                                                     forks):
     # the first chunk fails at once; the second would run for minutes
-    def first_fails(entries, cfg):
-        if entries[0].name == "a":
+    def first_fails(entry, cfg):
+        if entry.name == "a":
             raise ValueError("corpus entry 'a': refused")
         time.sleep(600)
 
-    monkeypatch.setattr(cli, "_jn_rows", first_fails)
+    monkeypatch.setattr(cli, "_jn_row", first_fails)
     start = time.monotonic()
     code, _, _ = run(tmp_path, "jn", *FAST, *FIVE, "--jobs", "2")
     assert code == 2
@@ -912,7 +910,7 @@ def test_manifest_records_witness_cubes(tmp_path):
         f, w = entry.realize(1, 1.0, 256, 1234)
         family = dyadic_cubes(f, 4)
         expect = {"bmo": oracle_witness("bmo", f, w, family)}
-        scales = cli._make_scales(f, load_config(overrides=("scales.M=12",)))
+        scales = cli._make_scales(load_config(overrides=FAST[1::2]))
         [results] = cli._operator_results(kernel, [f], scales, (lam,))
         for op, res in results.items():
             expect[f"blo:{op}"] = oracle_witness("blo", res.values, w, family)
