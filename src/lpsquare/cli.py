@@ -3,10 +3,13 @@
 Subcommands: kernel-check, weights, operators, theorem-suite, jn.  Every
 invocation writes a manifest (even on failure or on a command-line error)
 plus one CSV per result table; exit status is 0 exactly when every
-assertion of the invoked suite passed.  Under --jobs K the corpus is cut
-into at most K contiguous chunks, and each chunk runs in its own forked
-child; the results come back in corpus order, so the output does not
-depend on K.  operators and theorem-suite compute a chunk as one batch.
+assertion of the invoked suite passed.  All but kernel-check judge each
+corpus entry where they compute it, as an outcome of criteria, table
+parts and a manifest record, which _gather records in corpus order.
+Under --jobs K the corpus is cut into at most K contiguous chunks, and
+each chunk runs in its own forked child; the outcomes come back in
+corpus order, so the output does not depend on K.  operators and
+theorem-suite compute a chunk as one batch.
 
 Importing this module loads only cli, report, grid and weights; each
 subcommand imports the other modules it runs where it uses them, before
@@ -58,8 +61,7 @@ TRIM_THRESHOLD = 256 << 20
 
 
 def _make_scales(cfg: RunConfig) -> ScaleGrid:
-    """The configured scale window on cfg's grid; an unset endpoint keeps
-    its default."""
+    """The configured scale window; an unset endpoint keeps its default."""
     from .operators import ScaleGrid, default_scales
     default = default_scales(cfg, M=cfg.M)
     return ScaleGrid(default.t_min if cfg.t_min is None else cfg.t_min,
@@ -105,23 +107,21 @@ def _lambda_star(kernel, n: int) -> float:
 def _gather(manifest: RunManifest, outcomes) -> list[Table]:
     """Records each entry's (criteria, tables, record) outcome in corpus
     order, and joins the table parts that share a name into one table."""
-    parts: dict[str, Table] = {}
-    rows: dict[str, list] = {}
+    joined: dict[str, tuple[Table, list]] = {}
     for criteria, tables, record in outcomes:
         for criterion in criteria:
             manifest.record(*criterion)
         if record is not None:
             manifest.entries.append(record)
         for table in tables:
-            parts.setdefault(table.name, table)
-            rows.setdefault(table.name, []).extend(table.rows)
-    return [dataclasses.replace(table, rows=tuple(rows[name]))
-            for name, table in parts.items()]
+            joined.setdefault(table.name, (table, []))[1].extend(table.rows)
+    return [dataclasses.replace(table, rows=tuple(rows))
+            for table, rows in joined.values()]
 
 
 def _each(fn):
     """The chunk worker that applies fn(entry, cfg) to each entry."""
-    return lambda entries, cfg: [fn(entry, cfg) for entry in entries]
+    return lambda entries, cfg: (fn(entry, cfg) for entry in entries)
 
 
 def _chunks(items, jobs: int) -> list:
@@ -139,11 +139,12 @@ class _ChildTraceback(Exception):
 
 
 def _outcome(fn, chunk, cfg: RunConfig) -> bytes:
-    """Pickled (True, fn(chunk, cfg)), or (False, (exception, its formatted
-    traceback)) when fn raises or its result does not pickle; an exception
-    that does not survive pickling becomes a RuntimeError naming it."""
+    """Pickled (True, list(fn(chunk, cfg))), or (False, (exception, its
+    formatted traceback)) when fn raises or its result does not pickle; an
+    exception that does not survive pickling becomes a RuntimeError."""
     try:
-        return pickle.dumps((True, fn(chunk, cfg)), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((True, list(fn(chunk, cfg))),
+                            pickle.HIGHEST_PROTOCOL)
     except BaseException as exc:
         text = traceback.format_exc()
         try:
@@ -187,9 +188,9 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
 
     With more than one chunk, each chunk runs in its own forked child.
     The parent runs none itself, so that no chunk's work adds to what the
-    parent already holds; it only waits.  A child's exception is re-raised here with the child's traceback as its cause,
-    the first in corpus order first, and a child that exits without a
-    result raises RuntimeError.  Every child is killed and reaped before
+    parent already holds; it only waits.  A child's exception is re-raised
+    here with the child's traceback as its cause, the first in corpus order
+    first, and a child that exits without a result raises RuntimeError.  Every child is killed and reaped before
     this returns or raises.  Without os.fork the chunks run in turn here.
     """
     chunks = _chunks(cfg.corpus, jobs)
@@ -330,18 +331,15 @@ def _batched_results(kernel, entries, cfg, lams):
                                      lams):
         entry, f, w = realized.popleft()
         first = next(iter(results.values()))
-        record = {
+        yield entry, f, w, results, {
             "name": entry.name,
             "tail_bounds": {op: res.tail_bound for op, res in results.items()},
             "spectra_built": first.spectra_built,
-            "batch_size": first.batch_size,
-        }
-        yield entry, f, w, results, record
+            "batch_size": first.batch_size}
 
 
 def _operators_rows(kernel, lam, entries, cfg):
     from .operators import OperatorSpec, l2_norm
-    out = []
     for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
                                                          (lam, lam + 1.0)):
         denom = l2_norm(f, w)
@@ -360,10 +358,8 @@ def _operators_rows(kernel, lam, entries, cfg):
              all(math.isfinite(r[2]) for r in rows),
              f"ratios={[round(r[2], 4) for r in rows]}"),
             (f"lambda-monotone:{entry.name}", mono_ok, "")]
-        out.append((criteria, [Table("operators",
-                                     ("pair", "operator", "l2_ratio"), rows)],
-                    record))
-    return out
+        yield criteria, [Table("operators", ("pair", "operator", "l2_ratio"),
+                               rows)], record
 
 
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
@@ -390,7 +386,6 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
 def _theorem_rows(kernel, lam, entries, cfg):
     from .oscillation import blo_constant, bmo_norm
     family = _family(cfg.n, cfg.L, cfg.N, cfg.max_level)
-    out = []
     for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
                                                          (lam,)):
         bmo_rep = bmo_norm(f, w, family)
@@ -407,11 +402,9 @@ def _theorem_rows(kernel, lam, entries, cfg):
                              math.isfinite(ratio) and blo >= 0.0,
                              f"ratio={ratio:.6f}"))
         record["witnesses"] = witnesses
-        out.append((criteria, [Table("theorem_suite",
-                                     ("pair", "operator", "blo_value",
-                                      "bmo_value", "ratio"),
-                                     tuple(rows), plot="hist")], record))
-    return out
+        yield criteria, [Table("theorem_suite",
+                               ("pair", "operator", "blo_value", "bmo_value",
+                                "ratio"), tuple(rows), plot="hist")], record
 
 
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:

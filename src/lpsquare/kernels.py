@@ -31,6 +31,7 @@ __all__ = [
     "gauss_derivative_kernel",
     "hermite2_kernel",
     "nonvanishing_hat_kernel",
+    "gaussian_bump_kernel",
     "shipped_kernels",
     "kernel_registry",
     "certify",
@@ -143,6 +144,15 @@ def nonvanishing_hat_kernel() -> Kernel:
     return _measured(Kernel("nonvanishing-hat", 1, f, delta=2.0, gamma=1.0))
 
 
+def gaussian_bump_kernel() -> Kernel:
+    """ψ(x) = e^{-|x|^2} on the plane, with integral pi: the 2D negative
+    control, since the 1D one's profile integrates to 0 over the plane."""
+    def f(r: np.ndarray) -> np.ndarray:
+        return np.exp(-(np.asarray(r, dtype=float) ** 2))
+
+    return _measured(Kernel("gaussian-bump", 2, f, delta=2.0, gamma=1.0))
+
+
 def shipped_kernels(n: int) -> tuple[dict, dict]:
     """The constructors of the kernels shipped in dimension n, by registry
     name: those that certify, and the negative controls, which must not."""
@@ -152,6 +162,8 @@ def shipped_kernels(n: int) -> tuple[dict, dict]:
     if n == 1:
         usable["hermite2"] = hermite2_kernel
         controls["nonvanishing-hat"] = nonvanishing_hat_kernel
+    elif n == 2:
+        controls["gaussian-bump"] = gaussian_bump_kernel
     return usable, controls
 
 

@@ -490,14 +490,16 @@ def test_kernel_check_fails_when_the_control_certifies(tmp_path,
     measure = kernels.certify
     monkeypatch.setattr(kernels, "certify", lambda kernel: dataclasses.replace(
         measure(kernel), p1_residual=0.0))
-    code, out, manifest = run(tmp_path, "kernel-check")
-    assert code == 1
-    failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
-    assert failed == ["negative-control-rejected"]
-    assert "nonvanishing-hat" not in {k["name"] for k in manifest["kernels"]}
-    control = (out / "kernel_check.csv").read_text().strip().split("\n")[-1]
-    assert control.startswith("nonvanishing-hat,1,0.0,")
-    assert control.endswith(",True,fail")
+    for n, name in ((1, "nonvanishing-hat"), (2, "gaussian-bump")):
+        code, out, manifest = run(tmp_path / f"{n}d", "kernel-check",
+                                  "--set", f"grid.n={n}")
+        assert code == 1
+        failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
+        assert failed == ["negative-control-rejected"]
+        assert name not in {k["name"] for k in manifest["kernels"]}
+        rows = (out / "kernel_check.csv").read_text().strip().split("\n")
+        assert rows[-1].startswith(f"{name},{n},0.0,")
+        assert rows[-1].endswith(",True,fail")
 
 
 # every subcommand on a tiny grid; the random settings come after it, and

@@ -19,6 +19,7 @@ from lpsquare.kernels import (
     certify,
     evaluate,
     gauss_derivative_kernel,
+    gaussian_bump_kernel,
     hermite2_kernel,
     kernel_registry,
     nonvanishing_hat_kernel,
@@ -122,7 +123,7 @@ def test_every_shipped_kernel_carries_its_measured_report():
     assert list(controls) == ["nonvanishing-hat"]
     usable, controls = shipped_kernels(2)
     assert list(usable) == ["poisson-derivative", "gauss-derivative"]
-    assert controls == {}
+    assert list(controls) == ["gaussian-bump"]
     for n in (1, 2):
         usable, controls = shipped_kernels(n)
         for name, make in (usable | controls).items():
@@ -171,6 +172,7 @@ def test_tail_rule_matches_closed_forms():
     (lambda n: nonvanishing_hat_kernel(), 1, 0.8862269254527579),
     (poisson_derivative_kernel, 2, 9.864128095930662e-16),
     (gauss_derivative_kernel, 2, 2.179917811255395e-17),
+    (lambda n: gaussian_bump_kernel(), 2, 3.141592653589804),
 ])
 def test_residual_stays_at_its_pinned_value(make, n, residual):
     kernel = make(n)

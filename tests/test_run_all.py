@@ -5,19 +5,33 @@ import importlib.util
 import json
 from pathlib import Path
 
+from lpsquare import cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
-STAGES = ("kernel-check", "weights", "operators", "theorem-suite", "jn")
 SMALL = ("--set", "grid.N=64", "--set", "scales.M=8",
          "--set", "family.max_level=3",
          "--set", "corpus.one=sine(k=2) | constant()",
          "--set", "corpus.two=step(x0=0.5) | power-regularized(alpha=0.25)")
 
 
-def run_all(argv):
+def load_run_all():
+    # loaded from its path: scripts is not an installed package
     spec = importlib.util.spec_from_file_location("run_all", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main(argv)
+    return module
+
+
+RUN_ALL = load_run_all()
+STAGES = RUN_ALL.STAGES
+
+
+def run_all(argv):
+    return RUN_ALL.main(argv)
+
+
+def test_every_subcommand_is_a_stage():
+    assert STAGES == tuple(cli._COMMANDS)
 
 
 def test_passing_stages_exit_0_and_write_the_summary(tmp_path):
