@@ -190,8 +190,9 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
     The parent runs none itself, so that no chunk's work adds to what the
     parent already holds; it only waits.  A child's exception is re-raised
     here with the child's traceback as its cause, the first in corpus order
-    first, and a child that exits without a result raises RuntimeError.  Every child is killed and reaped before
-    this returns or raises.  Without os.fork the chunks run in turn here.
+    first, and a child that exits without a result raises RuntimeError.
+    Every child is killed and reaped before this returns or raises.
+    Without os.fork the chunks run in turn here.
     """
     chunks = _chunks(cfg.corpus, jobs)
     if len(chunks) == 1 or not hasattr(os, "fork"):
