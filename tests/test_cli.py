@@ -382,6 +382,19 @@ def test_jn_refuses_a_dual_weight_below_the_floor(tmp_path, capsys):
                    "below EPS_MIN=1e-12 on the 1D N=64 grid")
 
 
+def test_weights_refusal_on_the_refined_grid_names_the_entry(tmp_path,
+                                                             capsys):
+    # x0 = h/2 at N=64 is a sample only of the 2N grid, where the weight
+    # dips to 1e-20
+    assert_refused(tmp_path, capsys,
+                   ("weights", "--set", "grid.N=64",
+                    "--set", "family.max_level=3",
+                    "--set", "corpus.x=step() | power-regularized(alpha=5, "
+                             "x0=0.0078125, eps=1e-4)"),
+                   "corpus entry 'x': the weight falls below EPS_MIN=1e-12 "
+                   "on the 1D N=128 grid")
+
+
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
               for key, (kind, _) in keys.items() if kind is float]
 
