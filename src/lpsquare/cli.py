@@ -1,6 +1,8 @@
 """Command-line entry point wiring all modules into runnable experiments.
 
-Subcommands: kernel-check, weights, operators, theorem-suite, jn.  Every
+Subcommands: kernel-check, weights, operators, theorem-suite, jn.  One
+parser reads the subcommand and the options every subcommand takes
+(--config, --set, --jobs, --out), which may come before or after it.  Every
 invocation writes a manifest (even on failure or on a command-line error)
 plus one CSV per result table; exit status is 0 exactly when every
 assertion of the invoked suite passed.  All but kernel-check judge each
@@ -13,12 +15,16 @@ theorem-suite compute a chunk as one batch.
 
 Importing this module loads only cli, report, grid and weights; each
 subcommand imports the other modules it runs where it uses them, before
-it forks, so that the children inherit them.
+it forks, so that the children inherit them.  main freezes every object
+at interpreter exit, so that finalization's collections skip them; it
+returns its exit status rather than ending the process, since scripts and
+tests call it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import collections
 import ctypes
 import dataclasses
@@ -269,7 +275,9 @@ def _weights_row(entry, cfg):
     a1 = a1_constant(w, family)
     a2 = ap_constant(w, 2.0, family)
     doubling = doubling_report(w, family)
-    _, w2 = entry.realize(n, L, 2 * N, cfg.seed)
+    # the 2N grid holds the N grid's samples, so a function that is not
+    # constant at N is not constant at 2N: only the weight is realized
+    w2 = entry.weight_on(n, L, 2 * N, cfg.seed)
     a1_fine = a1_constant(w2, _family(n, L, 2 * N, cfg.max_level))
     stability = abs(a1_fine - a1) / a1
     name, margin = entry.name, doubling.margin
@@ -547,19 +555,19 @@ def _command_and_out(argv: list[str]) -> tuple[str, str | None]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand, since they all take the same
+    options; the options may come before or after the subcommand."""
     parser = _Parser(
         prog="lpsquare",
         description="square-operator and oscillation-norm experiment runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="INI config; defaults apply when omitted")
-        p.add_argument("--set", dest="overrides", action="append",
-                       default=[], metavar="SECTION.KEY=VALUE")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides output.dir)")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", default=None,
+                        help="INI config; defaults apply when omitted")
+    parser.add_argument("--set", dest="overrides", action="append",
+                        default=[], metavar="SECTION.KEY=VALUE")
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides output.dir)")
     return parser
 
 
@@ -578,8 +586,19 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+def _skip_exit_collection() -> None:
+    """Freeze every object at interpreter exit, so that finalization's full
+    collections skip them instead of traversing all that is still alive,
+    numpy's objects included.  Module teardown, the stdio flush and the
+    other exit handlers still run.  The handler is registered once per
+    process however often main runs in it."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
+    _skip_exit_collection()
     argv = sys.argv[1:] if argv is None else list(argv)
     failure: str | None = None
     error: str | None = None

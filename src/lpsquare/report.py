@@ -17,7 +17,7 @@ import json
 import math
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,9 +174,19 @@ class CorpusEntry:
                 base_seed: int = 0) -> tuple[GridFunction, Weight]:
         """The entry's function and weight on the grid; a refusal names
         the entry."""
+        return (self._named(realize_function, self.function, n, L, N,
+                            base_seed),
+                self.weight_on(n, L, N, base_seed))
+
+    def weight_on(self, n: int, L: float, N: int,
+                  base_seed: int = 0) -> Weight:
+        """The entry's weight alone, as realize gives it."""
+        return self._named(realize_weight, self.weight, n, L, N, base_seed)
+
+    def _named(self, realizer, spec, *grid):
+        """realizer(spec, *grid); a refusal names the entry."""
         try:
-            return (realize_function(self.function, n, L, N, base_seed),
-                    realize_weight(self.weight, n, L, N, base_seed))
+            return realizer(spec, *grid)
         except ValueError as exc:
             raise ValueError(f"corpus entry {self.name!r}: {exc}") from None
 
@@ -538,8 +548,9 @@ class RunManifest:
         return all(c["passed"] for c in self.criteria)
 
     def write(self, path: str | Path) -> None:
-        # the fields in order, then all_passed, are the JSON keys
-        payload = asdict(self)
+        # the fields in order, then all_passed, are the JSON keys; json
+        # reads the records in place, so they are not copied first
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["timings"] = [{"stage": s, "seconds": t}
                               for s, t in self.timings]
         payload["all_passed"] = self.all_passed

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsquare import cli, kernels, operators
+from lpsquare import cli, kernels, operators, report
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
 from lpsquare.grid import Cube, dyadic_cubes, grid_function
@@ -393,6 +393,20 @@ def test_weights_refusal_on_the_refined_grid_names_the_entry(tmp_path,
                              "x0=0.0078125, eps=1e-4)"),
                    "corpus entry 'x': the weight falls below EPS_MIN=1e-12 "
                    "on the 1D N=128 grid")
+
+
+def test_weights_realizes_each_function_once(tmp_path, monkeypatch):
+    grids = []
+    realize_function = report.realize_function
+
+    def counting(spec, n, L, N, base_seed=0):
+        grids.append(N)
+        return realize_function(spec, n, L, N, base_seed)
+
+    monkeypatch.setattr(report, "realize_function", counting)
+    code, _, _ = run(tmp_path, "weights", *FAST, *FIVE)
+    assert code == 0
+    assert grids == [256] * 5
 
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
@@ -893,6 +907,37 @@ def test_command_line_error_writes_a_manifest(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("usage: lpsquare") and message in err
     assert not list(out.glob("*.csv"))
+
+
+def test_options_may_come_before_the_subcommand(tmp_path):
+    args = build_parser().parse_args(["--jobs", "2", "--set", "grid.N=64",
+                                      "jn", "--set", "family.max_level=3"])
+    assert args.command == "jn"
+    assert args.jobs == 2
+    assert args.overrides == ["grid.N=64", "family.max_level=3"]
+    _, before, _ = run(tmp_path / "before", "--set", "grid.N=64",
+                       "--set", "family.max_level=3", "weights")
+    _, after, _ = run(tmp_path / "after", "weights", "--set", "grid.N=64",
+                      "--set", "family.max_level=3")
+    assert (before / "weights.csv").read_bytes() == \
+        (after / "weights.csv").read_bytes()
+
+
+def test_exit_collection_is_skipped_by_one_handler(tmp_path, monkeypatch):
+    handlers = []
+
+    def unregister(fn):
+        # atexit.unregister removes every registration of fn
+        handlers[:] = [h for h in handlers if h is not fn]
+
+    monkeypatch.setattr(cli.atexit, "register", handlers.append)
+    monkeypatch.setattr(cli.atexit, "unregister", unregister)
+    # run_all calls main once per stage in one process
+    for command in ("kernel-check", "weights", "weights"):
+        code, _, _ = run(tmp_path / command, command, "--set", "grid.N=64",
+                         "--set", "family.max_level=3")
+        assert code == 0
+    assert handlers == [gc.freeze]
 
 
 def test_help_still_exits_0(capsys):

@@ -97,3 +97,27 @@ def test_no_launch_loads_a_process_pool(tmp_path, runs):
                           text=True, env={**os.environ, "PYTHONPATH": SRC},
                           check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("setting, code", [
+    ("family.max_level=3", 0),
+    ("corpus.x=step() | constant(c=0)", 2)])
+def test_launch_prints_every_criterion_and_exits_with_main(tmp_path, setting,
+                                                          code):
+    # main's exit handler runs at the end of a real launch, as the console
+    # script makes one
+    out = tmp_path / "out"
+    argv = ["weights", "--set", "grid.N=64", "--set", setting,
+            "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lpsquare.cli import main; sys.exit(main())",
+         *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == code
+    criteria = json.loads((out / "manifest.json").read_text())["criteria"]
+    assert criteria
+    assert done.stdout.splitlines() == [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}" +
+        (f" ({c['detail']})" if c["detail"] else "") for c in criteria]
+    assert (done.stderr == "") == (code == 0)

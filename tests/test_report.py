@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -439,3 +440,27 @@ def test_manifest_roundtrip(tmp_path):
         "name": "ratios-finite", "passed": True, "detail": "sup=3.2"}
     assert payload["timings"][0]["stage"] == "corpus"
     assert payload["config"]["grid"]["N"] == "2048"
+
+
+def test_manifest_text_equals_the_deep_copy_text(tmp_path):
+    m = RunManifest("jn", load_config().text, seed=5)
+    m.grid = {"n": 2, "L": 1.0, "N": 64}
+    m.family = {"kind": "dyadic", "max_level": 5}
+    m.kernels.append({"name": "poisson-derivative", "n": 2,
+                      "certified": True, "residual": 1.5e-11,
+                      "lambda_star": 8.0})
+    m.timings = [("jn", 0.25), ("report", 0.0125)]
+    m.record("tree-invariants:a", True, "nodes=3")
+    m.record("tail-blo:a", False, "worst-margin=0.5000")
+    cube = {"center": [0.25, 0.75], "side": 0.5, "level": 1}
+    m.entries.append({"name": "a", "witnesses": {"blo": cube,
+                                                 "blo_p:1.5": dict(cube)},
+                      "tree": {"nodes_per_gen": [1, 2],
+                               "blocks_visited": 7},
+                      "tail_bounds": {"g": 1e-3, "gstar_8": 2e-3}})
+    path = tmp_path / "manifest.json"
+    m.write(path)
+    expected = asdict(m)
+    expected["timings"] = [{"stage": s, "seconds": t} for s, t in m.timings]
+    expected["all_passed"] = m.all_passed
+    assert path.read_text() == json.dumps(expected, indent=2) + "\n"
