@@ -543,14 +543,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _command_and_out(argv: list[str]) -> tuple[str, str | None]:
-    """Subcommand (or "lpsquare") and --out value of a refused command line."""
-    command = next((a for a in argv if a in _COMMANDS), "lpsquare")
-    out = None
-    for i, arg in enumerate(argv):
-        if arg == "--out" and i + 1 < len(argv):
-            out = argv[i + 1]
+    """Subcommand (or "lpsquare") and --out value of a refused command line;
+    an option's value is never taken for the subcommand."""
+    command, out = "lpsquare", None
+    args = iter(argv)
+    for arg in args:
+        if arg in ("--config", "--set", "--jobs", "--out"):
+            value = next(args, None)
+            if arg == "--out" and value is not None:
+                out = value
         elif arg.startswith("--out="):
             out = arg[len("--out="):]
+        elif arg in _COMMANDS and command == "lpsquare":
+            command = arg
     return command, out
 
 
@@ -586,19 +591,12 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def _skip_exit_collection() -> None:
-    """Freeze every object at interpreter exit, so that finalization's full
-    collections skip them instead of traversing all that is still alive,
-    numpy's objects included.  Module teardown, the stdio flush and the
-    other exit handlers still run.  The handler is registered once per
-    process however often main runs in it."""
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
-
-
 def main(argv=None) -> int:
     _keep_freed_memory()
-    _skip_exit_collection()
+    # finalization's full collections skip what is frozen at exit, numpy's
+    # objects included; one handler per process however often main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     failure: str | None = None
     error: str | None = None

@@ -893,6 +893,9 @@ def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
      "argument --jobs: must be at least 1, got -3"),
     (["jn", "--bogus"], "jn", "unrecognized arguments: --bogus"),
     (["frobnicate"], "lpsquare", "invalid choice: 'frobnicate'"),
+    # an option's value that names a subcommand is not the subcommand
+    (["--config", "weights", "jn", "--jobs", "x"], "jn",
+     "invalid int value: 'x'"),
 ])
 def test_command_line_error_writes_a_manifest(tmp_path, capsys, argv,
                                               command, message):
