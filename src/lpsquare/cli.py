@@ -68,10 +68,8 @@ TRIM_THRESHOLD = 256 << 20
 
 def _make_scales(cfg: RunConfig) -> ScaleGrid:
     """The configured scale window; an unset endpoint keeps its default."""
-    from .operators import ScaleGrid, default_scales
-    default = default_scales(cfg, M=cfg.M)
-    return ScaleGrid(default.t_min if cfg.t_min is None else cfg.t_min,
-                     default.t_max if cfg.t_max is None else cfg.t_max, cfg.M)
+    from .operators import default_scales
+    return default_scales(cfg, cfg.M, cfg.t_min, cfg.t_max)
 
 
 @functools.lru_cache(maxsize=8)
@@ -84,12 +82,17 @@ def _family(n: int, L: float, N: int, max_level: int) -> DyadicFamily:
 def _certified_kernel(name: str, n: int, vanish: float):
     """Registry lookup that only hands back kernels that _kernel_record
     judges certified for use at the configured tolerance."""
-    from .kernels import kernel_registry
+    from .kernels import TOL_VANISH, certified, kernel_registry
     kernel = kernel_registry(name, n)
     if not _kernel_record(kernel, vanish)["certified"]:
+        bound = (f"tolerances.vanish={vanish:g}"
+                 if not certified(kernel, vanish) else
+                 f"the default bound {TOL_VANISH:g}, at which "
+                 f"square_functions refuses")
         raise ValueError(f"kernel {name!r} is not certified for use at "
                          f"tolerances.vanish={vanish:g} "
-                         f"(residual {kernel.report.p1_residual:.3e})")
+                         f"(residual {kernel.report.p1_residual:.3e}): "
+                         f"the residual exceeds {bound}")
     return kernel
 
 
@@ -379,8 +382,8 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel, n))
     tables = _gather(manifest, _pmap(rows, cfg, jobs))
     # a constant input must be annihilated up to rounding
-    const = grid_function(n, L, min(N, 512),
-                          np.full((min(N, 512),) * n, 2.0))
+    size = max(16, min(N, 512))  # at N <= 8 the window [2h, L/4] is empty
+    const = grid_function(n, L, size, np.full((size,) * n, 2.0))
     g0 = g_function(kernel, const, default_scales(const, M=16)).values
     peak = float(np.max(g0.values))
     manifest.record("constant-annihilated", peak < 1e-10,

@@ -20,9 +20,9 @@ Descent bottoms out at single-sample cubes, which are never selected; this
 is what turns the almost-everywhere differentiation step of the continuum
 argument into the 2^n factor of (E).
 
-Every function takes its cube Q: the tree, the local constants and the tail
-checks read Q's dyadic block, and distribution_function and layer_cake_check
-gather Q's samples with cube_region.
+Every function takes a dyadic cube Q and reads Q's dyadic block; a
+non-dyadic Q is refused.  The tail checks, distribution_function and
+layer_cake_check count mu({v > lambda}) over the block with one counter.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 from .grid import (
     Cube,
     GridFunction,
-    cube_region,
     distinct_sorted,
     dyadic_address,
     dyadic_cube,
@@ -50,7 +49,6 @@ __all__ = [
     "LocalConstants",
     "cube_local_constants",
     "cz_decompose",
-    "DistributionFunction",
     "distribution_function",
     "layer_cake_check",
     "JnRow",
@@ -297,45 +295,48 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
     return checks
 
 
-@dataclass(frozen=True)
-class DistributionFunction:
-    lambdas: np.ndarray
-    masses: np.ndarray
-    mu_kind: str
-    p: float | None = None
+def _cells(f: GridFunction, Q: Cube) -> tuple[slice, ...]:
+    """Q's dyadic block; it ravels in ascending flat order."""
+    return _block_cells(f.n, f.N, *_root_address(f, Q))
 
 
-def _mu_weights(mu_kind: str, w: Weight, idx: np.ndarray,
-                p: float | None) -> np.ndarray:
+def _tail_masses(v: np.ndarray, lam: np.ndarray,
+                 mu: float | np.ndarray) -> np.ndarray:
+    """mu({v > lambda}) for each threshold: the count of samples above
+    lambda, from one sort, times a scalar mu (every sample's mass), or the
+    suffix sums of per-sample masses mu taken in ascending order of v."""
+    if np.ndim(mu) == 0:
+        return (v.size - np.searchsorted(np.sort(v), lam, side="right")) * mu
+    order = np.argsort(v)
+    prefix = np.concatenate([[0.0], np.cumsum(mu[order])])
+    return prefix[-1] - prefix[np.searchsorted(v[order], lam, side="right")]
+
+
+def _mu_weights(mu_kind: str, w: Weight, cells: tuple[slice, ...],
+                p: float | None) -> float | np.ndarray:
+    """Per-sample masses of mu on the block cells; one scalar for Lebesgue."""
     h = w.L / w.N
     if mu_kind == "lebesgue":
-        return np.full(idx.size, h**w.n)
+        return h**w.n
     if mu_kind == "weight":
-        return w.values.ravel()[idx] * h**w.n
+        return w.values[cells].ravel() * h**w.n
     if mu_kind == "power_weight":
         if p is None:
             raise ValueError("power_weight measure needs p")
-        return w.values.ravel()[idx] ** (1.0 - p) * h**w.n
+        return w.values[cells].ravel() ** (1.0 - p) * h**w.n
     raise ValueError(f"unknown measure kind {mu_kind!r}")
 
 
 def distribution_function(g: GridFunction, mu_kind: str, w: Weight,
                           Q: Cube, lambdas: Sequence[float],
-                          p: float | None = None) -> DistributionFunction:
-    """mu({x in Q : g(x) > lambda}) for each threshold, by exact scan."""
+                          p: float | None = None) -> np.ndarray:
+    """mu({x in Q : g(x) > lambda}) for each threshold, over Q's block."""
     lam = np.asarray(lambdas, dtype=float)
-    if lam.size and np.any(np.diff(lam) <= 0):
-        raise ValueError("lambda grid must be strictly increasing")
-    idx = cube_region(g, Q)
-    gv = g.values.ravel()[idx]
-    mu = _mu_weights(mu_kind, w, idx, p)
-    order = np.argsort(gv)
-    gv_sorted = gv[order]
-    # suffix sums: mass of {g > lambda} = total - prefix mass up to lambda
-    prefix = np.concatenate([[0.0], np.cumsum(mu[order])])
-    pos = np.searchsorted(gv_sorted, lam, side="right")
-    masses = prefix[-1] - prefix[pos]
-    return DistributionFunction(lam, masses, mu_kind, p)
+    if not (np.isfinite(lam).all() and (np.diff(lam) > 0).all()):
+        raise ValueError("lambda grid must be finite and strictly increasing")
+    cells = _cells(g, Q)
+    return _tail_masses(g.values[cells].ravel(), lam,
+                        _mu_weights(mu_kind, w, cells, p))
 
 
 def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
@@ -349,31 +350,33 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    h = g.L / g.N
-    idx = cube_region(g, Q)
-    gv = np.abs(g.values.ravel()[idx])
-    wv = w.values.ravel()[idx] * h**g.n
+    cells = _cells(g, Q)
+    gv = np.abs(g.values[cells].ravel())
+    wv = _mu_weights("weight", w, cells, None)
     lhs = float((gv**p * wv).sum())
     levels = distinct_sorted(gv)
     if mode == "auto":
         mode = "step" if levels.size <= 1024 else "trapezoid"
     if mode == "step":
-        order = np.argsort(gv)
-        prefix = np.concatenate([[0.0], np.cumsum(wv[order])])
-        pos = np.searchsorted(gv[order], levels, side="left")
-        mass_ge = prefix[-1] - prefix[pos]  # mu({|g| >= level_i})
+        # mu({|g| >= level_i}) = mu({|g| > level_{i-1}})
+        mass_ge = _tail_masses(gv, np.concatenate([[-np.inf], levels[:-1]]),
+                               wv)
         prev = np.concatenate([[0.0], levels[:-1]])
         rhs = float((mass_ge * (levels**p - prev**p)).sum())
     elif mode == "trapezoid":
         top = float(levels[-1]) if levels.size else 0.0
         lam = np.linspace(0.0, top * (1.0 + 1.0 / nodes) + 1e-300, nodes)
-        d = distribution_function(g.with_values(np.abs(g.values)), "weight",
-                                  w, Q, lam).masses
+        d = _tail_masses(gv, lam, wv)
         rhs = float(np.trapezoid(p * lam ** (p - 1) * d, lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return lhs, rhs, gap
+
+
+def _tail_constants(n: int) -> tuple[float, float]:
+    """(c1, c2) = (e, 1/(2^n e)) of the tail bound c1 m(Q) exp(-c2 t)."""
+    return math.e, 1.0 / (2**n * math.e)
 
 
 @dataclass(frozen=True)
@@ -405,26 +408,19 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
                local: LocalConstants | None) -> JnReport:
     if local is None:
         local = cube_local_constants(f, w, Q)
-    # Q's block ravels row-major: the samples in ascending flat order
-    fv = f.values[_block_cells(f.n, f.N, *_root_address(f, Q))].ravel()
+    fv = f.values[_cells(f, Q)].ravel()
     if kind == "blo":
         dev = fv - fv.min()
         norm = local.blo
     else:
         dev = np.abs(fv - fv.mean())
         norm = local.bmo
-    h = f.L / f.N
-    m_q = fv.size * h**f.n
-    n = f.n
-    c1 = math.e
-    c2 = 1.0 / (2**n * math.e)
-    # samples above each lambda, |{dev > lam}|, counted from one sort
-    above = dev.size - np.searchsorted(np.sort(dev),
-                                       np.asarray(lambdas, dtype=float),
-                                       side="right")
+    cell = (f.L / f.N)**f.n
+    m_q = fv.size * cell
+    c1, c2 = _tail_constants(f.n)
+    tails = _tail_masses(dev, np.asarray(lambdas, dtype=float), cell)
     rows = []
-    for lam, count in zip(lambdas, above.tolist()):
-        measured = float(count) * h**n
+    for lam, measured in zip(lambdas, tails.tolist()):
         if norm > 0:
             bound = c1 * m_q * math.exp(-c2 * lam / (local.a_w * norm))
         else:
@@ -468,6 +464,5 @@ def equivalence_constant(p: float, n: int, a1: float, ap_of_nu: float) -> float:
     eps = 1.0 / (2 ** (2 * p + 1 + n) * ap_of_nu)
     delta = eps / (1.0 + eps)
     cstar = 2.0
-    c1 = math.e
-    c2 = 1.0 / (2**n * math.e)
+    c1, c2 = _tail_constants(n)
     return a1 * (cstar * p * math.gamma(p)) ** (1.0 / p) * c1 ** (delta / p) / (c2 * delta)

@@ -90,11 +90,13 @@ class ScaleGrid:
         return w
 
 
-def default_scales(f: GridFunction, M: int = 64) -> ScaleGrid:
+def default_scales(f: GridFunction, M: int = 64, t_min: float | None = None,
+                   t_max: float | None = None) -> ScaleGrid:
     """t from 2h (below which convolution is unresolved) to L/4 (above
-    which the periodic wrap dominates)."""
+    which the periodic wrap dominates), unless t_min or t_max is given."""
     h = f.L / f.N
-    return ScaleGrid(2.0 * h, f.L / 4.0, M)
+    return ScaleGrid(2.0 * h if t_min is None else t_min,
+                     f.L / 4.0 if t_max is None else t_max, M)
 
 
 @dataclass(frozen=True)

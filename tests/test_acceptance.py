@@ -12,8 +12,11 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
-from lpsquare.cli import _certified_kernel, _lambda_star, _operator_results
+from lpsquare import czd
+from lpsquare.cli import (_certified_kernel, _lambda_star, _operator_results,
+                          main)
 from lpsquare.czd import (cz_decompose, distribution_function,
                           equivalence_constant, jn_blo_verify, jn_bmo_verify,
                           layer_cake_check)
@@ -234,7 +237,7 @@ def test_criterion_10_oracle_equivalence():
                        ("power_weight", 2.0)):
         dist = distribution_function(f, mu_kind, w, BOX, lam, p=p) \
             if p is not None else distribution_function(f, mu_kind, w, BOX, lam)
-        for lv, measured in zip(lam, dist.masses):
+        for lv, measured in zip(lam, dist):
             total = 0.0
             for idx in range(f.values.size):
                 if f.values.ravel()[idx] > lv:
@@ -250,3 +253,43 @@ def test_criterion_10_oracle_equivalence():
     ok = recount_worst <= REL
     _criterion(10, "oracle equivalence", ok,
                f"{compared} tree nodes matched, recount gap = {recount_worst:.2e}")
+
+
+def test_criterion_10_recounts_the_tails_jn_reads():
+    # jn's measured column and distribution_function's Lebesgue masses come
+    # from one counter, bit for bit; at L=0.7, h is not a dyadic rational,
+    # so a prefix sum of h's would round where count * h does not
+    for L in (1.0, 0.7):
+        box = Cube((L / 2.0,), L, level=0)
+        for entry in default_corpus():
+            f, w = entry.realize(1, L, 256, SEED)
+            for verify, dev in (
+                    (jn_blo_verify, f.values - f.values.min()),
+                    (jn_bmo_verify, np.abs(f.values - f.values.mean()))):
+                span = float(dev.max())  # jn's lambda grid
+                lam = np.linspace(span / 32, span * 1.05, 32)
+                rep = verify(f, w, box, lam, strict=False)
+                masses = distribution_function(f.with_values(dev),
+                                               "lebesgue", w, box, lam)
+                assert [r.measured for r in rep.rows] == masses.tolist()
+
+
+def test_criterion_10_control_a_counter_that_drops_samples(tmp_path,
+                                                           monkeypatch):
+    def run_jn(out):
+        assert main(["jn", "--jobs", "1", "--set", "grid.N=256",
+                     "--set", "family.max_level=4",
+                     "--set", "corpus.a=log-spike(x0=0.3) | constant()",
+                     "--out", str(out)]) == 0
+        return (out / "jn_tail_blo_a.csv").read_bytes()
+
+    honest = run_jn(tmp_path / "honest")
+    count = czd._tail_masses
+
+    def half(v, lam, mu):
+        return count(v[::2], lam, mu if np.ndim(mu) == 0 else mu[::2])
+
+    monkeypatch.setattr(czd, "_tail_masses", half)
+    assert run_jn(tmp_path / "half") != honest
+    with pytest.raises(AssertionError, match="FAIL.*criterion 10"):
+        test_criterion_10_oracle_equivalence()

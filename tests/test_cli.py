@@ -121,6 +121,22 @@ def test_operators_refuses_the_negative_control_naming_its_residual(
                    "tolerances.vanish=1e-06 (residual 8.862e-01)")
 
 
+@pytest.mark.parametrize("vanish, bound", [
+    ("1e-06", "tolerances.vanish=1e-06"),
+    ("10", "the default bound 1e-06, at which square_functions refuses")])
+def test_operators_refusal_names_the_bound_that_failed(tmp_path, capsys,
+                                                       vanish, bound):
+    # a residual of 0.886 passes tolerances.vanish=10; the default bound
+    # is the one it fails
+    assert_refused(tmp_path, capsys,
+                   ("operators", "--set", "grid.N=64",
+                    "--set", "tolerances.kernel=nonvanishing-hat",
+                    "--set", f"tolerances.vanish={vanish}"),
+                   f"kernel 'nonvanishing-hat' is not certified for use at "
+                   f"tolerances.vanish={vanish} (residual 8.862e-01): "
+                   f"the residual exceeds {bound}")
+
+
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
 def test_manifest_kernels_share_one_record_shape(tmp_path, n, N):
     records = {}
@@ -620,6 +636,20 @@ def test_lone_scale_endpoint_keeps_the_other_default(tmp_path):
     assert code == 0
     assert (out1 / "operators.csv").read_bytes() != \
         (out2 / "operators.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coarse_grid_runs_a_configured_scale_window(tmp_path, n):
+    # at N=8 the default window [2h, L/4] is empty; a window that sets both
+    # endpoints never builds it, and the constant check runs on 16 samples
+    code, out, manifest = run(tmp_path, "operators", "--set", f"grid.n={n}",
+                              "--set", "grid.N=8",
+                              "--set", "scales.t_min=0.01",
+                              "--set", "scales.t_max=0.2",
+                              "--set", "scales.M=4")
+    assert code == 0
+    assert manifest["criteria"][-1]["name"] == "constant-annihilated"
+    assert (out / "operators.csv").exists()
 
 
 def test_family_is_built_once_per_geometry():

@@ -32,6 +32,7 @@ from lpsquare.grid import (
     Cube,
     cube_region,
     dyadic_address,
+    dyadic_cube,
     dyadic_cubes,
     grid_function,
 )
@@ -687,7 +688,7 @@ def test_distribution_matches_per_sample_recount():
     for kind, p in (("lebesgue", None), ("weight", None),
                     ("power_weight", 2.0)):
         d = distribution_function(g, kind, w, BOX, lambdas, p=p)
-        for lam, mass in zip(d.lambdas, d.masses):
+        for lam, mass in zip(lambdas, d):
             total = 0.0
             for i in range(N):
                 if g.values[i] > lam:
@@ -704,9 +705,9 @@ def test_distribution_edges_and_validation():
     g = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
     d = distribution_function(g, "lebesgue", w, BOX, [-1.0, 7.5])
-    assert d.masses[0] == pytest.approx(1.0)
-    assert d.masses[1] == 0.0
-    assert np.all(np.diff(d.masses) <= 0)
+    assert d[0] == pytest.approx(1.0)
+    assert d[1] == 0.0
+    assert np.all(np.diff(d) <= 0)
     with pytest.raises(ValueError):
         distribution_function(g, "lebesgue", w, BOX, [1.0, 1.0])
     with pytest.raises(ValueError):
@@ -721,7 +722,7 @@ def test_distribution_indicator_mass():
     g = gf(vals)
     w = weight_from(np.linspace(1.0, 2.0, 16))
     d = distribution_function(g, "weight", w, BOX, [0.5])
-    assert d.masses[0] == pytest.approx(w.values[:4].sum() / 16.0, rel=1e-12)
+    assert d[0] == pytest.approx(w.values[:4].sum() / 16.0, rel=1e-12)
 
 
 def test_layer_cake_step_mode_is_exact():
@@ -758,6 +759,49 @@ def test_layer_cake_auto_and_validation():
         layer_cake_check(g, w, 0.5, BOX)
     with pytest.raises(ValueError):
         layer_cake_check(g, w, 2.0, BOX, mode="simpson")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_refuses_non_finite_thresholds(bad):
+    g = gf(np.arange(8.0))
+    w = constant_weight(1, 1.0, 8)
+    with pytest.raises(ValueError, match="finite"):
+        distribution_function(g, "lebesgue", w, BOX, [1.0, bad])
+
+
+def test_distribution_reads_a_2d_sub_cube_as_cube_region_gathers_it():
+    rng = np.random.default_rng(5)
+    N = 16
+    g = gf(rng.standard_normal((N, N)))
+    w = weight_from(rng.uniform(0.5, 2.0, (N, N)))
+    h = 1.0 / N
+    q = dyadic_cube(2, 1.0, 2, 9)  # the level-2 cube at block (2, 1)
+    idx = cube_region(g, q)
+    gv = g.values.ravel()[idx]
+    wv = w.values.ravel()[idx]
+    lambdas = np.linspace(-2.0, 2.0, 17)
+    order = np.argsort(gv)
+    pos = np.searchsorted(gv[order], lambdas, side="right")
+    # h^2 is a power of two, so the Lebesgue prefix sums are exact counts
+    for kind, p, mu in (("lebesgue", None, np.full(gv.size, h**2)),
+                        ("weight", None, wv * h**2),
+                        ("power_weight", 3.0, wv ** (1.0 - 3.0) * h**2)):
+        prefix = np.concatenate([[0.0], np.cumsum(mu[order])])
+        expect = prefix[-1] - prefix[pos]
+        masses = distribution_function(g, kind, w, q, lambdas, p=p)
+        assert masses.tolist() == expect.tolist()
+    lhs = float((np.abs(gv) ** 2 * wv * h**2).sum())
+    assert layer_cake_check(g, w, 2.0, q, mode="step")[0] == lhs
+
+
+def test_distribution_and_layer_cake_refuse_a_non_dyadic_cube():
+    g = gf(np.arange(8.0))
+    w = constant_weight(1, 1.0, 8)
+    q = Cube((0.3,), 0.25)
+    with pytest.raises(ValueError, match="must be a dyadic cube"):
+        distribution_function(g, "lebesgue", w, q, [1.0])
+    with pytest.raises(ValueError, match="must be a dyadic cube"):
+        layer_cake_check(g, w, 2.0, q)
 
 
 # ---------------------------------------------------------------------------
