@@ -151,3 +151,70 @@ def test_jn_on_other_box_sides_is_byte_identical(tmp_path, monkeypatch, L,
     assert (hashlib.sha256(listing.encode()).hexdigest(),
             hashlib.sha256(json.dumps(criteria).encode()).hexdigest()) \
         == JN_BOXES[L]
+
+
+def _listing_and_criteria(out, args):
+    """SHA-256 of the sorted "<csv name> <csv digest>" lines a run writes,
+    and of its manifest's criteria."""
+    assert main([*args, "--out", str(out)]) == 0
+    listing = "".join(
+        f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(out.glob("*.csv")))
+    criteria = json.loads((out / "manifest.json").read_text())["criteria"]
+    return (hashlib.sha256(listing.encode()).hexdigest(),
+            hashlib.sha256(json.dumps(criteria).encode()).hexdigest())
+
+
+# Every subcommand at 2D N=64, max_level 5: (listing, criteria) digests as
+# in JN_BOXES.  The default-config digests above run only the 1D code.
+GRID_2D = ("--set", "grid.n=2", "--set", "grid.N=64",
+           "--set", "family.max_level=5")
+DIGESTS_2D = {
+    "kernel-check":
+        ("385c3c0b59bf5b7e54972cb0f405219380eeb7061d69a2e71dd7af8924e19833",
+         "32b89eeac5f68af64f10d9e6dfdf390719db614beaf6219ca3b9cba0206275d0"),
+    "weights":
+        ("a81834efccf93e462e7ea1c5e018ef405ff00e63cf6370e650f11888aab83035",
+         "abe0e9ebb97cc02d53dc6d911ade12dc1f4d9a985b601cc5f677f4d0702f8538"),
+    "operators":
+        ("2ad32af5f9a24f0738bacf0d49fdd4ffad3456a3d6b6bf219f06ec182ac98db3",
+         "b397834b11a52ec3740b48bc419bbfb32da3ca8b5ff6a3c6e1014b60bb2b86e9"),
+    "theorem-suite":
+        ("8895b2976fd2fe3376a4ded39baf364cc5cb1098d92d2a8fa5eb3fe94b9ce1e8",
+         "374137a1129f97e810077019d8a3080fb0e0178cbd424092973e892be09a7e3f"),
+    "jn":
+        ("69098031e49d4feae5f44ceaba6a83acd8664201bb84f4f1106e1edcd2d9d325",
+         "f2aee35bdcf285a673de3f33b0a71a45b3a6ff5a4a2c3fd0f11186d77d91f93b"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(DIGESTS_2D))
+def test_2d_grid_is_byte_identical(tmp_path, monkeypatch, command, jobs):
+    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+    assert _listing_and_criteria(tmp_path, (command, "--jobs", jobs,
+                                            *GRID_2D)) == DIGESTS_2D[command]
+
+
+# The operator stack at 1D N=1024 on the box of side 0.7, where the
+# spacing h is not a dyadic rational, so the displacements d/t and their
+# radii round as they would not at L=1.
+NON_DYADIC_H = ("--set", "grid.L=0.7", "--set", "grid.N=1024")
+DIGESTS_NON_DYADIC_H = {
+    "operators":
+        ("5d60474272ae5a35f495b469287aad0907a1ced9cabf98911530b3fbdda3c33c",
+         "b295aa17be60d3f166c530b318a0774a71c90f616a22ea476ad0aed315adcda7"),
+    "theorem-suite":
+        ("1ab6c17290214f346bb76510208c7f49d39c9a79c988266fe5e3a712c2129a0d",
+         "739d21dad05b7e66f7e0716072cc0a50c73e6ef4e4d406e4e2acedc72bb18e37"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(DIGESTS_NON_DYADIC_H))
+def test_non_dyadic_spacing_is_byte_identical(tmp_path, monkeypatch,
+                                              command, jobs):
+    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+    assert _listing_and_criteria(
+        tmp_path, (command, "--jobs", jobs, *NON_DYADIC_H)) \
+        == DIGESTS_NON_DYADIC_H[command]
