@@ -66,7 +66,7 @@ MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
 
 
-def _make_scales(cfg: RunConfig) -> ScaleGrid:
+def _make_scales(cfg: RunConfig):
     """The configured scale window; an unset endpoint keeps its default."""
     from .operators import default_scales
     return default_scales(cfg, cfg.M, cfg.t_min, cfg.t_max)

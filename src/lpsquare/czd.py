@@ -20,9 +20,10 @@ Descent bottoms out at single-sample cubes, which are never selected; this
 is what turns the almost-everywhere differentiation step of the continuum
 argument into the 2^n factor of (E).
 
-Every function takes a dyadic cube Q and reads Q's dyadic block; a
-non-dyadic Q is refused.  The tail checks, distribution_function and
-layer_cake_check count mu({v > lambda}) over the block with one counter.
+Every function takes a dyadic cube Q and reads Q's dyadic block, addressed
+by grid's block_cells and block_children; a non-dyadic Q is refused.  The
+tail checks, distribution_function and layer_cake_check count
+mu({v > lambda}) over the block with one counter.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import numpy as np
 from .grid import (
     Cube,
     GridFunction,
+    block_cells,
+    block_children,
     distinct_sorted,
     dyadic_address,
     dyadic_cube,
@@ -124,29 +127,6 @@ def _root_address(f: GridFunction, Q: Cube) -> tuple[int, int]:
     return addr
 
 
-def _block_coords(n: int, k: int, b: int) -> tuple[int, ...]:
-    """Per-axis indices of the level-k block with row-major index b."""
-    return (b,) if n == 1 else divmod(b, 1 << k)
-
-
-def _block_cells(n: int, N: int, k: int, b: int) -> tuple[slice, ...]:
-    """The samples of the level-k block b, as one slice per axis."""
-    size = N >> k
-    return tuple(slice(i * size, (i + 1) * size)
-                 for i in _block_coords(n, k, b))
-
-
-def _children(n: int, k: int, blocks: np.ndarray) -> np.ndarray:
-    """Level-(k+1) children of level-k blocks, parent by parent, each
-    parent's children in row-major order."""
-    if n == 1:
-        return (2 * blocks[:, None] + np.arange(2)).ravel()
-    row = 1 << (k + 1)
-    i, j = np.divmod(blocks, 1 << k)
-    return ((2 * i * row + 2 * j)[:, None]
-            + np.array([0, 1, row, row + 1])).ravel()
-
-
 def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
     """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q."""
     kq, b0 = _root_address(f, Q)
@@ -157,7 +137,7 @@ def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
     for k in range(kq, fp.depth + 1):
         # Q's level-k blocks are a window of the level-k table laid out
         # on its 2^k-per-axis grid
-        cells = _block_cells(f.n, 1 << k, kq, b0)
+        cells = block_cells(f.n, 1 << k, kq, b0)
 
         def inside(table):
             return table.reshape((1 << k,) * f.n)[cells]
@@ -217,7 +197,7 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         if blocks.size == 0:
             break
         visited += blocks.size
-        blocks = _children(n, k, blocks)
+        blocks = block_children(n, k, blocks)
         m_s, gen, pid = (np.repeat(a, 2**n) for a in (m_s, gen, pid))
         mean = fp.sum(k + 1)[blocks] / norm / fp.count(k + 1) - m_s
         cmin = fp.min(k + 1)[blocks] / norm
@@ -252,7 +232,7 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
     h = f.L / N
     slack = 1.0 + 1e-12
     checks: list[InvariantRecord] = []
-    q = _block_cells(n, N, *root)
+    q = block_cells(n, N, *root)
     scaled = f.values / norm
     m_q = scaled[q].size * h**n
     min_q = float(scaled[q].min())
@@ -268,7 +248,7 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
         worst_c_hi = 0.0
         worst_c_lo = 0.0
         for s in gen:
-            cells = _block_cells(n, N, *dyadic_address(f, s.cube))
+            cells = block_cells(n, N, *dyadic_address(f, s.cube))
             covered[cells] += 1
             inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
             next_owner[cells] = s.id
@@ -297,7 +277,7 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
 
 def _cells(f: GridFunction, Q: Cube) -> tuple[slice, ...]:
     """Q's dyadic block; it ravels in ascending flat order."""
-    return _block_cells(f.n, f.N, *_root_address(f, Q))
+    return block_cells(f.n, f.N, *_root_address(f, Q))
 
 
 def _tail_masses(v: np.ndarray, lam: np.ndarray,
@@ -350,6 +330,8 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     cells = _cells(g, Q)
     gv = np.abs(g.values[cells].ravel())
     wv = _mu_weights("weight", w, cells, None)
@@ -406,6 +388,9 @@ class JnReport:
 def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
                lambdas: Sequence[float], strict: bool,
                local: LocalConstants | None) -> JnReport:
+    lams = np.asarray(lambdas, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError("thresholds lambda must be finite")
     if local is None:
         local = cube_local_constants(f, w, Q)
     fv = f.values[_cells(f, Q)].ravel()
@@ -418,7 +403,7 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
     cell = (f.L / f.N)**f.n
     m_q = fv.size * cell
     c1, c2 = _tail_constants(f.n)
-    tails = _tail_masses(dev, np.asarray(lambdas, dtype=float), cell)
+    tails = _tail_masses(dev, lams, cell)
     rows = []
     for lam, measured in zip(lambdas, tails.tolist()):
         if norm > 0:
@@ -461,6 +446,8 @@ def equivalence_constant(p: float, n: int, a1: float, ap_of_nu: float) -> float:
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     eps = 1.0 / (2 ** (2 * p + 1 + n) * ap_of_nu)
     delta = eps / (1.0 + eps)
     cstar = 2.0

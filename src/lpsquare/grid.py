@@ -2,11 +2,14 @@
 
 The ambient space is the periodic box [0, L)^n (n = 1 or 2) sampled at N
 points per axis, N a power of two so that dyadic cubes are exact sample
-blocks.  Integrals are cell sums with volume h^n, h = L/N; essential
-infimum/supremum are plain min/max over samples, since on a grid every
-nonempty sample set has positive measure.  A family scan (family_values)
-reads one table per level of a DyadicFamily, levels 0..max_level laid end
-to end; cube_region gives the flat sample indices of any single cube.
+blocks; each function is written once for every n.  Integrals are cell
+sums with volume h^n, h = L/N; essential infimum/supremum are plain
+min/max over samples, since on a grid every nonempty sample set has
+positive measure.  A family scan (family_values) reads one table per level
+of a DyadicFamily, levels 0..max_level laid end to end; cube_region gives
+the flat sample indices of any single cube.  The level-k block b has axis
+indices np.unravel_index(b, (2^k,) * n), the one map behind dyadic_cube,
+dyadic_address, block_cells and block_children.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ __all__ = [
     "dyadic_cube",
     "dyadic_cubes",
     "dyadic_address",
+    "block_cells",
+    "block_children",
     "level_blocks",
     "BlockPyramid",
     "family_values",
@@ -50,8 +55,8 @@ def _is_power_of_two(m: int) -> bool:
 class GridFunction:
     """A real function sampled on the periodic box [0, L)^n.
 
-    values has shape (N,) for n=1 and (N, N) for n=2; entry [i] (resp.
-    [i, j]) is the sample at x = i*h (resp. (i*h, j*h)).
+    values has shape (N,) * n; entry [i, j, ...] is the sample at
+    x = (i*h, j*h, ...).
     """
 
     n: int
@@ -67,7 +72,7 @@ class GridFunction:
         if not _is_power_of_two(self.N):
             raise ValueError(f"N must be a power of two, got {self.N}")
         vals = np.asarray(self.values, dtype=float)
-        expected = (self.N,) if self.n == 1 else (self.N, self.N)
+        expected = (self.N,) * self.n
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected}")
         if not np.all(np.isfinite(vals)):
@@ -101,12 +106,8 @@ def axis_coords(grid) -> np.ndarray:
 def from_callable(n: int, L: float, N: int, fn: Callable[..., np.ndarray]) -> GridFunction:
     """Sample fn on the grid; fn takes one coordinate array per axis."""
     x = np.arange(N) * (L / N)
-    if n == 1:
-        vals = np.asarray(fn(x), dtype=float)
-    else:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        vals = np.asarray(fn(xx, yy), dtype=float)
-    return GridFunction(n, L, N, vals)
+    vals = fn(*np.meshgrid(*(x,) * n, indexing="ij"))
+    return GridFunction(n, L, N, np.asarray(vals, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -157,16 +158,15 @@ def cube_region(grid, cube: Cube) -> np.ndarray:
     if len(cube.center) != grid.n:
         raise ValueError("cube dimension does not match grid")
     masks = [_axis_membership(grid, c, cube.side) for c in cube.center]
-    mask = masks[0] if grid.n == 1 else masks[0][:, None] & masks[1][None, :]
-    return np.flatnonzero(mask)
+    return np.flatnonzero(functools.reduce(np.logical_and.outer, masks))
 
 
 def dyadic_cube(n: int, L: float, k: int, b: int) -> Cube:
     """The level-k dyadic cube of the box [0, L)^n with row-major block
     index b: side s = L/2^k, center (i + 0.5) s on each axis."""
     s = L / (1 << k)
-    coords = (b,) if n == 1 else divmod(b, 1 << k)
-    return Cube(tuple((i + 0.5) * s for i in coords), s, level=k)
+    return Cube(tuple((i + 0.5) * s for i in _block_coords(n, k, b)), s,
+                level=k)
 
 
 class DyadicFamily(Sequence):
@@ -239,23 +239,39 @@ def dyadic_address(grid, cube: Cube) -> tuple[int, int] | None:
     if not np.all(np.abs(b - bi) <= 1e-9):
         return None
     i = bi.astype(np.int64) % B
-    return int(k), int(i[0] if grid.n == 1 else i[0] * B + i[1])
+    return int(k), int(np.ravel_multi_index(tuple(i), (B,) * grid.n))
+
+
+def _block_coords(n: int, k: int, b):
+    """Per-axis indices of the level-k block(s) with row-major index b."""
+    return np.unravel_index(b, (1 << k,) * n)
+
+
+def block_cells(n: int, N: int, k: int, b: int) -> tuple[slice, ...]:
+    """The samples of the level-k block b, as one slice per axis."""
+    size = N >> k
+    return tuple(slice(i * size, (i + 1) * size)
+                 for i in _block_coords(n, k, b))
+
+
+def block_children(n: int, k: int, blocks: np.ndarray) -> np.ndarray:
+    """Level-(k+1) children of level-k blocks, parent by parent, each
+    parent's children in row-major order: the level-k blocks of the grid
+    of level-(k+1) block indices."""
+    ids = np.arange((2 << k) ** n).reshape((2 << k,) * n)
+    return level_blocks(ids, n, k)[blocks].ravel()
 
 
 def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
     """Reshape sample values into (num_blocks, block_samples) dyadic blocks.
 
     Blocks are ordered row-major, matching dyadic_cubes enumeration within
-    one level.
+    one level.  In 1D the result is a view of values.
     """
-    if n == 1:
-        N = values.shape[0]
-        B = 1 << level
-        return values.reshape(B, N // B)
-    N = values.shape[0]
     B = 1 << level
-    bs = N // B
-    return values.reshape(B, bs, B, bs).swapaxes(1, 2).reshape(B * B, bs * bs)
+    bs = values.shape[0] // B
+    return values.reshape((B, bs) * n).transpose(
+        *range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(B**n, bs**n)
 
 
 class BlockPyramid:

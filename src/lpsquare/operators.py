@@ -121,19 +121,25 @@ def _displacements(n: int, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(periodic displacement along one axis, |displacement| of grid
     shape); shared across calls on the same geometry."""
     d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
-    dist = np.abs(d) if n == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
+    dist = _radius(d, n)
     d.setflags(write=False)
     dist.setflags(write=False)
     return d, dist
 
 
+def _radius(d: np.ndarray, n: int) -> np.ndarray:
+    """|x| on the grid from the displacement d along each axis, squares
+    summed in axis order; in 1D it is |d| bit for bit (barring underflow)."""
+    return np.sqrt(functools.reduce(np.add.outer, (d * d,) * n))
+
+
 def _rfftn(a: np.ndarray, n: int) -> np.ndarray:
     """Transform over the last n axes, so a stack transforms member-wise."""
-    return np.fft.rfft(a) if n == 1 else np.fft.rfft2(a)
+    return np.fft.rfftn(a, axes=tuple(range(-n, 0)))
 
 
 def _irfftn(spec: np.ndarray, n: int, N: int) -> np.ndarray:
-    return np.fft.irfft(spec, n=N) if n == 1 else np.fft.irfft2(spec, s=(N, N))
+    return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(-n, 0)))
 
 
 def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -147,8 +153,7 @@ def _sampled_kernel(kernel: Kernel, n: int, L: float, N: int,
     """Mean-corrected samples of psi_t(x) = t^{-n} psi(|x|/t)."""
     if not t > 0:
         raise ValueError("dilation parameter must be positive")
-    s = _displacements(n, L, N)[0] / t
-    r = np.abs(s) if n == 1 else np.sqrt(s[:, None] ** 2 + s[None, :] ** 2)
+    r = _radius(_displacements(n, L, N)[0] / t, n)
     kern = evaluate(kernel, r.ravel()).reshape(r.shape) / t**n
     return kern - kern.mean()
 

@@ -18,6 +18,7 @@ so both sides of any comparison must use the same family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,8 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
     if kind == "blo_p":
         if p is None or p < 1:
             raise ValueError("p must be >= 1")
+        if not math.isfinite(p):
+            raise ValueError(f"p must be finite, got {p}")
         s = float(((fv - fv.min())**p * wv ** (1.0 - p)).sum()) * hn
         return (s / wq) ** (1.0 / p)
     raise ValueError(f"unknown functional kind {kind!r}")
@@ -120,4 +123,6 @@ def blo_p_norm(f: GridFunction, w: Weight, p: float,
                cubes: DyadicFamily) -> OscillationReport:
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     return _scan("blo_p", f, w, cubes, p)

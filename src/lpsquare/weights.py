@@ -9,6 +9,7 @@ the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,8 +73,7 @@ class Weight:
 
 
 def constant_weight(n: int, L: float, N: int, c: float = 1.0) -> Weight:
-    shape = (N,) if n == 1 else (N, N)
-    return Weight(GridFunction(n, L, N, np.full(shape, float(c))))
+    return Weight(GridFunction(n, L, N, np.full((N,) * n, float(c))))
 
 
 def _a1_level(pyr: BlockPyramid, k: int) -> np.ndarray:
@@ -92,6 +92,8 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
     """max over the family of (avg ω)(avg ω^{1-p'})^{p-1}, p' = p/(p-1)."""
     if p <= 1:
         raise ValueError("use a1_constant for p <= 1")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     pyr = w.pyramid
     s = 1.0 - p / (p - 1.0)
 

@@ -36,8 +36,13 @@ from lpsquare.grid import (
     dyadic_cubes,
     grid_function,
 )
-from lpsquare.oscillation import blo_constant, bmo_norm, single_cube_value
-from lpsquare.weights import Weight, a1_constant, constant_weight
+from lpsquare.oscillation import (
+    blo_constant,
+    blo_p_norm,
+    bmo_norm,
+    single_cube_value,
+)
+from lpsquare.weights import Weight, a1_constant, ap_constant, constant_weight
 
 
 def gf(values, L=1.0):
@@ -887,6 +892,18 @@ def test_jn_strict_flag_returns_report():
     assert rep.rows[0].bound > 0
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("verify", [jn_blo_verify, jn_bmo_verify])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jn_refuses_non_finite_thresholds(bad, verify, strict):
+    # a NaN bound fails every comparison, so without the refusal the strict
+    # check found no violated row to name and the lenient one gave no reason
+    f = _rough_function(64, 25)
+    w = constant_weight(1, 1.0, 64)
+    with pytest.raises(ValueError, match="thresholds lambda must be finite"):
+        verify(f, w, BOX, [bad, 0.1], strict=strict)
+
+
 # ---------------------------------------------------------------------------
 # equivalence constant
 
@@ -904,6 +921,32 @@ def test_equivalence_constant_scaling_and_validation():
     assert equivalence_constant(2.0, 1, 1.0, 4.0) > base
     with pytest.raises(ValueError):
         equivalence_constant(1.0, 1, 1.0, 1.0)
+
+
+# every function taking an exponent p, as one number from (f, w, p) on
+# the unit interval
+P_TAKERS = {
+    "ap_constant": lambda f, w, p: ap_constant(w, p, dyadic_cubes(f, 2)),
+    "blo_p_norm": lambda f, w, p: blo_p_norm(f, w, p,
+                                             dyadic_cubes(f, 2)).value,
+    "single_cube_value": lambda f, w, p: single_cube_value("blo_p", f, w,
+                                                           BOX, p),
+    "layer_cake_check": lambda f, w, p: layer_cake_check(f, w, p, BOX)[1],
+    "equivalence_constant": lambda f, w, p: equivalence_constant(p, 1, 1.0,
+                                                                 1.0),
+}
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(P_TAKERS))
+def test_non_finite_exponent_is_refused(name, p):
+    # NaN passed every "p < 1" check, and these returned NaN (or raised
+    # ZeroDivisionError) instead of refusing
+    f = gf(np.sin(2 * np.pi * coords(16)))
+    w = weight_from(0.5 + coords(16))
+    assert math.isfinite(P_TAKERS[name](f, w, 2.0))
+    with pytest.raises(ValueError, match="p must be finite"):
+        P_TAKERS[name](f, w, p)
 
 
 # ---------------------------------------------------------------------------

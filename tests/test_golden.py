@@ -5,7 +5,9 @@ Any change to a CSV byte, or to a criterion's name, verdict, detail or
 place in manifest.json's "criteria" list, at the default grid (1D N=2048,
 M=64, max_level=6, the built-in corpus with seed 1234) fails here, at
 --jobs 1 and at --jobs 2 alike.  A change that alters them on purpose
-states the drift and updates the digests in the same change.
+states the drift and updates the digests in the same change.  The pins
+after them cover jn on boxes of other sides, every subcommand on a 2D grid
+and the operator stack at a spacing that is not a dyadic rational.
 """
 
 import hashlib

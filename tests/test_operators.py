@@ -35,6 +35,24 @@ from lpsquare.weights import constant_weight
 POISSON1 = poisson_derivative_kernel(1)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("N", [16, 1024, 2048, 65536])
+@pytest.mark.parametrize("L", [1.0, 0.7, 3.0, 120.0])
+def test_1d_radius_is_the_absolute_displacement(L, N):
+    # sqrt(fl(x*x)) == |x| in binary64 unless x*x underflows or overflows,
+    # so the one radius formula samples 1D kernels at |d|/t bit for bit
+    d, dist = operators._displacements(1, L, N)
+    assert np.array_equal(_bits(dist), _bits(np.abs(d)))
+    f = GridFunction(1, L, N, np.zeros(N))
+    for t in default_scales(f).nodes:
+        s = d / t
+        assert np.array_equal(_bits(operators._radius(s, 1)),
+                              _bits(np.abs(s)))
+
+
 def direct_periodic_conv(field, kern):
     """Reference circular convolution out[i] = sum_m field[i-m] kern[m],
     summed directly in O(N^{2n})."""
