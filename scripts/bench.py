@@ -14,8 +14,12 @@ it, the seed, the run length, the machine (platform, Python, nproc) and
 runs.  A launch that imports compiled modules sets up faster than one that
 compiles them from source, so two records compare fairly only when their
 `src_bytecode` agree.  run.py runs with PYTHONDONTWRITEBYTECODE=1, so no
-launch compiles the checkout for the ones after it.  Two records compare
-field by field. Exits 1 if any workload did not run.
+launch compiles the checkout for the ones after it.  Beside it the record
+holds OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as the caller set them (null
+where unset) and `numpy.__version__`: the thread counts decide how many
+threads numpy's OpenBLAS starts at import, and the numpy version what an
+import loads, so records compare only when these agree too.  Two records
+compare field by field. Exits 1 if any workload did not run.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def numpy_version() -> str:
+    """numpy.__version__ as the benchmark's interpreter imports it."""
+    return subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+        check=True, capture_output=True, text=True).stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -56,6 +67,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "src_bytecode": any((checkout / "src").rglob("*.pyc")),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "numpy": numpy_version(),
         "workloads": {},
     }
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}

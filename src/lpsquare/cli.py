@@ -18,7 +18,8 @@ subcommand imports the other modules it runs where it uses them, before
 it forks, so that the children inherit them.  main freezes every object
 at interpreter exit, so that finalization's collections skip them; it
 returns its exit status rather than ending the process, since scripts and
-tests call it in-process.
+tests call it in-process.  Importing this module before numpy sets
+OPENBLAS_NUM_THREADS to 1 unless the caller set it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ import sys
 import traceback
 from pathlib import Path
 from types import SimpleNamespace
+
+# Set before numpy first loads, so that OpenBLAS starts no worker threads:
+# no BLAS call is left in the library, and the --jobs children are its only
+# parallelism.  A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

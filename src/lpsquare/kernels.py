@@ -17,6 +17,7 @@ whatever (L, N, t) a run uses, so one kernel serves every combination.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -177,13 +178,57 @@ def kernel_registry(name: str, n: int) -> Kernel:
     return shipped[name]()
 
 
+# The positive half of numpy.polynomial.legendre.leggauss(_GL_NODES) on
+# (-1, 1): its nodes, ascending, then their weights, as little-endian float64
+# in base64.  leggauss symmetrizes its rule, so the half determines it bit
+# for bit without the eigen-solve; tests/test_kernels.py checks that.
+_GL_HALF = (
+    "eMnywWwLgD9QbMEPohCYP8/2kkYFDaQ//++h6XYQrD/PWjGBEgmyP/2zRV/HCLY/qe8l"
+    "uBkHuj9ABjJLyQO+Py7jDflK/8A/jHt30p/7wj8SyQs/w/bEP1jqMl+V8MY/VfOHaPbo"
+    "yD/ua9inxt/KPz9ZIoPm1Mw/p7GQezbIzj/HDbuXy1zQP47rIq50VNE/iVlF8AZL0j+g"
+    "9u3eckDTP4XvZw2pNNQ/Vyt2Ipon1T8OP0rZNhnWPx8YegJwCdc//k70hDb41z8JEvNe"
+    "e+XYP66Z7aYv0dk/ixaIjES72j+KCoJZq6PbP+P9onJVitw/RIGlWDRv3T82biCpOVLe"
+    "PzhXbh9XM98/dIzJSj8J4D/0vo8C0XfgP4ZzCcRZ5eA/5nTdrNJR4T9pa8jrNL3hP1qN"
+    "CsF5J+I/lTXUfpqQ4j96WbGJkPjiP5HX81hVX+M/FJgcd+LE4z/TeEOCMSnkP/L9fSw8"
+    "jOQ/9sBEPPzt5D/Wl9eMa07lP7htoA6EreU/KseUxz8L5j+065XTmGfmP7muz2SJwuY/"
+    "rNEVxAsc5z/E+T9RGnTnP2MzhIOvyuc/e/3P6cUf6D9f1x8rWHPoP4VL1QZhxeg/t3EL"
+    "VdsV6T+L4+kGwmTpP8Id9iYQsuk/k0lj2cD96T/IaGBcz0fqP8/fZAg3kOo/6lh7UPPW"
+    "6j/M+4rC/xvrPwn1ngdYX+s/3Ugs5Peg6z/f7FU42+DrP2ckLwD+Huw/axv8U1xb7D/W"
+    "u3Bo8pXsP1q57Y68zuw/9s+7NbcF7T9oMUXo3jrtPw4eTU8wbu0/oKUlMaif7T9/jONx"
+    "Q8/tP15SkBP//O0/J1daNtgo7j84G8MYzFLuPy+YyxfYeu4/tK8er/mg7j/WrTl5LsXu"
+    "PwLdki905+4/2im+qsgH7z/f1Y/iKSbvP9M4Pe6VQu8/YpJ7BAtd7z+B8Jx7h3XvP700"
+    "q8kJjO8/LE6BhJCg7z8i1+JhGrPvP5mAkjemw+8/+Uto+zLS7z8uPWrDv97vP42L78VL"
+    "6e8/6ebqWdbx7z/M2tz3XvjvP3Datz7l/O8/CLKQJ2n/7z97YZ4+VwuQP8T/ohlVCpA/"
+    "c6Xl31AIkD+AH9ixSgWQPzmVIsBCAZA/c/FAl3L4jz/J57hKXeyPP8WgFl1G3o8/GrcL"
+    "sS7Ojz9gjYNJF7yPP3EIk0kBqI8/AkRm9O2Rjz/DQiyt3nmPPwCcAPfUX48/MCfTdNJD"
+    "jz/Ppk3p2CWPP5h2tzbqBY8/HjvXXgjkjj94l9KCNcCOPz7qC+Nzmo4/WhT+3sVyjj+p"
+    "SRb1LUmOPyXyi8KuHY4/pJo2A0vwjT/I92GRBcGNP7kAoGXhj40/xyGZluFcjT8ri9pY"
+    "CSiNP16eov5b8Yw/5H6r99y4jD8ax/PQj36MP7pnhTR4Qow/u7I66ZkEjD/Hl4HS+MSL"
+    "PyMTHfCYg4s/NtfkXX5Aiz/LMINTrfuKPz4qMSQqtYo/+PZwPvlsij9ZpMYrHyOKP/ka"
+    "b5Cg14k/eG4VK4KKiT+/hobUyDuJPz0nY39564g/Tk7QN5mZiD9IAyYjLUaIP1qJnH86"
+    "8Yc/eQT4o8aahz8GlDL/1kKHP13jJBhx6YY/nEEtjZqOhj9kONUTWTKGPyKydXiy1IU/"
+    "L67Znax1hT+Fjt98TRWFP3kDGSSbs4Q/W5Bpt5tQhD/1yqNvVeyDPwQ2JZrOhoM/J+Rw"
+    "mA0ggz/9xsjfGLiCP4HLxfj2ToI/aLfufq7kgT+53E0gRnmBPx2gBZ3EDIE/rtzjxjCf"
+    "gD+zKfSAkTCAP4EhIn7bgX8/J1noCpmgfj+Pl4rQab19P6YTURZc2Hw/cOyWQX7xez8Q"
+    "jOLU3gh7Pw1A/G6MHno/Rv4CypUyeT9NjH+6CUV4P8XsdS73VXc/3kZ1LG1ldj/aRKbS"
+    "enN1P6cR2FUvgHQ/U/OLAJqLcz9gnP8xypVyP5SMNl3PnnE/GVICCLmmcD/aOxSULVtv"
+    "P5VKpJfwZm0/5EWGi9pwaz89j2b+CnlpPycU5Zqhf2c/Lwu8Jb6EZT9FwwZ8gIhjPywx"
+    "y5EIi2E/zwBF4uwYXz8nAdd11BlbP7aSllcIGVc/0dnZXckWUz8m+x2XsiZOP10S8+z6"
+    "HUY/eiQEOkYoPD/fQhPd0DEoPw=="
+)
+
+
 @functools.cache
 def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Legendre nodes and weights on (0, 1), _GL_NODES of each."""
-    # imported here: only kernel certification needs numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-    t, w = leggauss(_GL_NODES)
-    return (t + 1.0) / 2.0, w / 2.0
+    """Gauss–Legendre nodes and weights on (0, 1), _GL_NODES of each,
+    read-only."""
+    half = np.frombuffer(binascii.a2b_base64(_GL_HALF), dtype="<f8")
+    x, w = half[:_GL_NODES // 2], half[_GL_NODES // 2:]
+    u = (np.concatenate([-x[::-1], x]) + 1.0) / 2.0
+    w = np.concatenate([w[::-1], w]) / 2.0
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
 
 
 def _tail(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:

@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+# numpy loads numpy.fft on first use; loading it here, before cli forks,
+# spares each child the import
+import numpy.fft
 
 from .grid import GridFunction
 from .kernels import Kernel, certified, evaluate

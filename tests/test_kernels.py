@@ -26,7 +26,7 @@ from lpsquare.kernels import (
     poisson_derivative_kernel,
     shipped_kernels,
 )
-from lpsquare.kernels import _tail
+from lpsquare.kernels import _GL_NODES, _tail, _unit_rule
 from lpsquare.report import _SCHEMA
 
 
@@ -161,6 +161,25 @@ def test_tail_rule_matches_closed_forms():
     exact = B * B * (1.0 + B * B) ** -1.5 / (2.0 * math.pi)
     got = _tail(lambda r: evaluate(k2, r) * r, B)
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_unit_rule_is_leggauss_bit_for_bit():
+    # the shipped half-rule spares launches this eigen-solve
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(_GL_NODES)
+    u, v = _unit_rule()
+    for got, want in ((u, (t + 1.0) / 2.0), (v, w / 2.0)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_unit_rule_is_read_only():
+    # cached, so every later certification reads the same arrays
+    assert _unit_rule() is _unit_rule()
+    for a in _unit_rule():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
 
 
 # kernel_check.csv's residual cells as the adaptive-quadrature tails gave

@@ -1,6 +1,7 @@
 """What a launch loads: each subcommand imports only the library modules it
-runs, no launch imports numpy.ma or a process pool, and README's library
-example runs.
+runs, no launch imports numpy.ma, numpy.polynomial or a process pool,
+importing cli leaves OpenBLAS one thread unless the caller set a count, and
+README's library example runs.
 
 Every check runs in a fresh interpreter, so no other test's imports count.
 """
@@ -62,17 +63,45 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command):
     ours, numpy = launch(f"assert lpsquare.cli.main({argv!r}) == 0")
     assert ours == BASE | RUNS[command]
     assert "numpy.ma" not in numpy
-    # Gauss–Legendre nodes load with the first kernel certification
-    assert ("numpy.polynomial" in numpy) == ("lpsquare.kernels" in ours)
+    # the Gauss–Legendre rule ships as data, so no launch solves for it
+    assert "numpy.polynomial" not in numpy
 
 
-def test_gauss_legendre_nodes_load_on_first_certification():
-    ours, numpy = launch("import lpsquare.kernels")
+def test_kernel_certification_loads_no_numpy_polynomial():
+    ours, numpy = launch("import lpsquare.kernels",
+                         "lpsquare.kernels.kernel_registry('gauss-derivative', 1)",
+                         "lpsquare.kernels.kernel_registry('gauss-derivative', 2)")
     assert "lpsquare.kernels" in ours
     assert "numpy.polynomial" not in numpy
-    _, numpy = launch("import lpsquare.kernels",
-                      "lpsquare.kernels.kernel_registry('gauss-derivative', 1)")
-    assert "numpy.polynomial" in numpy
+
+
+def test_importing_operators_loads_numpy_fft():
+    # so that forked children inherit it rather than each importing it
+    _, numpy = launch("import lpsquare.operators")
+    assert "numpy.fft" in numpy
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="no /proc/self/status to count threads in")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_importing_cli_runs_openblas_on_one_thread_unless_set(setting,
+                                                              threads):
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS runs no more threads than there are CPUs")
+    # the environment is built here: once a test has imported cli
+    # in-process, this process carries OPENBLAS_NUM_THREADS too
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    script = "\n".join([
+        "import os, re", "import lpsquare.cli",
+        "print(os.environ['OPENBLAS_NUM_THREADS'])",
+        "print(re.search(r'^Threads:\\s*(\\d+)$', "
+        "open('/proc/self/status').read(), re.M)[1])"])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == [setting or "1", str(threads)]
 
 
 def test_readme_python_example_runs():
