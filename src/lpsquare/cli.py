@@ -18,7 +18,7 @@ subcommand imports the other modules it runs where it uses them, before
 it forks, so that the children inherit them.  main freezes every object
 at interpreter exit, so that finalization's collections skip them; it
 returns its exit status rather than ending the process, since scripts and
-tests call it in-process.  Importing this module before numpy sets
+tests call it in-process.  Importing this module sets
 OPENBLAS_NUM_THREADS to 1 unless the caller set it.
 """
 
