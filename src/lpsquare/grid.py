@@ -6,8 +6,10 @@ blocks; each function is written once for every n.  Integrals are cell
 sums with volume h^n, h = L/N; essential infimum/supremum are plain
 min/max over samples, since on a grid every nonempty sample set has
 positive measure.  A family scan (family_values) reads one table per level
-of a DyadicFamily, levels 0..max_level laid end to end; cube_region gives
-the flat sample indices of any single cube.  The level-k block b has axis
+of a DyadicFamily, levels 0..max_level laid end to end; the block sums and
+minima it re-reads are kept in the function's BlockPyramid, any other
+table is reduced from level_blocks by its one scan.  cube_region gives the
+flat sample indices of any single cube.  The level-k block b has axis
 indices np.unravel_index(b, (2^k,) * n), the one map behind dyadic_cube,
 dyadic_address, block_cells and block_children.
 """
@@ -275,15 +277,17 @@ def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
 
 
 class BlockPyramid:
-    """Per-level dyadic block tables of one sampled function.
+    """The dyadic block sums and minima of one sampled function.
 
     A level-k table holds one entry per level-k dyadic block, in the order
     of level_blocks, so entry b belongs to the cube at dyadic_address
-    (k, b).  Each table is built the first time one of its levels is read
-    and kept, so a scan pays only for the levels it reads.  Min is built
-    bottom-up, exactly: the finest level is a view of the samples and each
-    coarser level the element-wise min of its children's entries.  The
-    other tables are reduced from level_blocks.  Tables are read-only.
+    (k, b).  Only these two tables are kept, each level built the first
+    time it is read: every family scan and the decomposition re-read them,
+    while each other per-level quantity is read by one scan only, which
+    reduces it from level_blocks itself.  Sums are reduced from
+    level_blocks; minima are built bottom-up, exactly: the finest level is
+    a view of the samples and each coarser level the element-wise min of
+    its children's entries.  Tables are read-only.
     """
 
     def __init__(self, values: np.ndarray, n: int):
@@ -291,7 +295,7 @@ class BlockPyramid:
         self.n = n
         self.N = values.shape[0]
         self.depth = self.N.bit_length() - 1
-        self._tables: dict[tuple, np.ndarray] = {}
+        self._tables: dict[tuple[str, int], np.ndarray] = {}
 
     def count(self, k: int) -> int:
         """Samples in one level-k block."""
@@ -300,8 +304,9 @@ class BlockPyramid:
     def blocks(self, k: int) -> np.ndarray:
         return level_blocks(self.values, self.n, k)
 
-    def table(self, key, k, build: Callable[[int], np.ndarray]) -> np.ndarray:
-        """The table named key at level k, built as build(k) on first read."""
+    def _kept(self, key: str, k: int, build: Callable[[int], np.ndarray]
+              ) -> np.ndarray:
+        """The level-k table named key, built as build(k) on first read."""
         out = self._tables.get((key, k))
         if out is None:
             out = build(k)
@@ -310,44 +315,28 @@ class BlockPyramid:
         return out
 
     def sum(self, k: int) -> np.ndarray:
-        return self.table("sum", k, lambda k: self.blocks(k).sum(axis=1))
+        return self._kept("sum", k, lambda k: self.blocks(k).sum(axis=1))
 
     def mean(self, k: int) -> np.ndarray:
         """Block means, read from the sum table; equal bit for bit to
         blocks(k).mean(axis=1), which divides the same row sums."""
         return self.sum(k) / self.count(k)
 
-    def _coarsen(self, finer: Callable[[int], np.ndarray], k: int,
-                 op: np.ufunc) -> np.ndarray:
-        """op over the 2^n children of each level-k block, read from the
-        level-(k+1) table finer(k + 1); at the finest level, the samples."""
-        if k == self.depth:
-            return self.values.reshape(-1)
-        t = finer(k + 1).reshape((1 << k, 2) * self.n)
-        # pair axes 2n-1, ..., 3, 1: the child index along each axis
-        for axis in range(2 * self.n - 1, 0, -2):
-            lead = (slice(None),) * axis
-            t = op(t[lead + (0,)], t[lead + (1,)])
-        return t.ravel()
-
     def min(self, k: int) -> np.ndarray:
-        return self.table("min", k, lambda k: self._coarsen(
-            self.min, k, np.minimum))
+        def build(k):
+            if k == self.depth:
+                return self.values.reshape(-1)
+            t = self.min(k + 1).reshape((1 << k, 2) * self.n)
+            # pair axes 2n-1, ..., 3, 1: the child index along each axis
+            for axis in range(2 * self.n - 1, 0, -2):
+                lead = (slice(None),) * axis
+                t = np.minimum(t[lead + (0,)], t[lead + (1,)])
+            return t.ravel()
+        return self._kept("min", k, build)
 
     def absdev(self, k: int) -> np.ndarray:
-        """Σ_Q |v - v_Q| per block, v_Q the block mean."""
-        def build(k):
-            return np.abs(self.blocks(k) - self.mean(k)[:, None]).sum(axis=1)
-        return self.table("absdev", k, build)
-
-    def power(self, s: float) -> np.ndarray:
-        """All samples raised to the power s, in the shape of values."""
-        return self.table("power", s, lambda s: self.values ** s)
-
-    def power_sums(self, s: float, k: int) -> np.ndarray:
-        """Σ_Q v^s per level-k block."""
-        return self.table(("power_sums", s), k, lambda k: level_blocks(
-            self.power(s), self.n, k).sum(axis=1))
+        """Σ_Q |v - v_Q| per block, v_Q the block mean; not kept."""
+        return np.abs(self.blocks(k) - self.mean(k)[:, None]).sum(axis=1)
 
 
 def family_values(grid, family: DyadicFamily,

@@ -2,11 +2,11 @@
 
 Three functionals share one scan pattern: a per-cube quantity maximized over
 a DyadicFamily, with the first attaining cube recorded so every reported
-supremum is witnessed.  Each level of the family reads its quantities from
-one reduction of the function's block pyramid; single_cube_value gathers
-the samples of any one cube and is the per-cube reference.  The per-cube
-quantities (ω a weight, Q a cube, f_Q the plain mean, h^n the cell
-volume):
+supremum is witnessed.  Each level of the family reduces its quantities
+from the level's blocks and the pyramids' sums and minima;
+single_cube_value gathers the samples of any one cube and is the per-cube
+reference.  The per-cube quantities (ω a weight, Q a cube, f_Q the plain
+mean, h^n the cell volume):
 
   bmo    (1/ω(Q)) Σ_Q |f - f_Q| h^n
   blo    (1/ω(Q)) Σ_Q (f - min_Q f) h^n
@@ -85,26 +85,26 @@ def _deviation(fp: BlockPyramid, k: int) -> np.ndarray:
 
 
 def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
-                  p: float | None) -> np.ndarray:
-    """single_cube_value of every level-k dyadic cube, in block order."""
-    fp, wp = f.pyramid, w.pyramid
+                  p: float | None, w_pow: np.ndarray | None) -> np.ndarray:
+    """single_cube_value of every level-k dyadic cube, in block order;
+    for blo_p, w_pow is ω^{1-p}."""
+    fp = f.pyramid
     hn = (f.L / f.N) ** f.n
-    wq = wp.sum(k) * hn
+    wq = w.pyramid.sum(k) * hn
     if kind == "bmo":
         return fp.absdev(k) * hn / wq
     if kind == "blo":
-        dev = fp.table("blo", k, lambda k: _deviation(fp, k).sum(axis=1))
-        return dev * hn / wq
-    dev = fp.table((kind, p, wp), k, lambda k: (
-        _deviation(fp, k) ** p
-        * level_blocks(wp.power(1.0 - p), f.n, k)).sum(axis=1))
+        return _deviation(fp, k).sum(axis=1) * hn / wq
+    dev = (_deviation(fp, k) ** p
+           * level_blocks(w_pow, f.n, k)).sum(axis=1)
     return (dev * hn / wq) ** (1.0 / p)
 
 
 def _scan(kind: str, f: GridFunction, w: Weight, cubes: DyadicFamily,
           p: float | None) -> OscillationReport:
+    w_pow = w.values ** (1.0 - p) if kind == "blo_p" else None
     vals = family_values(
-        f, cubes, lambda k: (_level_values(kind, f, w, k, p),))[0]
+        f, cubes, lambda k: (_level_values(kind, f, w, k, p, w_pow),))[0]
     i = int(np.argmax(vals))
     return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
 

@@ -2,9 +2,9 @@
 
 All constants here are family-relative: the supremum over every ball is
 unattainable on a grid, so each functional scans the cubes of a
-DyadicFamily, reading one table per dyadic level from the weight's block
-pyramid, and reports the maximum.  Enlarging the family can only increase
-the value.
+DyadicFamily, reading per dyadic level the block sums and minima of the
+weight's pyramid (A_p also reduces the blocks of one power of the weight),
+and reports the maximum.  Enlarging the family can only increase the value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BlockPyramid, Cube, DyadicFamily, GridFunction, family_values
+from .grid import (BlockPyramid, Cube, DyadicFamily, GridFunction,
+                   family_values, level_blocks)
 
 __all__ = [
     "Weight",
@@ -95,11 +96,12 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
     pyr = w.pyramid
-    s = 1.0 - p / (p - 1.0)
+    w_pow = w.values ** (1.0 - p / (p - 1.0))
 
     def level_values(k):
         cnt = pyr.count(k)
-        return ((pyr.sum(k) / cnt) * (pyr.power_sums(s, k) / cnt) ** (p - 1.0),)
+        pow_sums = level_blocks(w_pow, w.n, k).sum(axis=1)
+        return ((pyr.sum(k) / cnt) * (pow_sums / cnt) ** (p - 1.0),)
 
     return float(family_values(w.base, cubes, level_values)[0].max())
 

@@ -156,7 +156,8 @@ def test_manifest_kernels_share_one_record_shape(tmp_path, n, N):
     assert set(suite_record) == keys | {"lambda_star"}
     # each record's certificate is the kernel_check.csv row of its kernel
     csv_path = tmp_path / "kernel-check" / "out" / "kernel_check.csv"
-    rows = {row["kernel"]: row for row in csv.DictReader(csv_path.open())}
+    with csv_path.open() as fh:
+        rows = {row["kernel"]: row for row in csv.DictReader(fh)}
     for record in [*records["kernel-check"], operators_record, suite_record]:
         row = rows[record["name"]]
         assert (int(row["n"]), float(row["residual"]), float(row["c1"]),

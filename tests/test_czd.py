@@ -9,7 +9,9 @@ first-in first-out queue of single blocks, pins node ids, parents and
 generation order exactly, in 1D and 2D.
 """
 
+import dataclasses
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -890,6 +892,26 @@ def test_jn_strict_flag_returns_report():
     rep = jn_blo_verify(f, w, Cube((0.5,), 1.0, level=0), [0.01],
                         strict=False)
     assert rep.rows[0].bound > 0
+
+
+@pytest.mark.parametrize("verify", [jn_blo_verify, jn_bmo_verify])
+def test_jn_strict_mode_refuses_a_violated_tail_bound(verify):
+    # a norm 1e-3 times the true one shrinks the bound far below the tails
+    f = _rough_function(256, 26)
+    w = weight_from(regularized_power(256, 0.2))
+    local = cube_local_constants(f, w, BOX)
+    small = dataclasses.replace(local, blo=local.blo * 1e-3,
+                                bmo=local.bmo * 1e-3)
+    lams = np.linspace(0.0, 0.5, 11)
+    rep = verify(f, w, BOX, lams, strict=False, local=small)
+    assert not rep.all_ok
+    first = next(r for r in rep.rows if r.measured > r.bound * (1 + 1e-12))
+    with pytest.raises(ValueError, match=re.escape(
+            f"tail bound violated at lambda={first.lam}: "
+            f"measured {first.measured} > bound {first.bound}")):
+        verify(f, w, BOX, lams, local=small)
+    # the true constants pass the same thresholds
+    assert verify(f, w, BOX, lams, local=local).all_ok
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from lpsquare.czd import cube_local_constants, cz_decompose
 from lpsquare.grid import (
     BlockPyramid,
     Cube,
@@ -222,6 +223,38 @@ def test_mean_tables_equal_the_block_mean_formula(n, N):
         assert pyr.absdev(k).tobytes() == dev.sum(axis=1).tobytes()
         low = blocks - blocks.min(axis=1, keepdims=True)
         assert _deviation(pyr, k).tobytes() == low.tobytes()
+
+
+PYRAMID_READERS = [
+    lambda f, w, cubes: a1_constant(w, cubes),
+    lambda f, w, cubes: ap_constant(w, 1.5, cubes),
+    lambda f, w, cubes: ap_constant(w, 3.0, cubes),
+    lambda f, w, cubes: doubling_report(w, cubes).ratios.tobytes(),
+    lambda f, w, cubes: doubling_report(w, cubes).constant,
+    lambda f, w, cubes: bmo_norm(f, w, cubes),
+    lambda f, w, cubes: blo_constant(f, w, cubes),
+    lambda f, w, cubes: blo_p_norm(f, w, 2.0, cubes),
+    lambda f, w, cubes: blo_p_norm(f, w, 3.0, cubes),
+    lambda f, w, cubes: cube_local_constants(f, w, cubes[0]),
+    lambda f, w, cubes: cz_decompose(f, w, cubes[0], sigma=1.2),
+]
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_pyramids_keep_only_sums_and_minima(n, N):
+    # every other per-level quantity is read by one scan only, so keeping
+    # it would hold memory that no later read uses
+    f, w = random_pair(n, N)
+    cubes = family(f, "depth")
+    shared = [read(f, w, cubes) for read in PYRAMID_READERS]
+    assert shared[-1].blocks_visited > 0
+    for pyr in (f.pyramid, w.pyramid):
+        assert {key for key, _ in pyr._tables} == {"sum", "min"}
+    # each reader gives the same bits on pyramids of its own
+    for read, value in zip(PYRAMID_READERS, shared):
+        g = GridFunction(n, 1.0, N, f.values)
+        v = Weight(GridFunction(n, 1.0, N, w.values))
+        assert read(g, v, cubes) == value
 
 
 def per_record_margin(rows):
