@@ -38,7 +38,6 @@ import signal
 import sys
 import traceback
 from pathlib import Path
-from types import SimpleNamespace
 
 # Set before numpy first loads, so that OpenBLAS starts no worker threads:
 # no BLAS call is left in the library, and the --jobs children are its only
@@ -47,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .grid import Cube, DyadicFamily, dyadic_cubes, grid_function
+from .grid import Cube, dyadic_cubes, grid_function
 from .report import (
     RunManifest,
     RunConfig,
@@ -76,12 +75,6 @@ def _make_scales(cfg: RunConfig):
     """The configured scale window; an unset endpoint keeps its default."""
     from .operators import default_scales
     return default_scales(cfg, cfg.M, cfg.t_min, cfg.t_max)
-
-
-@functools.lru_cache(maxsize=8)
-def _family(n: int, L: float, N: int, max_level: int) -> DyadicFamily:
-    """The dyadic cubes of one grid geometry, built once per process."""
-    return dyadic_cubes(SimpleNamespace(n=n, L=L, N=N), max_level)
 
 
 @functools.lru_cache(maxsize=8)
@@ -280,14 +273,14 @@ def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
 def _weights_row(entry, cfg):
     n, L, N = cfg.n, cfg.L, cfg.N
     _, w = entry.realize(n, L, N, cfg.seed)
-    family = _family(n, L, N, cfg.max_level)
+    family = dyadic_cubes(cfg, cfg.max_level)
     a1 = a1_constant(w, family)
     a2 = ap_constant(w, 2.0, family)
     doubling = doubling_report(w, family)
     # the 2N grid holds the N grid's samples, so a function that is not
     # constant at N is not constant at 2N: only the weight is realized
     w2 = entry.weight_on(n, L, 2 * N, cfg.seed)
-    a1_fine = a1_constant(w2, _family(n, L, 2 * N, cfg.max_level))
+    a1_fine = a1_constant(w2, dyadic_cubes(w2, cfg.max_level))
     stability = abs(a1_fine - a1) / a1
     name, margin = entry.name, doubling.margin
     criteria = [
@@ -403,7 +396,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
 
 def _theorem_rows(kernel, lam, entries, cfg):
     from .oscillation import blo_constant, bmo_norm
-    family = _family(cfg.n, cfg.L, cfg.N, cfg.max_level)
+    family = dyadic_cubes(cfg, cfg.max_level)
     for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
                                                          (lam,)):
         bmo_rep = bmo_norm(f, w, family)
@@ -471,7 +464,7 @@ def _jn_row(entry, cfg):
          f"worst-margin={rep_blo.worst_margin:.4f}"),
         (f"tail-bmo:{name}", rep_bmo.all_ok,
          f"worst-margin={rep_bmo.worst_margin:.4f}")]
-    family = _family(n, L, cfg.N, cfg.max_level)
+    family = dyadic_cubes(cfg, cfg.max_level)
     a1 = a1_constant(w, family)
     blo_rep = blo_constant(f, w, family)
     blo = blo_rep.value

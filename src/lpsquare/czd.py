@@ -39,7 +39,6 @@ from .grid import (
     GridFunction,
     block_cells,
     block_children,
-    distinct_sorted,
     dyadic_address,
     dyadic_cube,
 )
@@ -80,12 +79,6 @@ class InvariantRecord:
     bound: float
     ok: bool
 
-    @property
-    def margin(self) -> float:
-        if self.value == 0.0:
-            return float("inf")
-        return self.bound / self.value
-
 
 @dataclass(frozen=True)
 class LocalConstants:
@@ -103,10 +96,7 @@ class DecompositionTree:
     root: Cube
     sigma: float
     max_gen: int
-    a_w: float
-    a1_local: float
-    min_w: float
-    blo_norm: float
+    local: LocalConstants  # cube_local_constants(f, w, root)
     generations: tuple[tuple[SelectedCube, ...], ...]
     checks: tuple[InvariantRecord, ...]
     blocks_visited: int  # frontier blocks whose children the descent tested
@@ -181,9 +171,8 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
 
     generations: list[list[SelectedCube]] = [[] for _ in range(max_gen)]
     if norm == 0.0:
-        return DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
-                                 0.0, tuple(tuple(g) for g in generations),
-                                 (), 0)
+        return DecompositionTree(Q, sigma, max_gen, local,
+                                 tuple(tuple(g) for g in generations), (), 0)
 
     T = a_w * sigma
     blocks = np.array([b0])
@@ -216,8 +205,8 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         blocks, m_s, gen, pid = blocks[keep], m_s[keep], gen[keep], pid[keep]
 
     checks = _verify_tree(f, (kq, b0), sigma, a_w, norm, generations)
-    return DecompositionTree(Q, sigma, max_gen, a_w, local.a1, local.min_w,
-                             norm, tuple(tuple(g) for g in generations),
+    return DecompositionTree(Q, sigma, max_gen, local,
+                             tuple(tuple(g) for g in generations),
                              tuple(checks), visited)
 
 
@@ -336,7 +325,7 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
     gv = np.abs(g.values[cells].ravel())
     wv = _mu_weights("weight", w, cells, None)
     lhs = float((gv**p * wv).sum())
-    levels = distinct_sorted(gv)
+    levels = np.unique(gv)
     if mode == "auto":
         mode = "step" if levels.size <= 1024 else "trapezoid"
     if mode == "step":
@@ -376,8 +365,6 @@ class JnRow:
 class JnReport:
     kind: str
     rows: tuple[JnRow, ...]
-    a_w: float
-    norm: float
     worst_margin: float
 
     @property
@@ -412,7 +399,7 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
             bound = c1 * m_q
         rows.append(JnRow(float(lam), measured, bound))
     worst = min((r.margin for r in rows), default=float("inf"))
-    rep = JnReport(kind, tuple(rows), local.a_w, norm, worst)
+    rep = JnReport(kind, tuple(rows), worst)
     if strict and not rep.all_ok:
         bad = [r for r in rep.rows if r.measured > r.bound * (1 + 1e-12)]
         raise ValueError(

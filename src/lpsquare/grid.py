@@ -38,7 +38,6 @@ __all__ = [
     "level_blocks",
     "BlockPyramid",
     "family_values",
-    "distinct_sorted",
     "periodic_displacement",
 ]
 
@@ -128,16 +127,6 @@ class Cube:
         if not self.side > 0:
             raise ValueError("cube side must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-
-def distinct_sorted(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1D array in ascending order, as np.unique
-    gives them for finite input.  np.unique is not used because its first
-    call imports numpy.ma."""
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def periodic_displacement(x: np.ndarray, c: float, L: float) -> np.ndarray:

@@ -177,10 +177,11 @@ def _require_dimension(n: int, f: GridFunction) -> None:
 
 def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
                 volume_factor: float) -> float:
-    h = f.L / f.N
-    l1 = float(np.abs(f.values).sum()) * h**f.n
+    """(C1 ||f||_1 t_max^{-n})^2 / (2n) times volume_factor, computed as
+    (C1 Σ|f| (h/t_max)^n)^2 / (2n) so that no factor scales with L."""
     n = f.n
-    return (kernel.report.c1 * l1) ** 2 * scales.t_max ** (-2 * n) / (2 * n) * volume_factor
+    decay = float(np.abs(f.values).sum()) * (f.L / f.N / scales.t_max) ** n
+    return (kernel.report.c1 * decay) ** 2 / (2 * n) * volume_factor
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -267,9 +268,13 @@ def _parse_params(name: str, kind: type, family: str,
         raise ValueError(f"corpus entry {name!r}: {exc}") from None
 
 
+# Characters an entry name may not hold: the name becomes part of output
+# file names, a CSV cell, and string literals of the plot scripts.
+_NAME_FORBIDDEN = '/\0,"\\\r\n'
+
+
 def _parse_entry(name: str, text: str) -> CorpusEntry:
-    # the name becomes part of output file names
-    if name in ("", ".", "..") or "/" in name or "\0" in name:
+    if name in ("", ".", "..") or any(c in name for c in _NAME_FORBIDDEN):
         raise ValueError(f"corpus entry name {name!r} is not a plain "
                          "file name")
     m = _ENTRY_RE.match(text)
@@ -394,6 +399,32 @@ def _convert(section: str, key: str, text: str):
     return value
 
 
+def _normal_power(x: float, n: int) -> bool:
+    """Whether x**n is a positive normal float."""
+    try:
+        return sys.float_info.min <= x**n <= sys.float_info.max
+    except OverflowError:
+        return False
+
+
+def _check_scaling(n: int, L: float, N: int, t_min: float | None,
+                   t_max: float | None) -> None:
+    """Refuses a grid whose squared spacing (L/N)^2 or squared side L^2, or
+    a set scale window endpoint whose t^n, is not a positive normal float.
+    Every squared distance of the grid lies between the first two, which
+    in 2D are the cell and box volumes and in 1D bound them; sampled
+    kernels scale by t^-n.  The default endpoints 2h and L/4 lie between
+    L/N and L wherever the default window is not empty (N >= 16)."""
+    if not (_normal_power(L / N, 2) and _normal_power(L, 2)):
+        raise ValueError(f"grid.L={L!r}: the squared spacing (L/N)^2 or the "
+                         f"squared side L^2 of the N={N} grid is not a "
+                         f"positive normal float")
+    for key, t in (("t_min", t_min), ("t_max", t_max)):
+        if t is not None and not _normal_power(t, n):
+            raise ValueError(f"scales.{key}={t!r}: t^{n} on the {n}D grid "
+                             f"is not a positive normal float")
+
+
 def load_config(path: str | Path | None = None,
                 overrides: tuple[str, ...] = ()) -> RunConfig:
     """Defaults, then the INI file at path, then section.key=value
@@ -419,6 +450,7 @@ def load_config(path: str | Path | None = None,
         text[section][key] = value
     values = {key: _convert(section, key, text[section][key])
               for section, keys in _SCHEMA.items() for key in keys}
+    _check_scaling(*(values[k] for k in ("n", "L", "N", "t_min", "t_max")))
     return RunConfig(**values,
                      corpus=_corpus_of(text["corpus"]) or default_corpus(),
                      text=text)

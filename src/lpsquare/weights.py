@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .grid import (BlockPyramid, Cube, DyadicFamily, GridFunction,
-                   family_values, level_blocks)
+from .grid import (BlockPyramid, DyadicFamily, GridFunction, family_values,
+                   level_blocks)
 
 __all__ = [
     "Weight",
@@ -24,7 +23,6 @@ __all__ = [
     "a1_constant",
     "ap_constant",
     "power_weight",
-    "DoublingRecord",
     "DoublingReport",
     "doubling_report",
 ]
@@ -110,24 +108,15 @@ def power_weight(w: Weight, s: float) -> Weight:
     return Weight(w.base.with_values(w.base.values**s))
 
 
-@dataclass(frozen=True)
-class DoublingRecord:
-    cube: Cube
-    ratio: float
-    bound: float
-    ok: bool
-
-
 _SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class DoublingReport:
-    """Ratios ω(2Q)/ω(Q) of a cube family, one per entry of cubes, against
-    one bound.  Compare reports by their rows."""
+    """Ratios ω(2Q)/ω(Q) of a cube family, in the family's order, against
+    one bound."""
 
     constant: float
-    cubes: Sequence[Cube]
     ratios: np.ndarray
     bound: float
 
@@ -140,16 +129,6 @@ class DoublingReport:
         """Smallest bound/ratio over the positive ratios; inf if none."""
         quot = self.bound / self.ratios[self.ratios > 0]
         return float(quot.min()) if quot.size else float("inf")
-
-    @property
-    def rows(self) -> tuple[DoublingRecord, ...]:
-        """One record per ratio, built on demand."""
-        b = self.bound
-        return tuple(DoublingRecord(q, r, b, r <= b * (1 + _SLACK))
-                     for q, r in zip(self.cubes, self.ratios.tolist()))
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def _doubled(table: np.ndarray, k: int, n: int, op: np.ufunc) -> np.ndarray:
@@ -207,4 +186,4 @@ def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
 
     ratios, a1_q, a1_2q = family_values(g, cubes, level_values)
     a1 = float(max(a1_q.max(), a1_2q.max()))
-    return DoublingReport(a1, cubes, ratios, 2**g.n * a1)
+    return DoublingReport(a1, ratios, 2**g.n * a1)

@@ -5,6 +5,7 @@ import dataclasses
 import ctypes
 import gc
 import json
+import math
 import os
 import tempfile
 import time
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from lpsquare import cli, kernels, operators, report
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
-from lpsquare.grid import Cube, dyadic_cubes, grid_function
+from lpsquare.grid import Cube, dyadic_cubes
 from lpsquare.oscillation import single_cube_value
 from lpsquare.report import (FUNCTION_FAMILIES, WEIGHT_FAMILIES, _SCHEMA,
                              default_corpus, load_config)
@@ -598,10 +599,12 @@ def test_any_settings_give_a_verdict_and_a_manifest(command, items, entries):
         assert manifest["all_passed"] is (code == 0)
 
 
-@pytest.mark.parametrize("name", ["a/b", "..", ".", "", "a\0b"])
+@pytest.mark.parametrize("name", ["a/b", "..", ".", "", "a\0b", "a,b", 'a"b',
+                                  "a\\b", "a\rb", "a\nb"])
 def test_entry_name_that_is_not_a_file_name_is_refused(tmp_path, capsys,
                                                        name):
-    # the name is part of the jn_tail_* file names
+    # the name is part of the jn_tail_* file names, a CSV cell and string
+    # literals of the plot scripts
     assert_refused(tmp_path, capsys,
                    ("jn", "--set", "grid.N=64", "--set", "family.max_level=2",
                     "--set", f"corpus.{name}=sine(k=2) | constant()"),
@@ -653,12 +656,33 @@ def test_coarse_grid_runs_a_configured_scale_window(tmp_path, n):
     assert (out / "operators.csv").exists()
 
 
-def test_family_is_built_once_per_geometry():
-    family = cli._family(1, 1.0, 64, 3)
-    assert family is cli._family(1, 1.0, 64, 3)
-    assert family == dyadic_cubes(grid_function(1, 1.0, 64, np.zeros(64)), 3)
-    with pytest.raises(ValueError, match="too deep for N=4"):
-        cli._family(1, 1.0, 4, 3)
+@pytest.mark.parametrize("n,setting,refused", [
+    (2, "grid.L=1e80", None), (2, "grid.L=1e-100", None),
+    (1, "grid.L=1e150", None), (1, "grid.L=1e-150", None),
+    (1, "grid.L=1e160", "grid.L"),              # L^2 overflows
+    (1, "grid.L=1e-160", "grid.L"),             # (L/N)^2 underflows
+    (2, "grid.L=1e155", "grid.L"),
+    (2, "grid.L=1e-200", "grid.L"),
+    (2, "scales.t_max=1e160", "scales.t_max"),  # t^2 overflows
+    (2, "scales.t_min=1e-200", "scales.t_min"),  # t^2 underflows
+])
+@pytest.mark.parametrize("command", ["weights", "operators", "theorem-suite",
+                                     "jn"])
+def test_box_sides_and_scales_far_from_1_run_or_are_refused(
+        tmp_path, command, n, setting, refused):
+    code, _, manifest = run(tmp_path, command, "--set", f"grid.n={n}",
+                            "--set", setting, "--set", "grid.N=32",
+                            "--set", "scales.M=8",
+                            "--set", "family.max_level=3",
+                            "--set", "corpus.a=step() | constant()")
+    if refused:
+        assert code == 2
+        assert manifest["criteria"][-1]["detail"].startswith(refused)
+        return
+    assert code == 0
+    for entry in manifest["entries"]:
+        assert all(math.isfinite(v)
+                   for v in entry.get("tail_bounds", {}).values())
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])

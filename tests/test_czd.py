@@ -243,6 +243,18 @@ def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
             w.values.ravel()[cube_region(f, q)].min()
 
 
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_tree_holds_the_local_constants_of_its_root(n, N):
+    rng = np.random.default_rng(7)
+    w = Weight(gf(np.exp(0.5 * rng.standard_normal((N,) * n))))
+    # a constant function takes the early return of an empty tree
+    for f in (gf(rng.standard_normal((N,) * n)), gf(np.full((N,) * n, 3.25))):
+        for q in (Cube((0.5,) * n, 1.0, level=0), dyadic_cube(n, 1.0, 1, 1)):
+            local = cube_local_constants(f, w, q)
+            assert cz_decompose(f, w, q).local == local
+            assert cz_decompose(f, w, q, local=local).local == local
+
+
 def test_root_must_be_dyadic():
     f = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
@@ -273,8 +285,8 @@ def test_constant_function_gives_empty_tree():
     w = constant_weight(1, 1.0, 16)
     tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=math.e)
     assert tree.nodes == ()
-    assert tree.blo_norm == 0.0
-    assert tree.a_w == 1.0
+    assert tree.local.blo == 0.0
+    assert tree.local.a_w == 1.0
     assert tree.all_ok
 
 
@@ -320,7 +332,7 @@ def test_staircase_produces_nested_generations():
     tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=1.2,
                         max_gen=4)
     assert [len(g) for g in tree.generations] == [1, 1, 1, 0]
-    assert tree.blo_norm == pytest.approx(2.0)
+    assert tree.local.blo == pytest.approx(2.0)
     chain = [g[0] for g in tree.generations[:3]]
     assert [s.parent for s in chain] == [0, chain[0].id, chain[1].id]
     assert [s.cube.side for s in chain] == pytest.approx([0.25, 0.125, 0.03125])

@@ -10,7 +10,6 @@ from lpsquare.grid import (
     DyadicFamily,
     GridFunction,
     cube_region,
-    distinct_sorted,
     dyadic_address,
     dyadic_cubes,
     from_callable,
@@ -50,6 +49,14 @@ def test_dyadic_cube_counts():
     assert len(dyadic_cubes(f1, 3)) == 15
     f2 = make_grid(n=2, N=16)
     assert len(dyadic_cubes(f2, 2)) == 21
+
+
+def test_dyadic_cubes_refuses_a_level_the_grid_cannot_hold():
+    assert len(dyadic_cubes(make_grid(N=4), 2)) == 7
+    with pytest.raises(ValueError, match="too deep for N=4"):
+        dyadic_cubes(make_grid(N=4), 3)
+    with pytest.raises(ValueError, match="max_level must be >= 0"):
+        dyadic_cubes(make_grid(N=4), -1)
 
 
 def test_half_open_membership_1d():
@@ -192,19 +199,6 @@ def test_dyadic_family_is_the_loop_family_with_its_addresses(n, N, L):
         with pytest.raises(IndexError):
             family[len(expected)]
     assert dyadic_cubes(g, 1) != dyadic_cubes(g, 2)
-
-
-@pytest.mark.parametrize("values", [
-    [], [4], [1, 2, 3, 9], [9, 3, 1, 2], [5, 1, 5, 3, 1, 1], [2, 2, 2],
-    [-1, 0, 3, -1, 3, 0], [0.5, -0.0, 0.0, 2.5, 0.5, -1.5],
-])
-def test_distinct_sorted_equals_np_unique(values):
-    for dtype in (np.int64, float):
-        a = np.array(values, dtype=dtype)
-        got, want = distinct_sorted(a), np.unique(a)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert a.tolist() == np.array(values, dtype=dtype).tolist()
 
 
 def test_periodic_displacement_range():
