@@ -329,7 +329,9 @@ def _batched_results(kernel, entries, cfg, lams):
     built by the batch pass that computed the entry, shared by the
     batch_size entries of that pass.  Entries are realized only as
     square_functions draws them, one pass at a time, so that only one
-    pass's samples and fields are held."""
+    pass's samples and fields are held.  An operator that overflows on an
+    entry is refused naming the entry."""
+    from .operators import OperatorOverflow
     realized = collections.deque()
 
     def functions():
@@ -338,15 +340,22 @@ def _batched_results(kernel, entries, cfg, lams):
             realized.append((entry, f, w))
             yield f
 
-    for results in _operator_results(kernel, functions(), _make_scales(cfg),
-                                     lams):
-        entry, f, w = realized.popleft()
-        first = next(iter(results.values()))
-        yield entry, f, w, results, {
-            "name": entry.name,
-            "tail_bounds": {op: res.tail_bound for op, res in results.items()},
-            "spectra_built": first.spectra_built,
-            "batch_size": first.batch_size}
+    scales = _make_scales(cfg)
+    try:
+        for results in _operator_results(kernel, functions(), scales, lams):
+            entry, f, w = realized.popleft()
+            first = next(iter(results.values()))
+            yield entry, f, w, results, {
+                "name": entry.name,
+                "tail_bounds": {op: res.tail_bound
+                                for op, res in results.items()},
+                "spectra_built": first.spectra_built,
+                "batch_size": first.batch_size}
+    except OperatorOverflow as exc:
+        entry = next(e for e, f, _ in realized if f is exc.f)
+        raise ValueError(f"corpus entry {entry.name!r}: {exc} on the "
+                         f"{cfg.n}D N={cfg.N} grid over the scales "
+                         f"[{scales.t_min:g}, {scales.t_max:g}]") from None
 
 
 def _operators_rows(kernel, lam, entries, cfg):

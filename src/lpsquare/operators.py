@@ -6,11 +6,14 @@ none for the vertical operator, a cone |y-x| < t for the area integral,
 and the full box weighted by (t/(t+|x-y|))^{lambda n} for the starred form.
 
 psi_t(x) = t^{-n} psi(|x|/t) is sampled at the grid's displacements, each
-distance computed from the axis displacements scaled by 1/t.  Sampled
-kernels are mean-corrected so the discrete mass of psi_t vanishes; this
-folds the quadrature residual of the vanishing condition and the periodic
-truncation into a DC shift, pushing the response to constants down to float
-rounding.
+distance computed from the axis displacements scaled by 1/t.  Flipping the
+sign of an axis, and in 2D swapping the axes, permutes the grid's offsets
+and keeps each distance bit for bit, so kernels and masks are evaluated
+once per symmetry orbit, N/2+1 of them in 1D and (N/2+1)(N/2+2)/2 in 2D,
+and gathered to every offset.  Sampled kernels are mean-corrected so the
+discrete mass of psi_t vanishes; this folds the quadrature residual of the
+vanishing condition and the periodic truncation into a DC shift, pushing
+the response to constants down to float rounding.
 
 square_functions computes any set of operators for a batch of functions
 that share one geometry, in one pass over the scales: one forward FFT of
@@ -22,7 +25,11 @@ only on the geometry and the scale, so each is built once per scale, applied
 to every member of the batch and dropped; the results count them as
 spectra_built.  Every kernel is radial and every mask depends on |x-y|
 only, so their samples are exactly even on the periodic grid; the imaginary
-parts of their spectra are rounding noise and only the real parts are kept.
+parts of their spectra are rounding noise and only the real parts are kept,
+contiguous.  The scale loop writes into buffers allocated once per pass,
+by numpy's one-axis FFTs (the calls rfftn and irfftn make) and by in-place
+products in the operand order of the plain expressions, whose bits they
+keep.  An operator whose values overflow raises OperatorOverflow.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "ScaleGrid",
     "default_scales",
     "SquareFunctionResult",
+    "OperatorOverflow",
     "convolve",
     "OperatorSpec",
     "square_functions",
@@ -78,6 +86,8 @@ class ScaleGrid:
     def __post_init__(self) -> None:
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
+        if math.isinf(self.t_max / self.t_min):
+            raise ValueError("the ratio t_max/t_min overflows")
         if self.M < 2:
             raise ValueError("need at least two scale nodes")
 
@@ -119,30 +129,69 @@ class SquareFunctionResult:
     batch_size: int
 
 
+class OperatorOverflow(ValueError):
+    """An operator's values on the batch member f are not finite: the
+    squared fields |psi_t * f|^2 overflow the float range."""
+
+    def __init__(self, spec: OperatorSpec, f: GridFunction):
+        super().__init__(f"the {spec.name} operator overflows")
+        self.f = f
+
+
 @functools.lru_cache(maxsize=32)
-def _displacements(n: int, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(periodic displacement along one axis, |displacement| of grid
-    shape); shared across calls on the same geometry."""
-    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
-    dist = _radius(d, n)
-    d.setflags(write=False)
-    dist.setflags(write=False)
-    return d, dist
+def _orbits(n: int, L: float, N: int) -> tuple:
+    """The grid's offsets grouped into symmetry orbits, shared across calls
+    on the same geometry.
+
+    Flipping the sign of an axis, and in 2D swapping the axes, maps the
+    periodic grid's offsets onto one another and keeps |x|, so every radial
+    kernel and every mask takes one value per orbit.  An orbit is the
+    per-axis step counts |m| <= N/2 sorted ascending: N/2+1 of them in 1D
+    and (N/2+1)(N/2+2)/2 in 2D.  Returns (d, reps, where, dist): d[m] = m h
+    for m = 0..N/2; reps, per axis, the step count of each orbit; where, of
+    grid shape, the orbit of each offset; and dist, |x| at each orbit.
+    """
+    half = N // 2 + 1
+    d = np.arange(half) * (L / N)
+    fold = np.minimum(np.arange(N), N - np.arange(N))
+    steps = np.indices((half,) * n).reshape(n, -1)
+    reps = tuple(steps[:, (np.diff(steps, axis=0) >= 0).all(axis=0)])
+    ids = np.empty((half,) * n, dtype=np.intp)
+    ids[reps] = np.arange(reps[0].size)
+    where = ids[tuple(np.sort(np.meshgrid(*(fold,) * n, indexing="ij"),
+                              axis=0))]
+    dist = _radius(d, reps)
+    for a in (d, *reps, where, dist):
+        a.setflags(write=False)
+    return d, reps, where, dist
 
 
-def _radius(d: np.ndarray, n: int) -> np.ndarray:
-    """|x| on the grid from the displacement d along each axis, squares
-    summed in axis order; in 1D it is |d| bit for bit (barring underflow)."""
-    return np.sqrt(functools.reduce(np.add.outer, (d * d,) * n))
+def _radius(s: np.ndarray, reps: tuple) -> np.ndarray:
+    """|x| at each orbit from the displacement s[m] along an axis, the
+    squares summed in axis order.  A sum of two squares does not depend on
+    their order, so this is the radius of every offset of the orbit bit for
+    bit; in 1D it is |s| bit for bit (barring underflow)."""
+    sq = s * s
+    return np.sqrt(functools.reduce(np.add, [sq[r] for r in reps]))
 
 
-def _rfftn(a: np.ndarray, n: int) -> np.ndarray:
-    """Transform over the last n axes, so a stack transforms member-wise."""
-    return np.fft.rfftn(a, axes=tuple(range(-n, 0)))
+def _rfftn(a: np.ndarray, n: int, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Transform over the last n axes, so a stack transforms member-wise,
+    by the calls np.fft.rfftn makes, the complex ones in place."""
+    out = np.fft.rfft(a, out=out)
+    for axis in reversed(range(-n, -1)):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
-def _irfftn(spec: np.ndarray, n: int, N: int) -> np.ndarray:
-    return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(-n, 0)))
+def _irfftn(spec: np.ndarray, n: int, N: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _rfftn by the calls np.fft.irfftn makes, the complex ones
+    in place, so in 2D spec is overwritten."""
+    for axis in range(-n, -1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, N, out=out)
 
 
 def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -153,11 +202,12 @@ def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
 def _sampled_kernel(kernel: Kernel, n: int, L: float, N: int,
                     t: float) -> np.ndarray:
-    """Mean-corrected samples of psi_t(x) = t^{-n} psi(|x|/t)."""
+    """Mean-corrected samples of psi_t(x) = t^{-n} psi(|x|/t), the profile
+    evaluated once per orbit."""
     if not t > 0:
         raise ValueError("dilation parameter must be positive")
-    r = _radius(_displacements(n, L, N)[0] / t, n)
-    kern = evaluate(kernel, r.ravel()).reshape(r.shape) / t**n
+    d, reps, where, _ = _orbits(n, L, N)
+    kern = (evaluate(kernel, _radius(d / t, reps)) / t**n)[where]
     return kern - kern.mean()
 
 
@@ -188,24 +238,32 @@ def _tail_bound(kernel: Kernel, f: GridFunction, scales: ScaleGrid,
 # kernel and mask spectra
 
 
+def _real_spectrum(samples: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """The real part, contiguous, of the transform of samples times scale."""
+    spec = _rfftn(samples, n)
+    spec *= scale
+    return np.ascontiguousarray(spec.real)
+
+
 def _kernel_spectrum(kernel: Kernel, n: int, L: float, N: int,
                      t: float) -> np.ndarray:
     """Real part of the transform of the mean-corrected samples of psi_t,
     times h^n."""
-    kern = _sampled_kernel(kernel, n, L, N, t)
-    return (_rfftn(kern, n) * (L / N) ** n).real
+    return _real_spectrum(_sampled_kernel(kernel, n, L, N, t), n,
+                          (L / N) ** n)
 
 
 def _mask_spectrum(spec: OperatorSpec, n: int, L: float, N: int,
                    t: float) -> np.ndarray:
     """Real part of the transform of the spatial weight of spec, an "s" or
-    "gstar" operator, at scale t, times (h/t)^n."""
-    _, dist = _displacements(n, L, N)
+    "gstar" operator, at scale t, times (h/t)^n; the weight is computed
+    once per orbit."""
+    _, _, where, dist = _orbits(n, L, N)
     if spec.op == "s":
         weight = (dist < t).astype(float)
     else:
         weight = (t / (t + dist)) ** (spec.lam * n)
-    return (_rfftn(weight, n) * (L / N / t) ** n).real
+    return _real_spectrum(weight[where], n, (L / N / t) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +336,11 @@ def square_functions(kernel: Kernel, fs: Iterable[GridFunction],
         return iter(())
     _require_dimension(kernel.n, first)
     vols = [_tail_volume(spec, kernel, first, scales) for spec in specs]
-    # per member: its samples and transform, one accumulator per operator,
-    # and the per-scale field, its square, that square's transform and the
-    # products feeding them, each about 8 N^n bytes
+    # per member, each about 8 N^n bytes: its samples and transform, one
+    # accumulator per operator and, in 1D where the batch transforms
+    # stacked, its rows of the three per-scale buffers (2D passes hold one
+    # member's); one more array of headroom per member covers what a
+    # caller keeps beside each member, such as the CLI's weights
     size = max(1, STACK_BYTES // (8 * first.N**first.n * (len(specs) + 6)))
     return _passes(kernel, itertools.chain([first], members),
                    (first.n, first.L, first.N), scales, specs, vols, size)
@@ -298,13 +358,15 @@ def _passes(kernel: Kernel, members: Iterator[GridFunction], grid: tuple,
         del batch  # drop this pass before the next one is drawn
 
 
+# an overflow leaves a value that is not finite, refused at the end
+@np.errstate(over="ignore", invalid="ignore")
 def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
                 specs: tuple[OperatorSpec, ...], vols: list,
                 ) -> list[tuple[SquareFunctionResult, ...]]:
     """One pass over the scales for a batch held in memory at once."""
     n, L, N = fs[0].n, fs[0].L, fs[0].N
-    # 1D transforms run stacked over the batch; in 2D one rfft2 per member
-    # beats a stacked one
+    # 1D transforms run stacked over the batch; in 2D one member at a time
+    # beats a stacked transform
     step = len(fs) if n == 1 else 1
     fhat = _rfftn(np.stack([f.values for f in fs]), n)
     acc = [np.zeros((len(fs),) + fs[0].values.shape) if spec.op == "g"
@@ -312,22 +374,30 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
     # the distinct spatially summed operators, each mask built once per
     # scale like the kernel
     masks = dict.fromkeys(spec for spec in specs if spec.op != "g")
+    # the per-scale buffers of step members: fft(f) times the kernel
+    # spectrum, later the square's transform times a mask spectrum; the
+    # field psi_t * f, squared and then weighted in place; the square's
+    # transform
+    prod = np.empty_like(fhat[:step])
+    sq = np.empty((step,) + fs[0].values.shape)
+    sq_hat = np.empty_like(prod) if masks else None
     for t, w in zip(scales.nodes.tolist(), scales.weights.tolist()):
         kspec = _kernel_spectrum(kernel, n, L, N, t)
         mspec = {spec: _mask_spectrum(spec, n, L, N, t) for spec in masks}
         for lo in range(0, len(fs), step):
             part = slice(lo, lo + step)
-            F = _irfftn(fhat[part] * kspec, n, N)
-            sq = F * F
-            sq_hat = None
+            _irfftn(np.multiply(fhat[part], kspec, out=prod), n, N, out=sq)
+            sq *= sq
+            if masks:
+                _rfftn(sq, n, out=sq_hat)
+                sq_hat *= w
+            sq *= w
             for k, spec in enumerate(specs):
                 if spec.op == "g":
-                    acc[k][part] += w * sq
-                    continue
-                if sq_hat is None:
-                    sq_hat = _rfftn(sq, n) * w
-                acc[k][part] += sq_hat * mspec[spec]
-    del fhat
+                    acc[k][part] += sq
+                else:
+                    acc[k][part] += np.multiply(sq_hat, mspec[spec], out=prod)
+    del fhat, prod, sq, sq_hat
     built = scales.M * (1 + len(masks))
     results = [[] for _ in fs]
     for k, (spec, vol) in enumerate(zip(specs, vols)):
@@ -336,6 +406,8 @@ def _stack_pass(kernel: Kernel, fs: list[GridFunction], scales: ScaleGrid,
         # convolution roundoff can leave tiny negatives
         np.sqrt(np.maximum(vals, 0.0, out=vals), out=vals)
         for f, out, v in zip(fs, results, vals):
+            if not np.isfinite(v).all():
+                raise OperatorOverflow(spec, f)
             out.append(SquareFunctionResult(
                 f.with_values(v), _tail_bound(kernel, f, scales, vol),
                 spectra_built=built, batch_size=len(fs)))

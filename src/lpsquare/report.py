@@ -79,9 +79,19 @@ def _sine(coords, L, seeds, *, k=3.0, a=1.0, phase=0.0):
     return vals
 
 
-def _log_spike(coords, L, seeds, *, x0=0.3, eps=1.0 / 1024.0):
+def _distance_to(coords, L, x0, eps, family, singular):
+    """|x - x0 L| / L on the periodic box, floored at eps; refused where it
+    is 0 if singular, when the caller takes its log or a negative power."""
     d = np.sqrt(sum(periodic_displacement(c, x0 * L, L) ** 2 for c in coords))
-    return -np.log(np.maximum(d, eps * L) / L)
+    r = np.maximum(d, eps * L) / L
+    if singular and not r.min() > 0:
+        raise ValueError(f"{family} eps={eps} leaves the distance to "
+                         f"x0={x0} at 0 on a sample")
+    return r
+
+
+def _log_spike(coords, L, seeds, *, x0=0.3, eps=1.0 / 1024.0):
+    return -np.log(_distance_to(coords, L, x0, eps, "log-spike", True))
 
 
 def _random_martingale(coords, L, seeds, *, depth=8):
@@ -101,8 +111,8 @@ def _constant(coords, L, seeds, *, c=1.0):
 
 def _power_regularized(coords, L, seeds, *, alpha=0.25, x0=0.5,
                        eps=1.0 / 64.0):
-    d = np.sqrt(sum(periodic_displacement(c, x0 * L, L) ** 2 for c in coords))
-    return (np.maximum(d, eps * L) / L) ** alpha
+    return _distance_to(coords, L, x0, eps, "power-regularized",
+                        alpha < 0) ** alpha
 
 
 def _piecewise(coords, L, seeds, *, level=3, lo=2.0 / 3.0, hi=1.5):
@@ -414,7 +424,9 @@ def _check_scaling(n: int, L: float, N: int, t_min: float | None,
     Every squared distance of the grid lies between the first two, which
     in 2D are the cell and box volumes and in 1D bound them; sampled
     kernels scale by t^-n.  The default endpoints 2h and L/4 lie between
-    L/N and L wherever the default window is not empty (N >= 16)."""
+    L/N and L wherever the default window is not empty (N >= 16).  Refuses
+    too a window whose ratio t_max/t_min overflows, since the scale weights
+    are its logarithm over M-1."""
     if not (_normal_power(L / N, 2) and _normal_power(L, 2)):
         raise ValueError(f"grid.L={L!r}: the squared spacing (L/N)^2 or the "
                          f"squared side L^2 of the N={N} grid is not a "
@@ -423,6 +435,11 @@ def _check_scaling(n: int, L: float, N: int, t_min: float | None,
         if t is not None and not _normal_power(t, n):
             raise ValueError(f"scales.{key}={t!r}: t^{n} on the {n}D grid "
                              f"is not a positive normal float")
+    lo = 2.0 * (L / N) if t_min is None else t_min
+    hi = L / 4.0 if t_max is None else t_max
+    if math.isinf(hi / lo):
+        raise ValueError(f"scales.t_min={lo!r} and scales.t_max={hi!r}: the "
+                         f"ratio t_max/t_min of the scale window overflows")
 
 
 def load_config(path: str | Path | None = None,

@@ -383,6 +383,14 @@ def test_zero_function_is_refused(tmp_path, capsys, command, function):
      "corpus entry 'x': piecewise lo=3.0 must not exceed hi=1.5"),
     ("random-martingale(seed=-1) | constant()",
      "corpus entry 'x': seed='-1' must be non-negative"),
+    # log(0) and 0^-1 at a sample on the spike; a positive power of 0 is
+    # refused as a weight that is not strictly positive
+    ("log-spike(x0=0, eps=0) | constant()",
+     "corpus entry 'x': log-spike eps=0.0 leaves the distance to x0=0.0 at 0 "
+     "on a sample"),
+    ("step() | power-regularized(alpha=-1, x0=0.5, eps=-1)",
+     "corpus entry 'x': power-regularized eps=-1.0 leaves the distance to "
+     "x0=0.5 at 0 on a sample"),
 ])
 def test_corpus_entry_is_refused(tmp_path, capsys, command, entry, message):
     assert_refused(tmp_path, capsys,
@@ -683,6 +691,31 @@ def test_box_sides_and_scales_far_from_1_run_or_are_refused(
     for entry in manifest["entries"]:
         assert all(math.isfinite(v)
                    for v in entry.get("tail_bounds", {}).values())
+
+
+def test_theorem_suite_refuses_a_scale_window_whose_ratio_overflows(
+        tmp_path, capsys):
+    # 1e300 / 1e-300 overflows, so every scale weight log(ratio)/(M-1)
+    # would be infinite; pytest turns any RuntimeWarning into an error
+    assert_refused(tmp_path, capsys,
+                   ("theorem-suite", "--set", "grid.N=32", "--set",
+                    "scales.M=8", "--set", "family.max_level=3",
+                    "--set", "scales.t_min=1e-300",
+                    "--set", "scales.t_max=1e300"),
+                   "scales.t_min=1e-300 and scales.t_max=1e+300: the ratio "
+                   "t_max/t_min of the scale window overflows")
+
+
+def test_operators_refuses_an_operator_that_overflows(tmp_path, capsys):
+    # |psi_t * f|^2 overflows for f of size 1e200; the refusal names the
+    # entry, not the first of the batch
+    assert_refused(tmp_path, capsys,
+                   ("operators", "--set", "grid.N=32", "--set", "scales.M=8",
+                    "--set", "family.max_level=3",
+                    "--set", "corpus.a=step() | constant()",
+                    "--set", "corpus.x=step(a=1e200) | constant()"),
+                   "corpus entry 'x': the g operator overflows on the 1D N=32 "
+                   "grid over the scales [0.0625, 0.25]")
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])

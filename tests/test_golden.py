@@ -6,8 +6,9 @@ place in manifest.json's "criteria" list, at the default grid (1D N=2048,
 M=64, max_level=6, the built-in corpus with seed 1234) fails here, at
 --jobs 1 and at --jobs 2 alike.  A change that alters them on purpose
 states the drift and updates the digests in the same change.  The pins
-after them cover jn on boxes of other sides, every subcommand on a 2D grid
-and the operator stack at a spacing that is not a dyadic rational.
+after them cover jn on boxes of other sides, every subcommand on a 2D grid,
+the operator stack at a spacing that is not a dyadic rational, and the
+operator stack on the two grids of the benchmark's spectral workload.
 """
 
 import hashlib
@@ -220,3 +221,28 @@ def test_non_dyadic_spacing_is_byte_identical(tmp_path, monkeypatch,
     assert _listing_and_criteria(
         tmp_path, (command, "--jobs", jobs, *NON_DYADIC_H)) \
         == DIGESTS_NON_DYADIC_H[command]
+
+
+# The grids of the benchmark's spectral workload, where the operator stack
+# does most of its work: operators at 2D N=128 and theorem-suite at 1D
+# N=16384, with the default seed, M and max_level.
+SPECTRAL_GRIDS = {
+    "operators":
+        (("--set", "grid.n=2", "--set", "grid.N=128"),
+         ("c89ce1c92955ee0af5ea3238568c84d2a933ec146657341a8f389ac69a547ba7",
+          "0b2ce835f8f8d55820f11af2b59963a195007955e3304a654e39c734ba217a98")),
+    "theorem-suite":
+        (("--set", "grid.N=16384"),
+         ("2620acb6ce2fbdff47026d74856d43b84a993de07609d0f4555f4df535576886",
+          "e46fa5ea8b6f0ce25fcea20736de574a7c9849364bc59204e7ae9282b183a6b6")),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(SPECTRAL_GRIDS))
+def test_spectral_grids_are_byte_identical(tmp_path, monkeypatch, command,
+                                           jobs):
+    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+    grid, digests = SPECTRAL_GRIDS[command]
+    assert _listing_and_criteria(tmp_path, (command, "--jobs", jobs,
+                                            *grid)) == digests

@@ -1,6 +1,7 @@
 """Square operators: quadrature correctness and orderings."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -43,14 +44,15 @@ def _bits(a):
 @pytest.mark.parametrize("L", [1.0, 0.7, 3.0, 120.0])
 def test_1d_radius_is_the_absolute_displacement(L, N):
     # sqrt(fl(x*x)) == |x| in binary64 unless x*x underflows or overflows,
-    # so the one radius formula samples 1D kernels at |d|/t bit for bit
-    d, dist = operators._displacements(1, L, N)
-    assert np.array_equal(_bits(dist), _bits(np.abs(d)))
+    # so the one radius formula, gathered from the orbits, samples 1D
+    # kernels at |d|/t bit for bit
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    half, reps, where, dist = operators._orbits(1, L, N)
+    assert np.array_equal(_bits(dist[where]), _bits(np.abs(d)))
     f = GridFunction(1, L, N, np.zeros(N))
     for t in default_scales(f).nodes:
-        s = d / t
-        assert np.array_equal(_bits(operators._radius(s, 1)),
-                              _bits(np.abs(s)))
+        assert np.array_equal(_bits(operators._radius(half / t, reps)[where]),
+                              _bits(np.abs(d / t)))
 
 
 def direct_periodic_conv(field, kern):
@@ -113,6 +115,13 @@ def random_function(n, N, seed=0):
 
 def sine(N=256, k=3, L=1.0):
     return from_callable(1, L, N, lambda x: np.sin(2 * math.pi * k * x / L))
+
+
+def test_scale_grid_refuses_a_window_whose_ratio_overflows():
+    # the weights are log(t_max/t_min)/(M-1)
+    with pytest.raises(ValueError, match="ratio t_max/t_min overflows"):
+        ScaleGrid(1e-300, 1e300, 8)
+    assert np.isfinite(ScaleGrid(1e-300, 1e7, 8).weights).all()
 
 
 def test_scale_grid_weights_sum_to_log_span():
@@ -547,8 +556,9 @@ def test_convolve_rejects_nonpositive_scale():
             convolve(POISSON1, t, f)
 
 
-def test_stack_evaluates_the_kernel_once_per_scale_and_sample(monkeypatch):
-    # the benchmark's kernels.evaluate_points counts one value per sample
+def test_stack_evaluates_the_kernel_once_per_scale_and_orbit(monkeypatch):
+    # the benchmark's kernels.evaluate_points counts one value per orbit:
+    # (N/2+1)(N/2+2)/2 = 45 of the 256 offsets at 2D N=16
     sizes = []
 
     def counted(kernel, r):
@@ -562,4 +572,68 @@ def test_stack_evaluates_the_kernel_once_per_scale_and_sample(monkeypatch):
     list(square_functions(gauss_derivative_kernel(2), [f],
                           ScaleGrid(2.0 / N, 0.25, M),
                           [OperatorSpec("g"), OperatorSpec("s")]))
-    assert sizes == [(N * N,)] * M
+    assert sizes == [(45,)] * M
+
+
+def reference_kernel_samples(kernel, n, L, N, t):
+    """Mean-corrected samples of psi_t evaluated at every offset, the radius
+    of each from its axis displacements: the per-sample evaluation that the
+    orbits replace."""
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    s = d / t
+    r = np.sqrt(functools.reduce(np.add.outer, (s * s,) * n))
+    kern = evaluate(kernel, r.ravel()).reshape(r.shape) / t**n
+    return kern - kern.mean()
+
+
+def reference_mask(spec, n, L, N, t):
+    """The spatial weight of spec at every offset, per sample."""
+    d = ((np.arange(N) + N // 2) % N - N // 2) * (L / N)
+    dist = np.sqrt(functools.reduce(np.add.outer, (d * d,) * n))
+    if spec.op == "s":
+        return (dist < t).astype(float)
+    return (t / (t + dist)) ** (spec.lam * n)
+
+
+@pytest.mark.parametrize("L", [1.0, 0.7, 3.0])
+@pytest.mark.parametrize("N", [16, 64, 128])
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbit_spectra_equal_per_sample_spectra_bit_for_bit(n, N, L):
+    K = N // 2
+    half, reps, where, dist = operators._orbits(n, L, N)
+    # every offset lies in exactly one orbit, and each orbit is the sorted
+    # per-axis step counts |m| of its offsets
+    count = K + 1 if n == 1 else (K + 1) * (K + 2) // 2
+    assert where.shape == (N,) * n
+    assert np.array_equal(np.unique(where), np.arange(count))
+    assert all(r.shape == (count,) for r in reps)
+    fold = np.minimum(np.arange(N), N - np.arange(N))
+    steps = np.sort(np.stack(np.meshgrid(*(fold,) * n, indexing="ij"),
+                             axis=-1), axis=-1)
+    assert np.array_equal(np.stack(reps, axis=-1)[where], steps)
+    h = L / N
+    f = GridFunction(n, L, N, np.zeros((N,) * n))
+    nodes = default_scales(f).nodes
+    for t in (nodes[0], nodes[len(nodes) // 2], nodes[-1]):
+        t = float(t)
+        for kernel in (poisson_derivative_kernel(n),
+                       gauss_derivative_kernel(n)):
+            ref = reference_kernel_samples(kernel, n, L, N, t)
+            assert np.array_equal(
+                _bits(operators._sampled_kernel(kernel, n, L, N, t)),
+                _bits(ref))
+            assert np.array_equal(
+                _bits(operators._kernel_spectrum(kernel, n, L, N, t)),
+                _bits(rfftn_real(ref, h**n)))
+        for spec in (OperatorSpec("s"), OperatorSpec("gstar", 6.0),
+                     OperatorSpec("gstar", 7.5)):
+            ref = reference_mask(spec, n, L, N, t)
+            assert np.array_equal(
+                _bits(operators._mask_spectrum(spec, n, L, N, t)),
+                _bits(rfftn_real(ref, (h / t)**n)))
+
+
+def rfftn_real(samples, scale):
+    """The parent's spectrum: the real part of rfftn(samples) * scale."""
+    axes = tuple(range(-samples.ndim, 0))
+    return (np.fft.rfftn(samples, axes=axes) * scale).real
