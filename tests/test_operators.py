@@ -595,6 +595,13 @@ def reference_mask(spec, n, L, N, t):
     return (t / (t + dist)) ** (spec.lam * n)
 
 
+def rfftn_real(samples, scale):
+    """The real part of rfftn(samples) * scale, as the stack computed
+    spectra before the orbits."""
+    axes = tuple(range(-samples.ndim, 0))
+    return (np.fft.rfftn(samples, axes=axes) * scale).real
+
+
 @pytest.mark.parametrize("L", [1.0, 0.7, 3.0])
 @pytest.mark.parametrize("N", [16, 64, 128])
 @pytest.mark.parametrize("n", [1, 2])
@@ -631,9 +638,3 @@ def test_orbit_spectra_equal_per_sample_spectra_bit_for_bit(n, N, L):
             assert np.array_equal(
                 _bits(operators._mask_spectrum(spec, n, L, N, t)),
                 _bits(rfftn_real(ref, (h / t)**n)))
-
-
-def rfftn_real(samples, scale):
-    """The parent's spectrum: the real part of rfftn(samples) * scale."""
-    axes = tuple(range(-samples.ndim, 0))
-    return (np.fft.rfftn(samples, axes=axes) * scale).real
