@@ -1,54 +1,67 @@
 #!/usr/bin/env python3
 """Dump every corpus pair to CSV for quick plotting and inspection.
 
-Writes one file per pair with columns x, f, w (one dimensional runs
-only) plus a small index table with summary statistics.  Useful when
-tuning corpus entries or debugging a surprising ratio.
+Writes one file per pair with columns x, f, w, sampled on the config's
+one dimensional grid at its corpus seed, plus a small index table with
+summary statistics.  --config, --set and --out mean what they mean to the
+lpsquare command.  A refused setting or corpus entry prints an error and
+exits 2 before any file is written.  Useful when tuning corpus entries or
+debugging a surprising ratio.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from lpsquare.grid import axis_coords
-from lpsquare.report import Table, load_config, table_csv
+from lpsquare.report import RunConfig, Table, emit_report, load_config
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="out/gallery", help="output directory")
-    ap.add_argument("--entries", default=None,
-                    help="optional config file (INI with a [corpus] section); "
-                    "the built-in corpus when it lists no pairs")
-    ap.add_argument("--N", type=int, default=1024, help="samples per axis")
-    ap.add_argument("--L", type=float, default=1.0, help="box side")
-    ap.add_argument("--seed", type=int, default=1234, help="base seed")
+    ap.add_argument("--config", default=None,
+                    help="INI config; defaults apply when omitted")
+    ap.add_argument("--set", dest="overrides", action="append", default=[],
+                    metavar="SECTION.KEY=VALUE")
+    ap.add_argument("--out", default=None,
+                    help="output directory (overrides output.dir)")
     return ap.parse_args(argv)
+
+
+def realize_pairs(cfg: RunConfig) -> list:
+    """(entry, f, w) for each corpus entry on the config's grid; a
+    refusal is a ValueError."""
+    if cfg.n != 1:
+        raise ValueError(f"grid.n={cfg.n}: the gallery's columns are one "
+                         f"dimensional")
+    if any(entry.name == "index" for entry in cfg.corpus):
+        raise ValueError("corpus entry 'index' would overwrite index.csv")
+    return [(entry, *entry.realize(1, cfg.L, cfg.N, cfg.seed))
+            for entry in cfg.corpus]
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    corpus = load_config(args.entries).corpus
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for entry in corpus:
-        f, w = entry.realize(1, args.L, args.N, args.seed)
-        x = axis_coords(f)
-        lines = ["x,f,w"]
-        lines += [f"{xi!r},{fi!r},{wi!r}"
-                  for xi, fi, wi in zip(x, f.values, w.values)]
-        (out / f"{entry.name}.csv").write_text("\n".join(lines) + "\n")
-        rows.append((entry.name, float(np.min(f.values)), float(np.max(f.values)),
-                     float(np.min(w.values)), float(np.max(w.values))))
-    index = Table("index", ("pair", "f_min", "f_max", "w_min", "w_max"),
-                  tuple(rows))
-    (out / "index.csv").write_text(table_csv(index))
-    print(f"wrote {len(rows)} pair files to {out}")
+    out = () if args.out is None else (f"output.dir={args.out}",)
+    try:
+        cfg = load_config(args.config, (*args.overrides, *out))
+        pairs = realize_pairs(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    index = []
+    for entry, f, w in pairs:
+        rows = zip(axis_coords(f).tolist(), f.values.tolist(),
+                   w.values.tolist())
+        emit_report([Table(entry.name, ("x", "f", "w"), tuple(rows))],
+                    cfg.dir)
+        index.append((entry.name, float(f.values.min()),
+                      float(f.values.max()), float(w.values.min()),
+                      float(w.values.max())))
+    emit_report([Table("index", ("pair", "f_min", "f_max", "w_min", "w_max"),
+                       tuple(index))], cfg.dir)
+    print(f"wrote {len(pairs)} pair files to {cfg.dir}")
     return 0
 
 

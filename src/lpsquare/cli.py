@@ -363,9 +363,10 @@ def _operators_rows(kernel, lam, entries, cfg):
     for entry, f, w, results, record in _batched_results(kernel, entries, cfg,
                                                          (lam, lam + 1.0)):
         denom = l2_norm(f, w)
-        if denom == 0.0:
+        if denom == 0.0 or math.isinf(denom):
+            fate = "underflows to 0" if denom == 0.0 else "overflows"
             raise ValueError(f"corpus entry {entry.name!r}: the function's "
-                             f"weighted L2 norm underflows to 0 on the "
+                             f"weighted L2 norm {fate} on the "
                              f"{cfg.n}D N={cfg.N} grid")
         norms = {op: l2_norm(res.values, w) for op, res in results.items()}
         # g*_(lam+1) only checks that g*_lam does not grow with lam
@@ -621,13 +622,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         failure = exc.message
         command, out_arg = _command_and_out(argv)
-    # LPSQUARE_SEED and --out are settings too, applied after --set
-    env_seed = os.environ.get("LPSQUARE_SEED")
-    seed = () if env_seed is None else (f"corpus.seed={env_seed}",)
+    # --out is a setting too, applied after --set
     out = () if out_arg is None else (f"output.dir={out_arg}",)
     if failure is None:
         try:
-            cfg = load_config(args.config, (*args.overrides, *seed, *out))
+            cfg = load_config(args.config, (*args.overrides, *out))
         except ValueError as exc:
             failure = str(exc)
     if failure is not None:

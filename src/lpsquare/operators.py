@@ -433,8 +433,10 @@ def g_star(kernel: Kernel, f: GridFunction, lam: float,
                                  [OperatorSpec("gstar", lam)]))[0]
 
 
+@np.errstate(over="ignore")
 def l2_norm(f: GridFunction, w: Weight | None = None) -> float:
-    """(Σ |f|^2 ω h^n)^{1/2}; Lebesgue when no weight is given."""
+    """(Σ |f|^2 ω h^n)^{1/2}; Lebesgue when no weight is given, and inf
+    when the sum overflows the float range."""
     h = f.L / f.N
     sq = f.values.astype(float) ** 2
     if w is not None:

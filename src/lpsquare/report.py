@@ -491,8 +491,9 @@ class Table:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # a NumPy float's repr names its type under NumPy 2
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests on small grids."""
 
+import ast
 import csv
 import dataclasses
 import ctypes
@@ -207,15 +208,15 @@ def test_unknown_config_section_is_rejected(tmp_path, capsys):
     assert "[mesh]" in manifest["criteria"][0]["detail"]
 
 
-def test_config_file_and_env_seed(tmp_path, monkeypatch):
+def test_config_file_and_set_seed(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(
         "[grid]\nN = 128\n"
         "[family]\nmax_level = 3\n"
         "[corpus]\nonly = sine(k=2) | constant()\n")
-    monkeypatch.setenv("LPSQUARE_SEED", "777")
     out = tmp_path / "out"
-    code = main(["weights", "--config", str(cfgfile), "--out", str(out)])
+    code = main(["weights", "--config", str(cfgfile),
+                 "--set", "corpus.seed=777", "--out", str(out)])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 777
@@ -274,12 +275,6 @@ def test_empty_output_dir_is_refused(tmp_path, capsys, monkeypatch, spelling):
 def test_malformed_number_is_refused(tmp_path, capsys):
     assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=abc"),
                    "grid.N='abc' is not a valid int")
-
-
-def test_malformed_env_seed_is_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LPSQUARE_SEED", "x")
-    assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=64"),
-                   "corpus.seed='x' is not a valid int")
 
 
 def test_zero_lambda_nodes_is_refused(tmp_path, capsys):
@@ -456,24 +451,62 @@ def test_nan_is_refused_for_every_float_key(tmp_path, capsys, command, key):
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-@pytest.mark.parametrize("source", ["set", "env"])
-def test_negative_seed_is_refused_by_every_command(tmp_path, capsys,
-                                                   monkeypatch, command,
-                                                   source):
+def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, command):
     # refused while reading the settings, even when no entry is seeded
-    seed = ("--set", "corpus.seed=-1") if source == "set" else ()
-    if source == "env":
-        monkeypatch.setenv("LPSQUARE_SEED", "-1")
     code, out, manifest = run(tmp_path, command, "--set", "grid.N=64",
                               "--set", "family.max_level=2",
                               "--set", "scales.M=4",
-                              "--set", "corpus.a=step() | constant()", *seed)
+                              "--set", "corpus.a=step() | constant()",
+                              "--set", "corpus.seed=-1")
     assert code == 2
     [criterion] = manifest["criteria"]
     assert criterion["name"] == f"{command}-preconditions"
     assert criterion["detail"] == "corpus.seed must be non-negative"
     assert "corpus.seed must be non-negative" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_lpsquare_seed_in_the_environment_changes_nothing(tmp_path,
+                                                          monkeypatch,
+                                                          command):
+    # the corpus seed is a setting like any other: --config or --set only
+    args = (command, "--set", "grid.N=64", "--set", "family.max_level=2",
+            "--set", "scales.M=4",
+            "--set", "corpus.a=random-martingale(seed=5) | piecewise(seed=3)")
+    code, out, _ = run(tmp_path / "unset", *args)
+    want = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert want
+    for value in ("777", "x", "-1"):
+        monkeypatch.setenv("LPSQUARE_SEED", value)
+        got_code, got, _ = run(tmp_path / value, *args)
+        assert got_code == code
+        assert {p.name: p.read_bytes() for p in got.glob("*.csv")} == want
+
+
+# The programs that read settings, and the one environment access they make.
+SETTINGS_READERS = [*sorted(Path(report.__file__).parent.glob("*.py")),
+                    *(Path(__file__).resolve().parents[1] / "scripts" / name
+                      for name in ("run_all.py", "corpus_gallery.py"))]
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv",
+                "unsetenv"}
+
+
+def test_settings_are_read_from_no_environment_variable():
+    found = []
+    for path in SETTINGS_READERS:
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    None)
+            imported = (isinstance(node, ast.ImportFrom) and
+                        any(a.name in _ENVIRONMENT for a in node.names))
+            if name in _ENVIRONMENT or imported:
+                found.append((path.name, lines[node.lineno - 1].strip()))
+    assert found == [
+        ("cli.py", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")')]
 
 
 def test_operators_refuses_an_l2_norm_that_underflows(tmp_path, capsys):
@@ -716,6 +749,20 @@ def test_operators_refuses_an_operator_that_overflows(tmp_path, capsys):
                     "--set", "corpus.x=step(a=1e200) | constant()"),
                    "corpus entry 'x': the g operator overflows on the 1D N=32 "
                    "grid over the scales [0.0625, 0.25]")
+
+
+def test_operators_refuses_an_l2_norm_that_overflows(tmp_path, capsys):
+    # the operators stay finite, but (1e152)^2 times a weight of up to
+    # 64^3 overflows the function's weighted L2 norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_refused(tmp_path, capsys,
+                       ("operators", "--set", "grid.N=64",
+                        "--set", "scales.M=8",
+                        "--set", "corpus.x=step(a=1e152) | "
+                        "power-regularized(alpha=-3)"),
+                       "corpus entry 'x': the function's weighted L2 norm "
+                       "overflows on the 1D N=64 grid")
 
 
 @pytest.mark.parametrize("command", ["operators", "theorem-suite"])

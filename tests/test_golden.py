@@ -108,9 +108,7 @@ CRITERIA = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(DIGESTS))
-def test_default_config_csvs_are_byte_identical(tmp_path, monkeypatch,
-                                                command, jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_default_config_csvs_are_byte_identical(tmp_path, command, jobs):
     assert main([command, "--jobs", jobs, "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
@@ -119,9 +117,7 @@ def test_default_config_csvs_are_byte_identical(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(CRITERIA))
-def test_default_config_criteria_are_unchanged(tmp_path, monkeypatch,
-                                               command, jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_default_config_criteria_are_unchanged(tmp_path, command, jobs):
     assert main([command, "--jobs", jobs, "--out", str(tmp_path)]) == 0
     criteria = json.loads((tmp_path / "manifest.json").read_text())["criteria"]
     digest = hashlib.sha256(json.dumps(criteria).encode()).hexdigest()
@@ -142,9 +138,7 @@ JN_BOXES = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("L", sorted(JN_BOXES))
-def test_jn_on_other_box_sides_is_byte_identical(tmp_path, monkeypatch, L,
-                                                 jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_jn_on_other_box_sides_is_byte_identical(tmp_path, L, jobs):
     assert main(["jn", "--jobs", jobs, "--set", f"grid.L={L}",
                  "--set", "grid.N=1024", "--out", str(tmp_path)]) == 0
     listing = "".join(
@@ -193,8 +187,7 @@ DIGESTS_2D = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(DIGESTS_2D))
-def test_2d_grid_is_byte_identical(tmp_path, monkeypatch, command, jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_2d_grid_is_byte_identical(tmp_path, command, jobs):
     assert _listing_and_criteria(tmp_path, (command, "--jobs", jobs,
                                             *GRID_2D)) == DIGESTS_2D[command]
 
@@ -215,9 +208,7 @@ DIGESTS_NON_DYADIC_H = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(DIGESTS_NON_DYADIC_H))
-def test_non_dyadic_spacing_is_byte_identical(tmp_path, monkeypatch,
-                                              command, jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_non_dyadic_spacing_is_byte_identical(tmp_path, command, jobs):
     assert _listing_and_criteria(
         tmp_path, (command, "--jobs", jobs, *NON_DYADIC_H)) \
         == DIGESTS_NON_DYADIC_H[command]
@@ -240,9 +231,7 @@ SPECTRAL_GRIDS = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(SPECTRAL_GRIDS))
-def test_spectral_grids_are_byte_identical(tmp_path, monkeypatch, command,
-                                           jobs):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_spectral_grids_are_byte_identical(tmp_path, command, jobs):
     grid, digests = SPECTRAL_GRIDS[command]
     assert _listing_and_criteria(tmp_path, (command, "--jobs", jobs,
                                             *grid)) == digests

@@ -37,8 +37,7 @@ STEPS = [(name, i, step) for name, wl in run.TINY_WORKLOADS.items()
 @pytest.mark.parametrize(
     "workload,i,step", STEPS,
     ids=[f"{name}-{run.step_key(i, step)}" for name, i, step in STEPS])
-def test_tiny_step_matches_reference(tmp_path, monkeypatch, workload, i, step):
-    monkeypatch.delenv("LPSQUARE_SEED", raising=False)
+def test_tiny_step_matches_reference(tmp_path, workload, i, step):
     reference = run.load_reference(workload, SEED, tiny=True)[
         run.step_key(i, step)]
     out = tmp_path / "out"

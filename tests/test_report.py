@@ -391,6 +391,12 @@ def test_table_csv_schema_and_floats():
         Table("bad", ("a", "b"), ((1.0,),))
 
 
+def test_table_csv_writes_numpy_floats_as_plain_numbers():
+    t = Table("demo", ("a", "b", "c"),
+              ((np.float64(0.5), np.float32(0.25), np.float64(1.0 / 3.0)),))
+    assert table_csv(t) == f"a,b,c\n0.5,0.25,{1.0 / 3.0!r}\n"
+
+
 def test_emit_report_deterministic(tmp_path):
     tables = [
         Table("tail", ("lambda", "measured", "bound", "margin"),
