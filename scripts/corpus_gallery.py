@@ -5,8 +5,9 @@ Writes one file per pair with columns x, f, w, sampled on the config's
 one dimensional grid at its corpus seed, plus a small index table with
 summary statistics.  --config, --set and --out mean what they mean to the
 lpsquare command.  A refused setting or corpus entry prints an error and
-exits 2 before any file is written.  Useful when tuning corpus entries or
-debugging a surprising ratio.
+exits 2 before any file is written, and an output directory that cannot
+be created or written exits 2 the same way.  Useful when tuning corpus
+entries or debugging a surprising ratio.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import argparse
 import sys
 
 from lpsquare.grid import axis_coords
-from lpsquare.report import RunConfig, Table, emit_report, load_config
+from lpsquare.report import (RunConfig, Table, emit_report, load_config,
+                             unwritable)
 
 
 def parse_args(argv=None):
@@ -51,16 +53,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     index = []
-    for entry, f, w in pairs:
-        rows = zip(axis_coords(f).tolist(), f.values.tolist(),
-                   w.values.tolist())
-        emit_report([Table(entry.name, ("x", "f", "w"), tuple(rows))],
-                    cfg.dir)
-        index.append((entry.name, float(f.values.min()),
-                      float(f.values.max()), float(w.values.min()),
-                      float(w.values.max())))
-    emit_report([Table("index", ("pair", "f_min", "f_max", "w_min", "w_max"),
-                       tuple(index))], cfg.dir)
+    try:
+        for entry, f, w in pairs:
+            rows = zip(axis_coords(f).tolist(), f.values.tolist(),
+                       w.values.tolist())
+            emit_report([Table(entry.name, ("x", "f", "w"), tuple(rows))],
+                        cfg.dir)
+            index.append((entry.name, float(f.values.min()),
+                          float(f.values.max()), float(w.values.min()),
+                          float(w.values.max())))
+        emit_report([Table("index", ("pair", "f_min", "f_max", "w_min",
+                                     "w_max"), tuple(index))], cfg.dir)
+    except OSError as exc:
+        print(f"error: {unwritable(cfg.dir, exc)}", file=sys.stderr)
+        return 2
     print(f"wrote {len(pairs)} pair files to {cfg.dir}")
     return 0
 

@@ -5,7 +5,8 @@ Each stage writes its tables and manifest into its own subdirectory of
 the chosen output root, so a full run leaves a self-contained report
 tree behind.  The script exits with the largest stage exit code: 0 when
 every stage passed, 1 when a criterion failed, 2 when a stage was refused
-and 3 when one crashed.
+and 3 when one crashed.  An output root that cannot be created exits 2
+before any stage runs, and a summary that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 from pathlib import Path
 
 from lpsquare.cli import main as lpsquare_main
+from lpsquare.report import unwritable
 
 STAGES = ("kernel-check", "weights", "operators", "theorem-suite", "jn")
 
@@ -43,6 +45,12 @@ def run_stage(stage: str, args) -> int:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    root = Path(args.out)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {unwritable(root, exc)}", file=sys.stderr)
+        return 2
     codes = {}
     for stage in STAGES:
         t0 = time.perf_counter()
@@ -53,9 +61,12 @@ def main(argv=None) -> int:
         "stages": codes,
         "all_passed": all(c == 0 for c in codes.values()),
     }
-    root = Path(args.out)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        (root / "summary.json").write_text(json.dumps(summary, indent=2)
+                                           + "\n")
+    except OSError as exc:
+        print(f"error: {unwritable(root, exc)}", file=sys.stderr)
+        return 2
     print(f"summary written to {root / 'summary.json'}")
     return max(codes.values())
 

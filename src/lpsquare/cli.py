@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .grid import Cube, dyadic_cubes, grid_function
+from .grid import Cube, GridFunction, dyadic_cubes
 from .report import (
     RunManifest,
     RunConfig,
@@ -54,6 +54,7 @@ from .report import (
     Table,
     emit_report,
     load_config,
+    unwritable,
 )
 from .weights import a1_constant, ap_constant, doubling_report, power_weight
 
@@ -392,7 +393,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     tables = _gather(manifest, _pmap(rows, cfg, jobs))
     # a constant input must be annihilated up to rounding
     size = max(16, min(N, 512))  # at N <= 8 the window [2h, L/4] is empty
-    const = grid_function(n, L, size, np.full((size,) * n, 2.0))
+    const = GridFunction(n, L, size, np.full((size,) * n, 2.0))
     g0 = g_function(kernel, const, default_scales(const, M=16)).values
     peak = float(np.max(g0.values))
     manifest.record("constant-annihilated", peak < 1e-10,
@@ -465,8 +466,8 @@ def _jn_row(entry, cfg):
     span_bmo = float(np.abs(fv - fv.mean()).max())
     lam_blo = np.linspace(span_blo / nodes, span_blo * 1.05, nodes)
     lam_bmo = np.linspace(span_bmo / nodes, span_bmo * 1.05, nodes)
-    rep_blo = jn_blo_verify(f, w, box, lam_blo, strict=False, local=local)
-    rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, strict=False, local=local)
+    rep_blo = jn_blo_verify(f, w, box, lam_blo, local=local)
+    rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, local=local)
     name = entry.name
     criteria = [
         (f"tree-invariants:{name}", tree.all_ok, f"nodes={len(tree.nodes)}"),
@@ -612,6 +613,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     failure: str | None = None
     error: str | None = None
+    unwritten: str | None = None
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -634,12 +636,17 @@ def main(argv=None) -> int:
         # and a non-empty --out
         cfg = load_config(overrides=out if out_arg else ())
     out_dir = Path(cfg.dir)
+    # made before the subcommand runs, so that no work is lost to it
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        unwritten = unwritable(out_dir, exc)
 
     manifest = RunManifest(command, cfg.text)
     timer = StageTimer()
     tables: list[Table] = []
     try:
-        if failure is None:
+        if failure is None and unwritten is None:
             manifest.seed = cfg.seed
             manifest.grid = {"n": cfg.n, "L": cfg.L, "N": cfg.N}
             manifest.family = {"kind": "dyadic", "max_level": cfg.max_level}
@@ -656,18 +663,24 @@ def main(argv=None) -> int:
         if failure is not None:
             manifest.record(f"{command}-preconditions", False, failure)
         manifest.timings = timer.stages
-        with timer.measure("report"):
-            emit_report(tables, out_dir)
-        manifest.write(out_dir / "manifest.json")
+        if unwritten is None:
+            try:
+                with timer.measure("report"):
+                    emit_report(tables, out_dir)
+                manifest.write(out_dir / "manifest.json")
+            except OSError as exc:
+                unwritten = unwritable(out_dir, exc)
     for c in manifest.criteria:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}" +
               (f" ({c['detail']})" if c["detail"] else ""))
+    for message in (failure, unwritten):
+        if message is not None:
+            print(f"error: {message}", file=sys.stderr)
     if error is not None:
         print(error, file=sys.stderr, end="")
         return 3
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
+    if failure is not None or unwritten is not None:
         return 2
     return 0 if manifest.all_passed else 1
 

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "Cube",
-    "grid_function",
     "from_callable",
     "axis_coords",
     "cube_region",
@@ -93,10 +92,6 @@ class GridFunction:
     def pyramid(self) -> "BlockPyramid":
         """Dyadic block tables of these samples, built once per function."""
         return BlockPyramid(self.values, self.n)
-
-
-def grid_function(n: int, L: float, N: int, values: np.ndarray) -> GridFunction:
-    return GridFunction(n, L, N, values)
 
 
 def axis_coords(grid) -> np.ndarray:
@@ -204,7 +199,7 @@ def dyadic_cubes(grid, max_level: int) -> DyadicFamily:
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    if (1 << max_level) > grid.N:
+    if max_level > grid.N.bit_length() - 1:
         raise ValueError(f"max_level {max_level} too deep for N={grid.N}")
     return DyadicFamily(grid.n, grid.L, max_level)
 
@@ -342,7 +337,7 @@ def family_values(grid, family: DyadicFamily,
         raise TypeError(f"a family scan takes a DyadicFamily, "
                         f"not a {type(family).__name__}")
     if ((family.n, family.L) != (grid.n, grid.L)
-            or (1 << family.max_level) > grid.N):
+            or family.max_level > grid.N.bit_length() - 1):
         raise ValueError(f"{family!r} does not fit the {grid.n}D grid "
                          f"of side L={grid.L!r} with N={grid.N}")
     return np.concatenate([level_values(k)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, from_callable, periodic_displacement
+from .grid import GridFunction, periodic_displacement
 from .weights import Weight
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "Table",
     "table_csv",
     "emit_report",
+    "unwritable",
     "RunManifest",
     "StageTimer",
 ]
@@ -160,11 +161,12 @@ class _FamilySpec:
                     f"valid: {', '.join(declared)}, seed")
 
     def sample(self, n: int, L: float, N: int,
-               base_seed: int = 0) -> GridFunction:
-        realizer = self.families[self.family]
-        seeds = (base_seed, self.seed)
-        return from_callable(n, L, N, lambda *coords: realizer(
-            coords, L, seeds, **dict(self.params)))
+               base_seed: int = 0) -> np.ndarray:
+        """The family's samples on the grid, not yet validated."""
+        x = np.arange(N) * (L / N)
+        coords = np.meshgrid(*(x,) * n, indexing="ij")
+        return self.families[self.family](coords, L, (base_seed, self.seed),
+                                          **dict(self.params))
 
 
 class FunctionSpec(_FamilySpec):
@@ -206,7 +208,7 @@ def realize_function(spec: FunctionSpec, n: int, L: float, N: int,
                      base_seed: int = 0) -> GridFunction:
     """spec's samples on the grid; a constant is refused, since every
     oscillation ratio divides by the function's oscillation."""
-    f = spec.sample(n, L, N, base_seed)
+    f = GridFunction(n, L, N, spec.sample(n, L, N, base_seed))
     lo, hi = f.values.min(), f.values.max()
     if lo == hi:
         what = "zero" if hi == 0 else f"the constant {float(hi)!r}"
@@ -219,7 +221,7 @@ def realize_weight(spec: WeightSpec, n: int, L: float, N: int,
                    base_seed: int = 0) -> Weight:
     """spec's samples as a weight; Weight refuses one with a sample below
     EPS_MIN."""
-    return Weight(spec.sample(n, L, N, base_seed))
+    return Weight(n, L, N, spec.sample(n, L, N, base_seed))
 
 
 # The built-in corpus: twelve [corpus] entries covering every function and
@@ -555,6 +557,12 @@ def emit_report(tables: list[Table], out_dir: str | Path) -> list[Path]:
             script_path.write_text(script)
             written.append(script_path)
     return written
+
+
+def unwritable(out_dir: str | Path, exc: OSError) -> str:
+    """The refusal of an output directory that cannot be created or
+    written."""
+    return f"output.dir {str(out_dir)!r} cannot be written: {exc}"
 
 
 # ---------------------------------------------------------------------------

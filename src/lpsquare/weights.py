@@ -33,46 +33,26 @@ EPS_MIN = 1e-12
 
 
 @dataclass(frozen=True)
-class Weight:
+class Weight(GridFunction):
     """Grid function with every sample at least EPS_MIN.
 
     A sample below EPS_MIN (or NaN) is refused: the measure dω = ω dx must
-    stay nondegenerate on every sample.
+    stay nondegenerate on every sample.  with_values gives a plain
+    GridFunction, since new samples need not be positive.
     """
 
-    base: GridFunction
-
     def __post_init__(self) -> None:
-        lo = float(np.min(self.base.values))
+        super().__post_init__()
+        lo = float(np.min(self.values))
         if not lo >= EPS_MIN:
             what = ("is not strictly positive" if not lo > 0
                     else f"falls below EPS_MIN={EPS_MIN}")
             raise ValueError(f"the weight {what} on the {self.n}D N={self.N} "
                              f"grid: its minimum is {lo!r}")
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def L(self) -> float:
-        return self.base.L
-
-    @property
-    def N(self) -> int:
-        return self.base.N
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
-    @property
-    def pyramid(self) -> BlockPyramid:
-        return self.base.pyramid
-
 
 def constant_weight(n: int, L: float, N: int, c: float = 1.0) -> Weight:
-    return Weight(GridFunction(n, L, N, np.full((N,) * n, float(c))))
+    return Weight(n, L, N, np.full((N,) * n, float(c)))
 
 
 def _a1_level(pyr: BlockPyramid, k: int) -> np.ndarray:
@@ -84,7 +64,7 @@ def a1_constant(w: Weight, cubes: DyadicFamily) -> float:
     """max over the family of (average of ω over Q) / (min of ω over Q)."""
     pyr = w.pyramid
     return float(family_values(
-        w.base, cubes, lambda k: (_a1_level(pyr, k),))[0].max())
+        w, cubes, lambda k: (_a1_level(pyr, k),))[0].max())
 
 
 def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
@@ -101,11 +81,11 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
         pow_sums = level_blocks(w_pow, w.n, k).sum(axis=1)
         return ((pyr.sum(k) / cnt) * (pow_sums / cnt) ** (p - 1.0),)
 
-    return float(family_values(w.base, cubes, level_values)[0].max())
+    return float(family_values(w, cubes, level_values)[0].max())
 
 
 def power_weight(w: Weight, s: float) -> Weight:
-    return Weight(w.base.with_values(w.base.values**s))
+    return Weight(w.n, w.L, w.N, w.values**s)
 
 
 _SLACK = 1e-12
@@ -167,9 +147,8 @@ def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
     The A₁ constant is taken over the given cubes together with their
     doubles, which is exactly the family the bound's derivation scans.
     """
-    g = w.base
     pyr = w.pyramid
-    hn = (g.L / g.N) ** g.n
+    hn = (w.L / w.N) ** w.n
 
     def level_values(k):
         # (ratio ω(2Q)/ω(Q), A₁ quotient of Q, A₁ quotient of 2Q)
@@ -177,13 +156,13 @@ def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
         if k == 0:  # 2Q covers the box once
             return (s1 * hn) / (s1 * hn), a1_q, a1_q
         if k == pyr.depth:  # 2Q holds two samples per axis
-            s2 = _doubled_samples(g.values, np.add)
-            m2 = _doubled_samples(g.values, np.minimum)
+            s2 = _doubled_samples(w.values, np.add)
+            m2 = _doubled_samples(w.values, np.minimum)
         else:
-            s2 = _doubled(pyr.sum(k + 1), k, g.n, np.add)
-            m2 = _doubled(pyr.min(k + 1), k, g.n, np.minimum)
-        return (s2 * hn) / (s1 * hn), a1_q, s2 / (2**g.n * pyr.count(k)) / m2
+            s2 = _doubled(pyr.sum(k + 1), k, w.n, np.add)
+            m2 = _doubled(pyr.min(k + 1), k, w.n, np.minimum)
+        return (s2 * hn) / (s1 * hn), a1_q, s2 / (2**w.n * pyr.count(k)) / m2
 
-    ratios, a1_q, a1_2q = family_values(g, cubes, level_values)
+    ratios, a1_q, a1_2q = family_values(w, cubes, level_values)
     a1 = float(max(a1_q.max(), a1_2q.max()))
-    return DoublingReport(a1, ratios, 2**g.n * a1)
+    return DoublingReport(a1, ratios, 2**w.n * a1)

@@ -85,7 +85,7 @@ def test_criterion_03_square_field_oscillation():
     worst = math.inf
     for entry, f, _ in _pairs(1024):
         scales = default_scales(f, M=48)
-        ones = Weight(f.with_values(np.ones_like(f.values)))
+        ones = Weight(f.n, f.L, f.N, np.ones_like(f.values))
         family = dyadic_cubes(f, LEVEL)
         fields = _operator_fields(kernel, f, scales, 8.0)
         for op in ("g", "s"):
@@ -103,7 +103,7 @@ def test_criterion_04_doubling_bound():
     worst = math.inf
     cubes = 0
     for entry, _, w in _pairs(1024):
-        rep = doubling_report(w, dyadic_cubes(w.base, LEVEL))
+        rep = doubling_report(w, dyadic_cubes(w, LEVEL))
         assert rep.all_ok, entry.name
         worst = min(worst, rep.margin)
         cubes += rep.ratios.size
@@ -268,7 +268,7 @@ def test_criterion_10_recounts_the_tails_jn_reads():
                     (jn_bmo_verify, np.abs(f.values - f.values.mean()))):
                 span = float(dev.max())  # jn's lambda grid
                 lam = np.linspace(span / 32, span * 1.05, 32)
-                rep = verify(f, w, box, lam, strict=False)
+                rep = verify(f, w, box, lam)
                 masses = distribution_function(f.with_values(dev),
                                                "lebesgue", w, box, lam)
                 assert [r.measured for r in rep.rows] == masses.tolist()

@@ -272,6 +272,36 @@ def test_empty_output_dir_is_refused(tmp_path, capsys, monkeypatch, spelling):
     assert "output.dir must not be empty" in capsys.readouterr().err
 
 
+TINY = ("--set", "grid.N=64", "--set", "scales.M=8",
+        "--set", "family.max_level=3")
+
+
+@pytest.mark.parametrize("usage", [(), ("--jobs", "x")],
+                         ids=["file", "jobs-x"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_output_dir_that_cannot_be_created_is_refused(tmp_path, capsys,
+                                                      command, usage):
+    # a regular file where the output directory should go
+    out = tmp_path / "F"
+    out.write_text("kept")
+    assert main([command, *TINY, *usage, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output.dir {str(out)!r} cannot be written: [Errno" in err
+    assert "File exists" in err and "Traceback" not in err
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("blocked", ["kernel_check.csv", "manifest.json"])
+def test_table_or_manifest_that_cannot_be_written_is_refused(tmp_path, capsys,
+                                                            blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["kernel-check", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output.dir {str(out)!r} cannot be written: [Errno" in err
+    assert "Is a directory" in err and "Traceback" not in err
+
+
 def test_malformed_number_is_refused(tmp_path, capsys):
     assert_refused(tmp_path, capsys, ("weights", "--set", "grid.N=abc"),
                    "grid.N='abc' is not a valid int")

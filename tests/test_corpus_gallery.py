@@ -116,3 +116,14 @@ def test_refused_setting_exits_2_and_writes_nothing(tmp_path, capsys,
     assert written(out) == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("kept")
+    assert gallery(["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output.dir {str(out)!r} cannot be "
+                          f"written: [Errno")
+    assert "File exists" in err and "Traceback" not in err
+    assert out.read_text() == "kept"

@@ -1,5 +1,7 @@
 """Grid substrate: means, dyadic cubes, membership."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,19 @@ def test_dyadic_cubes_refuses_a_level_the_grid_cannot_hold():
         dyadic_cubes(make_grid(N=4), 3)
     with pytest.raises(ValueError, match="max_level must be >= 0"):
         dyadic_cubes(make_grid(N=4), -1)
+
+
+def test_a_deep_level_is_refused_without_building_2_to_the_level():
+    grid = make_grid(N=2048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="max_level 10000000 too deep "
+                                             "for N=2048"):
+            dyadic_cubes(grid, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_half_open_membership_1d():

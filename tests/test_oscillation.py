@@ -93,7 +93,7 @@ def test_constant_shift_invariance():
 def test_p_equal_one_reduces_to_base():
     rng = np.random.default_rng(7)
     f = GridFunction(1, 1.0, 32, rng.normal(size=32))
-    w = Weight(GridFunction(1, 1.0, 32, np.exp(rng.normal(size=32) * 0.4)))
+    w = Weight(1, 1.0, 32, np.exp(rng.normal(size=32) * 0.4))
     cubes = dyadic_cubes(f, 3)
     assert blo_p_norm(f, w, 1.0, cubes).value == pytest.approx(
         blo_constant(f, w, cubes).value, rel=1e-14)
@@ -105,7 +105,7 @@ def test_bmo_at_most_twice_blo():
     rng = np.random.default_rng(13)
     for trial in range(5):
         f = GridFunction(1, 1.0, 64, rng.normal(size=64))
-        w = Weight(GridFunction(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3)))
+        w = Weight(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3))
         cubes = dyadic_cubes(f, 4)
         bmo = bmo_norm(f, w, cubes).value
         blo = blo_constant(f, w, cubes).value
@@ -115,7 +115,7 @@ def test_bmo_at_most_twice_blo():
 def test_blo_at_most_blo_p():
     rng = np.random.default_rng(17)
     f = GridFunction(1, 1.0, 64, rng.normal(size=64))
-    w = Weight(GridFunction(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3)))
+    w = Weight(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3))
     cubes = dyadic_cubes(f, 4)
     blo = blo_constant(f, w, cubes).value
     for p in (1.5, 2.0, 3.0):
@@ -145,7 +145,7 @@ def linf_over_weight(f, w, cubes):
 def test_bmo_le_two_linf_with_nonflat_weight():
     rng = np.random.default_rng(29)
     f = GridFunction(1, 1.0, 64, rng.normal(size=64))
-    w = Weight(GridFunction(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.5)))
+    w = Weight(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.5))
     cubes = dyadic_cubes(f, 4)
     assert bmo_norm(f, w, cubes).value <= \
         2 * linf_over_weight(f, w, cubes) * (1 + 1e-12)
@@ -154,7 +154,7 @@ def test_bmo_le_two_linf_with_nonflat_weight():
 def test_witnessed_supremum():
     rng = np.random.default_rng(31)
     f = GridFunction(1, 1.0, 64, rng.normal(size=64))
-    w = Weight(GridFunction(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3)))
+    w = Weight(1, 1.0, 64, np.exp(rng.normal(size=64) * 0.3))
     cubes = dyadic_cubes(f, 4)
     for kind, rep in [
         ("bmo", bmo_norm(f, w, cubes)),
@@ -170,10 +170,10 @@ def test_translation_invariance_with_covariant_family():
     vals = rng.normal(size=64)
     wvals = np.exp(rng.normal(size=64) * 0.3)
     f = GridFunction(1, 1.0, 64, vals)
-    w = Weight(GridFunction(1, 1.0, 64, wvals))
+    w = Weight(1, 1.0, 64, wvals)
     shift = 32  # half the box: every dyadic level maps onto itself
     fs = GridFunction(1, 1.0, 64, np.roll(vals, shift))
-    ws = Weight(GridFunction(1, 1.0, 64, np.roll(wvals, shift)))
+    ws = Weight(1, 1.0, 64, np.roll(wvals, shift))
     cubes = dyadic_cubes(f, 2)
     for fn in (bmo_norm, blo_constant):
         assert fn(fs, ws, cubes).value == pytest.approx(
@@ -185,7 +185,7 @@ def test_translation_invariance_with_covariant_family():
 def test_order_properties_random(seed):
     rng = np.random.default_rng(seed)
     f = GridFunction(1, 1.0, 32, rng.normal(size=32))
-    w = Weight(GridFunction(1, 1.0, 32, np.exp(rng.normal(size=32) * 0.5)))
+    w = Weight(1, 1.0, 32, np.exp(rng.normal(size=32) * 0.5))
     cubes = dyadic_cubes(f, 3)
     bmo = bmo_norm(f, w, cubes).value
     blo = blo_constant(f, w, cubes).value

@@ -52,7 +52,7 @@ def random_pair(n, N, seed=0):
     rng = np.random.default_rng(seed)
     shape = (N,) * n
     f = GridFunction(n, 1.0, N, rng.standard_normal(shape))
-    w = Weight(GridFunction(n, 1.0, N, np.exp(rng.uniform(-1.0, 1.0, shape))))
+    w = Weight(n, 1.0, N, np.exp(rng.uniform(-1.0, 1.0, shape)))
     return f, w
 
 
@@ -99,13 +99,13 @@ def test_oscillation_scan_matches_per_cube_loop(n, N, max_level, kind, p):
 @pytest.mark.parametrize("max_level", DEPTHS)
 def test_weight_constants_match_per_cube_loop(n, N, max_level):
     _, w = random_pair(n, N)
-    cubes = family(w.base, max_level)
+    cubes = family(w, max_level)
     a1 = max(float(v.mean() / v.min())
-             for v in (samples(w.base, q) for q in cubes))
+             for v in (samples(w, q) for q in cubes))
     assert a1_constant(w, cubes) == pytest.approx(a1, rel=RTOL)
     for p in (1.5, 2.0, 3.0):
         ap = max(float(v.mean() * (v ** (1.0 - p / (p - 1.0))).mean() ** (p - 1.0))
-                 for v in (samples(w.base, q) for q in cubes))
+                 for v in (samples(w, q) for q in cubes))
         assert ap_constant(w, p, cubes) == pytest.approx(ap, rel=RTOL)
 
 
@@ -113,7 +113,7 @@ def doubling_reference(w, cubes):
     """(ratios, A₁ over the cubes and their doubles) from cube_region sums."""
     ratios, a1 = [], 0.0
     for q in cubes:
-        v1, v2 = samples(w.base, q), samples(w.base, doubled(q))
+        v1, v2 = samples(w, q), samples(w, doubled(q))
         ratios.append(float(v2.sum()) / float(v1.sum()))
         a1 = max(a1, float(v1.mean() / v1.min()), float(v2.mean() / v2.min()))
     return ratios, a1
@@ -123,7 +123,7 @@ def doubling_reference(w, cubes):
 @pytest.mark.parametrize("max_level", DEPTHS)
 def test_doubling_matches_per_cube_loop(n, N, max_level):
     _, w = random_pair(n, N)
-    cubes = family(w.base, max_level)
+    cubes = family(w, max_level)
     rep = doubling_report(w, cubes)
     ratios, a1 = doubling_reference(w, cubes)
     assert rep.constant == pytest.approx(a1, rel=RTOL)
@@ -139,10 +139,9 @@ def test_doubled_windows_are_the_cube_region_samples(n, N):
     # exactly when the window of level-(k+1) blocks holds the same samples
     # as cube_region(2Q).
     rng = np.random.default_rng(2)
-    w = Weight(GridFunction(n, 1.0, N,
-                            rng.integers(1, 1000, (N,) * n).astype(float)))
+    w = Weight(n, 1.0, N, rng.integers(1, 1000, (N,) * n).astype(float))
     depth = N.bit_length() - 1
-    cubes = dyadic_cubes(w.base, depth)
+    cubes = dyadic_cubes(w, depth)
     rep = doubling_report(w, cubes)
     ratios, a1 = doubling_reference(w, cubes)
     for k in range(depth + 1):
@@ -151,7 +150,7 @@ def test_doubled_windows_are_the_cube_region_samples(n, N):
             f"level {k}"
     assert ratios[0] == 1.0  # 2Q of the box is the whole box, counted once
     # at the finest level 2Q holds two samples per axis
-    assert all(samples(w.base, doubled(cubes[i])).size == 2**n
+    assert all(samples(w, doubled(cubes[i])).size == 2**n
                for i in np.flatnonzero(cubes.levels == depth))
     assert rep.constant == pytest.approx(a1, rel=RTOL)
 
@@ -163,18 +162,17 @@ def test_finest_doubled_cubes_sum_as_cube_region_does(n, N):
     # bit only when the samples of 2Q are added in increasing flat index,
     # the wrap at i = N-1 included.
     rng = np.random.default_rng(9)
-    w = Weight(GridFunction(n, 1.0, N,
-                            np.exp(rng.uniform(-3.0, 3.0, (N,) * n)) / 3.0))
+    w = Weight(n, 1.0, N, np.exp(rng.uniform(-3.0, 3.0, (N,) * n)) / 3.0)
     depth = N.bit_length() - 1
-    cubes = dyadic_cubes(w.base, depth)
+    cubes = dyadic_cubes(w, depth)
     finest = np.flatnonzero(cubes.levels == depth)
     hn = (1.0 / N) ** n
     rep = doubling_report(w, cubes)
     for i in finest:
-        v1, v2 = samples(w.base, cubes[i]), samples(w.base, doubled(cubes[i]))
+        v1, v2 = samples(w, cubes[i]), samples(w, doubled(cubes[i]))
         assert rep.ratios[i] == (float(v2.sum()) * hn) / (float(v1.sum()) * hn)
     # 2Q of the last sample wraps to the first sample on every axis
-    wrap = cube_region(w.base, doubled(cubes[finest[-1]]))
+    wrap = cube_region(w, doubled(cubes[finest[-1]]))
     corners = np.ravel_multi_index(np.ix_(*[[0, N - 1]] * n), (N,) * n)
     assert wrap.tolist() == sorted(corners.ravel().tolist())
 
@@ -184,7 +182,7 @@ def test_finest_doubled_cubes_sum_as_cube_region_does(n, N):
 def test_constant_function_ties_at_the_first_cube(n, N, max_level):
     shape = (N,) * n
     f = GridFunction(n, 1.0, N, np.full(shape, -3.0))
-    w = Weight(GridFunction(n, 1.0, N, np.full(shape, 2.0)))
+    w = Weight(n, 1.0, N, np.full(shape, 2.0))
     cubes = family(f, max_level)
     for kind, p in KINDS:
         rep = SCANS[kind](f, w, cubes, p)
@@ -253,7 +251,7 @@ def test_pyramids_keep_only_sums_and_minima(n, N):
     # each reader gives the same bits on pyramids of its own
     for read, value in zip(PYRAMID_READERS, shared):
         g = GridFunction(n, 1.0, N, f.values)
-        v = Weight(GridFunction(n, 1.0, N, w.values))
+        v = Weight(n, 1.0, N, w.values)
         assert read(g, v, cubes) == value
 
 
@@ -269,7 +267,7 @@ def per_ratio_margin(rep):
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_doubling_report_derives_rows_all_ok_and_margin(n, N):
     _, w = random_pair(n, N)
-    family = dyadic_cubes(w.base, N.bit_length() - 1)
+    family = dyadic_cubes(w, N.bit_length() - 1)
     rep = doubling_report(w, family)
     assert rep.ratios.size == len(family)
     assert rep.bound == 2**n * rep.constant

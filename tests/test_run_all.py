@@ -48,3 +48,23 @@ def test_refused_stages_exit_2(tmp_path):
     assert run_all(["--out", str(out), *SMALL, "--set", "scales.M=1"]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary == {"stages": dict.fromkeys(STAGES, 2), "all_passed": False}
+
+
+def test_output_root_that_cannot_be_created_exits_2(tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("kept")
+    assert run_all(["--out", str(out), *SMALL]) == 2
+    out_text, err = capsys.readouterr()
+    assert "error: output.dir" in err and "File exists" in err
+    assert "Traceback" not in err
+    assert "== " not in out_text  # no stage ran
+    assert out.read_text() == "kept"
+
+
+def test_summary_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "full"
+    (out / "summary.json").mkdir(parents=True)
+    assert run_all(["--out", str(out), *SMALL]) == 2
+    err = capsys.readouterr().err
+    assert "error: output.dir" in err and "Is a directory" in err
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ from lpsquare.grid import (
     dyadic_cubes,
     from_callable,
 )
+from lpsquare.report import default_corpus
 from lpsquare.weights import (
     EPS_MIN,
     Weight,
@@ -24,7 +25,7 @@ from lpsquare.weights import (
 
 
 def weight_from(n, L, N, fn):
-    return Weight(from_callable(n, L, N, fn))
+    return Weight(n, L, N, from_callable(n, L, N, fn).values)
 
 
 def regularized_power(alpha, x0=0.5):
@@ -39,8 +40,8 @@ def regularized_power(alpha, x0=0.5):
 
 def test_weighted_measure_constants():
     w = constant_weight(1, 1.0, 16, 2.0)
-    idx = cube_region(w.base, Cube((0.125,), 0.25))  # level-2 block 0
-    assert idx.size * w.base.h == pytest.approx(0.25)
+    idx = cube_region(w, Cube((0.125,), 0.25))  # level-2 block 0
+    assert idx.size * w.h == pytest.approx(0.25)
     assert w.pyramid.sum(2)[0] / 16 == pytest.approx(0.5, abs=1e-15)
     one = constant_weight(1, 1.0, 16, 1.0)
     assert one.pyramid.sum(0)[0] / 16 == pytest.approx(
@@ -57,7 +58,7 @@ def test_weighted_measure_linear_profile():
 
 def test_a1_constant_weight_is_one():
     w = constant_weight(1, 1.0, 32, 3.7)
-    cubes = dyadic_cubes(w.base, 3)
+    cubes = dyadic_cubes(w, 3)
     assert a1_constant(w, cubes) == pytest.approx(1.0, abs=1e-12)
     assert ap_constant(w, 2.0, cubes) == pytest.approx(1.0, abs=1e-12)
 
@@ -66,7 +67,7 @@ def test_a1_stable_under_refinement():
     vals = []
     for N in (256, 512):
         w = regularized_power(-0.5)(1, 1.0, N)
-        cubes = dyadic_cubes(w.base, 5)
+        cubes = dyadic_cubes(w, 5)
         vals.append(a1_constant(w, cubes))
     assert all(v >= 1 for v in vals)
     assert vals[1] == pytest.approx(vals[0], rel=0.15)
@@ -76,22 +77,22 @@ def test_a1_near_constant_tends_to_one():
     rng = np.random.default_rng(0)
     noise = rng.normal(size=64)
     for eps in (1e-2, 1e-4):
-        w = Weight(GridFunction(1, 1.0, 64, 1.0 + eps * noise))
-        a1 = a1_constant(w, dyadic_cubes(w.base, 4))
+        w = Weight(1, 1.0, 64, 1.0 + eps * noise)
+        a1 = a1_constant(w, dyadic_cubes(w, 4))
         assert a1 < 1 + 8 * eps
     assert a1 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_ap_at_most_a1():
     w = regularized_power(-0.5)(1, 1.0, 256)
-    cubes = dyadic_cubes(w.base, 5)
+    cubes = dyadic_cubes(w, 5)
     for p in (1.5, 2.0, 3.0):
         assert ap_constant(w, p, cubes) <= a1_constant(w, cubes) + 1e-12
 
 
 def test_a2_selfdual():
     w = regularized_power(0.5)(1, 1.0, 256)
-    cubes = dyadic_cubes(w.base, 5)
+    cubes = dyadic_cubes(w, 5)
     lhs = ap_constant(w, 2.0, cubes)
     rhs = ap_constant(power_weight(w, -1.0), 2.0, cubes)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -100,7 +101,7 @@ def test_a2_selfdual():
 def test_power_duality_identity():
     # Ap constant of w^{1-p} equals A_{p'} constant of w, raised to p-1
     w = regularized_power(0.4)(1, 1.0, 256)
-    cubes = dyadic_cubes(w.base, 5)
+    cubes = dyadic_cubes(w, 5)
     for p in (1.5, 2.0, 2.5):
         pp = p / (p - 1.0)
         lhs = ap_constant(power_weight(w, 1.0 - p), p, cubes)
@@ -114,28 +115,28 @@ def test_power_weight_edges():
     assert np.allclose(flat.values, 1.0)
     same = power_weight(w, 1.0)
     assert np.array_equal(same.values, w.values)
-    idx = cube_region(w.base, Cube((0.5,), 0.5))
+    idx = cube_region(w, Cube((0.5,), 0.5))
     assert flat.values.ravel()[idx].mean() == pytest.approx(
         1.0, abs=1e-14)
 
 
 def test_a1_scale_invariance():
     w = regularized_power(-0.5)(1, 1.0, 128)
-    cubes = dyadic_cubes(w.base, 4)
+    cubes = dyadic_cubes(w, 4)
     base = a1_constant(w, cubes)
     for c in (0.01, 3.0, 1e4):
-        scaled = Weight(w.base.with_values(c * w.values))
+        scaled = Weight(w.n, w.L, w.N, c * w.values)
         assert a1_constant(scaled, cubes) == pytest.approx(base, rel=1e-12)
 
 
 def test_a1_bound_is_achieved():
     # w(Q)/m(Q) <= a1 * min_Q w for every family cube, equality at argmax
     w = regularized_power(-0.5)(1, 1.0, 128)
-    cubes = dyadic_cubes(w.base, 4)
+    cubes = dyadic_cubes(w, 4)
     a1 = a1_constant(w, cubes)
     gaps = []
     for q in cubes:
-        idx = cube_region(w.base, q)
+        idx = cube_region(w, q)
         avg = w.values.ravel()[idx].mean()
         mn = w.values.ravel()[idx].min()
         assert avg <= a1 * mn * (1 + 1e-12)
@@ -145,8 +146,8 @@ def test_a1_bound_is_achieved():
 
 def test_family_monotonicity():
     w = regularized_power(-0.5)(1, 1.0, 128)
-    small = dyadic_cubes(w.base, 3)
-    large = dyadic_cubes(w.base, 5)
+    small = dyadic_cubes(w, 3)
+    large = dyadic_cubes(w, 5)
     assert a1_constant(w, small) <= a1_constant(w, large) + 1e-15
     assert ap_constant(w, 2.0, small) <= ap_constant(w, 2.0, large) + 1e-15
 
@@ -154,7 +155,7 @@ def test_family_monotonicity():
 def test_doubling_constant_weight_exact():
     for n in (1, 2):
         w = constant_weight(n, 1.0, 16, 1.0)
-        family = dyadic_cubes(w.base, 2)
+        family = dyadic_cubes(w, 2)
         rep = doubling_report(w, family)
         assert rep.all_ok
         # 2Q of the box is the box; below it, 2Q holds 2^n copies of Q
@@ -165,7 +166,7 @@ def test_doubling_constant_weight_exact():
 
 def test_doubling_bound_holds_for_singular_weight():
     w = regularized_power(-0.7)(1, 1.0, 256)
-    family = dyadic_cubes(w.base, 4)
+    family = dyadic_cubes(w, 4)
     rep = doubling_report(w, family)
     assert rep.all_ok
     assert rep.ratios[family.levels == 4].max() <= 2 * rep.constant + 1e-9
@@ -179,15 +180,41 @@ def test_weight_below_floor_is_refused():
         vals[3] = low
         with pytest.raises(ValueError,
                            match=f"the weight {what} on the 1D N=16 grid"):
-            Weight(GridFunction(1, 1.0, 16, vals))
+            Weight(1, 1.0, 16, vals)
     vals[3] = EPS_MIN
-    assert Weight(GridFunction(1, 1.0, 16, vals)).values.min() == EPS_MIN
+    assert Weight(1, 1.0, 16, vals).values.min() == EPS_MIN
+    # what GridFunction refuses is refused with its message, before the
+    # floor is checked
+    for N, vals, message in ((16, np.zeros(8), r"values shape \(8,\) != "
+                              r"\(16,\)"),
+                             (12, np.zeros(12), "N must be a power of two, "
+                              "got 12"),
+                             (16, np.full(16, np.nan),
+                              "values must all be finite")):
+        with pytest.raises(ValueError, match=message):
+            GridFunction(1, 1.0, N, vals)
+        with pytest.raises(ValueError, match=message):
+            Weight(1, 1.0, N, vals)
+
+
+def test_weight_subclasses_GridFunction():
+    vals = np.linspace(0.5, 2.0, 16)
+    w = Weight(1, 1.0, 16, vals)
+    assert isinstance(w, GridFunction)
+    assert (w.n, w.L, w.N, w.h) == (1, 1.0, 16, 1.0 / 16)
+    assert np.array_equal(w.values, vals)
+    entry = default_corpus()[1]  # a power-regularized weight
+    for made in (constant_weight(1, 1.0, 16), power_weight(w, 0.5),
+                 entry.realize(1, 1.0, 64)[1], entry.weight_on(1, 1.0, 64)):
+        assert type(made) is Weight
+    # new samples, such as an operator field, are not claimed positive
+    assert type(w.with_values(-vals)) is GridFunction
 
 
 def test_ap_rejects_small_p():
     w = constant_weight(1, 1.0, 16, 1.0)
     with pytest.raises(ValueError):
-        ap_constant(w, 1.0, dyadic_cubes(w.base, 2))
+        ap_constant(w, 1.0, dyadic_cubes(w, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,9 +222,9 @@ def test_ap_rejects_small_p():
 def test_a1_scale_invariance_property(seed, c):
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.normal(size=32) * 0.5)
-    w = Weight(GridFunction(1, 1.0, 32, vals))
-    cubes = dyadic_cubes(w.base, 3)
-    scaled = Weight(GridFunction(1, 1.0, 32, c * vals))
+    w = Weight(1, 1.0, 32, vals)
+    cubes = dyadic_cubes(w, 3)
+    scaled = Weight(1, 1.0, 32, c * vals)
     assert a1_constant(scaled, cubes) == pytest.approx(
         a1_constant(w, cubes), rel=1e-11)
 
@@ -207,7 +234,7 @@ def test_a1_scale_invariance_property(seed, c):
 def test_ap_at_least_one_property(seed, p):
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.normal(size=32))
-    w = Weight(GridFunction(1, 1.0, 32, vals))
-    cubes = dyadic_cubes(w.base, 3)
+    w = Weight(1, 1.0, 32, vals)
+    cubes = dyadic_cubes(w, 3)
     assert ap_constant(w, p, cubes) >= 1.0 - 1e-12
     assert a1_constant(w, cubes) >= 1.0 - 1e-12
