@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Record one benchmark run per workload in a BENCH_<label>.json file.
+"""Record benchmark runs per workload in a BENCH_<label>.json file.
 
     python scripts/bench.py LABEL [--seed N] [--checkout DIR]
+        [--against DIR --pairs K]
 
 Runs `perfbench/run.py --trace 0` of the checkout (default: this
 repository) once for each workload that its BENCHMARK.json declares, one
@@ -20,6 +21,19 @@ where unset) and `numpy.__version__`: the thread counts decide how many
 threads numpy's OpenBLAS starts at import, and the numpy version what an
 import loads, so records compare only when these agree too.  Two records
 compare field by field. Exits 1 if any workload did not run.
+
+With --against DIR --pairs K, each workload instead runs K pairs, the
+`against` checkout (the parent of a change, say) and the checkout
+alternately: `against` first in odd pairs (1, 3, ...), the checkout first
+in even ones, each run of the run.py of its own checkout, and every
+workload's pairs one after the other.  The machine drifts between runs,
+so only runs made close together compare.  The record then describes both
+checkouts (`checkout`, `against`) and, per workload, every run of both
+sides in order (`runs`; null where a run failed), each side's median of
+every end-to-end metric (`medians`), and per metric the number of pairs
+each side won (`wins`: `checkout`, `against` and `ties`), better being
+what the checkout's BENCHMARK.json says; a pair with a failed run counts
+for neither side.
 """
 
 from __future__ import annotations
@@ -28,11 +42,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("checkout", "against")
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -47,47 +63,121 @@ def numpy_version() -> str:
         check=True, capture_output=True, text=True).stdout.strip()
 
 
+def describe(checkout: Path) -> dict:
+    """The checkout's commit, whether its tracked files differ from it, and
+    whether compiled modules sit under its src/."""
+    return {
+        "commit": git(checkout, "rev-parse", "HEAD"),
+        "dirty": bool(git(checkout, "status", "--porcelain",
+                          "--untracked-files=no")),
+        "src_bytecode": any((checkout / "src").rglob("*.pyc")),
+    }
+
+
+def run_workload(checkout: Path, workload: str, seed: int,
+                 seconds: float) -> dict | None:
+    """The result line of one run.py run, or None if it did not run."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, env=env)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        print(f"{checkout} {workload}: exit {done.returncode}\n"
+              f"{done.stderr}", file=sys.stderr)
+        return None
+    print(f"{checkout} {workload}: {lines[-1]}")
+    return json.loads(lines[-1])
+
+
+def metric(result: dict | None, name: str) -> float | None:
+    if result is None:
+        return None
+    return result["metrics"][name]["value"]
+
+
+def compare_pairs(runs: dict[str, list], end_to_end: list[dict]) -> dict:
+    """Each side's median of every end-to-end metric and, per metric, the
+    pairs each side won; runs[side][i] is the side's run of pair i."""
+    medians = {side: {} for side in SIDES}
+    wins = {}
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        for side in SIDES:
+            values = [v for v in (metric(r, name) for r in runs[side])
+                      if v is not None]
+            medians[side][name] = (statistics.median(values) if values
+                                   else None)
+        count = dict.fromkeys((*SIDES, "ties"), 0)
+        for mine, theirs in zip(runs["checkout"], runs["against"]):
+            a, b = metric(mine, name), metric(theirs, name)
+            if a is None or b is None:
+                continue
+            if a == b:
+                count["ties"] += 1
+            else:
+                count["checkout" if (a < b) == lower else "against"] += 1
+        wins[name] = count
+    return {"medians": medians, "wins": wins}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="repository checkout whose benchmark runs")
+    ap.add_argument("--against", type=Path,
+                    help="second checkout, run alternately with --checkout")
+    ap.add_argument("--pairs", type=int,
+                    help="pairs of runs per workload, with --against")
     args = ap.parse_args(argv)
+    if (args.against is None) != (args.pairs is None):
+        ap.error("--against and --pairs go together")
+    if args.pairs is not None and args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    record = {
-        "label": args.label,
-        "commit": git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(git(checkout, "status", "--porcelain",
-                          "--untracked-files=no")),
+    seconds = spec["run_seconds"]
+    record = {"label": args.label}
+    if args.against is None:
+        record.update(describe(checkout))
+    else:
+        against = args.against.resolve()
+        record.update(checkout=describe(checkout), against=describe(against),
+                      pairs=args.pairs)
+    record.update({
         "seed": args.seed,
-        "seconds": spec["run_seconds"],
+        "seconds": seconds,
         "platform": platform.platform(),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "src_bytecode": any((checkout / "src").rglob("*.pyc")),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "numpy": numpy_version(),
         "workloads": {},
-    }
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    })
     ok = True
     for workload in (w["name"] for w in spec["workloads"]):
-        done = subprocess.run(
-            [sys.executable, str(checkout / "perfbench" / "run.py"),
-             "--workload", workload, "--seed", str(args.seed),
-             "--seconds", str(spec["run_seconds"]), "--trace", "0"],
-            capture_output=True, text=True, env=env)
-        lines = done.stdout.strip().splitlines()
-        if done.returncode != 0 or not lines:
-            print(f"{workload}: exit {done.returncode}\n{done.stderr}",
-                  file=sys.stderr)
-            ok = False
+        if args.against is None:
+            result = run_workload(checkout, workload, args.seed, seconds)
+            if result is None:
+                ok = False
+            else:
+                record["workloads"][workload] = result
             continue
-        record["workloads"][workload] = json.loads(lines[-1])
-        print(f"{workload}: {lines[-1]}")
+        runs = {side: [] for side in SIDES}
+        for i in range(1, args.pairs + 1):
+            order = ("against", "checkout") if i % 2 else SIDES
+            for side in order:
+                path = against if side == "against" else checkout
+                result = run_workload(path, workload, args.seed, seconds)
+                ok = ok and result is not None
+                runs[side].append(result)
+        record["workloads"][workload] = {
+            "runs": runs, **compare_pairs(runs, spec["end_to_end"])}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")

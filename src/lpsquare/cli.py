@@ -454,7 +454,7 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
 def _jn_row(entry, cfg):
     from .czd import (cube_local_constants, cz_decompose,
                       equivalence_constant, jn_blo_verify, jn_bmo_verify)
-    from .oscillation import blo_constant, blo_p_norm
+    from .oscillation import blo_constant
     n, L, nodes = cfg.n, cfg.L, cfg.lambda_nodes
     f, w = entry.realize(n, L, cfg.N, cfg.seed)
     box = Cube((L / 2.0,) * n, L, level=0)
@@ -477,18 +477,23 @@ def _jn_row(entry, cfg):
          f"worst-margin={rep_bmo.worst_margin:.4f}")]
     family = dyadic_cubes(cfg, cfg.max_level)
     a1 = a1_constant(w, family)
-    blo_rep = blo_constant(f, w, family)
-    blo = blo_rep.value
-    witnesses = {"blo": _cube_record(blo_rep.argmax)}
-    equiv = []
-    for p in (1.5, 2.0, 3.0):
+    ps = (1.5, 2.0, 3.0)
+    nus = {}
+    for p in ps:
         try:
-            nu = power_weight(w, -1.0 / (p - 1.0))
+            nus[p] = power_weight(w, -1.0 / (p - 1.0))
         except ValueError as exc:
             raise ValueError(f"corpus entry {name!r}: w^(-1/(p-1)) at "
                              f"p={p:g}: {exc}") from None
-        k_bound = equivalence_constant(p, n, a1, ap_constant(nu, p, family))
-        blo_p_rep = blo_p_norm(f, w, p, family)
+    # ω^(1-p) is ν at the conjugate exponent p/(p-1), which is in ps too
+    blo_rep = blo_constant(f, w, family, ps,
+                           tuple(nus[p / (p - 1.0)].values for p in ps))
+    blo = blo_rep.value
+    witnesses = {"blo": _cube_record(blo_rep.argmax)}
+    equiv = []
+    for p, blo_p_rep in zip(ps, blo_rep.p_norms):
+        k_bound = equivalence_constant(p, n, a1,
+                                       ap_constant(nus[p], p, family))
         witnesses[f"blo_p:{p:g}"] = _cube_record(blo_p_rep.argmax)
         blo_p = blo_p_rep.value
         if blo > 0 and blo_p == 0.0:

@@ -165,15 +165,25 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         local = cube_local_constants(f, w, Q)
     a_w = local.a_w
     norm = local.blo
+    if norm == 0.0:
+        return DecompositionTree(sigma, max_gen, local, ((),) * max_gen, (), 0)
+    # the descent's frontier arrays are freed before the checks allocate
+    generations, visited = _descend(f, (kq, b0), a_w * sigma, norm, max_gen)
+    checks = _verify_tree(f, (kq, b0), sigma, a_w, norm, generations)
+    return DecompositionTree(sigma, max_gen, local,
+                             tuple(tuple(g) for g in generations),
+                             tuple(checks), visited)
+
+
+def _descend(f: GridFunction, root: tuple[int, int], T: float, norm: float,
+             max_gen: int) -> tuple[list[list[SelectedCube]], int]:
+    """The selected cubes of each generation below the level-kq block b0,
+    at threshold T on f / norm, and the number of frontier blocks whose
+    children were tested."""
+    kq, b0 = root
     n, L = f.n, f.L
     fp = f.pyramid
-
     generations: list[list[SelectedCube]] = [[] for _ in range(max_gen)]
-    if norm == 0.0:
-        return DecompositionTree(sigma, max_gen, local,
-                                 tuple(tuple(g) for g in generations), (), 0)
-
-    T = a_w * sigma
     blocks = np.array([b0])
     m_s = fp.min(kq)[blocks] / norm
     gen = np.array([1])
@@ -188,8 +198,10 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         blocks = block_children(n, k, blocks)
         m_s, gen, pid = (np.repeat(a, 2**n) for a in (m_s, gen, pid))
         mean = fp.sum(k + 1)[blocks] / norm / fp.count(k + 1) - m_s
-        cmin = fp.min(k + 1)[blocks] / norm
         sel = mean > T
+        if not sel.any():
+            continue
+        cmin = fp.min(k + 1)[blocks] / norm
         ids = next_id + np.cumsum(sel) - 1
         for c in np.flatnonzero(sel).tolist():
             cube = dyadic_cube(n, L, k + 1, int(blocks[c]))
@@ -202,19 +214,19 @@ def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
         gen = gen + sel
         keep = gen <= max_gen
         blocks, m_s, gen, pid = blocks[keep], m_s[keep], gen[keep], pid[keep]
-
-    checks = _verify_tree(f, (kq, b0), sigma, a_w, norm, generations)
-    return DecompositionTree(sigma, max_gen, local,
-                             tuple(tuple(g) for g in generations),
-                             tuple(checks), visited)
+    return generations, visited
 
 
 def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord]:
     """Invariants (A)-(E) of each generation, from sample masks.
 
     owner holds, for each sample, the id of the previous generation's cube
-    that covers it (0 on Q for generation 1, -1 elsewhere); covered counts
-    the current generation's cubes over each sample.
+    that covers it (0 on Q for generation 1, -1 elsewhere; None when the
+    previous generation is empty, which covers nothing); covered counts
+    the current generation's cubes over each sample.  An empty generation
+    covers no sample, so (A) holds and (E) reads all of Q, the same value
+    for every empty generation.  (E) takes max(f/norm) - min_Q rather than
+    the max of the differences: rounding is monotone, so the two agree.
     """
     n, N = f.n, f.N
     h = f.L / N
@@ -226,26 +238,38 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
     min_q = float(scaled[q].min())
     owner = np.full(f.values.shape, -1)
     owner[q] = 0
+    e_empty = None
     bound_bc = 2**n * sigma * a_w
     for gen_idx, gen in enumerate(generations, start=1):
-        covered = np.zeros(f.values.shape, dtype=np.int64)
-        next_owner = np.full(f.values.shape, -1)
         inside_ok = True
         total = 0.0
         worst_b = 0.0
         worst_c_hi = 0.0
         worst_c_lo = 0.0
-        for s in gen:
-            cells = block_cells(n, N, *dyadic_address(f, s.cube))
-            covered[cells] += 1
-            inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
-            next_owner[cells] = s.id
-            total += covered[cells].size * h**n
-            worst_b = max(worst_b, s.osc_mean)
-            worst_c_hi = max(worst_c_hi, s.min_inc)
-            worst_c_lo = min(worst_c_lo, s.min_inc)
-        owner = next_owner
-        a_ok = inside_ok and not (covered > 1).any()
+        if gen:
+            if owner is None:  # only a corrupted tree gets here
+                owner = np.full(f.values.shape, -1)
+            covered = np.zeros(f.values.shape, dtype=np.int64)
+            next_owner = np.full(f.values.shape, -1)
+            for s in gen:
+                cells = block_cells(n, N, *dyadic_address(f, s.cube))
+                covered[cells] += 1
+                inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
+                next_owner[cells] = s.id
+                total += covered[cells].size * h**n
+                worst_b = max(worst_b, s.osc_mean)
+                worst_c_hi = max(worst_c_hi, s.min_inc)
+                worst_c_lo = min(worst_c_lo, s.min_inc)
+            owner = next_owner
+            a_ok = inside_ok and not (covered > 1).any()
+            off = scaled[q][covered[q] == 0]
+            e_val = float(off.max() - min_q) if off.size else 0.0
+        else:
+            owner = None
+            a_ok = True
+            if e_empty is None:
+                e_empty = float(scaled[q].max() - min_q)
+            e_val = e_empty
         b_lo_ok = all(s.osc_mean > sigma * a_w for s in gen)
         checks.append(InvariantRecord("A", gen_idx, 0.0 if a_ok else 1.0,
                                       0.0, a_ok))
@@ -255,9 +279,7 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
                                       worst_c_lo >= -1e-12 and worst_c_hi <= bound_bc * slack))
         checks.append(InvariantRecord("D", gen_idx, total, m_q / sigma**gen_idx,
                                       total <= m_q / sigma**gen_idx * slack))
-        off = scaled[q][covered[q] == 0]
         e_bound = gen_idx * sigma * 2**n * a_w
-        e_val = float((off - min_q).max()) if off.size else 0.0
         checks.append(InvariantRecord("E", gen_idx, e_val, e_bound,
                                       e_val <= e_bound * slack))
     return checks

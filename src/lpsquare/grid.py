@@ -35,6 +35,7 @@ __all__ = [
     "block_cells",
     "block_children",
     "level_blocks",
+    "block_sums",
     "BlockPyramid",
     "family_values",
     "periodic_displacement",
@@ -51,7 +52,7 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on the periodic box [0, L)^n.
 
@@ -260,6 +261,28 @@ def level_blocks(values: np.ndarray, n: int, level: int) -> np.ndarray:
         *range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(B**n, bs**n)
 
 
+# Rows shorter than this are summed column by column: numpy reduces each
+# row in its own inner-loop call, which costs more than the additions when
+# a row holds a few samples, and its pairwise sum adds such a row left to
+# right from +0.0, the order of the column-wise loop.
+_PAIRWISE_MIN = 8
+
+
+def block_sums(blocks: np.ndarray) -> np.ndarray:
+    """blocks.sum(axis=1) of a (rows, samples) table, bit for bit.
+
+    A row of fewer than _PAIRWISE_MIN samples is added left to right from
+    +0.0, one column of the table at a time; longer rows are left to
+    numpy's pairwise sum.
+    """
+    if blocks.shape[1] >= _PAIRWISE_MIN:
+        return blocks.sum(axis=1)
+    out = np.zeros(blocks.shape[0])
+    for j in range(blocks.shape[1]):
+        out += blocks[:, j]
+    return out
+
+
 class BlockPyramid:
     """The dyadic block sums and minima of one sampled function.
 
@@ -299,7 +322,7 @@ class BlockPyramid:
         return out
 
     def sum(self, k: int) -> np.ndarray:
-        return self._kept("sum", k, lambda k: self.blocks(k).sum(axis=1))
+        return self._kept("sum", k, lambda k: block_sums(self.blocks(k)))
 
     def mean(self, k: int) -> np.ndarray:
         """Block means, read from the sum table; equal bit for bit to
@@ -320,7 +343,8 @@ class BlockPyramid:
 
     def absdev(self, k: int) -> np.ndarray:
         """Σ_Q |v - v_Q| per block, v_Q the block mean; not kept."""
-        return np.abs(self.blocks(k) - self.mean(k)[:, None]).sum(axis=1)
+        dev = self.blocks(k) - self.mean(k)[:, None]
+        return block_sums(np.abs(dev, out=dev))
 
 
 def family_values(grid, family: DyadicFamily,

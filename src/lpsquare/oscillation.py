@@ -13,11 +13,14 @@ mean, h^n the cell volume):
   blo_p  ((1/ω(Q)) Σ_Q (f - min_Q f)^p ω^{1-p} h^n)^{1/p}
 
 All are family-relative; inequalities between functionals hold cube-wise,
-so both sides of any comparison must use the same family.
+so both sides of any comparison must use the same family.  blo_constant
+also reads blo_p at any number of exponents, each level's f - min_Q f
+table built once for all of them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ from .grid import (
     Cube,
     DyadicFamily,
     GridFunction,
+    block_sums,
     cube_region,
     family_values,
     level_blocks,
@@ -50,6 +54,8 @@ class OscillationReport:
     value: float
     argmax: Cube
     family_size: int
+    # BLO_p reports read along with a BLO scan (blo_constant's ps)
+    p_norms: tuple["OscillationReport", ...] = ()
 
 
 def _gather(f: GridFunction, w: Weight, q: Cube) -> tuple[np.ndarray, np.ndarray, float]:
@@ -84,45 +90,69 @@ def _deviation(fp: BlockPyramid, k: int) -> np.ndarray:
     return fp.blocks(k) - fp.min(k)[:, None]
 
 
-def _level_values(kind: str, f: GridFunction, w: Weight, k: int,
-                  p: float | None, w_pow: np.ndarray | None) -> np.ndarray:
-    """single_cube_value of every level-k dyadic cube, in block order;
-    for blo_p, w_pow is ω^{1-p}."""
-    fp = f.pyramid
-    hn = (f.L / f.N) ** f.n
-    wq = w.pyramid.sum(k) * hn
-    if kind == "bmo":
-        return fp.absdev(k) * hn / wq
-    if kind == "blo":
-        return _deviation(fp, k).sum(axis=1) * hn / wq
-    dev = (_deviation(fp, k) ** p
-           * level_blocks(w_pow, f.n, k)).sum(axis=1)
-    return (dev * hn / wq) ** (1.0 / p)
-
-
-def _scan(kind: str, f: GridFunction, w: Weight, cubes: DyadicFamily,
-          p: float | None) -> OscillationReport:
-    w_pow = w.values ** (1.0 - p) if kind == "blo_p" else None
-    vals = family_values(
-        f, cubes, lambda k: (_level_values(kind, f, w, k, p, w_pow),))[0]
+def _report(kind: str, p: float | None, vals: np.ndarray,
+            cubes: DyadicFamily) -> OscillationReport:
     i = int(np.argmax(vals))
     return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
 
 
-def bmo_norm(f: GridFunction, w: Weight,
-             cubes: DyadicFamily) -> OscillationReport:
-    return _scan("bmo", f, w, cubes, None)
-
-
-def blo_constant(f: GridFunction, w: Weight,
-                 cubes: DyadicFamily) -> OscillationReport:
-    return _scan("blo", f, w, cubes, None)
-
-
-def blo_p_norm(f: GridFunction, w: Weight, p: float,
-               cubes: DyadicFamily) -> OscillationReport:
+def _check_p(p: float) -> None:
     if p < 1:
         raise ValueError("p must be >= 1")
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    return _scan("blo_p", f, w, cubes, p)
+
+
+def bmo_norm(f: GridFunction, w: Weight,
+             cubes: DyadicFamily) -> OscillationReport:
+    hn = (f.L / f.N) ** f.n
+
+    def level_values(k):
+        return (f.pyramid.absdev(k) * hn / (w.pyramid.sum(k) * hn),)
+
+    return _report("bmo", None, family_values(f, cubes, level_values)[0],
+                   cubes)
+
+
+def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
+                 ps: tuple[float, ...],
+                 w_pows: tuple[np.ndarray, ...] | None
+                 ) -> list[OscillationReport]:
+    """BLO, then BLO_p at each p of ps, from one f - min_Q f table per
+    level that every functional reduces."""
+    for p in ps:
+        _check_p(p)
+    if w_pows is None:
+        w_pows = tuple(w.values ** (1.0 - p) for p in ps)
+    fp = f.pyramid
+    hn = (f.L / f.N) ** f.n
+
+    def level_values(k):
+        wq = w.pyramid.sum(k) * hn
+        dev = _deviation(fp, k)
+        out = [block_sums(dev) * hn / wq]
+        for p, w_pow in zip(ps, w_pows):
+            s = block_sums(dev ** p * level_blocks(w_pow, f.n, k))
+            out.append((s * hn / wq) ** (1.0 / p))
+        return out
+
+    vals = family_values(f, cubes, level_values)
+    return [_report("blo", None, vals[0], cubes),
+            *(_report("blo_p", p, v, cubes) for p, v in zip(ps, vals[1:]))]
+
+
+def blo_constant(f: GridFunction, w: Weight, cubes: DyadicFamily,
+                 ps: tuple[float, ...] = (),
+                 w_pows: tuple[np.ndarray, ...] | None = None
+                 ) -> OscillationReport:
+    """The BLO constant over the family.  Its report's p_norms hold BLO_p
+    at each p of ps, as blo_p_norm reports it, read from the same
+    deviation tables.  w_pows, when given, holds ω^{1-p} for each p of ps,
+    as the samples raised to it; it is computed otherwise."""
+    blo, *p_norms = _blo_reports(f, w, cubes, ps, w_pows)
+    return dataclasses.replace(blo, p_norms=tuple(p_norms))
+
+
+def blo_p_norm(f: GridFunction, w: Weight, p: float,
+               cubes: DyadicFamily) -> OscillationReport:
+    return _blo_reports(f, w, cubes, (p,), None)[1]

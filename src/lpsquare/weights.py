@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BlockPyramid, DyadicFamily, GridFunction, family_values,
-                   level_blocks)
+from .grid import (BlockPyramid, DyadicFamily, GridFunction, block_sums,
+                   family_values, level_blocks)
 
 __all__ = [
     "Weight",
@@ -32,7 +32,7 @@ __all__ = [
 EPS_MIN = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight(GridFunction):
     """Grid function with every sample at least EPS_MIN.
 
@@ -78,7 +78,7 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
 
     def level_values(k):
         cnt = pyr.count(k)
-        pow_sums = level_blocks(w_pow, w.n, k).sum(axis=1)
+        pow_sums = block_sums(level_blocks(w_pow, w.n, k))
         return ((pyr.sum(k) / cnt) * (pow_sums / cnt) ** (p - 1.0),)
 
     return float(family_values(w, cubes, level_values)[0].max())
@@ -126,19 +126,20 @@ def _doubled(table: np.ndarray, k: int, n: int, op: np.ufunc) -> np.ndarray:
     return out.ravel()
 
 
-def _doubled_samples(values: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """op over each doubled cube 2Q of the finest level, one per sample.
+def _doubled_samples(values: np.ndarray) -> np.ndarray:
+    """The samples of each doubled cube 2Q of the finest level, one row
+    per sample.
 
     2Q of sample i holds samples i and i+1 (periodic) on each axis.  Each
     row lists them in increasing flat index, the order of the sum over
-    cube_region(2Q), so the sums agree with it bit for bit.
+    cube_region(2Q), so the row sums agree with it bit for bit.
     """
     N, n = values.shape[0], values.ndim
     i = np.arange(N)
     pair = np.sort(np.stack([i, (i + 1) % N], axis=1), axis=1)
     rows = values[pair] if n == 1 else \
         values[pair[:, None, :, None], pair[None, :, None, :]]
-    return op.reduce(rows.reshape(N**n, 2**n), axis=1)
+    return rows.reshape(N**n, 2**n)
 
 
 def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
@@ -156,8 +157,8 @@ def doubling_report(w: Weight, cubes: DyadicFamily) -> DoublingReport:
         if k == 0:  # 2Q covers the box once
             return (s1 * hn) / (s1 * hn), a1_q, a1_q
         if k == pyr.depth:  # 2Q holds two samples per axis
-            s2 = _doubled_samples(w.values, np.add)
-            m2 = _doubled_samples(w.values, np.minimum)
+            rows = _doubled_samples(w.values)
+            s2, m2 = block_sums(rows), rows.min(axis=1)
         else:
             s2 = _doubled(pyr.sum(k + 1), k, w.n, np.add)
             m2 = _doubled(pyr.min(k + 1), k, w.n, np.minimum)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpsquare.czd import (
+    InvariantRecord,
     SelectedCube,
     _verify_tree,
     cube_local_constants,
@@ -32,6 +33,7 @@ from lpsquare.czd import (
 from lpsquare.grid import (
     Cube,
     GridFunction,
+    block_cells,
     cube_region,
     dyadic_address,
     dyadic_cube,
@@ -636,6 +638,99 @@ def _node(f, k, b, gen, id, parent):
 def _records(f, generations, root=(0, 0)):
     checks = _verify_tree(f, root, 2.0, 1.0, 1.0, generations)
     return {(c.name, c.gen): c for c in checks}
+
+
+def verify_tree_reference(f, root, sigma, a_w, norm, generations):
+    """The invariant checks with one full pass over the grid per
+    generation, empty or not: the reference for _verify_tree, which
+    judges an empty generation without a pass."""
+    n, N = f.n, f.N
+    h = f.L / N
+    slack = 1.0 + 1e-12
+    checks = []
+    q = block_cells(n, N, *root)
+    scaled = f.values / norm
+    m_q = scaled[q].size * h**n
+    min_q = float(scaled[q].min())
+    owner = np.full(f.values.shape, -1)
+    owner[q] = 0
+    bound_bc = 2**n * sigma * a_w
+    for gen_idx, gen in enumerate(generations, start=1):
+        covered = np.zeros(f.values.shape, dtype=np.int64)
+        next_owner = np.full(f.values.shape, -1)
+        inside_ok = True
+        total = 0.0
+        worst_b = 0.0
+        worst_c_hi = 0.0
+        worst_c_lo = 0.0
+        for s in gen:
+            cells = block_cells(n, N, *dyadic_address(f, s.cube))
+            covered[cells] += 1
+            inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
+            next_owner[cells] = s.id
+            total += covered[cells].size * h**n
+            worst_b = max(worst_b, s.osc_mean)
+            worst_c_hi = max(worst_c_hi, s.min_inc)
+            worst_c_lo = min(worst_c_lo, s.min_inc)
+        owner = next_owner
+        a_ok = inside_ok and not (covered > 1).any()
+        b_lo_ok = all(s.osc_mean > sigma * a_w for s in gen)
+        checks.append(InvariantRecord("A", gen_idx, 0.0 if a_ok else 1.0,
+                                      0.0, a_ok))
+        checks.append(InvariantRecord("B", gen_idx, worst_b, bound_bc,
+                                      b_lo_ok and worst_b <= bound_bc * slack))
+        checks.append(InvariantRecord(
+            "C", gen_idx, worst_c_hi, bound_bc,
+            worst_c_lo >= -1e-12 and worst_c_hi <= bound_bc * slack))
+        checks.append(InvariantRecord(
+            "D", gen_idx, total, m_q / sigma**gen_idx,
+            total <= m_q / sigma**gen_idx * slack))
+        off = scaled[q][covered[q] == 0]
+        e_bound = gen_idx * sigma * 2**n * a_w
+        e_val = float((off - min_q).max()) if off.size else 0.0
+        checks.append(InvariantRecord("E", gen_idx, e_val, e_bound,
+                                      e_val <= e_bound * slack))
+    return checks
+
+
+def _trees_with_empty_generations():
+    yield gf(_profile(256, "staircase")), constant_weight(1, 1.0, 256), 1.3
+    yield gf(_profile(128, "logspike")), constant_weight(1, 1.0, 128), 1.5
+    f = gf(_profile(256, "logspike"))
+    yield f, weight_from(regularized_power(256, 0.25, x0=0.7)), math.e
+    f, w = _nested_2d(16, 5)
+    yield f, w, 1.2
+    yield f, w, 1.5
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_empty_generations_are_judged_as_by_a_full_pass(case):
+    f, w, sigma = list(_trees_with_empty_generations())[case]
+    box = Cube((0.5,) * f.n, 1.0, level=0)
+    tree = cz_decompose(f, w, box, sigma=sigma, max_gen=5)
+    sizes = [len(g) for g in tree.generations]
+    # a non-empty generation followed by empty ones
+    assert sizes[0] > 0 and sizes[-1] == 0
+    reference = verify_tree_reference(f, (0, 0), sigma, tree.local.a_w,
+                                      tree.local.blo, tree.generations)
+    assert list(tree.checks) == reference
+    assert tree.all_ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generation_after_an_empty_one_fails_check_a(n):
+    # a corrupted tree: generation 2 is empty, so nothing owns the cubes
+    # of generation 3, whichever parent they name
+    f = gf(np.arange(16.0 ** n).reshape((16,) * n))
+    first = _node(f, 1, 0, 1, 1, 0)
+    for parent in (0, 1):
+        generations = [[first], [], [_node(f, 2, 0, 3, 2, parent)]]
+        checks = _verify_tree(f, (0, 0), 2.0, 1.0, 1.0, generations)
+        assert checks == verify_tree_reference(f, (0, 0), 2.0, 1.0, 1.0,
+                                               generations)
+        recs = {(c.name, c.gen): c for c in checks}
+        assert recs[("A", 1)].ok and recs[("A", 2)].ok
+        assert not recs[("A", 3)].ok
 
 
 @pytest.mark.parametrize("n", [1, 2])

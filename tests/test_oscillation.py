@@ -101,6 +101,28 @@ def test_p_equal_one_reduces_to_base():
         blo_p_norm(f, w, 0.5, cubes)
 
 
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_blo_scan_reads_blo_p_as_blo_p_norm_does(n, N):
+    # one deviation table per level for every exponent gives the same bits
+    # as a scan per exponent, with the weight powers given or computed
+    rng = np.random.default_rng(41)
+    shape = (N,) * n
+    f = GridFunction(n, 1.0, N, rng.normal(size=shape))
+    w = Weight(n, 1.0, N, np.exp(rng.normal(size=shape) * 0.5))
+    cubes = dyadic_cubes(f, N.bit_length() - 1)
+    ps = (1.5, 2.0, 3.0)
+    alone = blo_constant(f, w, cubes)
+    assert alone.p_norms == ()
+    given_powers = tuple(w.values ** (1.0 - p) for p in ps)
+    for rep in (blo_constant(f, w, cubes, ps),
+                blo_constant(f, w, cubes, ps, given_powers)):
+        assert rep.value == alone.value and rep.argmax == alone.argmax
+        assert rep.p_norms == tuple(blo_p_norm(f, w, p, cubes) for p in ps)
+    for bad in (0.5, float("inf")):
+        with pytest.raises(ValueError, match="p must be"):
+            blo_constant(f, w, cubes, (2.0, bad))
+
+
 def test_bmo_at_most_twice_blo():
     rng = np.random.default_rng(13)
     for trial in range(5):

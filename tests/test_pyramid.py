@@ -18,6 +18,7 @@ from lpsquare.grid import (
     BlockPyramid,
     Cube,
     GridFunction,
+    block_sums,
     cube_region,
     dyadic_cubes,
     level_blocks,
@@ -221,6 +222,37 @@ def test_mean_tables_equal_the_block_mean_formula(n, N):
         assert pyr.absdev(k).tobytes() == dev.sum(axis=1).tobytes()
         low = blocks - blocks.min(axis=1, keepdims=True)
         assert _deviation(pyr, k).tobytes() == low.tobytes()
+
+
+def mixed_samples(shape, seed):
+    """Signed zeros, subnormals and magnitudes from 1e-300 to 1e300, with
+    the leading samples all -0.0 so that some fine blocks hold nothing
+    else."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    kind = rng.integers(0, 8, shape)
+    vals[kind == 0] = -0.0
+    vals[kind == 1] = 0.0
+    sub = kind == 2
+    vals[sub] = rng.integers(-1000, 1001, int(sub.sum())) * 5e-324
+    vals.reshape(-1)[:16] = -0.0
+    return vals
+
+
+@pytest.mark.parametrize("n,N", [(1, 1), (1, 2), (1, 16), (1, 1024),
+                                 (1, 1 << 16), (2, 2), (2, 16), (2, 256)])
+def test_block_sums_equal_numpy_row_sums_bit_for_bit(n, N):
+    # short rows are summed column by column in numpy's own order; if a
+    # numpy release sums them in another order, this test fails
+    values = mixed_samples((N,) * n, seed=N + n)
+    pyr = BlockPyramid(values, n)
+    for k in range(pyr.depth + 1):
+        blocks = level_blocks(values, n, k)
+        assert block_sums(blocks).tobytes() == \
+            blocks.sum(axis=1).tobytes(), f"level {k}"
+        assert pyr.sum(k).tobytes() == blocks.sum(axis=1).tobytes()
+        dev = np.abs(blocks - pyr.mean(k)[:, None]).sum(axis=1)
+        assert pyr.absdev(k).tobytes() == dev.tobytes(), f"level {k}"
 
 
 PYRAMID_READERS = [

@@ -71,5 +71,7 @@ def test_every_subcommand_runs_traced(tmp_path, command):
                     for e in manifest["entries"])
         assert counts["czd.tree_nodes"] == nodes > 0
         assert counts["czd.invariant_checks"] > 0
+        # the BLO and BLO_p scan is timed in the oscillation layer
+        assert counts["oscillation.cubes_scanned"] > 0
     if command == "weights":
         assert counts["weights.cubes_scanned"] > 0

@@ -211,6 +211,16 @@ def test_weight_subclasses_GridFunction():
     assert type(w.with_values(-vals)) is GridFunction
 
 
+@pytest.mark.parametrize("make", [GridFunction, Weight])
+def test_grid_functions_compare_and_hash_by_identity(make):
+    # field-wise equality would compare the sample arrays and raise
+    vals = np.linspace(0.5, 2.0, 16)
+    a, b = make(1, 1.0, 16, vals), make(1, 1.0, 16, vals)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert hash(a) == hash(a)
+
+
 def test_ap_rejects_small_p():
     w = constant_weight(1, 1.0, 16, 1.0)
     with pytest.raises(ValueError):
