@@ -66,6 +66,13 @@ def _gather(f: GridFunction, w: Weight, q: Cube) -> tuple[np.ndarray, np.ndarray
     return f.values.ravel()[idx], w.values.ravel()[idx], h**f.n
 
 
+def _check_p(p: float) -> None:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+
+
 def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
                       p: float | None = None) -> float:
     """The per-cube quantity behind each functional; used as sup witness."""
@@ -76,10 +83,9 @@ def single_cube_value(kind: str, f: GridFunction, w: Weight, q: Cube,
     if kind == "blo":
         return float((fv - fv.min()).sum()) * hn / wq
     if kind == "blo_p":
-        if p is None or p < 1:
+        if p is None:
             raise ValueError("p must be >= 1")
-        if not math.isfinite(p):
-            raise ValueError(f"p must be finite, got {p}")
+        _check_p(p)
         s = float(((fv - fv.min())**p * wv ** (1.0 - p)).sum()) * hn
         return (s / wq) ** (1.0 / p)
     raise ValueError(f"unknown functional kind {kind!r}")
@@ -94,13 +100,6 @@ def _report(kind: str, p: float | None, vals: np.ndarray,
             cubes: DyadicFamily) -> OscillationReport:
     i = int(np.argmax(vals))
     return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
-
-
-def _check_p(p: float) -> None:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
 
 
 def bmo_norm(f: GridFunction, w: Weight,
@@ -124,6 +123,9 @@ def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
         _check_p(p)
     if w_pows is None:
         w_pows = tuple(w.values ** (1.0 - p) for p in ps)
+    elif len(w_pows) != len(ps):
+        raise ValueError(f"{len(w_pows)} weight powers for {len(ps)} "
+                         f"exponents")
     fp = f.pyramid
     hn = (f.L / f.N) ** f.n
 

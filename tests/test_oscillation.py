@@ -121,6 +121,8 @@ def test_blo_scan_reads_blo_p_as_blo_p_norm_does(n, N):
     for bad in (0.5, float("inf")):
         with pytest.raises(ValueError, match="p must be"):
             blo_constant(f, w, cubes, (2.0, bad))
+    with pytest.raises(ValueError, match="2 weight powers for 3 exponents"):
+        blo_constant(f, w, cubes, ps, given_powers[:2])
 
 
 def test_bmo_at_most_twice_blo():
