@@ -117,13 +117,19 @@ def _root_address(f: GridFunction, Q: Cube) -> tuple[int, int]:
 
 
 def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
-    """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q."""
+    """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q.
+
+    The scan reads the pyramids' tables down to two-sample cubes.  A
+    single-sample cube has the exact constants its tables would give
+    (A1 quotient w/w = 1, BLO and BMO 0), so the level-N tables are never
+    built for it.
+    """
     kq, b0 = _root_address(f, Q)
     fp, wp = f.pyramid, w.pyramid
-    a1 = 0.0
+    a1 = 1.0
     blo = 0.0
     bmo = 0.0
-    for k in range(kq, fp.depth + 1):
+    for k in range(kq, fp.depth):
         # Q's level-k blocks are a window of the level-k table laid out
         # on its 2^k-per-axis grid
         cells = block_cells(f.n, 1 << k, kq, b0)

@@ -36,6 +36,7 @@ __all__ = [
     "block_children",
     "level_blocks",
     "block_sums",
+    "half_power",
     "BlockPyramid",
     "family_values",
     "periodic_displacement",
@@ -280,6 +281,30 @@ def block_sums(blocks: np.ndarray) -> np.ndarray:
     out = np.zeros(blocks.shape[0])
     for j in range(blocks.shape[1]):
         out += blocks[:, j]
+    return out
+
+
+def half_power(values: np.ndarray, s: float) -> np.ndarray:
+    """values ** s; for a half-integer s with 0 < |s| <= 3, from products,
+    one square root and, for s < 0, one reciprocal.
+
+    |s| = j + 1/2 multiplies sqrt(values) by values j times, |s| = j
+    multiplies values by itself j - 1 times, and s < 0 then takes the
+    reciprocal: at most four roundings of relative size 2^-53, so a normal
+    result lies within 4 ULP of the exact power.  At s = 1/2, ±1 and 2 the
+    result is that of **, which takes sqrt, reciprocal or square there.
+    A vectorised pow costs several square roots or products, and most on
+    exact zeros.  +0.0 gives +0.0 for s > 0.  Any other s is values ** s.
+    """
+    twice = 2.0 * float(s)
+    if not (twice.is_integer() and 0 < abs(twice) <= 6):
+        return values ** s
+    whole, half = divmod(int(abs(twice)), 2)
+    out = np.sqrt(values) if half else np.array(values, dtype=float)
+    for _ in range(whole - 1 + half):
+        out *= values
+    if s < 0:
+        np.divide(1.0, out, out=out)
     return out
 
 

@@ -15,7 +15,11 @@ mean, h^n the cell volume):
 All are family-relative; inequalities between functionals hold cube-wise,
 so both sides of any comparison must use the same family.  blo_constant
 also reads blo_p at any number of exponents, each level's f - min_Q f
-table built once for all of them.
+table built once for all of them.  The scans raise the deviations to p
+and the weight to 1 - p with grid.half_power, which takes products and a
+square root where p is a half-integer (within 4 ULP of pow, so BLO_p may
+differ from single_cube_value in the last bits); single_cube_value keeps
+** so that the reference does not share the scans' arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .grid import (
     block_sums,
     cube_region,
     family_values,
+    half_power,
     level_blocks,
 )
 from .weights import Weight
@@ -122,7 +127,7 @@ def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
     for p in ps:
         _check_p(p)
     if w_pows is None:
-        w_pows = tuple(w.values ** (1.0 - p) for p in ps)
+        w_pows = tuple(half_power(w.values, 1.0 - p) for p in ps)
     elif len(w_pows) != len(ps):
         raise ValueError(f"{len(w_pows)} weight powers for {len(ps)} "
                          f"exponents")
@@ -134,7 +139,7 @@ def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
         dev = _deviation(fp, k)
         out = [block_sums(dev) * hn / wq]
         for p, w_pow in zip(ps, w_pows):
-            s = block_sums(dev ** p * level_blocks(w_pow, f.n, k))
+            s = block_sums(half_power(dev, p) * level_blocks(w_pow, f.n, k))
             out.append((s * hn / wq) ** (1.0 / p))
         return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (BlockPyramid, DyadicFamily, GridFunction, block_sums,
-                   family_values, level_blocks)
+                   family_values, half_power, level_blocks)
 
 __all__ = [
     "Weight",
@@ -74,7 +74,7 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
     pyr = w.pyramid
-    w_pow = w.values ** (1.0 - p / (p - 1.0))
+    w_pow = half_power(w.values, 1.0 - p / (p - 1.0))
 
     def level_values(k):
         cnt = pyr.count(k)
@@ -85,7 +85,7 @@ def ap_constant(w: Weight, p: float, cubes: DyadicFamily) -> float:
 
 
 def power_weight(w: Weight, s: float) -> Weight:
-    return Weight(w.n, w.L, w.N, w.values**s)
+    return Weight(w.n, w.L, w.N, half_power(w.values, s))
 
 
 _SLACK = 1e-12

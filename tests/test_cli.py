@@ -1149,6 +1149,29 @@ def test_manifest_records_witness_cubes(tmp_path):
         assert jn_rec["witnesses"] == expect
 
 
+@pytest.mark.parametrize("grid", [("grid.N=256",),
+                                  ("grid.n=2", "grid.N=16")])
+def test_jn_row_builds_no_single_sample_sum_table(monkeypatch, grid):
+    # the local scan stops at two-sample cubes, and the default family
+    # stops above them, so the level-N sum tables are never built
+    realized = []
+    realize = report.CorpusEntry.realize
+
+    def keep(self, *args):
+        realized.append(realize(self, *args))
+        return realized[-1]
+
+    monkeypatch.setattr(report.CorpusEntry, "realize", keep)
+    cfg = load_config(overrides=(*grid, "family.max_level=3"))
+    for entry in default_corpus():
+        cli._jn_row(entry, cfg)
+    assert len(realized) == len(default_corpus())
+    for f, w in realized:
+        for pyr in (f.pyramid, w.pyramid):
+            assert ("sum", pyr.depth - 1) in pyr._tables
+            assert ("sum", pyr.depth) not in pyr._tables
+
+
 def test_manifest_records_tree_shape_per_entry(tmp_path):
     code, _, manifest = run(tmp_path, "jn", *FAST, "--jobs", "2")
     assert code == 0

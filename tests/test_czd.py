@@ -225,7 +225,9 @@ def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
     depth = int(math.log2(N))
     family = dyadic_cubes(f, depth)
     for q in family:
-        if q.level == 0 or q.level > 2:
+        # the coarse roots, and the roots of two samples and of one sample
+        # per axis, where the scan stops
+        if q.level == 0 or 2 < q.level < depth - 1:
             continue
         half = q.side / 2
         inside = [c for c in family if c.level >= q.level and all(
@@ -255,6 +257,37 @@ def test_tree_holds_the_local_constants_of_its_root(n, N):
             local = cube_local_constants(f, w, q)
             assert cz_decompose(f, w, q).local == local
             assert cz_decompose(f, w, q, local=local).local == local
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_single_sample_roots_take_exact_constants(n, N):
+    rng = np.random.default_rng(8)
+    f = gf(rng.standard_normal((N,) * n))
+    w = weight_from(np.exp(0.5 * rng.standard_normal((N,) * n)))
+    depth = int(math.log2(N))
+    for b in range(N**n):
+        q = dyadic_cube(n, 1.0, depth, b)
+        [wq] = w.values.ravel()[cube_region(f, q)]
+        local = cube_local_constants(f, w, q)
+        assert (local.a1, local.min_w, local.a_w, local.blo, local.bmo) \
+            == (1.0, wq, wq, 0.0, 0.0)
+        if n == 1:
+            assert (local.a1, local.min_w, local.a_w, local.blo) \
+                == _oracle_local(f, w, q)
+    # no single-sample table was built for them
+    for pyr in (f.pyramid, w.pyramid):
+        assert ("sum", depth) not in pyr._tables
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_single_sample_grid_takes_exact_constants(n):
+    f, w = gf(np.full((1,) * n, 2.5)), weight_from(np.full((1,) * n, 0.75))
+    local = cube_local_constants(f, w, Cube((0.5,) * n, 1.0, level=0))
+    assert (local.a1, local.min_w, local.a_w, local.blo, local.bmo) \
+        == (1.0, 0.75, 0.75, 0.0, 0.0)
+    if n == 1:
+        assert (local.a1, local.min_w, local.a_w, local.blo) \
+            == _oracle_local(f, w, BOX)
 
 
 def test_root_must_be_dyadic():

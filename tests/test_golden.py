@@ -37,7 +37,7 @@ DIGESTS = {
     },
     "jn": {
         "equivalence.csv":
-            "13a49b13ba44e0e5e6e12332f0200c41ded0ea8f97e199707d1af4765a257e1c",
+            "9fb7a0dc4e1a8be9a58067e0b093b3c2a749b48aa5d1f8409bfeee584591c8b4",
         "jn_summary.csv":
             "d5f48d8ac75bde32722476eac102cd65ec90ddef97b1eba9dfa4b2165ff36e4e",
         "jn_tail_blo_logspike-const.csv":
@@ -129,9 +129,9 @@ def test_default_config_criteria_are_unchanged(tmp_path, command, jobs):
 # spacing h is not a dyadic rational, so a tail mass summed from h's
 # rounds where count * h does not; at L=3.0 the two agree.
 JN_BOXES = {
-    "3.0": ("6c706d5b59a0764c80e21c49129308a95bf692ae864399b57bd940984571d7bd",
+    "3.0": ("6755ca2a6fa6eadad0fcd0539bda682453e87e4f12c6babc98861c55318c7f1a",
             "ddb6da31393538f7e2d8bbc604dc2ed7b3bf6d131066ccb8f203f8f217d0623f"),
-    "0.7": ("8b233c3b9dcf4f09d6d963099d35dd77203e118003e550d5da64dd514decadf5",
+    "0.7": ("ffbd088126b69756296d26f6ea622f6d9a0016e9dacfd170bb794a89fd7a8688",
             "a83cc7319787f71772c685a4020c7ad8d3ddf980bf0ed72593fdf025e770f71e"),
 }
 
@@ -180,7 +180,7 @@ DIGESTS_2D = {
         ("8895b2976fd2fe3376a4ded39baf364cc5cb1098d92d2a8fa5eb3fe94b9ce1e8",
          "374137a1129f97e810077019d8a3080fb0e0178cbd424092973e892be09a7e3f"),
     "jn":
-        ("69098031e49d4feae5f44ceaba6a83acd8664201bb84f4f1106e1edcd2d9d325",
+        ("3bcfa27db7aef26a92a629dd278d9fb6dafd0e5ac6cf0b76d5ca43d12a4d45bc",
          "f2aee35bdcf285a673de3f33b0a71a45b3a6ff5a4a2c3fd0f11186d77d91f93b"),
 }
 

@@ -1,5 +1,7 @@
 """Grid substrate: means, dyadic cubes, membership."""
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from lpsquare.grid import (
     dyadic_address,
     dyadic_cubes,
     from_callable,
+    half_power,
     level_blocks,
     periodic_displacement,
 )
@@ -274,3 +277,52 @@ def test_mean_between_ess_bounds(seed, n):
     for k in range(pyr.depth + 1):
         assert np.all(pyr.min(k) - 1e-12 <= pyr.mean(k))
         assert np.all(pyr.mean(k) <= pyr.blocks(k).max(axis=1) + 1e-12)
+
+
+# The largest distance, in ULP of math.pow's result, at which half_power
+# was seen over the samples below (NumPy 2.4.6, glibc's pow); the rule's
+# own bound is 4 ULP.
+HALF_POWER_ULP = {-2.0: 1, -1.5: 2, -1.0: 1, -0.5: 1, 0.5: 1, 1.0: 0,
+                  1.5: 1, 2.0: 1, 3.0: 1}
+
+
+def _math_pow(v, s):
+    try:
+        return math.pow(v, s)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("s", sorted(HALF_POWER_ULP))
+def test_half_power_is_within_4_ulp_of_pow(s):
+    rng = np.random.default_rng(31)
+    x = 10.0 ** rng.uniform(-150, 150, 20000)
+    x.setflags(write=False)
+    with np.errstate(over="ignore", under="ignore"):
+        got = half_power(x, s)
+    ref = np.array([_math_pow(v, s) for v in x])
+    normal = (ref >= sys.float_info.min) & (ref <= sys.float_info.max)
+    assert normal.sum() > 10000
+    ulps = np.abs(got[normal] - ref[normal]) / np.array(
+        [math.ulp(r) for r in ref[normal]])
+    assert ulps.max() == HALF_POWER_ULP[s] <= 4
+    # at s = 1/2, ±1 and 2, ** itself takes sqrt, reciprocal or square
+    if s in (0.5, -1.0, 1.0, 2.0):
+        assert got.tobytes() == (x ** s).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_half_power_of_zero_is_plus_zero(s):
+    got = half_power(np.array([0.0, 4.0]), s)
+    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+    assert got[1] == 4.0 ** s
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 1 / 3, 0.7, -0.3, 3.5, -3.5,
+                               -4.0, 4.0, 7.0, 1e-3])
+def test_half_power_of_any_other_exponent_is_pow(s):
+    rng = np.random.default_rng(5)
+    for x in (10.0 ** rng.uniform(-100, 100, 4096),
+              rng.uniform(0.0, 2.0, (64, 64)), np.zeros(8)):
+        with np.errstate(all="ignore"):
+            assert half_power(x, s).tobytes() == (x ** s).tobytes()

@@ -45,7 +45,8 @@ SCANS = {
     "blo": lambda f, w, cubes, p: blo_constant(f, w, cubes),
     "blo_p": lambda f, w, cubes, p: blo_p_norm(f, w, p, cubes),
 }
-KINDS = [("bmo", None), ("blo", None), ("blo_p", 2.0), ("blo_p", 3.0)]
+KINDS = [("bmo", None), ("blo", None), ("blo_p", 1.5), ("blo_p", 2.0),
+         ("blo_p", 3.0)]
 GRIDS = [(1, 64), (2, 16)]
 
 
