@@ -119,10 +119,10 @@ def _root_address(f: GridFunction, Q: Cube) -> tuple[int, int]:
 def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
     """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q.
 
-    The scan reads the pyramids' tables down to two-sample cubes.  A
-    single-sample cube has the exact constants its tables would give
-    (A1 quotient w/w = 1, BLO and BMO 0), so the level-N tables are never
-    built for it.
+    The scan reads the pyramids' tables down to cubes of two samples per
+    axis.  A single-sample cube has the exact constants its tables would
+    give (A1 quotient w/w = 1, BLO and BMO 0), so no level-N sum table
+    is built for it.
     """
     kq, b0 = _root_address(f, Q)
     fp, wp = f.pyramid, w.pyramid
