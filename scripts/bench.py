@@ -1,39 +1,37 @@
 #!/usr/bin/env python3
-"""Record benchmark runs per workload in a BENCH_<label>.json file.
+"""Record alternating benchmark pairs per workload in a BENCH_<label>.json file.
 
-    python scripts/bench.py LABEL [--seed N] [--checkout DIR]
-        [--against DIR --pairs K]
+    python scripts/bench.py LABEL --against DIR --pairs K [--seed N]
+        [--checkout DIR]
 
-Runs `perfbench/run.py --trace 0` of the checkout (default: this
-repository) once for each workload that its BENCHMARK.json declares, one
-after another, each for the `run_seconds` that file sets, and writes BENCH_<LABEL>.json next to this repository's
-BENCHMARK.json. The record holds each workload's result line (the last
-stdout line of run.py: correct, attempted, failed and the end-to-end
-metrics), the checkout's commit and whether its tracked files differ from
-it, the seed, the run length, the machine (platform, Python, nproc) and
-`src_bytecode`: whether any *.pyc sat under the checkout's src/ before the
-runs.  A launch that imports compiled modules sets up faster than one that
-compiles them from source, so two records compare fairly only when their
-`src_bytecode` agree.  run.py runs with PYTHONDONTWRITEBYTECODE=1, so no
-launch compiles the checkout for the ones after it.  Beside it the record
-holds OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as the caller set them (null
-where unset) and `numpy.__version__`: the thread counts decide how many
-threads numpy's OpenBLAS starts at import, and the numpy version what an
-import loads, so records compare only when these agree too.  Two records
-compare field by field. Exits 1 if any workload did not run.
+Runs `perfbench/run.py --trace 0` for each workload that the checkout's
+(default: this repository's) BENCHMARK.json declares, each run for the
+`run_seconds` that file sets, K pairs per workload: the `against`
+checkout (the parent of a change, say) and the checkout alternately,
+`against` first in odd pairs (1, 3, ...), the checkout first in even ones,
+each run of the run.py of its own checkout, and every workload's pairs one
+after the other.  The machine drifts between runs, so only runs made close
+together compare.  BENCH_<LABEL>.json is written next to this repository's
+BENCHMARK.json.
 
-With --against DIR --pairs K, each workload instead runs K pairs, the
-`against` checkout (the parent of a change, say) and the checkout
-alternately: `against` first in odd pairs (1, 3, ...), the checkout first
-in even ones, each run of the run.py of its own checkout, and every
-workload's pairs one after the other.  The machine drifts between runs,
-so only runs made close together compare.  The record then describes both
-checkouts (`checkout`, `against`) and, per workload, every run of both
-sides in order (`runs`; null where a run failed), each side's median of
-every end-to-end metric (`medians`), and per metric the number of pairs
-each side won (`wins`: `checkout`, `against` and `ties`), better being
-what the checkout's BENCHMARK.json says; a pair with a failed run counts
-for neither side.
+The record describes each side (`checkout`, `against`): its commit, whether
+its tracked files differ from it, and `src_bytecode`, whether any *.pyc sat
+under its src/ before the runs.  A launch that imports compiled modules
+sets up faster than one that compiles them from source, so two sides
+compare fairly only when their `src_bytecode` agree.  run.py runs with
+PYTHONDONTWRITEBYTECODE=1, so no launch compiles a checkout for the ones
+after it.  The record also holds the seed, the run length, the machine
+(platform, Python, nproc), OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as the
+caller set them (null where unset) and `numpy.__version__`: the thread
+counts decide how many threads numpy's OpenBLAS starts at import, and the
+numpy version what an import loads.  Per workload it holds every run of
+both sides in order (`runs`: each the result line of run.py, its last
+stdout line, with correct, attempted, failed and the end-to-end metrics;
+null where a run failed), each side's median of every end-to-end metric
+(`medians`), and per metric the number of pairs each side won (`wins`:
+`checkout`, `against` and `ties`), better being what the checkout's
+BENCHMARK.json says; a pair with a failed run counts for neither side.
+Exits 1 if any run failed.
 """
 
 from __future__ import annotations
@@ -129,26 +127,22 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="repository checkout whose benchmark runs")
-    ap.add_argument("--against", type=Path,
+    ap.add_argument("--against", type=Path, required=True,
                     help="second checkout, run alternately with --checkout")
-    ap.add_argument("--pairs", type=int,
-                    help="pairs of runs per workload, with --against")
+    ap.add_argument("--pairs", type=int, required=True,
+                    help="pairs of runs per workload")
     args = ap.parse_args(argv)
-    if (args.against is None) != (args.pairs is None):
-        ap.error("--against and --pairs go together")
-    if args.pairs is not None and args.pairs < 1:
+    if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     checkout = args.checkout.resolve()
+    against = args.against.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    record = {"label": args.label}
-    if args.against is None:
-        record.update(describe(checkout))
-    else:
-        against = args.against.resolve()
-        record.update(checkout=describe(checkout), against=describe(against),
-                      pairs=args.pairs)
-    record.update({
+    record = {
+        "label": args.label,
+        "checkout": describe(checkout),
+        "against": describe(against),
+        "pairs": args.pairs,
         "seed": args.seed,
         "seconds": seconds,
         "platform": platform.platform(),
@@ -158,16 +152,9 @@ def main(argv=None) -> int:
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "numpy": numpy_version(),
         "workloads": {},
-    })
+    }
     ok = True
     for workload in (w["name"] for w in spec["workloads"]):
-        if args.against is None:
-            result = run_workload(checkout, workload, args.seed, seconds)
-            if result is None:
-                ok = False
-            else:
-                record["workloads"][workload] = result
-            continue
         runs = {side: [] for side in SIDES}
         for i in range(1, args.pairs + 1):
             order = ("against", "checkout") if i % 2 else SIDES

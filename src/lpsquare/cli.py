@@ -452,22 +452,19 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
 
 
 def _jn_row(entry, cfg):
-    from .czd import (cube_local_constants, cz_decompose,
-                      equivalence_constant, jn_blo_verify, jn_bmo_verify)
+    from .czd import (cz_decompose, equivalence_constant, jn_blo_verify,
+                      jn_bmo_verify)
     from .oscillation import blo_constant
     n, L, nodes = cfg.n, cfg.L, cfg.lambda_nodes
     f, w = entry.realize(n, L, cfg.N, cfg.seed)
-    box = Cube((L / 2.0,) * n, L, level=0)
-    local = cube_local_constants(f, w, box)
-    tree = cz_decompose(f, w, box, sigma=cfg.sigma, max_gen=cfg.max_gen,
-                        local=local)
+    tree = cz_decompose(f, w, sigma=cfg.sigma, max_gen=cfg.max_gen)
     fv = f.values.ravel()
     span_blo = float(fv.max() - fv.min())
     span_bmo = float(np.abs(fv - fv.mean()).max())
     lam_blo = np.linspace(span_blo / nodes, span_blo * 1.05, nodes)
     lam_bmo = np.linspace(span_bmo / nodes, span_bmo * 1.05, nodes)
-    rep_blo = jn_blo_verify(f, w, box, lam_blo, local=local)
-    rep_bmo = jn_bmo_verify(f, w, box, lam_bmo, local=local)
+    rep_blo = jn_blo_verify(f, w, lam_blo, local=tree.local)
+    rep_bmo = jn_bmo_verify(f, w, lam_bmo, local=tree.local)
     name = entry.name
     criteria = [
         (f"tree-invariants:{name}", tree.all_ok, f"nodes={len(tree.nodes)}"),

@@ -1,7 +1,8 @@
 """Stopping-time decomposition, distribution functions, and tail bounds.
 
-The decomposition descends the dyadic children of a root cube Q and selects
-a child the first time the mean of f - min_{S} f (S the stopping cube being
+Every function here works on the whole box Q = [0, L)^n of its grid.  The
+decomposition descends the dyadic children of Q and selects a child the
+first time the mean of f - min_{S} f (S the stopping cube being
 subdivided) exceeds sigma * A_w, where A_w is the local A1 constant times
 the minimum of the weight on Q and f has been rescaled by its oscillation
 norm.  Selected cubes seed the next generation.  Five structural facts are
@@ -20,10 +21,12 @@ Descent bottoms out at single-sample cubes, which are never selected; this
 is what turns the almost-everywhere differentiation step of the continuum
 argument into the 2^n factor of (E).
 
-Every function takes a dyadic cube Q and reads Q's dyadic block, addressed
-by grid's block_cells and block_children; a non-dyadic Q is refused.  The
-tail checks, distribution_function and layer_cake_check count
-mu({v > lambda}) over the block with one counter.
+Cubes are addressed by (level, block), as grid's block_cells and
+block_children address them.  The tail checks, distribution_function and
+layer_cake_check count mu({v > lambda}) over the box with one counter.
+To work on the level-k dyadic cube b instead, restrict f and the weight
+to its block: GridFunction(n, L / 2**k, N >> k,
+f.values[block_cells(n, N, k, b)]), and the same for the weight.
 """
 
 from __future__ import annotations
@@ -34,14 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    Cube,
-    GridFunction,
-    block_cells,
-    block_children,
-    dyadic_address,
-    dyadic_cube,
-)
+from .grid import GridFunction, block_cells, block_children
 from .weights import Weight
 
 __all__ = [
@@ -63,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SelectedCube:
-    cube: Cube
+    level: int
+    block: int  # row-major index among the level's blocks
     gen: int
     id: int
     parent: int
@@ -82,7 +79,7 @@ class InvariantRecord:
 
 @dataclass(frozen=True)
 class LocalConstants:
-    """Cube-local scan over every dyadic sub-cube of Q, all depths."""
+    """Scan over every dyadic cube of the box, all depths."""
 
     a1: float
     min_w: float
@@ -95,7 +92,7 @@ class LocalConstants:
 class DecompositionTree:
     sigma: float
     max_gen: int
-    local: LocalConstants  # cube_local_constants of the decomposed cube
+    local: LocalConstants  # cube_local_constants(f, w)
     generations: tuple[tuple[SelectedCube, ...], ...]
     checks: tuple[InvariantRecord, ...]
     blocks_visited: int  # frontier blocks whose children the descent tested
@@ -109,95 +106,72 @@ class DecompositionTree:
         return tuple(s for gen in self.generations for s in gen)
 
 
-def _root_address(f: GridFunction, Q: Cube) -> tuple[int, int]:
-    addr = dyadic_address(f, Q)
-    if addr is None:
-        raise ValueError("root cube must be a dyadic cube of the grid")
-    return addr
-
-
-def cube_local_constants(f: GridFunction, w: Weight, Q: Cube) -> LocalConstants:
-    """A1, min, oscillation norms over all full-depth dyadic sub-cubes of Q.
+def cube_local_constants(f: GridFunction, w: Weight) -> LocalConstants:
+    """A1, min, oscillation norms over all full-depth dyadic cubes of the box.
 
     The scan reads the pyramids' tables down to cubes of two samples per
     axis.  A single-sample cube has the exact constants its tables would
     give (A1 quotient w/w = 1, BLO and BMO 0), so no level-N sum table
     is built for it.
     """
-    kq, b0 = _root_address(f, Q)
     fp, wp = f.pyramid, w.pyramid
     a1 = 1.0
     blo = 0.0
     bmo = 0.0
-    for k in range(kq, fp.depth):
-        # Q's level-k blocks are a window of the level-k table laid out
-        # on its 2^k-per-axis grid
-        cells = block_cells(f.n, 1 << k, kq, b0)
-
-        def inside(table):
-            return table.reshape((1 << k,) * f.n)[cells]
-
+    for k in range(fp.depth):
         cnt = fp.count(k)
-        wsum = inside(wp.sum(k))
-        wmin = inside(wp.min(k))
-        a1 = max(a1, float((wsum / cnt / wmin).max()))
-        fsum = inside(fp.sum(k))
-        fmin = inside(fp.min(k))
-        blo = max(blo, float(((fsum - cnt * fmin) / wsum).max()))
-        bmo = max(bmo, float((inside(fp.absdev(k)) / wsum).max()))
-    min_w = float(wp.min(kq)[b0])
+        wsum = wp.sum(k)
+        a1 = max(a1, float((wsum / cnt / wp.min(k)).max()))
+        blo = max(blo, float(((fp.sum(k) - cnt * fp.min(k)) / wsum).max()))
+        bmo = max(bmo, float((fp.absdev(k) / wsum).max()))
+    min_w = float(wp.min(0)[0])
     return LocalConstants(a1, min_w, a1 * min_w, blo, bmo)
 
 
-def cz_decompose(f: GridFunction, w: Weight, Q: Cube, sigma: float = math.e,
-                 max_gen: int = 5,
-                 local: LocalConstants | None = None) -> DecompositionTree:
-    """Stopping-time tree for f on Q with threshold sigma * A_w.
+def cz_decompose(f: GridFunction, w: Weight, sigma: float = math.e,
+                 max_gen: int = 5) -> DecompositionTree:
+    """Stopping-time tree for f on the box with threshold sigma * A_w.
 
     The descent runs one dyadic level at a time.  Its frontier holds the
     level-k blocks still being subdivided, each with the minimum of its
     stopping cube, its generation and its parent id; all their children
     are tested in one expression.  Node ids follow the breadth-first order
     (level, then parent, then child), and a selected cube of generation
-    max_gen is not subdivided.  local, when given, must be
-    cube_local_constants(f, w, Q); it is computed otherwise.
+    max_gen is not subdivided.  The tree holds cube_local_constants(f, w).
     """
     if not sigma > 1:
         raise ValueError("sigma must exceed 1")
     if max_gen < 1:
         raise ValueError("max_gen must be at least 1")
-    kq, b0 = _root_address(f, Q)
-    if local is None:
-        local = cube_local_constants(f, w, Q)
+    local = cube_local_constants(f, w)
     a_w = local.a_w
     norm = local.blo
     if norm == 0.0:
         return DecompositionTree(sigma, max_gen, local, ((),) * max_gen, (), 0)
     # the descent's frontier arrays are freed before the checks allocate
-    generations, visited = _descend(f, (kq, b0), a_w * sigma, norm, max_gen)
-    checks = _verify_tree(f, (kq, b0), sigma, a_w, norm, generations)
+    generations, visited = _descend(f, a_w * sigma, norm, max_gen)
+    checks = _verify_tree(f, sigma, a_w, norm, generations)
     return DecompositionTree(sigma, max_gen, local,
                              tuple(tuple(g) for g in generations),
                              tuple(checks), visited)
 
 
-def _descend(f: GridFunction, root: tuple[int, int], T: float, norm: float,
+def _descend(f: GridFunction, T: float, norm: float,
              max_gen: int) -> tuple[list[list[SelectedCube]], int]:
-    """The selected cubes of each generation below the level-kq block b0,
-    at threshold T on f / norm, and the number of frontier blocks whose
-    children were tested."""
-    kq, b0 = root
-    n, L = f.n, f.L
+    """The selected cubes of each generation below the box, at threshold T
+    on f / norm, and the number of frontier blocks whose children were
+    tested."""
+    n = f.n
     fp = f.pyramid
     generations: list[list[SelectedCube]] = [[] for _ in range(max_gen)]
-    blocks = np.array([b0])
-    m_s = fp.min(kq)[blocks] / norm
+    blocks = np.array([0])
+    m_s = fp.min(0) / norm
     gen = np.array([1])
     pid = np.array([0])
     next_id = 1
     visited = 0
     # single-sample children (level depth) are never selected
-    for k in range(kq, fp.depth - 1):
+    for k in range(fp.depth - 1):
         if blocks.size == 0:
             break
         visited += blocks.size
@@ -210,10 +184,9 @@ def _descend(f: GridFunction, root: tuple[int, int], T: float, norm: float,
         cmin = fp.min(k + 1)[blocks] / norm
         ids = next_id + np.cumsum(sel) - 1
         for c in np.flatnonzero(sel).tolist():
-            cube = dyadic_cube(n, L, k + 1, int(blocks[c]))
             generations[gen[c] - 1].append(SelectedCube(
-                cube, int(gen[c]), int(ids[c]), int(pid[c]), float(mean[c]),
-                float(cmin[c] - m_s[c])))
+                k + 1, int(blocks[c]), int(gen[c]), int(ids[c]), int(pid[c]),
+                float(mean[c]), float(cmin[c] - m_s[c])))
         next_id += int(np.count_nonzero(sel))
         m_s = np.where(sel, cmin, m_s)
         pid = np.where(sel, ids, pid)
@@ -223,27 +196,25 @@ def _descend(f: GridFunction, root: tuple[int, int], T: float, norm: float,
     return generations, visited
 
 
-def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord]:
+def _verify_tree(f, sigma, a_w, norm, generations) -> list[InvariantRecord]:
     """Invariants (A)-(E) of each generation, from sample masks.
 
     owner holds, for each sample, the id of the previous generation's cube
-    that covers it (0 on Q for generation 1, -1 elsewhere; None when the
-    previous generation is empty, which covers nothing); covered counts
-    the current generation's cubes over each sample.  An empty generation
-    covers no sample, so (A) holds and (E) reads all of Q, the same value
-    for every empty generation.  (E) takes max(f/norm) - min_Q rather than
-    the max of the differences: rounding is monotone, so the two agree.
+    that covers it (0 everywhere for generation 1; None when the previous
+    generation is empty, which covers nothing); covered counts the current
+    generation's cubes over each sample.  An empty generation covers no
+    sample, so (A) holds and (E) reads the whole box, the same value for
+    every empty generation.  (E) takes max(f/norm) - min_Q rather than the
+    max of the differences: rounding is monotone, so the two agree.
     """
     n, N = f.n, f.N
     h = f.L / N
     slack = 1.0 + 1e-12
     checks: list[InvariantRecord] = []
-    q = block_cells(n, N, *root)
     scaled = f.values / norm
-    m_q = scaled[q].size * h**n
-    min_q = float(scaled[q].min())
-    owner = np.full(f.values.shape, -1)
-    owner[q] = 0
+    m_q = scaled.size * h**n
+    min_q = float(scaled.min())
+    owner = np.zeros(f.values.shape, dtype=np.int64)
     e_empty = None
     bound_bc = 2**n * sigma * a_w
     for gen_idx, gen in enumerate(generations, start=1):
@@ -258,7 +229,7 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
             covered = np.zeros(f.values.shape, dtype=np.int64)
             next_owner = np.full(f.values.shape, -1)
             for s in gen:
-                cells = block_cells(n, N, *dyadic_address(f, s.cube))
+                cells = block_cells(n, N, s.level, s.block)
                 covered[cells] += 1
                 inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
                 next_owner[cells] = s.id
@@ -268,13 +239,13 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
                 worst_c_lo = min(worst_c_lo, s.min_inc)
             owner = next_owner
             a_ok = inside_ok and not (covered > 1).any()
-            off = scaled[q][covered[q] == 0]
+            off = scaled[covered == 0]
             e_val = float(off.max() - min_q) if off.size else 0.0
         else:
             owner = None
             a_ok = True
             if e_empty is None:
-                e_empty = float(scaled[q].max() - min_q)
+                e_empty = float(scaled.max() - min_q)
             e_val = e_empty
         b_lo_ok = all(s.osc_mean > sigma * a_w for s in gen)
         checks.append(InvariantRecord("A", gen_idx, 0.0 if a_ok else 1.0,
@@ -291,11 +262,6 @@ def _verify_tree(f, root, sigma, a_w, norm, generations) -> list[InvariantRecord
     return checks
 
 
-def _cells(f: GridFunction, Q: Cube) -> tuple[slice, ...]:
-    """Q's dyadic block; it ravels in ascending flat order."""
-    return block_cells(f.n, f.N, *_root_address(f, Q))
-
-
 def _tail_masses(v: np.ndarray, lam: np.ndarray,
                  mu: float | np.ndarray) -> np.ndarray:
     """mu({v > lambda}) for each threshold: the count of samples above
@@ -308,49 +274,46 @@ def _tail_masses(v: np.ndarray, lam: np.ndarray,
     return prefix[-1] - prefix[np.searchsorted(v[order], lam, side="right")]
 
 
-def _mu_weights(mu_kind: str, w: Weight, cells: tuple[slice, ...],
+def _mu_weights(mu_kind: str, w: Weight,
                 p: float | None) -> float | np.ndarray:
-    """Per-sample masses of mu on the block cells; one scalar for Lebesgue."""
+    """Per-sample masses of mu, in flat order; one scalar for Lebesgue."""
     h = w.L / w.N
     if mu_kind == "lebesgue":
         return h**w.n
     if mu_kind == "weight":
-        return w.values[cells].ravel() * h**w.n
+        return w.values.ravel() * h**w.n
     if mu_kind == "power_weight":
         if p is None:
             raise ValueError("power_weight measure needs p")
-        return w.values[cells].ravel() ** (1.0 - p) * h**w.n
+        return w.values.ravel() ** (1.0 - p) * h**w.n
     raise ValueError(f"unknown measure kind {mu_kind!r}")
 
 
 def distribution_function(g: GridFunction, mu_kind: str, w: Weight,
-                          Q: Cube, lambdas: Sequence[float],
+                          lambdas: Sequence[float],
                           p: float | None = None) -> np.ndarray:
-    """mu({x in Q : g(x) > lambda}) for each threshold, over Q's block."""
+    """mu({x in Q : g(x) > lambda}) for each threshold, Q the box."""
     lam = np.asarray(lambdas, dtype=float)
     if not (np.isfinite(lam).all() and (np.diff(lam) > 0).all()):
         raise ValueError("lambda grid must be finite and strictly increasing")
-    cells = _cells(g, Q)
-    return _tail_masses(g.values[cells].ravel(), lam,
-                        _mu_weights(mu_kind, w, cells, p))
+    return _tail_masses(g.values.ravel(), lam, _mu_weights(mu_kind, w, p))
 
 
-def layer_cake_check(g: GridFunction, w: Weight, p: float, Q: Cube,
+def layer_cake_check(g: GridFunction, w: Weight, p: float,
                      mode: str = "auto", nodes: int = 10**4) -> tuple[float, float, float]:
     """Compare the direct weighted p-th power sum with its layer-cake form.
 
     Step mode integrates the (piecewise constant) distribution function
     exactly over the value levels of |g| and must agree to rounding; the
     trapezoid mode uses a uniform lambda grid and is a convergence check.
-    Auto picks step below 1024 distinct values.
+    Auto picks step at up to 1024 distinct values.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    cells = _cells(g, Q)
-    gv = np.abs(g.values[cells].ravel())
-    wv = _mu_weights("weight", w, cells, None)
+    gv = np.abs(g.values.ravel())
+    wv = _mu_weights("weight", w, None)
     lhs = float((gv**p * wv).sum())
     levels = np.unique(gv)
     if mode == "auto":
@@ -399,15 +362,14 @@ class JnReport:
         return all(r.measured <= r.bound * (1 + 1e-12) for r in self.rows)
 
 
-def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
-               lambdas: Sequence[float],
+def _jn_verify(kind: str, f: GridFunction, w: Weight, lambdas: Sequence[float],
                local: LocalConstants | None) -> JnReport:
     lams = np.asarray(lambdas, dtype=float)
     if not np.isfinite(lams).all():
         raise ValueError("thresholds lambda must be finite")
     if local is None:
-        local = cube_local_constants(f, w, Q)
-    fv = f.values[_cells(f, Q)].ravel()
+        local = cube_local_constants(f, w)
+    fv = f.values.ravel()
     if kind == "blo":
         dev = fv - fv.min()
         norm = local.blo
@@ -429,20 +391,19 @@ def _jn_verify(kind: str, f: GridFunction, w: Weight, Q: Cube,
     return JnReport(kind, tuple(rows), worst)
 
 
-def jn_blo_verify(f: GridFunction, w: Weight, Q: Cube,
-                  lambdas: Sequence[float],
+def jn_blo_verify(f: GridFunction, w: Weight, lambdas: Sequence[float],
                   local: LocalConstants | None = None) -> JnReport:
-    """Tail of f - min_Q f against e * m(Q) * exp(-lambda/(A_w 2^n e norm)).
+    """Tail of f - min_Q f against e * m(Q) * exp(-lambda/(A_w 2^n e norm)),
+    Q the box.
 
-    local, when given, must be cube_local_constants(f, w, Q)."""
-    return _jn_verify("blo", f, w, Q, lambdas, local)
+    local, when given, must be cube_local_constants(f, w)."""
+    return _jn_verify("blo", f, w, lambdas, local)
 
 
-def jn_bmo_verify(f: GridFunction, w: Weight, Q: Cube,
-                  lambdas: Sequence[float],
+def jn_bmo_verify(f: GridFunction, w: Weight, lambdas: Sequence[float],
                   local: LocalConstants | None = None) -> JnReport:
     """Same tail bound for |f - f_Q| with the mean-oscillation norm."""
-    return _jn_verify("bmo", f, w, Q, lambdas, local)
+    return _jn_verify("bmo", f, w, lambdas, local)
 
 
 def equivalence_constant(p: float, n: int, a1: float, ap_of_nu: float) -> float:

@@ -117,13 +117,13 @@ def test_criterion_05_stopping_time_invariants():
     ok = True
     for entry, f, w in _pairs(4096):
         t0 = time.perf_counter()
-        tree = cz_decompose(f, w, BOX, sigma=math.e, max_gen=5)
+        tree = cz_decompose(f, w, sigma=math.e, max_gen=5)
         dt = time.perf_counter() - t0
         worst_dt = max(worst_dt, dt)
         ok = ok and tree.all_ok and dt < 5.0
         for k, gen in enumerate(tree.generations, start=1):
-            total = sum(s.cube.side ** f.n for s in gen)
-            ok = ok and total <= (BOX.side ** f.n) / math.e**k * SLACK
+            total = sum((f.L / 2**s.level) ** f.n for s in gen)
+            ok = ok and total <= f.L ** f.n / math.e**k * SLACK
         nodes += len(tree.nodes)
     _criterion(5, "tree invariants at depth 5", ok,
                f"{nodes} selected cubes, worst time {worst_dt:.2f}s")
@@ -135,11 +135,11 @@ def test_criterion_06_exponential_tail_bound():
     for entry, f, w in _pairs(2048):
         spikes += entry.function.family == "log-spike"
         span = float(np.max(f.values) - np.min(f.values))
-        rep = jn_blo_verify(f, w, BOX, np.linspace(span / 32, span * 1.05, 32))
+        rep = jn_blo_verify(f, w, np.linspace(span / 32, span * 1.05, 32))
         assert rep.all_ok, entry.name
         worst = min(worst, rep.worst_margin)
         dev = float(np.max(np.abs(f.values - np.mean(f.values))))
-        repb = jn_bmo_verify(f, w, BOX, np.linspace(dev / 32, dev * 1.05, 32))
+        repb = jn_bmo_verify(f, w, np.linspace(dev / 32, dev * 1.05, 32))
         assert repb.all_ok, entry.name
         worst = min(worst, repb.worst_margin)
     assert spikes >= 1
@@ -200,10 +200,10 @@ def test_criterion_09_layer_cake_identity():
     for entry, f, w in _pairs(2048):
         if entry.function.family in STEP_FAMILIES:
             for p in (1.0, 2.0, 3.0):
-                _, _, gap = layer_cake_check(f, w, p, BOX, mode="step")
+                _, _, gap = layer_cake_check(f, w, p, mode="step")
                 worst_step = max(worst_step, gap)
         else:
-            _, _, gap = layer_cake_check(f, w, 2.0, BOX, mode="trapezoid",
+            _, _, gap = layer_cake_check(f, w, 2.0, mode="trapezoid",
                                          nodes=10**4)
             worst_smooth = max(worst_smooth, gap)
     ok = worst_step <= REL and worst_smooth < 1e-3
@@ -221,7 +221,7 @@ def test_criterion_10_oracle_equivalence():
             f = gf(_profile(N, kind))
             w = weight_from(regularized_power(N, 0.15, x0=0.4))
             for sigma in (1.5, math.e):
-                fast = cz_decompose(f, w, BOX, sigma=sigma, max_gen=4)
+                fast = cz_decompose(f, w, sigma=sigma, max_gen=4)
                 assert_same_trees(tree_records(fast),
                                   oracle_tree(f, w, BOX, sigma, 4))
                 compared += len(fast.nodes)
@@ -235,8 +235,8 @@ def test_criterion_10_oracle_equivalence():
     recount_worst = 0.0
     for mu_kind, p in (("lebesgue", None), ("weight", None),
                        ("power_weight", 2.0)):
-        dist = distribution_function(f, mu_kind, w, BOX, lam, p=p) \
-            if p is not None else distribution_function(f, mu_kind, w, BOX, lam)
+        dist = distribution_function(f, mu_kind, w, lam, p=p) \
+            if p is not None else distribution_function(f, mu_kind, w, lam)
         for lv, measured in zip(lam, dist):
             total = 0.0
             for idx in range(f.values.size):
@@ -260,7 +260,6 @@ def test_criterion_10_recounts_the_tails_jn_reads():
     # from one counter, bit for bit; at L=0.7, h is not a dyadic rational,
     # so a prefix sum of h's would round where count * h does not
     for L in (1.0, 0.7):
-        box = Cube((L / 2.0,), L, level=0)
         for entry in default_corpus():
             f, w = entry.realize(1, L, 256, SEED)
             for verify, dev in (
@@ -268,9 +267,9 @@ def test_criterion_10_recounts_the_tails_jn_reads():
                     (jn_bmo_verify, np.abs(f.values - f.values.mean()))):
                 span = float(dev.max())  # jn's lambda grid
                 lam = np.linspace(span / 32, span * 1.05, 32)
-                rep = verify(f, w, box, lam)
+                rep = verify(f, w, lam)
                 masses = distribution_function(f.with_values(dev),
-                                               "lebesgue", w, box, lam)
+                                               "lebesgue", w, lam)
                 assert [r.measured for r in rep.rows] == masses.tolist()
 
 

@@ -1,5 +1,4 @@
-"""scripts/bench.py: single records and alternating pairs, with run.py and
-git stubbed out."""
+"""scripts/bench.py: alternating pairs, with run.py and git stubbed out."""
 
 import importlib.util
 import json
@@ -108,18 +107,7 @@ def test_a_failed_run_counts_for_neither_side(bench, tmp_path, monkeypatch):
     assert tree["medians"]["checkout"]["wall_s"] == 1.0
 
 
-def test_single_runs_keep_one_result_per_workload(bench, tmp_path, monkeypatch):
-    new = checkout(tmp_path, "new")
-    fake = FakeRuns({"new": [1.0, 2.0]})
-    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=fake))
-    assert bench.main(["x", "--checkout", str(new)]) == 0
-    assert fake.launched == [("new", "tree"), ("new", "family")]
-    record = json.loads((tmp_path / "BENCH_x.json").read_text())
-    assert record["commit"] == "0123abc" and "against" not in record
-    assert record["workloads"]["family"]["metrics"]["wall_s"]["value"] == 2.0
-
-
-@pytest.mark.parametrize("argv", [["--pairs", "2"], ["--against", "."],
+@pytest.mark.parametrize("argv", [[], ["--pairs", "2"], ["--against", "."],
                                   ["--against", ".", "--pairs", "0"]])
 def test_pairs_need_a_second_checkout_and_a_positive_count(bench, argv):
     with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from lpsquare import cli, kernels, operators, report
 from lpsquare.cli import build_parser, main
 from lpsquare.czd import cz_decompose
-from lpsquare.grid import Cube, dyadic_cubes
+from lpsquare.grid import dyadic_cubes
 from lpsquare.oscillation import single_cube_value
 from lpsquare.report import (FUNCTION_FAMILIES, WEIGHT_FAMILIES, _SCHEMA,
                              default_corpus, load_config)
@@ -1181,8 +1181,7 @@ def test_manifest_records_tree_shape_per_entry(tmp_path):
     cfg = load_config()
     for entry, rec in zip(corpus, records):
         f, w = entry.realize(1, 1.0, 256, 1234)
-        tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0),
-                            sigma=cfg.sigma, max_gen=cfg.max_gen)
+        tree = cz_decompose(f, w, sigma=cfg.sigma, max_gen=cfg.max_gen)
         assert rec == {
             "nodes_per_gen": [len(g) for g in tree.generations],
             "blocks_visited": tree.blocks_visited}

@@ -6,7 +6,10 @@ oscillation exceeds the threshold while every strictly intermediate
 ancestor stays at or below it.  The engine's streaming descent must
 reproduce the oracle's trees node for node.  A second reference, a
 first-in first-out queue of single blocks, pins node ids, parents and
-generation order exactly, in 1D and 2D.
+generation order exactly, in 1D and 2D.  The engine works on the whole
+box, so a dyadic sub-cube root is decomposed on the restriction of f and
+the weight to its block, and its nodes are compared with the full-grid
+references at their addresses lifted into the full grid.
 """
 
 import dataclasses
@@ -64,6 +67,25 @@ def weight_from(values, L=1.0):
 
 
 BOX = Cube((0.5,), 1.0, level=0)  # the whole unit interval
+
+
+def restrict(f, w, k, b):
+    """f and w on the level-k dyadic block b, each on a box of its own."""
+    cells = block_cells(f.n, f.N, k, b)
+    return tuple(type(u)(u.n, u.L / 2**k, u.N >> k, u.values[cells])
+                 for u in (f, w))
+
+
+def lift(n, root, s):
+    """A node of the tree of the root block's restriction, at its address
+    in the full grid."""
+    kq, b0 = root
+    outer = np.unravel_index(b0, (1 << kq,) * n)
+    inner = np.unravel_index(s.block, (1 << s.level,) * n)
+    k = kq + s.level
+    b = np.ravel_multi_index(
+        tuple((o << s.level) + i for o, i in zip(outer, inner)), (1 << k,) * n)
+    return dataclasses.replace(s, level=k, block=int(b))
 
 
 def regularized_power(N, alpha, x0=0.5, L=1.0):
@@ -150,16 +172,21 @@ def oracle_tree(f, w, Q, sigma, max_gen):
     return out
 
 
-def tree_records(tree):
+def tree_records(tree, L=1.0, root=(0, 0)):
+    """The 1D tree of the root block's restriction, its nodes placed in
+    the full grid of side L."""
     by_id = {0: None}
+    cubes = {}
     for s in tree.nodes:
-        by_id[s.id] = (s.gen, s.cube.center[0], s.cube.side)
+        t = lift(1, root, s)
+        cubes[s.id] = dyadic_cube(1, L, t.level, t.block)
+        by_id[s.id] = (s.gen, cubes[s.id].center[0], cubes[s.id].side)
     recs = []
     for s in tree.nodes:
         recs.append({
             "gen": s.gen,
-            "center": s.cube.center[0],
-            "side": s.cube.side,
+            "center": cubes[s.id].center[0],
+            "side": cubes[s.id].side,
             "parent": by_id[s.parent],
             "osc_mean": s.osc_mean,
             "min_inc": s.min_inc,
@@ -191,8 +218,7 @@ def test_local_constants_match_family_scan():
     N = 64
     f = gf(np.cumsum(rng.standard_normal(N)) / 8.0)
     w = weight_from(1.0 + 0.4 * np.sin(2 * np.pi * coords(N)))
-    box = Cube((0.5,), 1.0, level=0)
-    local = cube_local_constants(f, w, box)
+    local = cube_local_constants(f, w)
     family = dyadic_cubes(f, 6)
     assert math.isclose(local.a1, a1_constant(w, family), rel_tol=1e-12)
     assert math.isclose(local.blo, blo_constant(f, w, family).value,
@@ -209,7 +235,7 @@ def test_local_constants_subcube_vs_oracle():
     f = gf(rng.standard_normal(N), L=2.0)
     w = weight_from(regularized_power(N, 0.3, x0=1.3, L=2.0), L=2.0)
     q = Cube((0.25,), 0.5, level=2)
-    local = cube_local_constants(f, w, q)
+    local = cube_local_constants(*restrict(f, w, *dyadic_address(f, q)))
     a1, min_w, a_w, blo = _oracle_local(f, w, q)
     assert math.isclose(local.a1, a1, rel_tol=1e-12)
     assert math.isclose(local.min_w, min_w, rel_tol=1e-12)
@@ -229,22 +255,30 @@ def test_local_constants_match_family_scan_on_every_subcube_root(n, N):
         # per axis, where the scan stops
         if q.level == 0 or 2 < q.level < depth - 1:
             continue
-        half = q.side / 2
-        inside = [c for c in family if c.level >= q.level and all(
-            abs(a - b) < half for a, b in zip(c.center, q.center))]
-        assert len(inside) == sum(2 ** (n * (k - q.level))
-                                  for k in range(q.level, depth + 1))
-        local = cube_local_constants(f, w, q)
-        # the family scan over the subcubes, one cube at a time
-        weights = [w.values.ravel()[cube_region(f, c)] for c in inside]
-        assert local.a1 == pytest.approx(
-            max(float(v.mean() / v.min()) for v in weights), rel=1e-12)
-        assert local.blo == pytest.approx(
-            max(single_cube_value("blo", f, w, c) for c in inside), rel=1e-12)
-        assert local.bmo == pytest.approx(
-            max(single_cube_value("bmo", f, w, c) for c in inside), rel=1e-12)
-        assert local.min_w == \
-            w.values.ravel()[cube_region(f, q)].min()
+        assert_local_constants_are_the_scan(f, w, family, q)
+
+
+def assert_local_constants_are_the_scan(f, w, family, q):
+    """The local constants of q's restriction against the full grid's
+    sub-cubes of q, scanned one at a time."""
+    n = f.n
+    depth = int(math.log2(f.N))
+    half = q.side / 2
+    inside = [c for c in family if c.level >= q.level and all(
+        abs(a - b) < half for a, b in zip(c.center, q.center))]
+    assert len(inside) == sum(2 ** (n * (k - q.level))
+                              for k in range(q.level, depth + 1))
+    local = cube_local_constants(*restrict(f, w, *dyadic_address(f, q)))
+    weights = [w.values.ravel()[cube_region(f, c)] for c in inside]
+    assert local.a1 == pytest.approx(
+        max(float(v.mean() / v.min()) for v in weights), rel=1e-12)
+    assert local.blo == pytest.approx(
+        max(single_cube_value("blo", f, w, c) for c in inside), rel=1e-12)
+    assert local.bmo == pytest.approx(
+        max(single_cube_value("bmo", f, w, c) for c in inside), rel=1e-12)
+    assert local.min_w == \
+        w.values.ravel()[cube_region(f, q)].min()
+    return local
 
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
@@ -253,10 +287,9 @@ def test_tree_holds_the_local_constants_of_its_root(n, N):
     w = weight_from(np.exp(0.5 * rng.standard_normal((N,) * n)))
     # a constant function takes the early return of an empty tree
     for f in (gf(rng.standard_normal((N,) * n)), gf(np.full((N,) * n, 3.25))):
-        for q in (Cube((0.5,) * n, 1.0, level=0), dyadic_cube(n, 1.0, 1, 1)):
-            local = cube_local_constants(f, w, q)
-            assert cz_decompose(f, w, q).local == local
-            assert cz_decompose(f, w, q, local=local).local == local
+        for root in ((0, 0), (1, 1)):
+            sub = restrict(f, w, *root)
+            assert cz_decompose(*sub).local == cube_local_constants(*sub)
 
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
@@ -268,21 +301,22 @@ def test_single_sample_roots_take_exact_constants(n, N):
     for b in range(N**n):
         q = dyadic_cube(n, 1.0, depth, b)
         [wq] = w.values.ravel()[cube_region(f, q)]
-        local = cube_local_constants(f, w, q)
+        sub = restrict(f, w, depth, b)
+        local = cube_local_constants(*sub)
         assert (local.a1, local.min_w, local.a_w, local.blo, local.bmo) \
             == (1.0, wq, wq, 0.0, 0.0)
         if n == 1:
             assert (local.a1, local.min_w, local.a_w, local.blo) \
                 == _oracle_local(f, w, q)
-    # no single-sample table was built for them
-    for pyr in (f.pyramid, w.pyramid):
-        assert ("sum", depth) not in pyr._tables
+        # no single-sample table was built for them
+        for pyr in (u.pyramid for u in sub):
+            assert ("sum", pyr.depth) not in pyr._tables
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_single_sample_grid_takes_exact_constants(n):
     f, w = gf(np.full((1,) * n, 2.5)), weight_from(np.full((1,) * n, 0.75))
-    local = cube_local_constants(f, w, Cube((0.5,) * n, 1.0, level=0))
+    local = cube_local_constants(f, w)
     assert (local.a1, local.min_w, local.a_w, local.blo, local.bmo) \
         == (1.0, 0.75, 0.75, 0.0, 0.0)
     if n == 1:
@@ -290,25 +324,17 @@ def test_single_sample_grid_takes_exact_constants(n):
             == _oracle_local(f, w, BOX)
 
 
-def test_root_must_be_dyadic():
-    f = gf(np.arange(8.0))
-    w = constant_weight(1, 1.0, 8)
-    with pytest.raises(ValueError):
-        cz_decompose(f, w, Cube((0.31,), 0.23), sigma=2.0)
-
-
 def test_sigma_and_depth_validation():
     f = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
-    box = Cube((0.5,), 1.0, level=0)
     with pytest.raises(ValueError):
-        cz_decompose(f, w, box, sigma=1.0)
+        cz_decompose(f, w, sigma=1.0)
     with pytest.raises(ValueError):
-        cz_decompose(f, w, box, sigma=0.7)
+        cz_decompose(f, w, sigma=0.7)
     with pytest.raises(ValueError):
-        cz_decompose(f, w, box, sigma=float("nan"))
+        cz_decompose(f, w, sigma=float("nan"))
     with pytest.raises(ValueError):
-        cz_decompose(f, w, box, sigma=2.0, max_gen=0)
+        cz_decompose(f, w, sigma=2.0, max_gen=0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +344,7 @@ def test_sigma_and_depth_validation():
 def test_constant_function_gives_empty_tree():
     f = gf(np.full(16, 3.25))
     w = constant_weight(1, 1.0, 16)
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=math.e)
+    tree = cz_decompose(f, w, sigma=math.e)
     assert tree.nodes == ()
     assert tree.local.blo == 0.0
     assert tree.local.a_w == 1.0
@@ -330,7 +356,7 @@ def test_single_sample_spike_is_never_selected():
     vals[0] = 8.0
     f = gf(vals)
     w = constant_weight(1, 1.0, 8)
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=1.5)
+    tree = cz_decompose(f, w, sigma=1.5)
     assert tree.nodes == ()
     assert tree.all_ok
     e1 = [c for c in tree.checks if c.name == "E" and c.gen == 1][0]
@@ -344,12 +370,13 @@ def test_two_sample_plateau_selected_once():
     vals[0] = vals[1] = 4.0
     f = gf(vals)
     w = constant_weight(1, 1.0, 8)
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=1.5)
+    tree = cz_decompose(f, w, sigma=1.5)
     assert len(tree.generations[0]) == 1
     assert all(len(g) == 0 for g in tree.generations[1:])
     sel = tree.generations[0][0]
-    assert sel.cube.center == (0.125,)
-    assert sel.cube.side == pytest.approx(0.25)
+    cube = dyadic_cube(1, 1.0, sel.level, sel.block)
+    assert cube.center == (0.125,)
+    assert cube.side == pytest.approx(0.25)
     assert sel.parent == 0
     assert sel.osc_mean == pytest.approx(2.0)
     assert sel.min_inc == pytest.approx(2.0)
@@ -364,13 +391,13 @@ def test_staircase_produces_nested_generations():
     vals[:2] += 4.0
     f = gf(vals)
     w = constant_weight(1, 1.0, 64)
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=1.2,
-                        max_gen=4)
+    tree = cz_decompose(f, w, sigma=1.2, max_gen=4)
     assert [len(g) for g in tree.generations] == [1, 1, 1, 0]
     assert tree.local.blo == pytest.approx(2.0)
     chain = [g[0] for g in tree.generations[:3]]
     assert [s.parent for s in chain] == [0, chain[0].id, chain[1].id]
-    assert [s.cube.side for s in chain] == pytest.approx([0.25, 0.125, 0.03125])
+    assert [1.0 / 2**s.level for s in chain] == \
+        pytest.approx([0.25, 0.125, 0.03125])
     assert [s.osc_mean for s in chain] == pytest.approx([1.25, 1.5, 2.0])
     assert [s.min_inc for s in chain] == pytest.approx([0.5, 1.0, 2.0])
     assert tree.all_ok
@@ -415,10 +442,11 @@ def test_tree_matches_exhaustive_oracle(N, kind, alpha, sigma):
     else:
         w = weight_from(regularized_power(N, alpha, x0=0.7))
     for q in (Cube((0.5,), 1.0, level=0), Cube((0.25,), 0.5, level=1)):
-        tree = cz_decompose(f, w, q, sigma=sigma, max_gen=5)
+        root = dyadic_address(f, q)
+        tree = cz_decompose(*restrict(f, w, *root), sigma=sigma, max_gen=5)
         assert tree.all_ok
         oracle = oracle_tree(f, w, q, sigma, 5)
-        assert_same_trees(tree_records(tree), oracle)
+        assert_same_trees(tree_records(tree, root=root), oracle)
         if kind != "walk" and q.level == 0:
             # guard against a vacuous comparison of empty trees
             assert len(tree.nodes) > 0
@@ -430,9 +458,8 @@ def test_tree_matches_oracle_at_small_sigma():
     N = 128
     f = gf(np.cumsum(rng.standard_normal(N)) / 10.0)
     w = weight_from(1.0 + 0.3 * np.cos(2 * np.pi * coords(N)))
-    q = Cube((0.5,), 1.0, level=0)
-    tree = cz_decompose(f, w, q, sigma=1.05, max_gen=5)
-    oracle = oracle_tree(f, w, q, 1.05, 5)
+    tree = cz_decompose(f, w, sigma=1.05, max_gen=5)
+    oracle = oracle_tree(f, w, BOX, 1.05, 5)
     assert len(tree.nodes) > 0
     assert_same_trees(tree_records(tree), oracle)
 
@@ -445,7 +472,7 @@ def test_invariants_hold_on_rough_weighted_case():
         0.5 * np.cumsum(rng.standard_normal(N)) / math.sqrt(N)
     f = gf(vals)
     w = weight_from(np.exp(0.6 * np.sin(2 * np.pi * x)))
-    tree = cz_decompose(f, w, Cube((0.5,), 1.0, level=0), sigma=math.e,
+    tree = cz_decompose(f, w, sigma=math.e,
                         max_gen=5)
     assert tree.all_ok
     for name in "ABCDE":
@@ -459,8 +486,7 @@ def test_two_dimensional_tree_invariants():
     vals[:4, :4] += 6.0
     f = gf(vals)
     w = weight_from(np.exp(0.3 * rng.standard_normal((N, N))))
-    tree = cz_decompose(f, w, Cube((0.5, 0.5), 1.0, level=0), sigma=2.0,
-                        max_gen=3)
+    tree = cz_decompose(f, w, sigma=2.0, max_gen=3)
     assert len(tree.nodes) >= 1
     assert tree.all_ok
 
@@ -469,21 +495,22 @@ def test_two_dimensional_tree_invariants():
 # node-for-node agreement with a block-by-block queue
 
 
-def bfs_tree(f, w, Q, sigma, max_gen):
-    """The stopping-time descent as a first-in first-out queue of single
-    blocks, children tested one at a time.
+def bfs_tree(f, w, root, sigma, max_gen):
+    """The stopping-time descent below the full grid's block root =
+    (level, block), as a first-in first-out queue of single blocks,
+    children tested one at a time.
 
     Returns the generations and the number of queued blocks whose children
     hold more than one sample, which cz_decompose reports as
     blocks_visited.
     """
-    kq, root = dyadic_address(f, Q)
-    local = cube_local_constants(f, w, Q)
+    kq, b0 = root
+    local = cube_local_constants(*restrict(f, w, kq, b0))
     norm = local.blo
     generations = [[] for _ in range(max_gen)]
     if norm == 0.0:
         return generations, 0
-    n, N, L = f.n, f.N, f.L
+    n, N = f.n, f.N
     depth = int(math.log2(N))
     T = local.a_w * sigma
     fp = f.pyramid
@@ -497,15 +524,10 @@ def bfs_tree(f, w, Q, sigma, max_gen):
         return [(2 * i + di) * (1 << (k + 1)) + (2 * j + dj)
                 for di in (0, 1) for dj in (0, 1)]
 
-    def block_cube(k, b):
-        s = L / (1 << k)
-        idx = (b,) if n == 1 else divmod(b, 1 << k)
-        return Cube(tuple((i + 0.5) * s for i in idx), s, level=k)
-
     next_id = 1
     visited = 0
     # work items: (level, block, stopping-cube min, generation, parent id)
-    queue = deque([(kq, root, float(scaled_min[kq][root]), 1, 0)])
+    queue = deque([(kq, b0, float(scaled_min[kq][b0]), 1, 0)])
     while queue:
         k, b, m_s, gen, pid = queue.popleft()
         if k == depth:
@@ -517,8 +539,7 @@ def bfs_tree(f, w, Q, sigma, max_gen):
             if mean > T and cnt > 1:
                 cmin = float(scaled_min[k + 1][child])
                 generations[gen - 1].append(SelectedCube(
-                    block_cube(k + 1, child), gen, next_id, pid, mean,
-                    cmin - m_s))
+                    k + 1, child, gen, next_id, pid, mean, cmin - m_s))
                 if gen < max_gen:
                     queue.append((k + 1, child, cmin, gen + 1, next_id))
                 next_id += 1
@@ -527,13 +548,19 @@ def bfs_tree(f, w, Q, sigma, max_gen):
     return generations, visited
 
 
-def assert_tree_is_bfs(f, w, Q, sigma, max_gen):
-    """cz_decompose equals the queue reference exactly, nothing sorted."""
-    tree = cz_decompose(f, w, Q, sigma=sigma, max_gen=max_gen)
-    generations, visited = bfs_tree(f, w, Q, sigma, max_gen)
-    assert tree.generations == tuple(tuple(g) for g in generations)
+def assert_tree_is_bfs(f, w, root, sigma, max_gen):
+    """cz_decompose of the root block's restriction equals the queue
+    reference on the full grid exactly, nothing sorted."""
+    tree = cz_decompose(*restrict(f, w, *root), sigma=sigma, max_gen=max_gen)
+    generations, visited = bfs_tree(f, w, root, sigma, max_gen)
+    assert lifted_generations(f.n, root, tree) == \
+        tuple(tuple(g) for g in generations)
     assert tree.blocks_visited == visited
     return tree
+
+
+def lifted_generations(n, root, tree):
+    return tuple(tuple(lift(n, root, s) for s in g) for g in tree.generations)
 
 
 def _nested_2d(N, seed):
@@ -558,9 +585,8 @@ def _nested_2d(N, seed):
 def test_tree_ids_match_queue_reference_1d(N, kind, alpha, sigma):
     f = gf(_profile(N, kind, seed=N))
     w = weight_from(regularized_power(N, alpha, x0=0.7))
-    trees = [assert_tree_is_bfs(f, w, q, sigma, 5)
-             for q in (Cube((0.5,), 1.0, level=0), Cube((0.25,), 0.5, level=1),
-                       Cube((0.75,), 0.5, level=1))]
+    trees = [assert_tree_is_bfs(f, w, root, sigma, 5)
+             for root in ((0, 0), (1, 0), (1, 1))]
     assert all(t.all_ok for t in trees)
     assert len(trees[0].nodes) > 1 and len(trees[1].nodes) > 1
 
@@ -570,9 +596,8 @@ def test_tree_ids_match_queue_reference_2d(sigma):
     f, w = _nested_2d(16, 5)
     # the box, then the level-1 sub-cubes at row 0, column 1 (row-major
     # block 1) and at row 1, column 0 (block 2)
-    for q in (Cube((0.5, 0.5), 1.0, level=0), Cube((0.25, 0.75), 0.5, level=1),
-              Cube((0.75, 0.25), 0.5, level=1)):
-        tree = assert_tree_is_bfs(f, w, q, sigma, 4)
+    for root in ((0, 0), (1, 1), (1, 2)):
+        tree = assert_tree_is_bfs(f, w, root, sigma, 4)
         assert tree.all_ok
         assert [len(g) > 0 for g in tree.generations] == \
             [True, True, False, False]
@@ -584,22 +609,20 @@ def test_tree_is_truncated_at_max_gen(n):
     if n == 1:
         f = gf(_profile(256, "staircase"))
         w = constant_weight(1, 1.0, 256)
-        Q = Cube((0.5,), 1.0, level=0)
         sigma = 1.3
     else:
         f, w = _nested_2d(16, 5)
-        Q = Cube((0.5, 0.5), 1.0, level=0)
         sigma = 1.2
-    deep = assert_tree_is_bfs(f, w, Q, sigma, 5)
-    cut = assert_tree_is_bfs(f, w, Q, sigma, 1)
+    deep = assert_tree_is_bfs(f, w, (0, 0), sigma, 5)
+    cut = assert_tree_is_bfs(f, w, (0, 0), sigma, 1)
     assert deep.all_ok and cut.all_ok
     assert len(cut.generations) == 1
     assert len(cut.generations[0]) > 0
     # the cut removes every deeper generation and renumbers nothing of the
     # first: a generation-1 cube's descendants take no ids
     assert sum(len(g) for g in deep.generations[1:]) > 0
-    assert [(s.cube, s.parent) for s in cut.nodes] == \
-        [(s.cube, s.parent) for s in deep.generations[0]]
+    assert [(s.level, s.block, s.parent) for s in cut.nodes] == \
+        [(s.level, s.block, s.parent) for s in deep.generations[0]]
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
@@ -610,9 +633,9 @@ def test_roots_at_the_last_two_levels_have_no_descent(n, N):
     depth = int(math.log2(N))
     for kq in (depth, depth - 1):
         s = 1.0 / (1 << kq)
-        Q = Cube((1.5 * s,) * n, s, level=kq)
-        assert dyadic_address(f, Q)[0] == kq
-        tree = assert_tree_is_bfs(f, w, Q, 1.01, 5)
+        root = dyadic_address(f, Cube((1.5 * s,) * n, s, level=kq))
+        assert root[0] == kq
+        tree = assert_tree_is_bfs(f, w, root, 1.01, 5)
         assert tree.all_ok
         assert tree.nodes == ()
         assert tree.blocks_visited == 0
@@ -650,26 +673,45 @@ def test_tree_matches_queue_reference_property(seed, n, depth, sigma,
     root = rng.integers(0, 1 << kq, n)
     f = gf(_nested_steps(rng, n, N, kq, root))
     w = weight_from(rng.uniform(0.8, 1.25, (N,) * n))
-    s = 1.0 / (1 << kq)
-    assert_tree_is_bfs(f, w, Cube(tuple((root + 0.5) * s), s, level=kq),
-                       sigma, max_gen)
+    b = int(np.ravel_multi_index(tuple(root), (1 << kq,) * n))
+    assert_tree_is_bfs(f, w, (kq, b), sigma, max_gen)
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_restricted_trees_match_full_grid_oracles_at_every_root(n, N):
+    rng = np.random.default_rng(10)
+    f = gf(_nested_steps(rng, n, N, 0, np.zeros(n, dtype=int)))
+    w = weight_from(rng.uniform(0.8, 1.25, (N,) * n))
+    family = dyadic_cubes(f, int(math.log2(N)))
+    nodes = 0
+    for q, k, b in zip(family, family.levels.tolist(), family.blocks.tolist()):
+        root = (k, b)
+        local = assert_local_constants_are_the_scan(f, w, family, q)
+        tree = assert_tree_is_bfs(f, w, root, 1.2, 4)
+        assert tree.local == local
+        if local.blo > 0:
+            assert list(tree.checks) == verify_tree_reference(
+                f, root, 1.2, local.a_w, local.blo,
+                lifted_generations(n, root, tree))
+        if n == 1:
+            assert_same_trees(tree_records(tree, root=root),
+                              oracle_tree(f, w, q, 1.2, 4))
+        nodes += len(tree.nodes)
+    assert nodes > 0
 
 
 # ---------------------------------------------------------------------------
 # the invariant checks fail on broken generations
 
 
-def _node(f, k, b, gen, id, parent):
+def _node(k, b, gen, id, parent):
     """A selected level-k cube at row-major block b, with B and C scores
     that pass at sigma 2 and A_w 1."""
-    s = f.L / (1 << k)
-    idx = (b,) if f.n == 1 else divmod(b, 1 << k)
-    cube = Cube(tuple((i + 0.5) * s for i in idx), s, level=k)
-    return SelectedCube(cube, gen, id, parent, 3.0, 0.0)
+    return SelectedCube(k, b, gen, id, parent, 3.0, 0.0)
 
 
-def _records(f, generations, root=(0, 0)):
-    checks = _verify_tree(f, root, 2.0, 1.0, 1.0, generations)
+def _records(f, generations):
+    checks = _verify_tree(f, 2.0, 1.0, 1.0, generations)
     return {(c.name, c.gen): c for c in checks}
 
 
@@ -697,7 +739,7 @@ def verify_tree_reference(f, root, sigma, a_w, norm, generations):
         worst_c_hi = 0.0
         worst_c_lo = 0.0
         for s in gen:
-            cells = block_cells(n, N, *dyadic_address(f, s.cube))
+            cells = block_cells(n, N, s.level, s.block)
             covered[cells] += 1
             inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
             next_owner[cells] = s.id
@@ -739,8 +781,7 @@ def _trees_with_empty_generations():
 @pytest.mark.parametrize("case", range(5))
 def test_empty_generations_are_judged_as_by_a_full_pass(case):
     f, w, sigma = list(_trees_with_empty_generations())[case]
-    box = Cube((0.5,) * f.n, 1.0, level=0)
-    tree = cz_decompose(f, w, box, sigma=sigma, max_gen=5)
+    tree = cz_decompose(f, w, sigma=sigma, max_gen=5)
     sizes = [len(g) for g in tree.generations]
     # a non-empty generation followed by empty ones
     assert sizes[0] > 0 and sizes[-1] == 0
@@ -755,10 +796,10 @@ def test_generation_after_an_empty_one_fails_check_a(n):
     # a corrupted tree: generation 2 is empty, so nothing owns the cubes
     # of generation 3, whichever parent they name
     f = gf(np.arange(16.0 ** n).reshape((16,) * n))
-    first = _node(f, 1, 0, 1, 1, 0)
+    first = _node(1, 0, 1, 1, 0)
     for parent in (0, 1):
-        generations = [[first], [], [_node(f, 2, 0, 3, 2, parent)]]
-        checks = _verify_tree(f, (0, 0), 2.0, 1.0, 1.0, generations)
+        generations = [[first], [], [_node(2, 0, 3, 2, parent)]]
+        checks = _verify_tree(f, 2.0, 1.0, 1.0, generations)
         assert checks == verify_tree_reference(f, (0, 0), 2.0, 1.0, 1.0,
                                                generations)
         recs = {(c.name, c.gen): c for c in checks}
@@ -772,8 +813,8 @@ def test_overlapping_cubes_fail_check_a(n):
     # level-2 block 1 (2D: block 5, row 1 column 1) lies inside level-1
     # block 0; level-2 block 2 (2D: block 10) does not
     inner, outer = (1, 2) if n == 1 else (5, 10)
-    bad = [[_node(f, 1, 0, 1, 1, 0), _node(f, 2, inner, 1, 2, 0)]]
-    good = [[_node(f, 1, 0, 1, 1, 0), _node(f, 2, outer, 1, 2, 0)]]
+    bad = [[_node(1, 0, 1, 1, 0), _node(2, inner, 1, 2, 0)]]
+    good = [[_node(1, 0, 1, 1, 0), _node(2, outer, 1, 2, 0)]]
     assert not _records(f, bad)[("A", 1)].ok
     assert _records(f, bad)[("A", 1)].value == 1.0
     assert _records(f, good)[("A", 1)].ok
@@ -783,22 +824,14 @@ def test_overlapping_cubes_fail_check_a(n):
 def test_child_outside_its_parent_fails_check_a(n):
     f = gf(np.zeros((16,) * n))
     inner, outer = (1, 2) if n == 1 else (5, 2)
-    parent = _node(f, 1, 0, 1, 1, 0)
-    for child, ok in ((_node(f, 2, inner, 2, 2, 1), True),
-                      (_node(f, 2, outer, 2, 2, 1), False),
+    parent = _node(1, 0, 1, 1, 0)
+    for child, ok in ((_node(2, inner, 2, 2, 1), True),
+                      (_node(2, outer, 2, 2, 1), False),
                       # inside the parent's cube but naming the root
-                      (_node(f, 2, inner, 2, 2, 0), False)):
+                      (_node(2, inner, 2, 2, 0), False)):
         recs = _records(f, [[parent], [child]])
         assert recs[("A", 1)].ok
         assert recs[("A", 2)].ok is ok
-
-
-def test_cube_outside_a_subcube_root_fails_check_a():
-    f = gf(np.zeros(16))
-    # root: level-1 block 1 (samples 8..15)
-    assert _records(f, [[_node(f, 2, 3, 1, 1, 0)]], root=(1, 1))[("A", 1)].ok
-    assert not _records(f, [[_node(f, 2, 0, 1, 1, 0)]],
-                        root=(1, 1))[("A", 1)].ok
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -808,13 +841,13 @@ def test_uncovered_high_sample_is_recorded_by_check_e(n):
     vals[(1,) * n] = -1.0
     f = gf(vals)
     far, near = (0, 1) if n == 1 else (0, 3)
-    recs = _records(f, [[_node(f, 1, far, 1, 1, 0)], []])
+    recs = _records(f, [[_node(1, far, 1, 1, 0)], []])
     # min_Q f is -1, covered by the generation-1 cube; the spike is not,
     # and it exceeds the bound sigma 2^n A_w of generation 1
     assert recs[("E", 1)].value == 10.0
     assert not recs[("E", 1)].ok
     assert recs[("E", 2)].value == 10.0
-    recs = _records(f, [[_node(f, 1, near, 1, 1, 0)], []])
+    recs = _records(f, [[_node(1, near, 1, 1, 0)], []])
     # off the cube covering the spike, f - min_Q f is 0 - (-1)
     assert recs[("E", 1)].value == 1.0
     assert recs[("E", 1)].ok
@@ -834,7 +867,7 @@ def test_distribution_matches_per_sample_recount():
         g.values[::5], [-10.0, 0.0, 10.0]])))
     for kind, p in (("lebesgue", None), ("weight", None),
                     ("power_weight", 2.0)):
-        d = distribution_function(g, kind, w, BOX, lambdas, p=p)
+        d = distribution_function(g, kind, w, lambdas, p=p)
         for lam, mass in zip(lambdas, d):
             total = 0.0
             for i in range(N):
@@ -851,16 +884,16 @@ def test_distribution_matches_per_sample_recount():
 def test_distribution_edges_and_validation():
     g = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
-    d = distribution_function(g, "lebesgue", w, BOX, [-1.0, 7.5])
+    d = distribution_function(g, "lebesgue", w, [-1.0, 7.5])
     assert d[0] == pytest.approx(1.0)
     assert d[1] == 0.0
     assert np.all(np.diff(d) <= 0)
     with pytest.raises(ValueError):
-        distribution_function(g, "lebesgue", w, BOX, [1.0, 1.0])
+        distribution_function(g, "lebesgue", w, [1.0, 1.0])
     with pytest.raises(ValueError):
-        distribution_function(g, "volume", w, BOX, [1.0])
+        distribution_function(g, "volume", w, [1.0])
     with pytest.raises(ValueError):
-        distribution_function(g, "power_weight", w, BOX, [1.0])
+        distribution_function(g, "power_weight", w, [1.0])
 
 
 def test_distribution_indicator_mass():
@@ -868,7 +901,7 @@ def test_distribution_indicator_mass():
     vals[:4] = 1.0
     g = gf(vals)
     w = weight_from(np.linspace(1.0, 2.0, 16))
-    d = distribution_function(g, "weight", w, BOX, [0.5])
+    d = distribution_function(g, "weight", w, [0.5])
     assert d[0] == pytest.approx(w.values[:4].sum() / 16.0, rel=1e-12)
 
 
@@ -880,7 +913,7 @@ def test_layer_cake_step_mode_is_exact():
                  rng.choice([0.0, 0.7, -1.3], size=N)):
         g = gf(vals)
         for p in (1.0, 2.0, 3.0):
-            lhs, rhs, gap = layer_cake_check(g, w, p, BOX, mode="step")
+            lhs, rhs, gap = layer_cake_check(g, w, p, mode="step")
             assert gap < 1e-12
 
 
@@ -889,23 +922,22 @@ def test_layer_cake_trapezoid_converges_on_smooth_data():
     x = coords(N)
     g = gf(1.0 + 0.5 * np.sin(2 * np.pi * x))
     w = weight_from(1.0 + 0.2 * np.cos(2 * np.pi * x))
-    lhs, rhs, gap = layer_cake_check(g, w, 2.0, BOX, mode="trapezoid",
+    lhs, rhs, gap = layer_cake_check(g, w, 2.0, mode="trapezoid",
                                      nodes=10**4)
     assert gap < 1e-3
-    coarse = layer_cake_check(g, w, 2.0, BOX, mode="trapezoid",
-                              nodes=100)[2]
+    coarse = layer_cake_check(g, w, 2.0, mode="trapezoid", nodes=100)[2]
     assert gap < coarse
 
 
 def test_layer_cake_auto_and_validation():
     g = gf(np.arange(16.0))
     w = constant_weight(1, 1.0, 16)
-    lhs, rhs, gap = layer_cake_check(g, w, 2.0, BOX, mode="auto")
+    lhs, rhs, gap = layer_cake_check(g, w, 2.0, mode="auto")
     assert gap < 1e-12
     with pytest.raises(ValueError):
-        layer_cake_check(g, w, 0.5, BOX)
+        layer_cake_check(g, w, 0.5)
     with pytest.raises(ValueError):
-        layer_cake_check(g, w, 2.0, BOX, mode="simpson")
+        layer_cake_check(g, w, 2.0, mode="simpson")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -913,7 +945,7 @@ def test_distribution_refuses_non_finite_thresholds(bad):
     g = gf(np.arange(8.0))
     w = constant_weight(1, 1.0, 8)
     with pytest.raises(ValueError, match="finite"):
-        distribution_function(g, "lebesgue", w, BOX, [1.0, bad])
+        distribution_function(g, "lebesgue", w, [1.0, bad])
 
 
 def test_distribution_reads_a_2d_sub_cube_as_cube_region_gathers_it():
@@ -923,6 +955,7 @@ def test_distribution_reads_a_2d_sub_cube_as_cube_region_gathers_it():
     w = weight_from(rng.uniform(0.5, 2.0, (N, N)))
     h = 1.0 / N
     q = dyadic_cube(2, 1.0, 2, 9)  # the level-2 cube at block (2, 1)
+    sub_g, sub_w = restrict(g, w, 2, 9)
     idx = cube_region(g, q)
     gv = g.values.ravel()[idx]
     wv = w.values.ravel()[idx]
@@ -935,20 +968,10 @@ def test_distribution_reads_a_2d_sub_cube_as_cube_region_gathers_it():
                         ("power_weight", 3.0, wv ** (1.0 - 3.0) * h**2)):
         prefix = np.concatenate([[0.0], np.cumsum(mu[order])])
         expect = prefix[-1] - prefix[pos]
-        masses = distribution_function(g, kind, w, q, lambdas, p=p)
+        masses = distribution_function(sub_g, kind, sub_w, lambdas, p=p)
         assert masses.tolist() == expect.tolist()
     lhs = float((np.abs(gv) ** 2 * wv * h**2).sum())
-    assert layer_cake_check(g, w, 2.0, q, mode="step")[0] == lhs
-
-
-def test_distribution_and_layer_cake_refuse_a_non_dyadic_cube():
-    g = gf(np.arange(8.0))
-    w = constant_weight(1, 1.0, 8)
-    q = Cube((0.3,), 0.25)
-    with pytest.raises(ValueError, match="must be a dyadic cube"):
-        distribution_function(g, "lebesgue", w, q, [1.0])
-    with pytest.raises(ValueError, match="must be a dyadic cube"):
-        layer_cake_check(g, w, 2.0, q)
+    assert layer_cake_check(sub_g, sub_w, 2.0, mode="step")[0] == lhs
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +987,9 @@ def _rough_function(N, seed, scale=1.0):
 def test_jn_blo_bound_holds_with_margin():
     f = _rough_function(512, 21)
     w = constant_weight(1, 1.0, 512)
-    box = Cube((0.5,), 1.0, level=0)
     span = float(f.values.max() - f.values.min())
     lambdas = np.linspace(span / 64, span, 32)
-    rep = jn_blo_verify(f, w, box, lambdas)
+    rep = jn_blo_verify(f, w, lambdas)
     assert rep.all_ok
     assert rep.worst_margin >= 1.0
     assert rep.rows[-1].measured == 0.0
@@ -976,9 +998,8 @@ def test_jn_blo_bound_holds_with_margin():
 def test_jn_bmo_variant_holds():
     f = _rough_function(512, 22)
     w = weight_from(regularized_power(512, 0.2))
-    box = Cube((0.5,), 1.0, level=0)
     span = float(np.abs(f.values - f.values.mean()).max())
-    rep = jn_bmo_verify(f, w, box, np.linspace(span / 32, span, 24))
+    rep = jn_bmo_verify(f, w, np.linspace(span / 32, span, 24))
     assert rep.kind == "bmo"
     assert rep.all_ok
 
@@ -986,11 +1007,10 @@ def test_jn_bmo_variant_holds():
 def test_jn_rescaling_invariance():
     f = _rough_function(256, 23)
     w = constant_weight(1, 1.0, 256)
-    box = Cube((0.5,), 1.0, level=0)
     lam = np.linspace(0.05, 2.0, 16)
-    rep1 = jn_blo_verify(f, w, box, lam)
+    rep1 = jn_blo_verify(f, w, lam)
     c = 7.3
-    rep2 = jn_blo_verify(f.with_values(c * f.values), w, box, c * lam)
+    rep2 = jn_blo_verify(f.with_values(c * f.values), w, c * lam)
     assert rep1.all_ok and rep2.all_ok
     for r1, r2 in zip(rep1.rows, rep2.rows):
         assert r1.measured == pytest.approx(r2.measured, abs=1e-15)
@@ -1003,33 +1023,22 @@ def test_tail_counts_match_a_comparison_pass(kind):
     rng = np.random.default_rng(8)
     f = gf(rng.integers(-4, 5, 64) * 0.25)
     w = weight_from(rng.uniform(0.5, 2.0, 64))
-    box = Cube((0.5,), 1.0, level=0)
     fv = f.values
     dev = fv - fv.min() if kind == "blo" else np.abs(fv - fv.mean())
     lams = np.concatenate([np.unique(dev), np.unique(dev) + 0.125, [-1.0]])
     verify = jn_blo_verify if kind == "blo" else jn_bmo_verify
-    rep = verify(f, w, box, lams)
+    rep = verify(f, w, lams)
     assert [r.measured for r in rep.rows] == \
         [float((dev > lam).sum()) * f.h for lam in lams]
     # the local constants, when handed in, are the ones computed inside
-    shared = verify(f, w, box, lams, local=cube_local_constants(f, w, box))
+    shared = verify(f, w, lams, local=cube_local_constants(f, w))
     assert shared == rep
-
-
-def test_decomposition_with_shared_local_constants_is_the_same_tree():
-    f = _rough_function(128, 31, scale=3.0)
-    w = constant_weight(1, 1.0, 128)
-    box = Cube((0.5,), 1.0, level=0)
-    tree = cz_decompose(f, w, box, sigma=1.3, max_gen=4)
-    assert len(tree.nodes) > 0
-    assert cz_decompose(f, w, box, sigma=1.3, max_gen=4,
-                        local=cube_local_constants(f, w, box)) == tree
 
 
 def test_jn_returns_a_report_with_a_positive_bound():
     f = _rough_function(64, 25)
     w = constant_weight(1, 1.0, 64)
-    rep = jn_blo_verify(f, w, Cube((0.5,), 1.0, level=0), [0.01])
+    rep = jn_blo_verify(f, w, [0.01])
     assert rep.rows[0].bound > 0
 
 
@@ -1038,13 +1047,13 @@ def test_jn_report_fails_a_violated_tail_bound(verify):
     # a norm 1e-3 times the true one shrinks the bound far below the tails
     f = _rough_function(256, 26)
     w = weight_from(regularized_power(256, 0.2))
-    local = cube_local_constants(f, w, BOX)
+    local = cube_local_constants(f, w)
     small = dataclasses.replace(local, blo=local.blo * 1e-3,
                                 bmo=local.bmo * 1e-3)
     lams = np.linspace(0.0, 0.5, 11)
-    assert not verify(f, w, BOX, lams, local=small).all_ok
+    assert not verify(f, w, lams, local=small).all_ok
     # the true constants pass the same thresholds
-    assert verify(f, w, BOX, lams, local=local).all_ok
+    assert verify(f, w, lams, local=local).all_ok
 
 
 @pytest.mark.parametrize("verify", [jn_blo_verify, jn_bmo_verify])
@@ -1055,7 +1064,7 @@ def test_jn_refuses_non_finite_thresholds(bad, verify):
     f = _rough_function(64, 25)
     w = constant_weight(1, 1.0, 64)
     with pytest.raises(ValueError, match="thresholds lambda must be finite"):
-        verify(f, w, BOX, [bad, 0.1])
+        verify(f, w, [bad, 0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1094,7 @@ P_TAKERS = {
                                              dyadic_cubes(f, 2)).value,
     "single_cube_value": lambda f, w, p: single_cube_value("blo_p", f, w,
                                                            BOX, p),
-    "layer_cake_check": lambda f, w, p: layer_cake_check(f, w, p, BOX)[1],
+    "layer_cake_check": lambda f, w, p: layer_cake_check(f, w, p)[1],
     "equivalence_constant": lambda f, w, p: equivalence_constant(p, 1, 1.0,
                                                                  1.0),
 }
@@ -1112,11 +1121,10 @@ def test_non_finite_exponent_is_refused(name, p):
 def test_unweighted_tail_bound_property(seed):
     f = _rough_function(32, seed)
     w = constant_weight(1, 1.0, 32)
-    box = Cube((0.5,), 1.0, level=0)
     span = float(f.values.max() - f.values.min())
     if span == 0.0:
         return
-    rep = jn_blo_verify(f, w, box, np.linspace(span / 8, 2 * span, 9))
+    rep = jn_blo_verify(f, w, np.linspace(span / 8, 2 * span, 9))
     assert rep.all_ok
 
 
@@ -1126,5 +1134,5 @@ def test_layer_cake_identity_property(seed, p):
     rng = np.random.default_rng(seed)
     g = gf(rng.uniform(-2.0, 2.0, size=16))
     w = weight_from(rng.uniform(0.5, 2.0, size=16))
-    lhs, rhs, gap = layer_cake_check(g, w, p, BOX, mode="step")
+    lhs, rhs, gap = layer_cake_check(g, w, p, mode="step")
     assert gap < 1e-10

@@ -266,8 +266,8 @@ PYRAMID_READERS = [
     lambda f, w, cubes: blo_constant(f, w, cubes),
     lambda f, w, cubes: blo_p_norm(f, w, 2.0, cubes),
     lambda f, w, cubes: blo_p_norm(f, w, 3.0, cubes),
-    lambda f, w, cubes: cube_local_constants(f, w, cubes[0]),
-    lambda f, w, cubes: cz_decompose(f, w, cubes[0], sigma=1.2),
+    lambda f, w, cubes: cube_local_constants(f, w),
+    lambda f, w, cubes: cz_decompose(f, w, sigma=1.2),
 ]
 
 
