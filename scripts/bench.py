@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record alternating benchmark pairs per workload in a BENCH_<label>.json file.
+"""Record alternating benchmark pairs per workload in BENCH_<label>.json.
 
     python scripts/bench.py LABEL --against DIR --pairs K [--seed N]
         [--checkout DIR]
