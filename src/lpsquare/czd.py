@@ -204,7 +204,8 @@ def _verify_tree(f, sigma, a_w, norm, generations) -> list[InvariantRecord]:
     generation is empty, which covers nothing); covered counts the current
     generation's cubes over each sample.  An empty generation covers no
     sample, so (A) holds and (E) reads the whole box, the same value for
-    every empty generation.  (E) takes max(f/norm) - min_Q rather than the
+    every empty generation.  A cube below the grid's finest level holds
+    no sample and fails (A).  (E) takes max(f/norm) - min_Q rather than the
     max of the differences: rounding is monotone, so the two agree.
     """
     n, N = f.n, f.N
@@ -231,7 +232,8 @@ def _verify_tree(f, sigma, a_w, norm, generations) -> list[InvariantRecord]:
             for s in gen:
                 cells = block_cells(n, N, s.level, s.block)
                 covered[cells] += 1
-                inside_ok = inside_ok and bool((owner[cells] == s.parent).all())
+                inside_ok = (inside_ok and 1 << s.level <= N
+                             and bool((owner[cells] == s.parent).all()))
                 next_owner[cells] = s.id
                 total += covered[cells].size * h**n
                 worst_b = max(worst_b, s.osc_mean)

@@ -835,6 +835,15 @@ def test_child_outside_its_parent_fails_check_a(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_cube_below_the_finest_level_fails_check_a(n):
+    # a level-5 block of a 16-sample axis holds no sample; block_cells
+    # gives it empty slices, so only a level check can see it
+    f = gf(np.zeros((16,) * n))
+    assert _records(f, [[_node(4, 0, 1, 1, 0)]])[("A", 1)].ok
+    assert not _records(f, [[_node(5, 0, 1, 1, 0)]])[("A", 1)].ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_uncovered_high_sample_is_recorded_by_check_e(n):
     vals = np.zeros((16,) * n)
     vals[(12,) * n] = 9.0
@@ -1054,6 +1063,18 @@ def test_jn_report_fails_a_violated_tail_bound(verify):
     assert not verify(f, w, lams, local=small).all_ok
     # the true constants pass the same thresholds
     assert verify(f, w, lams, local=local).all_ok
+
+
+@pytest.mark.parametrize("verify", [jn_blo_verify, jn_bmo_verify])
+def test_tails_with_the_trees_local_constants_equal_a_fresh_report(verify):
+    # cli._jn_row decomposes first and hands tree.local to both tail
+    # checks; that must give the report the checks compute on their own
+    f = _rough_function(128, 31, scale=3.0)
+    w = weight_from(regularized_power(128, 0.2))
+    tree = cz_decompose(f, w, sigma=1.3, max_gen=4)
+    assert len(tree.nodes) > 0
+    lams = np.linspace(0.0, 2.0, 9)
+    assert verify(f, w, lams, local=tree.local) == verify(f, w, lams)
 
 
 @pytest.mark.parametrize("verify", [jn_blo_verify, jn_bmo_verify])
