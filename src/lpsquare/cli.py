@@ -79,32 +79,25 @@ def _make_scales(cfg: RunConfig):
 
 
 @functools.lru_cache(maxsize=8)
-def _certified_kernel(name: str, n: int, vanish: float):
-    """Registry lookup that only hands back kernels that _kernel_record
-    judges certified for use at the configured tolerance."""
+def _certified_kernel(name: str, n: int):
+    """Registry lookup that only hands back a certified kernel, the one
+    square_functions accepts."""
     from .kernels import TOL_VANISH, certified, kernel_registry
     kernel = kernel_registry(name, n)
-    if not _kernel_record(kernel, vanish)["certified"]:
-        bound = (f"tolerances.vanish={vanish:g}"
-                 if not certified(kernel, vanish) else
-                 f"the default bound {TOL_VANISH:g}, at which "
-                 f"square_functions refuses")
-        raise ValueError(f"kernel {name!r} is not certified for use at "
-                         f"tolerances.vanish={vanish:g} "
-                         f"(residual {kernel.report.p1_residual:.3e}): "
-                         f"the residual exceeds {bound}")
+    if not certified(kernel):
+        raise ValueError(f"kernel {name!r} is not certified: its vanishing "
+                         f"residual {kernel.report.p1_residual:.3e} exceeds "
+                         f"{TOL_VANISH:g}")
     return kernel
 
 
-def _kernel_record(kernel, vanish: float) -> dict:
-    """manifest.kernels' record of kernel's certificate.  It is certified
-    for use at vanish and at the default, at which square_functions
-    refuses, so that tolerances.vanish can only tighten the default."""
-    from .kernels import certified
+def _kernel_record(kernel) -> dict:
+    """manifest.kernels' record of kernel's certificate, judged at
+    TOL_VANISH."""
+    from .kernels import TOL_VANISH, certified
     rep = kernel.report
-    return {"name": kernel.name, "n": kernel.n,
-            "certified": certified(kernel) and certified(kernel, vanish),
-            "residual": rep.p1_residual, "tol_vanish": vanish,
+    return {"name": kernel.name, "n": kernel.n, "certified": certified(kernel),
+            "residual": rep.p1_residual, "tol_vanish": TOL_VANISH,
             "c1": rep.c1, "c2": rep.c2}
 
 
@@ -248,16 +241,16 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
 
 def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
     from .kernels import certified, shipped_kernels
-    n, tol = cfg.n, cfg.vanish
+    n = cfg.n
     usable, controls = shipped_kernels(n)
     rows = []
     for name, make in (usable | controls).items():
         kernel = make()
-        rep, passed = kernel.report, certified(kernel, tol)
+        rep, passed = kernel.report, certified(kernel)
         detail = f"residual={rep.p1_residual:.3e}"
         if name in usable:
             manifest.record(f"certified:{name}", passed, detail)
-            manifest.kernels.append(_kernel_record(kernel, tol))
+            manifest.kernels.append(_kernel_record(kernel))
         else:
             manifest.record("negative-control-rejected", not passed, detail)
         rows.append((name, n, rep.p1_residual, rep.c1, rep.c2, passed,
@@ -387,8 +380,8 @@ def _operators_rows(kernel, lam, entries, cfg):
 def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     from .operators import default_scales, g_function
     n, L, N = cfg.n, cfg.L, cfg.N
-    kernel = _certified_kernel(cfg.kernel, n, cfg.vanish)
-    manifest.kernels.append(_kernel_record(kernel, cfg.vanish))
+    kernel = _certified_kernel(cfg.kernel, n)
+    manifest.kernels.append(_kernel_record(kernel))
     rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel, n))
     tables = _gather(manifest, _pmap(rows, cfg, jobs))
     # a constant input must be annihilated up to rounding
@@ -432,9 +425,9 @@ def _theorem_rows(kernel, lam, entries, cfg):
 def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     from . import operators, oscillation  # noqa: F401  loaded before the fork
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
-    kernel = _certified_kernel(cfg.kernel, cfg.n, cfg.vanish)
+    kernel = _certified_kernel(cfg.kernel, cfg.n)
     lam = _lambda_star(kernel, cfg.n)
-    manifest.kernels.append({**_kernel_record(kernel, cfg.vanish),
+    manifest.kernels.append({**_kernel_record(kernel),
                              "lambda_star": lam})
     rows = functools.partial(_theorem_rows, kernel, lam)
     [table] = _gather(manifest, _pmap(rows, cfg, jobs))
@@ -578,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     """One parser for every subcommand, since they all take the same
     options; the options may come before or after the subcommand."""
     parser = _Parser(
-        prog="lpsquare",
+        prog="lpsquare", allow_abbrev=False,
         description="square-operator and oscillation-norm experiment runner")
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", default=None,

@@ -301,11 +301,12 @@ def certify(kernel: Kernel) -> CertReport:
     return CertReport(residual, c1, c2)
 
 
-def certified(kernel: Kernel, tol: float = TOL_VANISH) -> bool:
+def certified(kernel: Kernel) -> bool:
     """The verdict on a kernel: it carries a measured report whose vanishing
-    residual is at most tol.  A Kernel built without a report is not
+    residual is at most TOL_VANISH.  A Kernel built without a report is not
     certified."""
-    return kernel.report is not None and kernel.report.p1_residual <= tol
+    return (kernel.report is not None
+            and kernel.report.p1_residual <= TOL_VANISH)
 
 
 def _measured(kernel: Kernel) -> Kernel:
@@ -314,7 +315,7 @@ def _measured(kernel: Kernel) -> Kernel:
 
 
 def _certified(kernel: Kernel) -> Kernel:
-    """_measured(kernel), refused unless it is certified at TOL_VANISH."""
+    """_measured(kernel), refused unless it is certified."""
     kernel = _measured(kernel)
     if not certified(kernel):
         raise ValueError(f"kernel {kernel.name!r} failed vanishing check: "

@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -306,9 +306,11 @@ def _corpus_of(section: dict[str, str]) -> tuple[CorpusEntry, ...]:
 
 
 def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
-    """section -> key -> text of an INI file; a missing or unparsable file
-    is a ValueError."""
-    parser = configparser.ConfigParser()
+    """section -> key -> text of an INI file, each value as written: no
+    section is a default one, so [DEFAULT] is refused as unknown, and "%"
+    is literal, as under --set.  A missing or unparsable file is a
+    ValueError."""
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str
     try:
         if not parser.read(str(path)):
@@ -322,78 +324,58 @@ def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
 # config
 
 
-# section -> key -> (type, default text).  Each value lands in the RunConfig
-# field named after its key; a key whose default is empty may stay empty,
-# which makes its field None.
-_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
-    "grid": {"n": (int, "1"), "L": (float, "1.0"), "N": (int, "2048")},
-    "scales": {"M": (int, "64"), "t_min": (float, ""), "t_max": (float, "")},
-    "family": {"max_level": (int, "6")},
-    "corpus": {"seed": (int, "1234")},
+# Range rules that several keys share: (test, message) pairs.
+def _at_least(k: int) -> tuple:
+    return (lambda v: v >= k, f"must be at least {k}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+# section -> key -> (type, default text, *rules).  A rule is a (test,
+# message) pair, tested in order, so that every subcommand refuses a value
+# out of range whether or not it reads the key.  Each float test is a
+# comparison that NaN fails; _convert refuses NaN for every other float key.
+# A key whose default is empty may stay empty, which makes its field None
+# and is not tested.  An empty output.dir would mean the current directory.
+# The code using a value keeps its own checks (GridFunction, ScaleGrid,
+# dyadic_cubes, cz_decompose).
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "grid": {"n": (int, "1", (lambda v: v in (1, 2), "must be 1 or 2")),
+             "L": (float, "1.0", _POSITIVE),
+             "N": (int, "2048", _at_least(1),
+                   (lambda v: v & (v - 1) == 0, "must be a power of two"))},
+    "scales": {"M": (int, "64", _at_least(2)),
+               "t_min": (float, "", _POSITIVE),
+               "t_max": (float, "", _POSITIVE)},
+    "family": {"max_level": (int, "6", _at_least(0))},
+    "corpus": {"seed": (int, "1234", (lambda v: v >= 0,
+                                      "must be non-negative"))},
     "tolerances": {
-        "vanish": (float, "1e-6"),
         "kernel": (str, "poisson-derivative"),
-        "sigma": (float, "2.718281828459045"),
-        "max_gen": (int, "5"),
-        "lambda_nodes": (int, "32"),
+        "sigma": (float, "2.718281828459045",
+                  (lambda v: v > 1, "must exceed 1")),
+        "max_gen": (int, "5", _at_least(1)),
+        "lambda_nodes": (int, "32", _at_least(1)),
     },
-    "output": {"dir": (str, "out")},
+    "output": {"dir": (str, "out", (lambda v: v != "", "must not be empty"))},
 }
 
-# Ranges checked here, so that every subcommand refuses a value out of range
-# whether or not it reads the key: (key, test, rule), tested in this order.
-# Each float test is a comparison that NaN fails; _convert refuses NaN for
-# every other float key.  An empty output.dir would mean the current
-# directory.  An empty t_min or t_max is not tested.  The code using a
-# value keeps its own checks (GridFunction, ScaleGrid, dyadic_cubes,
-# cz_decompose).
-_RANGE = (
-    ("n", lambda v: v in (1, 2), "must be 1 or 2"),
-    ("L", lambda v: v > 0, "must be positive"),
-    ("N", lambda v: v >= 1, "must be at least 1"),
-    ("N", lambda v: v & (v - 1) == 0, "must be a power of two"),
-    ("M", lambda v: v >= 2, "must be at least 2"),
-    ("t_min", lambda v: v > 0, "must be positive"),
-    ("t_max", lambda v: v > 0, "must be positive"),
-    ("max_level", lambda v: v >= 0, "must be at least 0"),
-    ("max_gen", lambda v: v >= 1, "must be at least 1"),
-    ("lambda_nodes", lambda v: v >= 1, "must be at least 1"),
-    ("vanish", lambda v: v > 0, "must be positive"),
-    ("sigma", lambda v: v > 1, "must exceed 1"),
-    ("seed", lambda v: v >= 0, "must be non-negative"),
-    ("dir", lambda v: v != "", "must not be empty"),
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's settings, each converted and checked once by load_config.
-
-    text keeps every setting as section -> key -> text, the form the
-    manifest records; corpus is the [corpus] entries, or the built-in
-    corpus when the section declares none.
-    """
-
-    n: int
-    L: float
-    N: int
-    M: int
-    t_min: float | None
-    t_max: float | None
-    max_level: int
-    seed: int
-    vanish: float
-    kernel: str
-    sigma: float
-    max_gen: int
-    lambda_nodes: int
-    dir: str
-    corpus: tuple[CorpusEntry, ...]
-    text: dict[str, dict[str, str]]
+# One run's settings, each converted and checked once by load_config: one
+# field per _SCHEMA key, in its order.  text keeps every setting as
+# section -> key -> text, the form the manifest records; corpus is the
+# [corpus] entries, or the built-in corpus when the section declares none.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [*((key, kind) for keys in _SCHEMA.values()
+       for key, (kind, *_) in keys.items()),
+     ("corpus", tuple[CorpusEntry, ...]),
+     ("text", dict[str, dict[str, str]])],
+    frozen=True)
+RunConfig.__module__ = __name__
 
 
 def _convert(section: str, key: str, text: str):
-    kind, default = _SCHEMA[section][key]
+    kind, default, *rules = _SCHEMA[section][key]
     if text == "" and default == "":
         return None
     try:
@@ -403,9 +385,9 @@ def _convert(section: str, key: str, text: str):
                          f"{kind.__name__}") from None
     if kind is float and math.isinf(value):
         raise ValueError(f"{section}.{key}={text!r} is not finite")
-    for name, test, rule in _RANGE:
-        if name == key and not test(value):
-            raise ValueError(f"{section}.{key} {rule}")
+    for test, message in rules:
+        if not test(value):
+            raise ValueError(f"{section}.{key} {message}")
     if kind is float and math.isnan(value):
         raise ValueError(f"{section}.{key}={text!r} is not a number")
     return value
@@ -448,7 +430,7 @@ def load_config(path: str | Path | None = None,
                 overrides: tuple[str, ...] = ()) -> RunConfig:
     """Defaults, then the INI file at path, then section.key=value
     overrides; a refused setting is a ValueError naming its key."""
-    text = {s: {k: d for k, (_, d) in keys.items()}
+    text = {s: {k: d for k, (_, d, *_) in keys.items()}
             for s, keys in _SCHEMA.items()}
     settings = []
     if path is not None:

@@ -81,7 +81,7 @@ def test_criterion_02_mean_oscillation_comparison():
 
 
 def test_criterion_03_square_field_oscillation():
-    kernel = _certified_kernel("poisson-derivative", 1, 1e-6)
+    kernel = _certified_kernel("poisson-derivative", 1)
     worst = math.inf
     for entry, f, _ in _pairs(1024):
         scales = default_scales(f, M=48)
@@ -166,7 +166,7 @@ def test_criterion_07_p_norm_equivalence():
 
 
 def _ratio_suite(N: int, M: int) -> dict[str, float]:
-    kernel = _certified_kernel("poisson-derivative", 1, 1e-6)
+    kernel = _certified_kernel("poisson-derivative", 1)
     lam = _lambda_star(kernel, 1)
     sups: dict[str, float] = {}
     for entry in default_corpus():

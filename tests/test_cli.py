@@ -119,24 +119,8 @@ def test_operators_refuses_the_negative_control_naming_its_residual(
     assert_refused(tmp_path, capsys,
                    ("operators", "--set", "grid.N=64",
                     "--set", "tolerances.kernel=nonvanishing-hat"),
-                   "kernel 'nonvanishing-hat' is not certified for use at "
-                   "tolerances.vanish=1e-06 (residual 8.862e-01)")
-
-
-@pytest.mark.parametrize("vanish, bound", [
-    ("1e-06", "tolerances.vanish=1e-06"),
-    ("10", "the default bound 1e-06, at which square_functions refuses")])
-def test_operators_refusal_names_the_bound_that_failed(tmp_path, capsys,
-                                                       vanish, bound):
-    # a residual of 0.886 passes tolerances.vanish=10; the default bound
-    # is the one it fails
-    assert_refused(tmp_path, capsys,
-                   ("operators", "--set", "grid.N=64",
-                    "--set", "tolerances.kernel=nonvanishing-hat",
-                    "--set", f"tolerances.vanish={vanish}"),
-                   f"kernel 'nonvanishing-hat' is not certified for use at "
-                   f"tolerances.vanish={vanish} (residual 8.862e-01): "
-                   f"the residual exceeds {bound}")
+                   "kernel 'nonvanishing-hat' is not certified: its "
+                   "vanishing residual 8.862e-01 exceeds 1e-06")
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
@@ -326,14 +310,11 @@ def test_nan_sigma_is_refused(tmp_path, capsys):
     ("weights", "grid.L=inf", "grid.L='inf' is not finite"),
     ("jn", "tolerances.sigma=inf", "tolerances.sigma='inf' is not finite"),
     ("weights", "scales.M=abc", "scales.M='abc' is not a valid int"),
-    ("jn", "tolerances.vanish=abc",
-     "tolerances.vanish='abc' is not a valid float"),
-    ("kernel-check", "tolerances.vanish=nan",
-     "tolerances.vanish must be positive"),
-    ("kernel-check", "tolerances.vanish=0",
-     "tolerances.vanish must be positive"),
-    ("operators", "tolerances.vanish=-1e-6",
-     "tolerances.vanish must be positive"),
+    ("jn", "tolerances.sigma=abc",
+     "tolerances.sigma='abc' is not a valid float"),
+    ("kernel-check", "grid.L=nan", "grid.L must be positive"),
+    ("kernel-check", "scales.t_min=0", "scales.t_min must be positive"),
+    ("operators", "tolerances.sigma=1", "tolerances.sigma must exceed 1"),
     ("kernel-check", "grid.N=3", "grid.N must be a power of two"),
     ("kernel-check", "grid.L=0", "grid.L must be positive"),
     ("kernel-check", "grid.L=-1", "grid.L must be positive"),
@@ -461,7 +442,7 @@ def test_weights_realizes_each_function_once(tmp_path, monkeypatch):
 
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
-              for key, (kind, _) in keys.items() if kind is float]
+              for key, (kind, *_) in keys.items() if kind is float]
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -568,35 +549,36 @@ def test_suites_raise_no_warning(tmp_path, command):
     assert code == 0
 
 
-def test_kernel_check_certifies_against_the_configured_vanish(tmp_path):
-    _, out, manifest = run(tmp_path / "default", "kernel-check")
-    assert {k["tol_vanish"] for k in manifest["kernels"]} == {1e-6}
-    default_rows = (out / "kernel_check.csv").read_text().split("\n")
-    # a looser threshold is recorded and judges every row
-    code, out, manifest = run(tmp_path / "loose", "kernel-check",
-                              "--set", "tolerances.vanish=1e-3")
-    assert code == 0
-    assert {k["tol_vanish"] for k in manifest["kernels"]} == {1e-3}
-    assert all(k["certified"] for k in manifest["kernels"])
-    assert (out / "kernel_check.csv").read_text().split("\n") == default_rows
-    # so loose that the negative control passes: the run fails on it
-    code, out, manifest = run(tmp_path / "lax", "kernel-check",
-                              "--set", "tolerances.vanish=1.0")
-    assert code == 1
-    failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
-    assert failed == ["negative-control-rejected"]
-    control = (out / "kernel_check.csv").read_text().strip().split("\n")[-1]
-    assert control.startswith("nonvanishing-hat,1,")
-    assert control.endswith(",True,fail")
-    # tighter than the Poisson kernel's 2.5e-11: its row fails, CSV included
-    code, out, manifest = run(tmp_path / "tight", "kernel-check",
-                              "--set", "tolerances.vanish=1e-12")
+def test_a_shipped_kernel_that_fails_its_certificate_is_refused(
+        tmp_path, monkeypatch, capsys):
+    # the registry hands out a 1D Poisson kernel whose measured residual
+    # exceeds TOL_VANISH; its constructor is bypassed, which would refuse it
+    shipped = kernels.shipped_kernels
+    poisson = kernels.poisson_derivative_kernel(1)
+    failing = dataclasses.replace(poisson, report=dataclasses.replace(
+        poisson.report, p1_residual=1e-3))
+
+    def patched(n):
+        usable, controls = shipped(n)
+        if n == 1:
+            usable = {**usable, "poisson-derivative": lambda: failing}
+        return usable, controls
+
+    monkeypatch.setattr(kernels, "shipped_kernels", patched)
+    cli._certified_kernel.cache_clear()
+    code, out, manifest = run(tmp_path / "check", "kernel-check")
     assert code == 1
     failed = [c["name"] for c in manifest["criteria"] if not c["passed"]]
     assert failed == ["certified:poisson-derivative"]
+    assert [k["certified"] for k in manifest["kernels"]] == [False, True, True]
     rows = (out / "kernel_check.csv").read_text().strip().split("\n")
-    assert rows[1].startswith("poisson-derivative,1,")
+    assert rows[1].startswith("poisson-derivative,1,0.001,")
     assert rows[1].endswith(",False,pass")
+    capsys.readouterr()
+    assert_refused(tmp_path / "operators", capsys,
+                   ("operators", "--set", "grid.N=64", "--set", "scales.M=4"),
+                   "kernel 'poisson-derivative' is not certified: its "
+                   "vanishing residual 1.000e-03 exceeds 1e-06")
 
 
 def test_kernel_check_fails_when_the_control_certifies(tmp_path,
@@ -1021,35 +1003,6 @@ def test_chunk_split_into_passes_writes_the_same_csvs(tmp_path, monkeypatch,
         assert (out2 / path.name).read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
-def test_operator_kernel_is_judged_at_the_configured_vanish(tmp_path,
-                                                            command):
-    # the 1D Poisson kernel's residual is 2.5e-11
-    tiny = ("--set", "grid.N=64", "--set", "scales.M=4",
-            "--set", "family.max_level=2")
-    code, out, manifest = run(tmp_path / "tight", command, *tiny,
-                              "--set", "tolerances.vanish=1e-12")
-    assert code == 2
-    [criterion] = manifest["criteria"]
-    assert criterion["name"] == f"{command}-preconditions"
-    assert not criterion["passed"]
-    assert "tolerances.vanish=1e-12" in criterion["detail"]
-    assert not list(out.glob("*.csv"))
-    code, _, _ = run(tmp_path / "loose", command, *tiny,
-                     "--set", "tolerances.vanish=1e-10")
-    assert code == 0
-    # a loose tolerance does not admit the control, which square_functions
-    # refuses at the default: it is refused here, naming both
-    code, _, manifest = run(tmp_path / "lax", command, *tiny,
-                            "--set", "tolerances.kernel=nonvanishing-hat",
-                            "--set", "tolerances.vanish=1.0")
-    assert code == 2
-    [criterion] = manifest["criteria"]
-    assert ("kernel 'nonvanishing-hat' is not certified for use at "
-            "tolerances.vanish=1 (residual 8.862e-01)") in criterion["detail"]
-    assert manifest["kernels"] == []
-
-
 @pytest.mark.parametrize("argv, command, message", [
     (["weights", "--jobs", "x"], "weights", "invalid int value: 'x'"),
     (["kernel-check", "--jobs", "0"], "kernel-check",
@@ -1075,6 +1028,19 @@ def test_command_line_error_writes_a_manifest(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("usage: lpsquare") and message in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("extra", [(), ("--jobs", "0")])
+def test_abbreviated_option_is_refused(tmp_path, capsys, monkeypatch, extra):
+    # --ou is not --out: the run is refused, and its manifest goes to the
+    # default directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernel-check", "--ou", "DIR", *extra]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    [criterion] = manifest["criteria"]
+    assert criterion["detail"] == "unrecognized arguments: --ou DIR"
+    assert "unrecognized arguments: --ou DIR" in capsys.readouterr().err
 
 
 def test_options_may_come_before_the_subcommand(tmp_path):
@@ -1128,7 +1094,7 @@ def test_manifest_records_witness_cubes(tmp_path):
     assert code == 0
     code, _, jn = run(tmp_path / "jn", "jn", *FAST)
     assert code == 0
-    kernel = cli._certified_kernel("poisson-derivative", 1, 1e-6)
+    kernel = cli._certified_kernel("poisson-derivative", 1)
     lam = cli._lambda_star(kernel, 1)
     corpus = list(default_corpus())
     assert [e["name"] for e in suite["entries"]] == [e.name for e in corpus]

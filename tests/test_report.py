@@ -23,6 +23,7 @@ from lpsquare.report import (
     StageTimer,
     Table,
     WeightSpec,
+    _SCHEMA,
     _corpus_of,
     _read_ini,
     default_corpus,
@@ -330,6 +331,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("[grid]\nresolution = 64\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(path)
+    # kernels are certified at the one tolerance kernels.TOL_VANISH
+    path.write_text("[tolerances]\nvanish = 1e-6\n")
+    for kwargs in ({"path": path},
+                   {"overrides": ("tolerances.vanish=1e-6",)}):
+        with pytest.raises(ValueError,
+                           match=r"unknown config key tolerances\.vanish"):
+            load_config(**kwargs)
     path2 = tmp_path / "bad2.ini"
     path2.write_text("[plotting]\nstyle = dark\n")
     with pytest.raises(ValueError, match="unknown config section"):
@@ -340,6 +348,36 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     headless.write_text("N = 64\n")
     with pytest.raises(ValueError, match="no section headers"):
         load_config(headless)
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nN = 64\n",
+                                  "[DEFAULT]\nN = 64\n[grid]\nn = 1\n"])
+def test_ini_default_section_is_refused(tmp_path, text):
+    # configparser would ignore its keys alone and leak them into [grid]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError,
+                       match=r"unknown config section \[DEFAULT\]"):
+        load_config(path)
+
+
+def test_ini_values_are_read_as_written(tmp_path):
+    # "%" is literal, as under --set, and names no other key
+    path = tmp_path / "run.ini"
+    path.write_text("[output]\ndir = run%1\n")
+    assert load_config(path).dir == "run%1"
+    assert load_config(path) == load_config(overrides=("output.dir=run%1",))
+    path.write_text("[grid]\nN = 64\nL = %(N)s\n")
+    with pytest.raises(ValueError,
+                       match=re.escape("grid.L='%(N)s' is not a valid float")):
+        load_config(path)
+
+
+def test_shipped_config_lists_every_key_at_its_default():
+    shipped = Path(__file__).parents[1] / "configs" / "default.ini"
+    assert _read_ini(shipped) == {
+        section: {key: default for key, (_, default, *_) in keys.items()}
+        for section, keys in _SCHEMA.items()}
 
 
 def test_overrides():
