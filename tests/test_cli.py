@@ -462,6 +462,22 @@ def test_nan_is_refused_for_every_float_key(tmp_path, capsys, command, key):
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_removed_vanish_setting_is_refused_by_every_command(tmp_path, capsys,
+                                                            command):
+    # kernels are certified at kernels.TOL_VANISH alone; the key is unknown
+    code, out, manifest = run(tmp_path, command, "--set", "grid.N=64",
+                              "--set", "family.max_level=2",
+                              "--set", "scales.M=4",
+                              "--set", "tolerances.vanish=1e-6")
+    assert code == 2
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert criterion["detail"] == "unknown config key tolerances.vanish"
+    assert "unknown config key tolerances.vanish" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, command):
     # refused while reading the settings, even when no entry is seeded
     code, out, manifest = run(tmp_path, command, "--set", "grid.N=64",

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +378,15 @@ def test_shipped_config_lists_every_key_at_its_default():
     assert _read_ini(shipped) == {
         section: {key: default for key, (_, default, *_) in keys.items()}
         for section, keys in _SCHEMA.items()}
+
+
+def test_run_config_has_one_field_per_schema_key_in_order():
+    assert [f.name for f in fields(RunConfig)] == [
+        *(key for keys in _SCHEMA.values() for key in keys),
+        "corpus", "text"]
+    assert RunConfig.__module__ == "lpsquare.report"
+    with pytest.raises(FrozenInstanceError):
+        load_config().N = 64
 
 
 def test_overrides():
