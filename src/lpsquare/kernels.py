@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import SHIPPED_KERNELS
+
 __all__ = [
     "Kernel",
     "CertReport",
@@ -154,18 +156,20 @@ def gaussian_bump_kernel() -> Kernel:
     return _measured(Kernel("gaussian-bump", 2, f, delta=2.0, gamma=1.0))
 
 
+# each shipped kernel's constructor in dimension n, by registry name
+_MAKERS = {"poisson-derivative": poisson_derivative_kernel,
+           "gauss-derivative": gauss_derivative_kernel,
+           "hermite2": lambda n: hermite2_kernel(),
+           "nonvanishing-hat": lambda n: nonvanishing_hat_kernel(),
+           "gaussian-bump": lambda n: gaussian_bump_kernel()}
+
+
 def shipped_kernels(n: int) -> tuple[dict, dict]:
     """The constructors of the kernels shipped in dimension n, by registry
-    name: those that certify, and the negative controls, which must not."""
-    usable = {"poisson-derivative": lambda: poisson_derivative_kernel(n),
-              "gauss-derivative": lambda: gauss_derivative_kernel(n)}
-    controls = {}
-    if n == 1:
-        usable["hermite2"] = hermite2_kernel
-        controls["nonvanishing-hat"] = nonvanishing_hat_kernel
-    elif n == 2:
-        controls["gaussian-bump"] = gaussian_bump_kernel
-    return usable, controls
+    name as SHIPPED_KERNELS declares them: those that certify, and the
+    negative controls, which must not."""
+    return tuple({name: functools.partial(_MAKERS[name], n) for name in names}
+                 for names in SHIPPED_KERNELS.get(n, ((), ())))
 
 
 def kernel_registry(name: str, n: int) -> Kernel:

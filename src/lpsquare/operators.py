@@ -194,12 +194,6 @@ def _irfftn(spec: np.ndarray, n: int, N: int,
     return np.fft.irfft(spec, N, out=out)
 
 
-def _periodic_conv(field: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Circular convolution out[i] = sum_m field[i-m] kern[m] (no h^n)."""
-    n = field.ndim
-    return _irfftn(_rfftn(field, n) * _rfftn(kern, n), n, field.shape[0])
-
-
 def _sampled_kernel(kernel: Kernel, n: int, L: float, N: int,
                     t: float) -> np.ndarray:
     """Mean-corrected samples of psi_t(x) = t^{-n} psi(|x|/t), the profile
@@ -212,11 +206,11 @@ def _sampled_kernel(kernel: Kernel, n: int, L: float, N: int,
 
 
 def convolve(kernel: Kernel, t: float, f: GridFunction) -> GridFunction:
-    """Periodic quadrature of psi_t * f with mean-corrected samples."""
+    """Periodic quadrature of psi_t * f with mean-corrected samples: the
+    field that square_functions squares at scale t, bit for bit."""
     _require_dimension(kernel.n, f)
-    kern = _sampled_kernel(kernel, f.n, f.L, f.N, t)
-    h = f.L / f.N
-    return f.with_values(_periodic_conv(f.values, kern) * h**f.n)
+    kspec = _kernel_spectrum(kernel, f.n, f.L, f.N, t)
+    return f.with_values(_irfftn(_rfftn(f.values, f.n) * kspec, f.n, f.N))
 
 
 def _require_dimension(n: int, f: GridFunction) -> None:

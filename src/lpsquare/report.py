@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import SHIPPED_KERNELS
 from .grid import GridFunction, periodic_displacement
 from .weights import Weight
 
@@ -452,6 +453,12 @@ def load_config(path: str | Path | None = None,
     values = {key: _convert(section, key, text[section][key])
               for section, keys in _SCHEMA.items() for key in keys}
     _check_scaling(*(values[k] for k in ("n", "L", "N", "t_min", "t_max")))
+    shipped = [name for names in SHIPPED_KERNELS[values["n"]]
+               for name in names]
+    if values["kernel"] not in shipped:
+        raise ValueError(f"tolerances.kernel: no kernel {values['kernel']!r} "
+                         f"ships in dimension {values['n']}; valid: "
+                         f"{', '.join(shipped)}")
     return RunConfig(**values,
                      corpus=_corpus_of(text["corpus"]) or default_corpus(),
                      text=text)

@@ -477,6 +477,32 @@ def test_removed_vanish_setting_is_refused_by_every_command(tmp_path, capsys,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("n, name, valid", [
+    (1, "bogus", "poisson-derivative, gauss-derivative, hermite2, "
+                 "nonvanishing-hat"),
+    (2, "hermite2", "poisson-derivative, gauss-derivative, gaussian-bump")],
+    ids=["1d", "2d"])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unshipped_kernel_is_refused_by_every_command(tmp_path, capsys,
+                                                      command, n, name,
+                                                      valid):
+    # refused while reading the settings, whether or not the command
+    # builds the kernel; the names valid in grid.n's dimension are listed
+    code, out, manifest = run(tmp_path, command, "--set", f"grid.n={n}",
+                              "--set", "grid.N=16",
+                              "--set", "family.max_level=2",
+                              "--set", "scales.M=4",
+                              "--set", f"tolerances.kernel={name}")
+    message = (f"tolerances.kernel: no kernel {name!r} ships in dimension "
+               f"{n}; valid: {valid}")
+    assert code == 2
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert criterion["detail"] == message
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, command):
     # refused while reading the settings, even when no entry is seeded

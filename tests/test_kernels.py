@@ -125,6 +125,8 @@ def test_every_shipped_kernel_carries_its_measured_report():
     assert list(controls) == ["gaussian-bump"]
     for n in (1, 2):
         usable, controls = shipped_kernels(n)
+        # the names that load_config accepts, declared once
+        assert (tuple(usable), tuple(controls)) == lpsquare.SHIPPED_KERNELS[n]
         for name, make in (usable | controls).items():
             kernel = kernel_registry(name, n)
             assert (kernel.name, kernel.n) == (name, n)

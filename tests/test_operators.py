@@ -21,7 +21,6 @@ from lpsquare.operators import (
     OperatorSpec,
     ScaleGrid,
     SquareFunctionResult,
-    _periodic_conv,
     area_integral,
     convolve,
     default_scales,
@@ -172,16 +171,30 @@ def test_convolve_delta_reproduces_kernel_samples():
     assert np.max(np.abs(out - kern)) < 5e-3 * np.max(np.abs(kern))
 
 
-def test_fft_and_direct_convolution_agree():
-    rng = np.random.default_rng(5)
-    a, k = rng.normal(size=512), rng.normal(size=512)
-    d = direct_periodic_conv(a, k)
-    ff = _periodic_conv(a, k)
-    assert np.allclose(d, ff, rtol=0, atol=1e-10 * np.max(np.abs(d)))
-    a2, k2 = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
-    d2 = direct_periodic_conv(a2, k2)
-    f2 = _periodic_conv(a2, k2)
-    assert np.allclose(d2, f2, rtol=0, atol=1e-10)
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_convolve_is_the_field_the_stack_squares(monkeypatch, n, N):
+    # every psi_t * f that a pass transforms back, captured at each scale
+    # node and member, is convolve's value bit for bit
+    kernel = gauss_derivative_kernel(n)
+    fs = [random_function(n, N, seed) for seed in (1, 2)]
+    scales = default_scales(fs[0], M=6)
+    want = [[convolve(kernel, t, f).values for f in fs] for t in scales.nodes]
+    fields = []
+
+    def irfftn(spec, n, N, out=None):
+        got = inverse(spec, n, N, out=out)
+        if out is not None:
+            fields.extend(got.copy())
+        return got
+
+    inverse = operators._irfftn
+    monkeypatch.setattr(operators, "_irfftn", irfftn)
+    list(square_functions(kernel, fs, scales, [OperatorSpec("g")]))
+    assert len(fields) == scales.M * len(fs)
+    for j, row in enumerate(want):
+        for i, value in enumerate(row):
+            assert np.array_equal(_bits(fields[j * len(fs) + i]),
+                                  _bits(value))
 
 
 def test_requires_certified_kernel():
