@@ -46,6 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from . import SHIPPED_KERNELS
 from .grid import Cube, GridFunction, dyadic_cubes
 from .report import (
     RunManifest,
@@ -101,9 +102,9 @@ def _kernel_record(kernel) -> dict:
             "c1": rep.c1, "c2": rep.c2}
 
 
-def _lambda_star(kernel, n: int) -> float:
+def _lambda_star(kernel) -> float:
     from .operators import lambda_warn_threshold
-    return lambda_warn_threshold(kernel, n) + 1.0
+    return lambda_warn_threshold(kernel) + 1.0
 
 
 def _gather(manifest: RunManifest, outcomes) -> list[Table]:
@@ -240,12 +241,12 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
 
 
 def cmd_kernel_check(cfg, jobs, manifest) -> list[Table]:
-    from .kernels import certified, shipped_kernels
+    from .kernels import certified, kernel_registry
     n = cfg.n
-    usable, controls = shipped_kernels(n)
+    usable, controls = SHIPPED_KERNELS[n]
     rows = []
-    for name, make in (usable | controls).items():
-        kernel = make()
+    for name in usable + controls:
+        kernel = kernel_registry(name, n)
         rep, passed = kernel.report, certified(kernel)
         detail = f"residual={rep.p1_residual:.3e}"
         if name in usable:
@@ -382,7 +383,7 @@ def cmd_operators(cfg, jobs, manifest) -> list[Table]:
     n, L, N = cfg.n, cfg.L, cfg.N
     kernel = _certified_kernel(cfg.kernel, n)
     manifest.kernels.append(_kernel_record(kernel))
-    rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel, n))
+    rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel))
     tables = _gather(manifest, _pmap(rows, cfg, jobs))
     # a constant input must be annihilated up to rounding
     size = max(16, min(N, 512))  # at N <= 8 the window [2h, L/4] is empty
@@ -426,7 +427,7 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     from . import operators, oscillation  # noqa: F401  loaded before the fork
     # ratios are meaningless without (P1)-(P3); refuse uncertified kernels
     kernel = _certified_kernel(cfg.kernel, cfg.n)
-    lam = _lambda_star(kernel, cfg.n)
+    lam = _lambda_star(kernel)
     manifest.kernels.append({**_kernel_record(kernel),
                              "lambda_star": lam})
     rows = functools.partial(_theorem_rows, kernel, lam)
@@ -468,6 +469,8 @@ def _jn_row(entry, cfg):
     family = dyadic_cubes(cfg, cfg.max_level)
     a1 = a1_constant(w, family)
     ps = (1.5, 2.0, 3.0)
+    # read before the ν are built: its weight powers never coexist with them
+    blo_rep = blo_constant(f, w, family, ps)
     nus = {}
     for p in ps:
         try:
@@ -475,9 +478,6 @@ def _jn_row(entry, cfg):
         except ValueError as exc:
             raise ValueError(f"corpus entry {name!r}: w^(-1/(p-1)) at "
                              f"p={p:g}: {exc}") from None
-    # ω^(1-p) is ν at the conjugate exponent p/(p-1), which is in ps too
-    blo_rep = blo_constant(f, w, family, ps,
-                           tuple(nus[p / (p - 1.0)].values for p in ps))
     blo = blo_rep.value
     witnesses = {"blo": _cube_record(blo_rep.argmax)}
     equiv = []

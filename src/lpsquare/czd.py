@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, block_cells, block_children
+from .grid import GridFunction, block_cells, block_children, require_same_grid
 from .weights import Weight
 
 __all__ = [
@@ -114,6 +114,7 @@ def cube_local_constants(f: GridFunction, w: Weight) -> LocalConstants:
     give (A1 quotient w/w = 1, BLO and BMO 0), so no level-N sum table
     is built for it.
     """
+    require_same_grid(f, w)
     fp, wp = f.pyramid, w.pyramid
     a1 = 1.0
     blo = 0.0
@@ -295,6 +296,7 @@ def distribution_function(g: GridFunction, mu_kind: str, w: Weight,
                           lambdas: Sequence[float],
                           p: float | None = None) -> np.ndarray:
     """mu({x in Q : g(x) > lambda}) for each threshold, Q the box."""
+    require_same_grid(g, w)
     lam = np.asarray(lambdas, dtype=float)
     if not (np.isfinite(lam).all() and (np.diff(lam) > 0).all()):
         raise ValueError("lambda grid must be finite and strictly increasing")
@@ -310,6 +312,7 @@ def layer_cake_check(g: GridFunction, w: Weight, p: float,
     trapezoid mode uses a uniform lambda grid and is a convergence check.
     Auto picks step at up to 1024 distinct values.
     """
+    require_same_grid(g, w)
     if p < 1:
         raise ValueError("p must be >= 1")
     if not math.isfinite(p):
@@ -366,6 +369,7 @@ class JnReport:
 
 def _jn_verify(kind: str, f: GridFunction, w: Weight, lambdas: Sequence[float],
                local: LocalConstants | None) -> JnReport:
+    require_same_grid(f, w)
     lams = np.asarray(lambdas, dtype=float)
     if not np.isfinite(lams).all():
         raise ValueError("thresholds lambda must be finite")

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "GridFunction",
+    "require_same_grid",
     "Cube",
     "from_callable",
     "axis_coords",
@@ -94,6 +95,14 @@ class GridFunction:
     def pyramid(self) -> "BlockPyramid":
         """Dyadic block tables of these samples, built once per function."""
         return BlockPyramid(self.values, self.n)
+
+
+def require_same_grid(f: GridFunction, w: GridFunction) -> None:
+    """Refuse a weight w sampled on another grid than the function f."""
+    grids = [f"the {g.n}D L={g.L!r} N={g.N} grid" for g in (f, w)]
+    if grids[0] != grids[1]:
+        raise ValueError(f"the function lives on {grids[0]} but the weight "
+                         f"on {grids[1]}")
 
 
 def axis_coords(grid) -> np.ndarray:

@@ -6,9 +6,10 @@ smoothness estimate |ψ(x+h)-ψ(x)| <= C2 |h|^gamma (1+|x|)^{-(n+delta+gamma)}
 restricted to 2|h| <= |x|.  certify() measures the best constants over a
 deterministic probe set and the integral residual by quadrature (a
 trapezoid rule on the probe box plus a fixed Gauss–Legendre rule for the
-tails), and certified() is the one verdict on that measurement.  Shipped
-constructors attach their measured report, and refuse an uncertified kernel
-unless it is the negative control.
+tails), and certified() is the one verdict on that measurement.  Each
+constructor only attaches its measured report; the operators and the CLI
+refuse a kernel that certified() rejects.  kernel_registry builds a kernel
+by the name that SHIPPED_KERNELS lists for its dimension.
 
 Every kernel is radial: its profile is ψ as a function of r = |x|, a
 closed-form evaluator that the operators sample on the distance grid of
@@ -35,7 +36,6 @@ __all__ = [
     "hermite2_kernel",
     "nonvanishing_hat_kernel",
     "gaussian_bump_kernel",
-    "shipped_kernels",
     "kernel_registry",
     "certify",
     "certified",
@@ -103,7 +103,7 @@ def poisson_derivative_kernel(n: int) -> Kernel:
         q = 1.0 + np.asarray(r, dtype=float) ** 2
         return cn * (q ** (-(n + 1) / 2.0) - (n + 1) * q ** (-(n + 3) / 2.0))
 
-    return _certified(Kernel("poisson-derivative", n, f, delta=1.0, gamma=1.0))
+    return _measured(Kernel("poisson-derivative", n, f, delta=1.0, gamma=1.0))
 
 
 def gauss_derivative_kernel(n: int) -> Kernel:
@@ -119,7 +119,7 @@ def gauss_derivative_kernel(n: int) -> Kernel:
         r2 = np.asarray(r, dtype=float) ** 2
         return a * np.exp(-r2 / 4.0) * (r2 / 4.0 - n / 2.0)
 
-    return _certified(Kernel("gauss-derivative", n, f, delta=2.0, gamma=1.0))
+    return _measured(Kernel("gauss-derivative", n, f, delta=2.0, gamma=1.0))
 
 
 def hermite2_kernel() -> Kernel:
@@ -131,14 +131,14 @@ def hermite2_kernel() -> Kernel:
         r = np.asarray(r, dtype=float)
         return (r**2 - 1.0) * np.exp(-(r**2) / 2.0)
 
-    return _certified(Kernel("hermite2", 1, f, delta=2.0, gamma=1.0))
+    return _measured(Kernel("hermite2", 1, f, delta=2.0, gamma=1.0))
 
 
 def nonvanishing_hat_kernel() -> Kernel:
     """ψ(x) = (1-x^2) e^{-x^2}: hat-shaped but with integral sqrt(pi)/2.
 
-    Shipped as a negative control with its measured report attached: its
-    residual fails the vanishing check, so it is not certified.
+    Shipped as a negative control: its measured residual fails the
+    vanishing check, so it is not certified.
     """
     def f(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -164,22 +164,14 @@ _MAKERS = {"poisson-derivative": poisson_derivative_kernel,
            "gaussian-bump": lambda n: gaussian_bump_kernel()}
 
 
-def shipped_kernels(n: int) -> tuple[dict, dict]:
-    """The constructors of the kernels shipped in dimension n, by registry
-    name as SHIPPED_KERNELS declares them: those that certify, and the
-    negative controls, which must not."""
-    return tuple({name: functools.partial(_MAKERS[name], n) for name in names}
-                 for names in SHIPPED_KERNELS.get(n, ((), ())))
-
-
 def kernel_registry(name: str, n: int) -> Kernel:
-    """CLI-facing constructor lookup by registry name."""
-    usable, controls = shipped_kernels(n)
-    shipped = usable | controls
-    if name not in shipped:
+    """The kernel that SHIPPED_KERNELS lists as name in dimension n, with
+    its measured report."""
+    usable, controls = SHIPPED_KERNELS.get(n, ((), ()))
+    if name not in usable + controls:
         raise ValueError(f"no kernel {name!r} ships in dimension {n}; "
-                         f"valid: {', '.join(shipped)}")
-    return shipped[name]()
+                         f"valid: {', '.join(usable + controls)}")
+    return _MAKERS[name](n)
 
 
 # The positive half of numpy.polynomial.legendre.leggauss(_GL_NODES) on
@@ -316,12 +308,3 @@ def certified(kernel: Kernel) -> bool:
 def _measured(kernel: Kernel) -> Kernel:
     """kernel with the report certify measures on it attached."""
     return replace(kernel, report=certify(kernel))
-
-
-def _certified(kernel: Kernel) -> Kernel:
-    """_measured(kernel), refused unless it is certified."""
-    kernel = _measured(kernel)
-    if not certified(kernel):
-        raise ValueError(f"kernel {kernel.name!r} failed vanishing check: "
-                         f"residual {kernel.report.p1_residual:.3e}")
-    return kernel

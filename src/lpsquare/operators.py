@@ -46,7 +46,7 @@ import numpy as np
 # spares each child the import
 import numpy.fft
 
-from .grid import GridFunction
+from .grid import GridFunction, require_same_grid
 from .kernels import Kernel, certified, evaluate
 from .weights import Weight
 
@@ -286,9 +286,9 @@ class OperatorSpec:
         return self.op if self.lam is None else f"gstar_{self.lam:g}"
 
 
-def lambda_warn_threshold(kernel: Kernel, n: int) -> float:
+def lambda_warn_threshold(kernel: Kernel) -> float:
     """Below this the full-strength mapping theorems are not guaranteed."""
-    return 3.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / n
+    return 3.0 + (2.0 * kernel.delta + 2.0 * kernel.gamma) / kernel.n
 
 
 def _tail_volume(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
@@ -300,7 +300,7 @@ def _tail_volume(spec: OperatorSpec, kernel: Kernel, f: GridFunction,
         return 1.0
     if spec.op == "s":
         return 2.0**n
-    thr = lambda_warn_threshold(kernel, n)
+    thr = lambda_warn_threshold(kernel)
     if spec.lam <= thr:
         warnings.warn(f"lambda={spec.lam} at or below the guarantee "
                       f"threshold {thr}", stacklevel=3)
@@ -434,5 +434,6 @@ def l2_norm(f: GridFunction, w: Weight | None = None) -> float:
     h = f.L / f.N
     sq = f.values.astype(float) ** 2
     if w is not None:
+        require_same_grid(f, w)
         sq = sq * w.values
     return math.sqrt(float(sq.sum()) * h**f.n)

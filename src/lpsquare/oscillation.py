@@ -15,16 +15,18 @@ mean, h^n the cell volume):
 All are family-relative; inequalities between functionals hold cube-wise,
 so both sides of any comparison must use the same family.  blo_constant
 also reads blo_p at any number of exponents, each level's f - min_Q f
-table built once for all of them.  The scans raise the deviations to p
-and the weight to 1 - p with grid.half_power, which takes products and a
-square root where p is a half-integer (within 4 ULP of pow, so BLO_p may
-differ from single_cube_value in the last bits); single_cube_value keeps
-** so that the reference does not share the scans' arithmetic.
+table built once for all of them, and raises the weight to 1 - p itself;
+blo_p_norm is its one-exponent case.  Every functional refuses a weight
+sampled on another grid than its function.  The scans raise the
+deviations to p and the weight to 1 - p with grid.half_power, which takes
+products and a square root where p is a half-integer (within 4 ULP of
+pow, so BLO_p may differ from single_cube_value in the last bits);
+single_cube_value keeps ** so that the reference does not share the
+scans' arithmetic.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -40,6 +42,7 @@ from .grid import (
     family_values,
     half_power,
     level_blocks,
+    require_same_grid,
 )
 from .weights import Weight
 
@@ -64,6 +67,7 @@ class OscillationReport:
 
 
 def _gather(f: GridFunction, w: Weight, q: Cube) -> tuple[np.ndarray, np.ndarray, float]:
+    require_same_grid(f, w)
     idx = cube_region(f, q)
     if idx.size == 0:
         raise ValueError(f"cube {q} contains no samples")
@@ -101,14 +105,16 @@ def _deviation(fp: BlockPyramid, k: int) -> np.ndarray:
     return fp.blocks(k) - fp.min(k)[:, None]
 
 
-def _report(kind: str, p: float | None, vals: np.ndarray,
-            cubes: DyadicFamily) -> OscillationReport:
+def _report(kind: str, p: float | None, vals: np.ndarray, cubes: DyadicFamily,
+            p_norms: tuple[OscillationReport, ...] = ()) -> OscillationReport:
     i = int(np.argmax(vals))
-    return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes))
+    return OscillationReport(kind, p, float(vals[i]), cubes[i], len(cubes),
+                             p_norms)
 
 
 def bmo_norm(f: GridFunction, w: Weight,
              cubes: DyadicFamily) -> OscillationReport:
+    require_same_grid(f, w)
     hn = (f.L / f.N) ** f.n
 
     def level_values(k):
@@ -118,19 +124,15 @@ def bmo_norm(f: GridFunction, w: Weight,
                    cubes)
 
 
-def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
-                 ps: tuple[float, ...],
-                 w_pows: tuple[np.ndarray, ...] | None
-                 ) -> list[OscillationReport]:
-    """BLO, then BLO_p at each p of ps, from one f - min_Q f table per
-    level that every functional reduces."""
+def blo_constant(f: GridFunction, w: Weight, cubes: DyadicFamily,
+                 ps: tuple[float, ...] = ()) -> OscillationReport:
+    """The BLO constant over the family.  Its report's p_norms hold BLO_p
+    at each p of ps, as blo_p_norm reports it, read from the same
+    f - min_Q f table per level that BLO reduces."""
+    require_same_grid(f, w)
     for p in ps:
         _check_p(p)
-    if w_pows is None:
-        w_pows = tuple(half_power(w.values, 1.0 - p) for p in ps)
-    elif len(w_pows) != len(ps):
-        raise ValueError(f"{len(w_pows)} weight powers for {len(ps)} "
-                         f"exponents")
+    w_pows = [half_power(w.values, 1.0 - p) for p in ps]
     fp = f.pyramid
     hn = (f.L / f.N) ** f.n
 
@@ -143,23 +145,12 @@ def _blo_reports(f: GridFunction, w: Weight, cubes: DyadicFamily,
             out.append((s * hn / wq) ** (1.0 / p))
         return out
 
-    vals = family_values(f, cubes, level_values)
-    return [_report("blo", None, vals[0], cubes),
-            *(_report("blo_p", p, v, cubes) for p, v in zip(ps, vals[1:]))]
-
-
-def blo_constant(f: GridFunction, w: Weight, cubes: DyadicFamily,
-                 ps: tuple[float, ...] = (),
-                 w_pows: tuple[np.ndarray, ...] | None = None
-                 ) -> OscillationReport:
-    """The BLO constant over the family.  Its report's p_norms hold BLO_p
-    at each p of ps, as blo_p_norm reports it, read from the same
-    deviation tables.  w_pows, when given, holds ω^{1-p} for each p of ps,
-    as the samples raised to it; it is computed otherwise."""
-    blo, *p_norms = _blo_reports(f, w, cubes, ps, w_pows)
-    return dataclasses.replace(blo, p_norms=tuple(p_norms))
+    blo, *vals = family_values(f, cubes, level_values)
+    return _report("blo", None, blo, cubes,
+                   tuple(_report("blo_p", p, v, cubes)
+                         for p, v in zip(ps, vals)))
 
 
 def blo_p_norm(f: GridFunction, w: Weight, p: float,
                cubes: DyadicFamily) -> OscillationReport:
-    return _blo_reports(f, w, cubes, (p,), None)[1]
+    return blo_constant(f, w, cubes, (p,)).p_norms[0]

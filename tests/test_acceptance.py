@@ -167,7 +167,7 @@ def test_criterion_07_p_norm_equivalence():
 
 def _ratio_suite(N: int, M: int) -> dict[str, float]:
     kernel = _certified_kernel("poisson-derivative", 1)
-    lam = _lambda_star(kernel, 1)
+    lam = _lambda_star(kernel)
     sups: dict[str, float] = {}
     for entry in default_corpus():
         f, w = entry.realize(1, 1.0, N, SEED)

@@ -593,20 +593,17 @@ def test_suites_raise_no_warning(tmp_path, command):
 
 def test_a_shipped_kernel_that_fails_its_certificate_is_refused(
         tmp_path, monkeypatch, capsys):
-    # the registry hands out a 1D Poisson kernel whose measured residual
-    # exceeds TOL_VANISH; its constructor is bypassed, which would refuse it
-    shipped = kernels.shipped_kernels
-    poisson = kernels.poisson_derivative_kernel(1)
-    failing = dataclasses.replace(poisson, report=dataclasses.replace(
-        poisson.report, p1_residual=1e-3))
+    # the certificate of the 1D Poisson kernel measures a residual above
+    # TOL_VANISH; its constructor still returns it, and certified() judges
+    measure = kernels.certify
 
-    def patched(n):
-        usable, controls = shipped(n)
-        if n == 1:
-            usable = {**usable, "poisson-derivative": lambda: failing}
-        return usable, controls
+    def patched(kernel):
+        rep = measure(kernel)
+        if (kernel.name, kernel.n) == ("poisson-derivative", 1):
+            rep = dataclasses.replace(rep, p1_residual=1e-3)
+        return rep
 
-    monkeypatch.setattr(kernels, "shipped_kernels", patched)
+    monkeypatch.setattr(kernels, "certify", patched)
     cli._certified_kernel.cache_clear()
     code, out, manifest = run(tmp_path / "check", "kernel-check")
     assert code == 1
@@ -1137,7 +1134,7 @@ def test_manifest_records_witness_cubes(tmp_path):
     code, _, jn = run(tmp_path / "jn", "jn", *FAST)
     assert code == 0
     kernel = cli._certified_kernel("poisson-derivative", 1)
-    lam = cli._lambda_star(kernel, 1)
+    lam = cli._lambda_star(kernel)
     corpus = list(default_corpus())
     assert [e["name"] for e in suite["entries"]] == [e.name for e in corpus]
     assert [e["name"] for e in jn["entries"]] == [e.name for e in corpus]

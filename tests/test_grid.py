@@ -326,3 +326,40 @@ def test_half_power_of_any_other_exponent_is_pow(s):
               rng.uniform(0.0, 2.0, (64, 64)), np.zeros(8)):
         with np.errstate(all="ignore"):
             assert half_power(x, s).tobytes() == (x ** s).tobytes()
+
+
+@pytest.mark.parametrize("grid", [(1, 1.0, 128), (1, 2.0, 64), (2, 1.0, 64)],
+                         ids=["2N", "other-L", "2D"])
+def test_a_weight_on_another_grid_than_its_function_is_refused(grid):
+    # a constant weight at 2N once halved BMO and BLO and read A1 = 2.0
+    from lpsquare.czd import (cube_local_constants, cz_decompose,
+                              distribution_function, jn_blo_verify,
+                              jn_bmo_verify, layer_cake_check)
+    from lpsquare.operators import l2_norm
+    from lpsquare.oscillation import (blo_constant, blo_p_norm, bmo_norm,
+                                      single_cube_value)
+    from lpsquare.weights import constant_weight
+    f = from_callable(1, 1.0, 64, lambda x: np.sin(2 * np.pi * x))
+    w = constant_weight(*grid)
+    cubes = dyadic_cubes(f, 3)
+    calls = [
+        lambda: bmo_norm(f, w, cubes),
+        lambda: blo_constant(f, w, cubes),
+        lambda: blo_constant(f, w, cubes, (2.0,)),
+        lambda: blo_p_norm(f, w, 2.0, cubes),
+        *(lambda kind=kind: single_cube_value(kind, f, w, cubes[1], 2.0)
+          for kind in ("bmo", "blo", "blo_p")),
+        lambda: cube_local_constants(f, w),
+        lambda: cz_decompose(f, w),
+        lambda: jn_blo_verify(f, w, [0.5, 1.0]),
+        lambda: jn_bmo_verify(f, w, [0.5, 1.0]),
+        lambda: distribution_function(f, "weight", w, [0.5, 1.0]),
+        lambda: layer_cake_check(f, w, 2.0),
+        lambda: l2_norm(f, w)]
+    n, L, N = grid
+    message = (f"the function lives on the 1D L=1.0 N=64 grid but the "
+               f"weight on the {n}D L={L!r} N={N} grid")
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

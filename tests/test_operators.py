@@ -284,7 +284,7 @@ def test_gstar_lambda_monotone_and_errors():
 def test_gstar_warns_below_threshold():
     f = sine(N=64, k=2)
     sg = ScaleGrid(2.0 / 64, 0.25, 4)
-    thr = lambda_warn_threshold(POISSON1, 1)
+    thr = lambda_warn_threshold(POISSON1)
     assert thr == pytest.approx(7.0)
     with pytest.warns(UserWarning):
         g_star(POISSON1, f, 4.0, sg)
