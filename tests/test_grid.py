@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpsquare.czd import (cube_local_constants, cz_decompose,
+                          distribution_function, jn_blo_verify, jn_bmo_verify,
+                          layer_cake_check)
 from lpsquare.grid import (
     Cube,
     DyadicFamily,
@@ -21,6 +24,10 @@ from lpsquare.grid import (
     level_blocks,
     periodic_displacement,
 )
+from lpsquare.operators import l2_norm
+from lpsquare.oscillation import (blo_constant, blo_p_norm, bmo_norm,
+                                  single_cube_value)
+from lpsquare.weights import constant_weight
 
 
 def make_grid(n=1, L=1.0, N=8, values=None):
@@ -332,13 +339,6 @@ def test_half_power_of_any_other_exponent_is_pow(s):
                          ids=["2N", "other-L", "2D"])
 def test_a_weight_on_another_grid_than_its_function_is_refused(grid):
     # a constant weight at 2N once halved BMO and BLO and read A1 = 2.0
-    from lpsquare.czd import (cube_local_constants, cz_decompose,
-                              distribution_function, jn_blo_verify,
-                              jn_bmo_verify, layer_cake_check)
-    from lpsquare.operators import l2_norm
-    from lpsquare.oscillation import (blo_constant, blo_p_norm, bmo_norm,
-                                      single_cube_value)
-    from lpsquare.weights import constant_weight
     f = from_callable(1, 1.0, 64, lambda x: np.sin(2 * np.pi * x))
     w = constant_weight(*grid)
     cubes = dyadic_cubes(f, 3)

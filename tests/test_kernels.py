@@ -129,18 +129,17 @@ def test_every_shipped_kernel_carries_its_measured_report():
             assert certified(kernel) is (name in usable)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: poisson_derivative_kernel(1), lambda: poisson_derivative_kernel(2),
-    lambda: gauss_derivative_kernel(1), lambda: gauss_derivative_kernel(2),
-    hermite2_kernel])
-def test_a_constructor_attaches_a_failing_certificate_unjudged(make,
+@pytest.mark.parametrize("name,n", [
+    (name, n) for n, (usable, _) in lpsquare.SHIPPED_KERNELS.items()
+    for name in usable])
+def test_a_constructor_attaches_a_failing_certificate_unjudged(name, n,
                                                                monkeypatch):
     # certified() is the only verdict: a constructor whose measurement
     # fails still returns its kernel, which certified() then rejects
     monkeypatch.setattr(lpsquare.kernels, "certify",
                         lambda kernel: dataclasses.replace(
                             certify(kernel), p1_residual=1e-3))
-    kernel = make()
+    kernel = kernel_registry(name, n)
     assert kernel.report.p1_residual == 1e-3
     assert certified(kernel) is False
 
