@@ -132,7 +132,7 @@ def blo_constant(f: GridFunction, w: Weight, cubes: DyadicFamily,
     require_same_grid(f, w)
     for p in ps:
         _check_p(p)
-    w_pows = [half_power(w.values, 1.0 - p) for p in ps]
+    omega_pows = [half_power(w.values, 1.0 - p) for p in ps]
     fp = f.pyramid
     hn = (f.L / f.N) ** f.n
 
@@ -140,7 +140,7 @@ def blo_constant(f: GridFunction, w: Weight, cubes: DyadicFamily,
         wq = w.pyramid.sum(k) * hn
         dev = _deviation(fp, k)
         out = [block_sums(dev) * hn / wq]
-        for p, w_pow in zip(ps, w_pows):
+        for p, w_pow in zip(ps, omega_pows):
             s = block_sums(half_power(dev, p) * level_blocks(w_pow, f.n, k))
             out.append((s * hn / wq) ** (1.0 / p))
         return out
