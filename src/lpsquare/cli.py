@@ -11,7 +11,8 @@ parts and a manifest record, which _gather records in corpus order.
 Under --jobs K the corpus is cut into at most K contiguous chunks, and
 each chunk runs in its own forked child; the outcomes come back in
 corpus order, so the output does not depend on K.  operators and
-theorem-suite compute a chunk as one batch.
+theorem-suite compute a chunk as one batch.  The manifest records the
+peak RSS of the launching process and of each chunk's child.
 
 Importing this module loads only cli, report, grid and weights; each
 subcommand imports the other modules it runs where it uses them, before
@@ -34,6 +35,7 @@ import gc
 import math
 import os
 import pickle
+import resource
 import signal
 import sys
 import traceback
@@ -107,9 +109,20 @@ def _lambda_star(kernel) -> float:
     return lambda_warn_threshold(kernel) + 1.0
 
 
-def _gather(manifest: RunManifest, outcomes) -> list[Table]:
-    """Records each entry's (criteria, tables, record) outcome in corpus
-    order, and joins the table parts that share a name into one table."""
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size in MiB; getrusage reports it
+    in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _gather(manifest: RunManifest, fn, cfg: RunConfig,
+            jobs: int) -> list[Table]:
+    """Runs fn over the corpus by _pmap, records its (criteria, tables,
+    record) outcomes in corpus order and each chunk child's peak RSS, and
+    joins the table parts that share a name into one table."""
+    outcomes, peaks = _pmap(fn, cfg, jobs)
+    manifest.peak_rss_mib["chunks"] = peaks
     joined: dict[str, tuple[Table, list]] = {}
     for criteria, tables, record in outcomes:
         for criterion in criteria:
@@ -142,11 +155,13 @@ class _ChildTraceback(Exception):
 
 
 def _outcome(fn, chunk, cfg: RunConfig) -> bytes:
-    """Pickled (True, list(fn(chunk, cfg))), or (False, (exception, its
-    formatted traceback)) when fn raises or its result does not pickle; an
-    exception that does not survive pickling becomes a RuntimeError."""
+    """Pickled (True, (list(fn(chunk, cfg)), the process's peak RSS in MiB
+    once fn is done)), or (False, (exception, its formatted traceback))
+    when fn raises or its result does not pickle; an exception that does
+    not survive pickling becomes a RuntimeError."""
     try:
-        return pickle.dumps((True, list(fn(chunk, cfg))),
+        results = list(fn(chunk, cfg))
+        return pickle.dumps((True, (results, _peak_rss_mib())),
                             pickle.HIGHEST_PROTOCOL)
     except BaseException as exc:
         text = traceback.format_exc()
@@ -185,9 +200,10 @@ def _fork(fn, chunk, cfg: RunConfig):
     return pid, open(r, "rb")
 
 
-def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
+def _pmap(fn, cfg: RunConfig, jobs: int) -> tuple[list, list[float]]:
     """fn(chunk, cfg) for each of the at most jobs contiguous chunks of the
-    corpus; the per-entry results come back concatenated, in corpus order.
+    corpus, concatenated in corpus order, and the peak RSS in MiB of each
+    forked child, in the same order.
 
     With more than one chunk, each chunk runs in its own forked child.
     The parent runs none itself, so that no chunk's work adds to what the
@@ -199,7 +215,7 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
     """
     chunks = _chunks(cfg.corpus, jobs)
     if len(chunks) == 1 or not hasattr(os, "fork"):
-        return [res for chunk in chunks for res in fn(chunk, cfg)]
+        return [res for chunk in chunks for res in fn(chunk, cfg)], []
     children = []             # [pid or None once reaped, pipe] per chunk
     try:
         # the children's collections skip the objects inherited from the
@@ -210,7 +226,7 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
                 children.append(list(_fork(fn, chunk, cfg)))
         finally:
             gc.unfreeze()
-        results = []
+        results, peaks = [], []
         for child, chunk in zip(children, chunks):
             pid, pipe = child
             with pipe:
@@ -226,8 +242,10 @@ def _pmap(fn, cfg: RunConfig, jobs: int) -> list:
             if not ok:
                 exc, text = value
                 raise exc from _ChildTraceback("\n" + text)
-            results.extend(value)
-        return results
+            chunk_results, peak = value
+            results.extend(chunk_results)
+            peaks.append(peak)
+        return results, peaks
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -293,7 +311,7 @@ def _weights_row(entry, cfg):
 
 
 def cmd_weights(cfg, jobs, manifest) -> list[Table]:
-    return _gather(manifest, _pmap(_each(_weights_row), cfg, jobs))
+    return _gather(manifest, _each(_weights_row), cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +340,34 @@ def _batched_results(kernel, entries, cfg, lams):
     """(entry, f, w, operator results, manifest record) for each entry of a
     chunk.  The record holds each operator's tail_bound, and the spectra
     built by the batch pass that computed the entry, shared by the
-    batch_size entries of that pass.  Entries are realized only as
-    square_functions draws them, one pass at a time, so that only one
-    pass's samples and fields are held.  An operator that overflows on an
-    entry is refused naming the entry."""
+    batch_size entries of that pass.  An entry's function is realized only
+    as square_functions draws it, one pass at a time, so that only one
+    pass's samples and fields are held, and its weight only when its
+    results come back, so that no pass holds a weight.  An operator that
+    overflows on an entry is refused naming the entry."""
     from .operators import OperatorOverflow
-    realized = collections.deque()
+    grid = (cfg.n, cfg.L, cfg.N, cfg.seed)
+    drawn = collections.deque()
 
     def functions():
         for entry in entries:
-            f, w = entry.realize(cfg.n, cfg.L, cfg.N, cfg.seed)
-            realized.append((entry, f, w))
+            f = entry.function_on(*grid)
+            drawn.append((entry, f))
             yield f
 
     scales = _make_scales(cfg)
     try:
         for results in _operator_results(kernel, functions(), scales, lams):
-            entry, f, w = realized.popleft()
+            entry, f = drawn.popleft()
             first = next(iter(results.values()))
-            yield entry, f, w, results, {
+            yield entry, f, entry.weight_on(*grid), results, {
                 "name": entry.name,
                 "tail_bounds": {op: res.tail_bound
                                 for op, res in results.items()},
                 "spectra_built": first.spectra_built,
                 "batch_size": first.batch_size}
     except OperatorOverflow as exc:
-        entry = next(e for e, f, _ in realized if f is exc.f)
+        entry = next(e for e, f in drawn if f is exc.f)
         raise ValueError(f"corpus entry {entry.name!r}: {exc} on the "
                          f"{cfg.n}D N={cfg.N} grid over the scales "
                          f"[{scales.t_min:g}, {scales.t_max:g}]") from None
@@ -376,23 +396,30 @@ def _operators_rows(kernel, lam, entries, cfg):
             (f"lambda-monotone:{entry.name}", mono_ok, "")]
         yield criteria, [Table("operators", ("pair", "operator", "l2_ratio"),
                                rows)], record
+    # the chunk holding the corpus's last entry, a child unless it is the
+    # only chunk, judges the constant once its batch has freed the heap
+    # that the constant's arrays reuse; its outcome comes last
+    if entries[-1:] == cfg.corpus[-1:]:
+        yield [_constant_annihilated(kernel, cfg)], [], None
 
 
-def cmd_operators(cfg, jobs, manifest) -> list[Table]:
+def _constant_annihilated(kernel, cfg):
+    """The constant-annihilated criterion: g of a constant input must
+    vanish up to rounding."""
     from .operators import default_scales, g_function
-    n, L, N = cfg.n, cfg.L, cfg.N
-    kernel = _certified_kernel(cfg.kernel, n)
-    manifest.kernels.append(_kernel_record(kernel))
-    rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel))
-    tables = _gather(manifest, _pmap(rows, cfg, jobs))
-    # a constant input must be annihilated up to rounding
-    size = max(16, min(N, 512))  # at N <= 8 the window [2h, L/4] is empty
+    n, L = cfg.n, cfg.L
+    size = max(16, min(cfg.N, 512))  # at N <= 8 the window [2h, L/4] is empty
     const = GridFunction(n, L, size, np.full((size,) * n, 2.0))
     g0 = g_function(kernel, const, default_scales(const, M=16)).values
     peak = float(np.max(g0.values))
-    manifest.record("constant-annihilated", peak < 1e-10,
-                    f"max={peak:.3e}")
-    return tables
+    return "constant-annihilated", peak < 1e-10, f"max={peak:.3e}"
+
+
+def cmd_operators(cfg, jobs, manifest) -> list[Table]:
+    kernel = _certified_kernel(cfg.kernel, cfg.n)
+    manifest.kernels.append(_kernel_record(kernel))
+    rows = functools.partial(_operators_rows, kernel, _lambda_star(kernel))
+    return _gather(manifest, rows, cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +458,7 @@ def cmd_theorem_suite(cfg, jobs, manifest) -> list[Table]:
     manifest.kernels.append({**_kernel_record(kernel),
                              "lambda_star": lam})
     rows = functools.partial(_theorem_rows, kernel, lam)
-    [table] = _gather(manifest, _pmap(rows, cfg, jobs))
+    [table] = _gather(manifest, rows, cfg, jobs)
     sup_by_op: dict[str, float] = {}
     for _, op, _, _, ratio in table.rows:
         sup_by_op[op] = max(sup_by_op.get(op, 0.0), ratio)
@@ -516,7 +543,7 @@ def _jn_row(entry, cfg):
 
 def cmd_jn(cfg, jobs, manifest) -> list[Table]:
     from . import czd, oscillation  # noqa: F401  loaded before the fork
-    return _gather(manifest, _pmap(_each(_jn_row), cfg, jobs))
+    return _gather(manifest, _each(_jn_row), cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +685,7 @@ def main(argv=None) -> int:
         if failure is not None:
             manifest.record(f"{command}-preconditions", False, failure)
         manifest.timings = timer.stages
+        manifest.peak_rss_mib["launcher"] = _peak_rss_mib()
         if unwritten is None:
             try:
                 with timer.measure("report"):

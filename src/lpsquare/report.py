@@ -188,9 +188,14 @@ class CorpusEntry:
                 base_seed: int = 0) -> tuple[GridFunction, Weight]:
         """The entry's function and weight on the grid; a refusal names
         the entry."""
-        return (self._named(realize_function, self.function, n, L, N,
-                            base_seed),
+        return (self.function_on(n, L, N, base_seed),
                 self.weight_on(n, L, N, base_seed))
+
+    def function_on(self, n: int, L: float, N: int,
+                    base_seed: int = 0) -> GridFunction:
+        """The entry's function alone, as realize gives it."""
+        return self._named(realize_function, self.function, n, L, N,
+                           base_seed)
 
     def weight_on(self, n: int, L: float, N: int,
                   base_seed: int = 0) -> Weight:
@@ -581,6 +586,10 @@ class RunManifest:
     family: dict = field(default_factory=dict)
     kernels: list = field(default_factory=list)
     timings: list = field(default_factory=list)
+    # peak resident set size in MiB of the launching process and of each
+    # forked chunk child, in corpus order; no chunks when none was forked
+    peak_rss_mib: dict = field(
+        default_factory=lambda: {"launcher": None, "chunks": []})
     criteria: list = field(default_factory=list)
     entries: list = field(default_factory=list)  # per corpus entry records
     seed: int = 0

@@ -999,6 +999,116 @@ def test_parent_raises_before_later_children_finish(tmp_path, monkeypatch,
     assert_children_reaped()
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_manifest_records_the_peak_rss_of_each_process(tmp_path, command):
+    _, _, serial = run(tmp_path / "1", command, *FAST, *FIVE)
+    code, _, pooled = run(tmp_path / "2", command, *FAST, *FIVE,
+                          "--jobs", "2")
+    assert code == 0
+    assert serial["peak_rss_mib"]["chunks"] == []
+    chunks = pooled["peak_rss_mib"]["chunks"]
+    # kernel-check runs no corpus, so it forks no child
+    assert len(chunks) == (0 if command == "kernel-check" else 2)
+    assert all(peak > 0 for peak in chunks)
+    assert serial["peak_rss_mib"]["launcher"] > 0
+    assert pooled["peak_rss_mib"]["launcher"] > 0
+
+
+def test_constant_check_runs_once_last_in_the_last_chunk(tmp_path,
+                                                         monkeypatch, forks):
+    g_function = operators.g_function
+    ran_in = tmp_path / "pid"
+
+    def recording(*args):
+        ran_in.write_text(str(os.getpid()))
+        return g_function(*args)
+
+    monkeypatch.setattr(operators, "g_function", recording)
+    criteria = []
+    for jobs in ("1", "2", "3"):
+        forks.clear()
+        code, _, manifest = run(tmp_path / jobs, "operators", *FAST, *FIVE,
+                                "--jobs", jobs)
+        assert code == 0
+        names = [c["name"] for c in manifest["criteria"]]
+        assert names.count("constant-annihilated") == 1
+        assert names[-1] == "constant-annihilated"
+        criteria.append(manifest["criteria"])
+        # the launcher with one chunk, else the child of the last chunk
+        assert int(ran_in.read_text()) == (forks[-1] if forks
+                                           else os.getpid())
+    assert criteria[0] == criteria[1] == criteria[2]
+
+
+def test_constant_check_failed_in_a_child_fails_the_run(tmp_path,
+                                                        monkeypatch):
+    def uncorrected(kernel, n, L, N, t):
+        d, reps, where, _ = operators._orbits(n, L, N)
+        return (operators.evaluate(kernel, operators._radius(d / t, reps))
+                / t**n)[where]
+
+    monkeypatch.setattr(operators, "_sampled_kernel", uncorrected)
+    code, _, manifest = run(tmp_path, "operators", *FAST, *FIVE,
+                            "--jobs", "2")
+    assert code == 1
+    [failed] = [c for c in manifest["criteria"] if not c["passed"]]
+    assert failed == manifest["criteria"][-1]
+    assert failed["name"] == "constant-annihilated"
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_pass_draws_functions_and_weights_follow_it(tmp_path, monkeypatch,
+                                                    command):
+    events = []
+    stack_pass = operators._stack_pass
+    function_on = report.CorpusEntry.function_on
+    weight_on = report.CorpusEntry.weight_on
+
+    def logged(kind, realize):
+        def realized(entry, *grid):
+            events.append(f"{kind}:{entry.name}")
+            return realize(entry, *grid)
+        return realized
+
+    def logged_pass(kernel, fs, *args):
+        events.append(f"pass:{len(fs)}")
+        return stack_pass(kernel, fs, *args)
+
+    monkeypatch.setattr(operators, "_stack_pass", logged_pass)
+    monkeypatch.setattr(report.CorpusEntry, "function_on",
+                        logged("f", function_on))
+    monkeypatch.setattr(report.CorpusEntry, "weight_on",
+                        logged("w", weight_on))
+    # room for two members of four operators on N=256: passes of 2, 2, 1
+    monkeypatch.setattr(operators, "STACK_BYTES", 2 * 8 * 256 * (4 + 6))
+    code, _, _ = run(tmp_path, command, *FAST, *FIVE)
+    assert code == 0
+    # operators ends with the pass of its constant check
+    assert events == ["f:a", "f:b", "pass:2", "w:a", "w:b",
+                      "f:c", "f:d", "pass:2", "w:c", "w:d",
+                      "f:e", "pass:1", "w:e",
+                      *(["pass:1"] if command == "operators" else [])]
+
+
+@pytest.mark.parametrize("command", ["operators", "theorem-suite"])
+def test_child_refusing_a_weight_after_its_pass_names_the_entry(
+        tmp_path, capsys, forks, command):
+    code, _, manifest = run(
+        tmp_path, command, "--set", "grid.N=64", "--set", "scales.M=4",
+        "--set", "family.max_level=2", "--set", "corpus.a=step() | constant()",
+        "--set", "corpus.x=step() | power-regularized(alpha=25)",
+        "--jobs", "2")
+    assert code == 2
+    assert len(forks) == 2
+    assert_children_reaped()
+    message = ("corpus entry 'x': the weight falls below EPS_MIN=1e-12 on the "
+               "1D N=64 grid")
+    [criterion] = manifest["criteria"]
+    assert criterion["name"] == f"{command}-preconditions"
+    assert criterion["detail"].startswith(message)
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_missing_mallopt_is_skipped(tmp_path, monkeypatch):
     _, out1, _ = run(tmp_path / "glibc", "jn", *FAST)
     # a C library without mallopt
