@@ -343,8 +343,8 @@ def _batched_results(kernel, entries, cfg, lams):
     batch_size entries of that pass.  An entry's function is realized only
     as square_functions draws it, one pass at a time, so that only one
     pass's samples and fields are held, and its weight only when its
-    results come back, so that no pass holds a weight.  An operator that
-    overflows on an entry is refused naming the entry."""
+    results come back, so that a pass holds none of its entries' weights.
+    An operator that overflows on an entry is refused naming the entry."""
     from .operators import OperatorOverflow
     grid = (cfg.n, cfg.L, cfg.N, cfg.seed)
     drawn = collections.deque()
